@@ -5,6 +5,8 @@
 #   make test      - full test suite
 #   make race      - race-detector pass over the lock core + schedule kernel
 #   make bench     - reader-scaling + alloc-free benchmarks
+#   make allocfree - one pass of the alloc-free benchmarks: each fails if
+#                    an elided read entry allocates
 #   make check     - tier-1 gate: build + vet + test
 #   make lint      - solerovet speculation-safety analyzers over the module
 #   make lintcatch - inverted lint: seeded violations MUST be reported
@@ -35,7 +37,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench check lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
+.PHONY: build vet test race bench allocfree check lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
 
 build:
 	$(GO) build ./...
@@ -57,6 +59,9 @@ race:
 
 bench:
 	$(GO) test -bench 'BenchmarkReaderScaling|BenchmarkReadOnlyAllocFree|BenchmarkBackendTournament' -benchtime 200ms .
+
+allocfree:
+	$(GO) test -run '^$$' -bench 'BenchmarkReadOnlyAllocFree' -benchtime 1x .
 
 check: build vet test
 

@@ -937,22 +937,37 @@ func BenchmarkReadOnly(b *testing.B) {
 	})
 }
 
-// BenchmarkReadOnlyAllocFree asserts the elided read fast path performs
-// zero heap allocations (testing.AllocsPerRun), then times it.
+// BenchmarkReadOnlyAllocFree asserts each elided read entry performs zero
+// heap allocations (testing.AllocsPerRun), then times it: ReadOnly, the
+// recovery-free lean path of a facts-proven ReadOnlySection, and a
+// ReadMostly section that does not write.
 func BenchmarkReadOnlyAllocFree(b *testing.B) {
 	vm := jthread.NewVM()
 	th := vm.Attach("bench")
 	defer th.Detach()
-	l := core.New(nil)
+	lean := core.NewSectionRegistry(false, 0, nil).Seed("bench:lean", core.ProofElidable, true, 1)
 	fn := func() {}
-	l.ReadOnly(th, fn) // warm the thread's speculative-frame stack
-	if allocs := testing.AllocsPerRun(1000, func() { l.ReadOnly(th, fn) }); allocs != 0 {
-		b.Fatalf("elided read fast path allocates: %v allocs/run", allocs)
-	}
-	b.ReportMetric(0, "allocs/run")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.ReadOnly(th, fn)
+	rmFn := func(*core.Section) {}
+	for _, bc := range []struct {
+		name string
+		op   func(l *core.Lock)
+	}{
+		{"ReadOnly", func(l *core.Lock) { l.ReadOnly(th, fn) }},
+		{"ReadOnlySectionLean", func(l *core.Lock) { l.ReadOnlySection(th, lean, fn) }},
+		{"ReadMostlyNoWrite", func(l *core.Lock) { l.ReadMostly(th, rmFn) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			l := core.New(nil)
+			bc.op(l) // warm the thread's per-thread section state
+			if allocs := testing.AllocsPerRun(1000, func() { bc.op(l) }); allocs != 0 {
+				b.Fatalf("%s allocates: %v allocs/run", bc.name, allocs)
+			}
+			b.ReportMetric(0, "allocs/run")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.op(l)
+			}
+		})
 	}
 }
 

@@ -141,6 +141,14 @@ var DefaultConfig = &Config{
 	MaxElisionFailures: 1,
 }
 
+// hookFree reports whether ReadOnly may take its hook-free first attempt:
+// no metrics, schedule, history, trace or fence-model hook is wired, and
+// neither adaptive elision nor DisableElision is on.
+func (c *Config) hookFree() bool {
+	return c.Metrics == nil && c.Sched == nil && c.History == nil && c.Tracer == nil &&
+		c.Model == nil && !c.Adaptive && !c.DisableElision
+}
+
 // statsStripeCount resolves the configured stripe count (see
 // Config.StatsStripes) to a power of two.
 func (c *Config) statsStripeCount() int {

@@ -1,0 +1,268 @@
+package core
+
+import (
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/jthread"
+)
+
+// The tests in this file run on locks whose config wires no hook, so
+// ReadOnly takes its hook-free first attempt. The schedule and history
+// oracles always wire Sched or History and never reach that arm.
+
+func TestDefaultConfigIsHookFree(t *testing.T) {
+	if !New(nil).cfg.hookFree() {
+		t.Fatal("the nil config must take ReadOnly's hook-free first attempt")
+	}
+	for name, mut := range map[string]func(*Config){
+		"adaptive":       func(c *Config) { c.Adaptive = true },
+		"disableElision": func(c *Config) { c.DisableElision = true },
+	} {
+		cfg := *DefaultConfig
+		mut(&cfg)
+		if cfg.hookFree() {
+			t.Errorf("%s config must not take the hook-free first attempt", name)
+		}
+	}
+}
+
+// checkAttemptsDerived asserts the derived attempts counter equals the sum
+// of the read-only terminal outcomes at quiescence.
+func checkAttemptsDerived(t *testing.T, st *Stats) {
+	t.Helper()
+	got := st.ElisionAttempts.Load()
+	want := st.ElisionSuccesses.Load() + st.ElisionFailures.Load() + st.GenuineFaults.Load()
+	if got != want {
+		t.Fatalf("ElisionAttempts = %d, want successes+failures+genuineFaults = %d (%v)", got, want, st.Snapshot())
+	}
+}
+
+// TestHookFreeReadersBesideWriters runs eliding readers against writers
+// that keep a == b under the lock. A body that sees the pair torn panics;
+// the panic must be suppressed and retried, and no reader may return a
+// torn pair.
+func TestHookFreeReadersBesideWriters(t *testing.T) {
+	vm := jthread.NewVM()
+	l := New(nil)
+	var a, b atomic.Uint64
+	var torn atomic.Int64
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			th := vm.Attach("w")
+			defer th.Detach()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				l.Sync(th, func() {
+					a.Add(1)
+					b.Add(1)
+				})
+			}
+		}()
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			th := vm.Attach("r")
+			defer th.Detach()
+			for i := 0; i < 3000; i++ {
+				var ga, gb uint64
+				l.ReadOnly(th, func() {
+					ga = a.Load()
+					gb = b.Load()
+					if ga != gb {
+						panic("torn pair")
+					}
+				})
+				if ga != gb {
+					torn.Add(1)
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
+	if n := torn.Load(); n != 0 {
+		t.Fatalf("%d torn reads escaped", n)
+	}
+	st := l.Stats()
+	if st.ElisionSuccesses.Load() == 0 {
+		t.Fatal("no reader elided")
+	}
+	if st.GenuineFaults.Load() != 0 {
+		t.Fatalf("a torn-state panic was classified genuine: %v", st.Snapshot())
+	}
+	checkAttemptsDerived(t, st)
+}
+
+// TestHookFreeFirstAttemptFailures pins each way the hook-free first
+// attempt can fail, and the handoff to the loop both when the failure
+// budget is spent (fallback holding the lock) and when it is not
+// (speculate again).
+func TestHookFreeFirstAttemptFailures(t *testing.T) {
+	type want struct{ successes, fallbacks, suppressed, async uint64 }
+	cases := []struct {
+		name        string
+		maxFailures int
+		body        func(l *Lock, th, w *jthread.Thread, a, b *atomic.Uint64)
+		want        want
+	}{
+		{
+			name:        "torn panic suppressed, fallback",
+			maxFailures: 1,
+			body: func(l *Lock, th, w *jthread.Thread, a, b *atomic.Uint64) {
+				ga := a.Load()
+				l.Sync(w, func() { a.Add(1); b.Add(1) })
+				if ga != b.Load() {
+					panic("torn pair")
+				}
+			},
+			want: want{fallbacks: 1, suppressed: 1},
+		},
+		{
+			name:        "torn panic suppressed, speculative retry",
+			maxFailures: 3,
+			body: func(l *Lock, th, w *jthread.Thread, a, b *atomic.Uint64) {
+				ga := a.Load()
+				l.Sync(w, func() { a.Add(1); b.Add(1) })
+				if ga != b.Load() {
+					panic("torn pair")
+				}
+			},
+			want: want{successes: 1, suppressed: 1},
+		},
+		{
+			name:        "async abort, fallback",
+			maxFailures: 1,
+			body: func(l *Lock, th, w *jthread.Thread, a, b *atomic.Uint64) {
+				l.Sync(w, func() {})
+				th.Poke()
+				th.Checkpoint()
+			},
+			want: want{fallbacks: 1, async: 1},
+		},
+		{
+			name:        "async abort, speculative retry",
+			maxFailures: 3,
+			body: func(l *Lock, th, w *jthread.Thread, a, b *atomic.Uint64) {
+				l.Sync(w, func() {})
+				th.Poke()
+				th.Checkpoint()
+			},
+			want: want{successes: 1, async: 1},
+		},
+		{
+			name:        "changed word, fallback",
+			maxFailures: 1,
+			body: func(l *Lock, th, w *jthread.Thread, a, b *atomic.Uint64) {
+				l.Sync(w, func() {})
+			},
+			want: want{fallbacks: 1},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := *DefaultConfig
+			cfg.MaxElisionFailures = tc.maxFailures
+			l := New(&cfg)
+			if !l.cfg.hookFree() {
+				t.Fatal("test config must be hook-free")
+			}
+			ths := newT(t, 2)
+			th, w := ths[0], ths[1]
+			var a, b atomic.Uint64
+			runs := 0
+			var ga, gb uint64
+			l.ReadOnly(th, func() {
+				runs++
+				if runs == 1 {
+					tc.body(l, th, w, &a, &b)
+					return
+				}
+				ga, gb = a.Load(), b.Load()
+			})
+			if runs != 2 {
+				t.Fatalf("section ran %d times, want 2 (one failed attempt, one retry)", runs)
+			}
+			if ga != gb {
+				t.Fatalf("retry saw a torn pair: %d != %d", ga, gb)
+			}
+			if th.SpecDepth() != 0 {
+				t.Fatalf("speculative frames leaked: depth %d", th.SpecDepth())
+			}
+			if l.HeldBy(th) {
+				t.Fatal("lock leaked")
+			}
+			st := l.Stats()
+			got := want{st.ElisionSuccesses.Load(), st.Fallbacks.Load(), st.SuppressedFaults.Load(), st.AsyncAborts.Load()}
+			if got != tc.want {
+				t.Fatalf("got %+v, want %+v", got, tc.want)
+			}
+			if f := st.ElisionFailures.Load(); f != 1 {
+				t.Fatalf("ElisionFailures = %d, want 1", f)
+			}
+			checkAttemptsDerived(t, st)
+		})
+	}
+}
+
+// TestHookFreeGenuineFaultPropagates: a panic raised while the word is
+// unchanged is genuine and must escape the hook-free attempt with the
+// speculative frame retired.
+func TestHookFreeGenuineFaultPropagates(t *testing.T) {
+	l := New(nil)
+	th := newT(t, 1)[0]
+	l.ReadOnly(th, func() {}) // one success beside the fault
+	r := func() (r any) {
+		defer func() { r = recover() }()
+		l.ReadOnly(th, func() { panic("boom") })
+		return nil
+	}()
+	if r != "boom" {
+		t.Fatalf("recovered %v, want the genuine fault", r)
+	}
+	if th.SpecDepth() != 0 {
+		t.Fatalf("speculative frames leaked: depth %d", th.SpecDepth())
+	}
+	st := l.Stats()
+	if st.GenuineFaults.Load() != 1 || st.ElisionSuccesses.Load() != 1 {
+		t.Fatalf("counters: %v", st.Snapshot())
+	}
+	checkAttemptsDerived(t, st)
+	if a := st.ElisionAttempts.Load(); a != 2 {
+		t.Fatalf("ElisionAttempts = %d, want 2", a)
+	}
+}
+
+// TestFreshThreadFirstReadOnlyAllocFree: the speculative-frame stack is
+// allocated at Attach, so a thread's first elided read allocates nothing.
+func TestFreshThreadFirstReadOnlyAllocFree(t *testing.T) {
+	const runs = 100
+	vm := jthread.NewVM()
+	ths := make([]*jthread.Thread, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range ths {
+		ths[i] = vm.Attach("fresh")
+	}
+	l := New(nil)
+	fn := func() {}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		l.ReadOnly(ths[i], fn)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("a fresh thread's first ReadOnly allocates %v times", allocs)
+	}
+}

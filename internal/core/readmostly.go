@@ -109,16 +109,20 @@ const (
 // elided like a read-only section, but fn may write shared state after
 // calling BeforeWrite on its Section. The common no-write execution never
 // touches the lock variable; an execution that writes upgrades in place.
+// The Section is valid only while fn runs: the thread reuses it for its
+// next read-mostly section.
 func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 	// Same sampled CS-duration gate as ReadOnly: thread-local, write-free.
 	if m := l.cfg.Metrics; m != nil && t.SampleTick(m.CSSampleMask()) {
 		start := time.Now()
 		defer m.EndCS(t.StripeIndex(), start)
 	}
+	// Every execution of fn runs on this one record.
+	s := takeSection(t)
+	defer releaseSection(t, s)
 	if l.cfg.DisableElision {
 		l.Lock(t)
-		defer l.Unlock(t)
-		fn(&Section{l: l, t: t, holding: true, framePopped: true})
+		l.runHeldSection(t, fn, s)
 		return
 	}
 	v := l.word.Load()
@@ -133,11 +137,11 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 			// Entered holding (reentrant or fat): writes are safe
 			// throughout.
 			l.cfg.History.Record(history.ReadFallback, t.ID(), l.word.Load())
-			s := &Section{l: l, t: t, holding: true, framePopped: true}
+			*s = Section{l: l, t: t, holding: true, framePopped: true}
 			l.runHolding(t, func() { fn(s) })
 			return
 		}
-		s := &Section{l: l, t: t, v: v}
+		*s = Section{l: l, t: t, v: v}
 		outcome := l.runSpecUpgradable(t, v, fn, s)
 		switch outcome {
 		case specOK:
@@ -163,8 +167,7 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 			// BeforeWrite acquired the lock after a failed upgrade;
 			// re-execute holding it.
 			l.st.stripeFor(t).inc(cFallbacks)
-			defer l.Unlock(t)
-			fn(&Section{l: l, t: t, holding: true, framePopped: true})
+			l.runHeldSection(t, fn, s)
 			return
 		case specFailed, specFailedAsync:
 			// fall through to the retry/fallback accounting
@@ -177,8 +180,7 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 			l.cfg.Sched.Point(t.ID(), sched.PReadFallback)
 			l.cfg.History.Record(history.ReadFallback, t.ID(), v)
 			l.Lock(t)
-			defer l.Unlock(t)
-			fn(&Section{l: l, t: t, holding: true, framePopped: true})
+			l.runHeldSection(t, fn, s)
 			return
 		}
 		v = l.word.Load()
@@ -188,21 +190,52 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 	}
 }
 
+// runHeldSection runs fn on s as a section holding the lock from its first
+// statement (the caller acquired it) and releases the lock on the way out.
+// It lives outside readMostly's retry loop because a defer inside a loop
+// keeps the compiler from open-coding the caller's defers.
+func (l *Lock) runHeldSection(t *jthread.Thread, fn func(*Section), s *Section) {
+	defer l.Unlock(t)
+	*s = Section{l: l, t: t, holding: true, framePopped: true}
+	fn(s)
+}
+
+// sectionStack is a thread's free list of Section records. fn's *Section
+// escapes, so ReadMostly reuses a record per nesting level instead of
+// allocating one per call.
+type sectionStack []*Section
+
+// takeSection pops a free record off t's stack, allocating when it is empty.
+func takeSection(t *jthread.Thread) *Section {
+	ss, _ := t.Local().(*sectionStack)
+	if ss == nil || len(*ss) == 0 {
+		return new(Section)
+	}
+	s := (*ss)[len(*ss)-1]
+	*ss = (*ss)[:len(*ss)-1]
+	return s
+}
+
+// releaseSection clears s and pushes it back on t's stack.
+func releaseSection(t *jthread.Thread, s *Section) {
+	ss, _ := t.Local().(*sectionStack)
+	if ss == nil {
+		ss = new(sectionStack)
+		t.SetLocal(ss)
+	}
+	*s = Section{}
+	*ss = append(*ss, s)
+}
+
 // runSpecUpgradable is runSpeculative extended with the upgrade protocol:
 // it distinguishes the restart-holding unwind, and treats faults raised
 // while holding (post-upgrade) as genuine, releasing the lock before
 // propagating them.
 func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section), s *Section) (outcome specOutcome) {
-	l.st.stripeFor(t).inc(cElisionAttempts)
 	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
 	t.PushSpec(&l.word, v)
 	defer func() {
-		if !s.framePopped {
-			t.PopSpec()
-			s.framePopped = true
-		}
-	}()
-	defer func() {
+		s.popFrame()
 		r := recover()
 		if r == nil {
 			return
@@ -213,8 +246,12 @@ func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section),
 		}
 		if s.holding {
 			// Reads are consistent once holding; the fault is
-			// genuine. Release and rethrow.
-			l.st.stripeFor(t).inc(cGenuineFaults)
+			// genuine. Release and rethrow. An upgraded section's
+			// speculation already ended in its counted upgrade, so
+			// only a section holding without one counts the fault.
+			if !s.upgraded {
+				l.st.stripeFor(t).inc(cGenuineFaults)
+			}
 			l.Unlock(t)
 			panic(r)
 		}

@@ -316,3 +316,96 @@ func TestReadMostlyBeforeWriteTwiceAfterFailedUpgrade(t *testing.T) {
 		t.Fatalf("speculative frames leaked")
 	}
 }
+
+// TestReadMostlyTerminalOutcomesDeriveAttempts: every way a speculative
+// read-mostly execution can end adds exactly one to the derived
+// ElisionAttempts, through exactly one terminal-outcome counter.
+func TestReadMostlyTerminalOutcomesDeriveAttempts(t *testing.T) {
+	invalidate := func(l *Lock, w *jthread.Thread) { l.Sync(w, func() {}) }
+	cases := []struct {
+		name    string
+		body    func(l *Lock, w *jthread.Thread, s *Section, run int)
+		panics  bool
+		outcome func(*Stats) Counter
+	}{
+		{"success", func(*Lock, *jthread.Thread, *Section, int) {}, false,
+			func(st *Stats) Counter { return st.ElisionSuccesses }},
+		{"failure", func(l *Lock, w *jthread.Thread, _ *Section, run int) {
+			if run == 1 {
+				invalidate(l, w)
+			}
+		}, false, func(st *Stats) Counter { return st.ElisionFailures }},
+		{"in-place upgrade", func(_ *Lock, _ *jthread.Thread, s *Section, _ int) {
+			s.BeforeWrite()
+		}, false, func(st *Stats) Counter { return st.Upgrades }},
+		{"failed upgrade, restart", func(l *Lock, w *jthread.Thread, s *Section, run int) {
+			if run == 1 {
+				invalidate(l, w)
+			}
+			s.BeforeWrite()
+		}, false, func(st *Stats) Counter { return st.UpgradeFailures }},
+		{"genuine fault before upgrade", func(*Lock, *jthread.Thread, *Section, int) {
+			panic("boom")
+		}, true, func(st *Stats) Counter { return st.GenuineFaults }},
+		{"genuine fault after upgrade", func(_ *Lock, _ *jthread.Thread, s *Section, _ int) {
+			s.BeforeWrite()
+			panic("boom")
+		}, true, func(st *Stats) Counter { return st.Upgrades }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ths := newT(t, 2)
+			l := New(nil)
+			run := 0
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				l.ReadMostly(ths[0], func(s *Section) {
+					run++
+					tc.body(l, ths[1], s, run)
+				})
+				return nil
+			}()
+			if (r != nil) != tc.panics {
+				t.Fatalf("recovered %v, want panic=%v", r, tc.panics)
+			}
+			st := l.Stats()
+			if got := st.ElisionAttempts.Load(); got != 1 {
+				t.Fatalf("ElisionAttempts = %d, want 1 (%v)", got, st.Snapshot())
+			}
+			if got := tc.outcome(st).Load(); got != 1 {
+				t.Fatalf("terminal outcome counted %d times, want 1 (%v)", got, st.Snapshot())
+			}
+			if l.HeldBy(ths[0]) || ths[0].SpecDepth() != 0 {
+				t.Fatalf("lock or frames leaked: held=%v depth=%d", l.HeldBy(ths[0]), ths[0].SpecDepth())
+			}
+		})
+	}
+}
+
+// TestReadMostlyNestedSectionsDistinct: the thread reuses Section records
+// across read-mostly sections, so a nested section must get its own record
+// and leave the enclosing one intact.
+func TestReadMostlyNestedSectionsDistinct(t *testing.T) {
+	th := newT(t, 1)[0]
+	outer, inner := New(nil), New(nil)
+	for i := 0; i < 2; i++ { // the second pass runs on reused records
+		outer.ReadMostly(th, func(so *Section) {
+			inner.ReadMostly(th, func(si *Section) {
+				if si == so {
+					t.Fatal("nested section shares its enclosing section's record")
+				}
+				si.BeforeWrite()
+			})
+			if so.Holding() || so.l != outer {
+				t.Fatalf("inner section clobbered the outer one: holding=%v", so.Holding())
+			}
+			so.BeforeWrite()
+		})
+	}
+	if got := outer.Stats().Upgrades.Load() + inner.Stats().Upgrades.Load(); got != 4 {
+		t.Fatalf("upgrades = %d, want 4", got)
+	}
+	if outer.HeldBy(th) || inner.HeldBy(th) {
+		t.Fatal("lock leaked")
+	}
+}

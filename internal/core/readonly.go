@@ -27,6 +27,25 @@ import (
 // After MaxElisionFailures failed speculations, the section falls back to
 // real lock acquisition, which bounds starvation.
 func (l *Lock) ReadOnly(t *jthread.Thread, fn func()) {
+	if l.cfg.hookFree() {
+		if v := l.word.Load(); lockword.SoleroFree(v) {
+			// Hook-free first attempt: with every hook nil and adaptive
+			// elision off, the success path is the paper's fast path —
+			// load, speculate, reload — plus one stripe increment.
+			if ok, _ := l.runSpeculative(t, v, fn); ok && (l.word.Load() == v || l.slowReadExit(t, v)) {
+				l.st.stripeFor(t).inc(cElisionSuccesses)
+				return
+			}
+			l.st.stripeFor(t).inc(cElisionFailures)
+			// Hand the section to the loop with this failure spent.
+			if n := l.cfg.MaxElisionFailures; n > 1 {
+				l.readOnlyImpl(t, fn, n-1, false)
+			} else {
+				l.readFallback(t, fn, v)
+			}
+			return
+		}
+	}
 	// Sampled CS-duration timing: the gate is one predicted branch (nil
 	// registry) or a thread-local counter test, so the metrics-on fast
 	// path stays write-free; only the selected 1/period executions pay
@@ -98,15 +117,7 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 		l.adaptiveRecord(t, true)
 		failures++
 		if failures >= maxFailures {
-			// Fallback (Figure 7's solero_slow_enter arm): run the
-			// section holding the lock.
-			l.st.stripeFor(t).inc(cFallbacks)
-			l.cfg.Tracer.Record(trace.EvFallback, t.ID(), v)
-			l.cfg.Sched.Point(t.ID(), sched.PReadFallback)
-			l.cfg.History.Record(history.ReadFallback, t.ID(), v)
-			l.Lock(t)
-			defer l.Unlock(t)
-			fn()
+			l.readFallback(t, fn, v)
 			return false
 		}
 		v = l.word.Load()
@@ -114,6 +125,18 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 			v, holding = l.slowReadEnter(t)
 		}
 	}
+}
+
+// readFallback is Figure 7's solero_slow_enter arm: after the last failed
+// speculation (snapshot v), run the section holding the lock. It lives
+// outside the retry loop because a defer inside a loop keeps the compiler
+// from open-coding the caller's defers.
+func (l *Lock) readFallback(t *jthread.Thread, fn func(), v uint64) {
+	l.st.stripeFor(t).inc(cFallbacks)
+	l.cfg.Tracer.Record(trace.EvFallback, t.ID(), v)
+	l.cfg.Sched.Point(t.ID(), sched.PReadFallback)
+	l.cfg.History.Record(history.ReadFallback, t.ID(), v)
+	l.Sync(t, fn)
 }
 
 // ReadOnlyValue runs fn as a read-only critical section of l and returns
@@ -138,6 +161,19 @@ func (l *Lock) runHolding(t *jthread.Thread, fn func()) {
 	fn()
 }
 
+// runSpeculativeLean runs fn speculatively with none of the §3.3 recovery
+// machinery: no speculative frame (asynchronous checkpoints cannot abort
+// it) and no panic handler. Sound only for sections the static analysis
+// proved recovery-free — unable to fault (no indexing, division, calls, or
+// deeper-than-one-hop dereferences) and unable to loop (an inconsistent
+// snapshot cannot spin without a checkpoint to break it). For those the
+// word-unchanged validation in readOnlyImpl is the entire protocol.
+func (l *Lock) runSpeculativeLean(t *jthread.Thread, fn func()) bool {
+	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
+	fn()
+	return true
+}
+
 // runSpeculative runs fn with the speculative-read recovery machinery of
 // §3.3 armed: a speculative frame for asynchronous checkpoint validation,
 // and a catch-all handler that classifies any fault as inconsistent
@@ -147,26 +183,11 @@ func (l *Lock) runHolding(t *jthread.Thread, fn func()) {
 // (the abort-taxonomy split the failure arm records). Charges the ReadEnter
 // fence — on a real weak machine the entry fence is what makes the
 // validation sound, see internal/memmodel.
-// runSpeculativeLean runs fn speculatively with none of the §3.3 recovery
-// machinery: no speculative frame (asynchronous checkpoints cannot abort
-// it) and no panic handler. Sound only for sections the static analysis
-// proved recovery-free — unable to fault (no indexing, division, calls, or
-// deeper-than-one-hop dereferences) and unable to loop (an inconsistent
-// snapshot cannot spin without a checkpoint to break it). For those the
-// word-unchanged validation in readOnlyImpl is the entire protocol.
-func (l *Lock) runSpeculativeLean(t *jthread.Thread, fn func()) bool {
-	l.st.stripeFor(t).inc(cElisionAttempts)
-	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
-	fn()
-	return true
-}
-
 func (l *Lock) runSpeculative(t *jthread.Thread, v uint64, fn func()) (ok, async bool) {
-	l.st.stripeFor(t).inc(cElisionAttempts)
 	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
 	t.PushSpec(&l.word, v)
-	defer t.PopSpec()
 	defer func() {
+		t.PopSpec()
 		r := recover()
 		if r == nil {
 			return

@@ -101,6 +101,25 @@ type statStripe struct {
 // inc bumps one counter in this stripe.
 func (sp *statStripe) inc(id counterID) { sp.c[id].Add(1) }
 
+// attemptOutcomes are the terminal outcomes of a speculative execution:
+// each one ends in exactly one of them, so ElisionAttempts is their sum
+// rather than a counter the read path pays a second increment for.
+var attemptOutcomes = [...]counterID{
+	cElisionSuccesses, cElisionFailures, cGenuineFaults, cUpgrades, cUpgradeFailures,
+}
+
+// load reads one counter of this stripe, deriving ElisionAttempts from the
+// terminal outcomes (its own slot holds only external Add adjustments).
+func (sp *statStripe) load(id counterID) uint64 {
+	n := sp.c[id].Load()
+	if id == cElisionAttempts {
+		for _, o := range attemptOutcomes {
+			n += sp.c[o].Load()
+		}
+	}
+	return n
+}
+
 // Stats counts SOLERO protocol events. Counters are sharded across
 // cache-line-padded stripes indexed by thread id — hot-path increments from
 // different threads touch disjoint lines — and each exported Counter
@@ -119,7 +138,7 @@ type Stats struct {
 	Deflations   Counter
 	FatEnters    Counter
 
-	ElisionAttempts  Counter // speculative executions started
+	ElisionAttempts  Counter // speculative executions (derived, see attemptOutcomes)
 	ElisionSuccesses Counter // validated unchanged at exit
 	ElisionFailures  Counter // changed word, suppressed fault, or async abort
 	Fallbacks        Counter // read sections re-run holding the lock
@@ -148,7 +167,7 @@ type Counter struct {
 func (c Counter) Load() uint64 {
 	var sum uint64
 	for i := range c.stripes {
-		sum += c.stripes[i].c[c.id].Load()
+		sum += c.stripes[i].load(c.id)
 	}
 	return sum
 }
@@ -182,11 +201,14 @@ func (s *Stats) stripeFor(t *jthread.Thread) *statStripe {
 // FailureRatio returns ElisionFailures / ElisionAttempts as a percentage
 // (0 when no attempts were made).
 func (s *Stats) FailureRatio() float64 {
+	// Failures first: attempts include them, so the later load is never
+	// smaller and the ratio stays within 100 under concurrent updates.
+	f := s.ElisionFailures.Load()
 	a := s.ElisionAttempts.Load()
 	if a == 0 {
 		return 0
 	}
-	return 100 * float64(s.ElisionFailures.Load()) / float64(a)
+	return 100 * float64(f) / float64(a)
 }
 
 // Snapshot returns a plain-value copy of all counters, aggregated across
@@ -194,11 +216,7 @@ func (s *Stats) FailureRatio() float64 {
 func (s *Stats) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64, int(numCounters))
 	for id := counterID(0); id < numCounters; id++ {
-		var sum uint64
-		for i := range s.stripes {
-			sum += s.stripes[i].c[id].Load()
-		}
-		out[counterKeys[id]] = sum
+		out[counterKeys[id]] = Counter{stripes: s.stripes, id: id}.Load()
 	}
 	return out
 }
@@ -213,7 +231,7 @@ func (s *Stats) NumStripes() int { return len(s.stripes) }
 func (s *Stats) StripeSnapshot(i int) map[string]uint64 {
 	out := make(map[string]uint64, int(numCounters))
 	for id := counterID(0); id < numCounters; id++ {
-		out[counterKeys[id]] = s.stripes[i].c[id].Load()
+		out[counterKeys[id]] = s.stripes[i].load(id)
 	}
 	return out
 }
@@ -225,7 +243,7 @@ func (s *Stats) StripeTotals() []uint64 {
 	for i := range s.stripes {
 		var sum uint64
 		for id := counterID(0); id < numCounters; id++ {
-			sum += s.stripes[i].c[id].Load()
+			sum += s.stripes[i].load(id)
 		}
 		out[i] = sum
 	}

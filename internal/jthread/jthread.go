@@ -23,6 +23,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
+
+	"repro/internal/stats"
 )
 
 // MaxThreadID is the largest assignable thread id (the id shares the 56-bit
@@ -53,6 +56,12 @@ type SpecFrame struct {
 
 // Stale reports whether the lock word no longer matches the saved value.
 func (f SpecFrame) Stale() bool { return f.Word.Load() != f.Saved }
+
+// frameStackCap sizes the speculative-frame stack allocated at Attach to
+// one whole false-sharing range. Every speculative section writes a frame,
+// so two threads' stacks must not share a line: a smaller array, grown on
+// first use, lands next to another thread's in the same size class.
+const frameStackCap = stats.FalseSharingRange / int(unsafe.Sizeof(SpecFrame{}))
 
 // Thread is a VM-attached thread. All lock operations take the current
 // Thread explicitly (Go has no goroutine-local storage; a managed runtime
@@ -90,6 +99,11 @@ type Thread struct {
 	// acquisitions). Sections are strictly nested, so a stack suffices.
 	// Plain by the Thread's single-goroutine contract.
 	lockTokens []uint64
+
+	// local is opaque per-thread state owned by the lock runtime built on
+	// this package (internal/core keeps its reusable read-mostly Section
+	// records here). Plain by the single-goroutine contract.
+	local any
 
 	// Checkpoints observed with a pending event (stats).
 	eventsSeen uint64
@@ -166,6 +180,14 @@ func (t *Thread) PopLockToken() uint64 {
 // LockTokenDepth returns the number of outstanding acquisition tokens.
 func (t *Thread) LockTokenDepth() int { return len(t.lockTokens) }
 
+// Local returns the per-thread state last stored by SetLocal (nil at
+// Attach).
+func (t *Thread) Local() any { return t.local }
+
+// SetLocal stores per-thread state for the lock runtime built on this
+// package. Single-goroutine by the Thread's contract.
+func (t *Thread) SetLocal(v any) { t.local = v }
+
 // Poke delivers an asynchronous event to the thread; the next Checkpoint
 // will validate all active speculative frames.
 func (t *Thread) Poke() { t.asyncPending.Store(true) }
@@ -237,7 +259,10 @@ func (vm *VM) Attach(name string) *Thread {
 	if vm.nextID > MaxThreadID {
 		panic("jthread: thread id space exhausted")
 	}
-	t := &Thread{vm: vm, id: vm.nextID, name: name, stripe: uint32(vm.nextID - 1)}
+	t := &Thread{
+		vm: vm, id: vm.nextID, name: name, stripe: uint32(vm.nextID - 1),
+		frames: make([]SpecFrame, 0, frameStackCap),
+	}
 	vm.nextID++
 	vm.threads[t.id] = t
 	return t

@@ -5,6 +5,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/stats"
 )
 
 func TestAttachAssignsUniqueIDs(t *testing.T) {
@@ -221,5 +224,30 @@ func TestSampleTickSelectsEveryPeriod(t *testing.T) {
 		if !th.SampleTick(0) {
 			t.Fatalf("mask 0 skipped a tick")
 		}
+	}
+}
+
+// TestFrameStacksOnDisjointLines: every speculative section writes its
+// thread's frame stack, so two threads attached back to back must get
+// stacks on disjoint false-sharing ranges, each covering a whole range.
+func TestFrameStacksOnDisjointLines(t *testing.T) {
+	const r = stats.FalseSharingRange
+	vm := NewVM()
+	a, b := vm.Attach("a"), vm.Attach("b")
+	var word atomic.Uint64
+	span := func(th *Thread) (lo, hi uintptr) {
+		th.PushSpec(&word, 0) // what a thread's first section does
+		th.PopSpec()
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(th.frames)))
+		end := base + uintptr(cap(th.frames))*unsafe.Sizeof(SpecFrame{})
+		if end-base < r {
+			t.Fatalf("frame stack covers %d bytes, want at least %d", end-base, r)
+		}
+		return base &^ (r - 1), (end + r - 1) &^ (r - 1)
+	}
+	aLo, aHi := span(a)
+	bLo, bHi := span(b)
+	if aLo < bHi && bLo < aHi {
+		t.Fatalf("frame stacks share a %d-byte range: [%#x,%#x) and [%#x,%#x)", r, aLo, aHi, bLo, bHi)
 	}
 }
