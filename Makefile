@@ -23,6 +23,7 @@
 #   make lint-sarif - solerovet -sarif output validated against a golden
 #   make schedsmoke - fixed-seed schedule-exploration smoke + inverted bug-catch
 #   make schedfuzz  - longer schedule exploration across both strategies
+#   make replaydeterminism - same seed, same schedule: the replay test 20x
 #   make fuzz      - native Go fuzzing of the lock-word encoding
 #   make obs-smoke - live observability smoke: lockstats -serve + curl asserts
 #   make json-smoke - solerobench -json writes valid snapshot bundles
@@ -37,7 +38,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench allocfree check lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
+.PHONY: build vet test race bench allocfree check lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
 
 build:
 	$(GO) build ./...
@@ -200,6 +201,12 @@ schedsmoke:
 	else \
 		echo "OK: injected bug caught"; \
 	fi
+
+# A schedule must be a function of the seed alone. Twenty back-to-back
+# runs give host-timing nondeterminism (a wakeup resolving late, a timed
+# park running long) room to show as a diverged decision sequence.
+replaydeterminism:
+	$(GO) test -count=20 -run '^TestReplayDeterminism$$' ./internal/schedcheck/
 
 schedfuzz:
 	$(GO) run ./cmd/solerocheck -sched -seed $$RANDOM -episodes 1000 -duration 120s -strategy random

@@ -341,6 +341,8 @@ func printSites(reg *metrics.Registry) {
 // aggregated across the benchmark's lock instances: total events and
 // elision attempts per stripe index, with each stripe's share of all
 // events. Skewed shares mean thread ids are hashing badly onto stripes.
+// The slow-path counters are not striped; they are reported once, on a
+// final "shared" row that counts toward the shares.
 func printStripes(blocks []*core.Stats) {
 	if len(blocks) == 0 {
 		fmt.Printf("per-stripe occupancy: no SOLERO locks in this benchmark\n")
@@ -354,7 +356,7 @@ func printStripes(blocks []*core.Stats) {
 	}
 	events := make([]uint64, n)
 	attempts := make([]uint64, n)
-	var total uint64
+	var shared, sharedAttempts, total uint64
 	for _, st := range blocks {
 		totals := st.StripeTotals()
 		for i, v := range totals {
@@ -362,16 +364,27 @@ func printStripes(blocks []*core.Stats) {
 			total += v
 			attempts[i] += st.StripeSnapshot(i)["elisionAttempts"]
 		}
+		for k, v := range st.SharedSnapshot() {
+			shared += v
+			total += v
+			if k == "elisionAttempts" {
+				sharedAttempts += v
+			}
+		}
+	}
+	share := func(v uint64) float64 {
+		if total == 0 {
+			return 0
+		}
+		return 100 * float64(v) / float64(total)
 	}
 	fmt.Printf("per-stripe occupancy (%d stripes, %d locks):\n", n, len(blocks))
 	for i := 0; i < n; i++ {
-		share := 0.0
-		if total > 0 {
-			share = 100 * float64(events[i]) / float64(total)
-		}
 		fmt.Printf("  stripe %2d: %10d events  %10d elision attempts  %5.1f%%\n",
-			i, events[i], attempts[i], share)
+			i, events[i], attempts[i], share(events[i]))
 	}
+	fmt.Printf("  shared   : %10d events  %10d elision attempts  %5.1f%%  (slow-path counters, once per lock)\n",
+		shared, sharedAttempts, share(shared))
 }
 
 // serveUntilSignal runs the observability endpoint until SIGINT/SIGTERM,

@@ -61,7 +61,7 @@ func (c *Config) adaptiveParams() (window, pct uint32, backoff int32) {
 
 // adaptiveSkip reports whether this read-only section should skip
 // speculation (backoff active) and consumes one backoff credit.
-func (l *Lock) adaptiveSkip(t *jthread.Thread) bool {
+func (l *Lock) adaptiveSkip() bool {
 	if !l.cfg.Adaptive {
 		return false
 	}
@@ -71,7 +71,7 @@ func (l *Lock) adaptiveSkip(t *jthread.Thread) bool {
 			return false
 		}
 		if l.ad.backoffLeft.CompareAndSwap(left, left-1) {
-			l.st.stripeFor(t).inc(cAdaptiveSkips)
+			l.st.incShared(cAdaptiveSkips)
 			return true
 		}
 	}
@@ -99,6 +99,6 @@ func (l *Lock) adaptiveRecord(t *jthread.Thread, failed bool) {
 	sp.adFailures.Store(0)
 	if fails*100 >= window*pct {
 		l.ad.backoffLeft.Store(backoff)
-		sp.inc(cAdaptiveTrips)
+		l.st.incShared(cAdaptiveTrips)
 	}
 }

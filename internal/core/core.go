@@ -160,24 +160,21 @@ func (c *Config) statsStripeCount() int {
 
 // Lock is a SOLERO lock. The zero value is not ready; use New.
 //
-// The layout keeps the hot lock word alone on its own false-sharing range:
-// an elided read-only section only ever *loads* word, which stays
-// contention-free only if the protocol's bookkeeping writes — the owner's
-// saved word, the adaptive backoff gate, and the (sharded, separately
-// allocated) stats stripes — land on other cache lines.
+// The first 64-B line holds what an elided read or an uncontended write
+// loads: the word, cfg, the owner's saved word and the stats stripe header.
+// No thread but the owner writes that line, and the owner writes saved only
+// right after its CAS has taken the line exclusive. Everything other
+// threads write — the monitor pointer, the adaptive gate, the shared
+// counters — and the read-mostly Counter views lie past it; the striped
+// counters live in the separately allocated stripes.
 type Lock struct {
-	word atomic.Uint64
-	_    [stats.FalseSharingRange - 8]byte
+	lockHead
+
+	// st is embedded so a stats bump chases no pointer: its stripe header
+	// ends the first line (see Stats).
+	st Stats
 
 	mon atomic.Pointer[monitor.Monitor]
-	cfg *Config
-	st  *Stats
-
-	// saved is the owner's "local lock variable": the free word read
-	// immediately before the acquiring CAS. Only the flat owner accesses
-	// it, and the word's atomic acquire/release edges order successive
-	// owners' accesses, so a plain field is sound.
-	saved uint64
 
 	// ad holds the shared remainder of the adaptive-elision machinery (the
 	// rare backoff gate); the per-execution window counters live in the
@@ -190,6 +187,20 @@ type Lock struct {
 	staticID string
 }
 
+// lockHead is the part of Lock before the embedded Stats. Stats pads its
+// stripe header out to the end of the first line from lockHead's size, so
+// this type alone decides what else shares the word's line.
+type lockHead struct {
+	word atomic.Uint64
+	cfg  *Config
+
+	// saved is the owner's "local lock variable": the free word read
+	// immediately before the acquiring CAS. Only the flat owner accesses
+	// it, and the word's atomic acquire/release edges order successive
+	// owners' accesses, so a plain field is sound.
+	saved uint64
+}
+
 // New creates a free lock (counter zero). nil cfg means DefaultConfig.
 func New(cfg *Config) *Lock {
 	if cfg == nil {
@@ -198,7 +209,9 @@ func New(cfg *Config) *Lock {
 	if cfg.Metrics != nil && cfg.MetricsSamplePeriod > 0 {
 		cfg.Metrics.SetSamplePeriod(cfg.MetricsSamplePeriod)
 	}
-	return &Lock{cfg: cfg, st: newStats(cfg.statsStripeCount())}
+	l := &Lock{lockHead: lockHead{cfg: cfg}}
+	l.st.init(cfg.statsStripeCount())
+	return l
 }
 
 // Word returns the raw lock word (diagnostics and tests).
@@ -216,7 +229,7 @@ func (l *Lock) SetStaticID(id string) { l.staticID = id }
 func (l *Lock) StaticID() string { return l.staticID }
 
 // Stats exposes the lock's event counters.
-func (l *Lock) Stats() *Stats { return l.st }
+func (l *Lock) Stats() *Stats { return &l.st }
 
 // Config returns the lock's configuration.
 func (l *Lock) Config() *Config { return l.cfg }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/jthread"
 	"repro/internal/lockword"
@@ -529,5 +530,112 @@ func TestStatsSnapshotKeys(t *testing.T) {
 	}
 	if l.Stats().FailureRatio() != 0 {
 		t.Fatalf("failure ratio of fresh lock not 0")
+	}
+}
+
+// TestStrayFLCOnInflatedWord pins the fat-mode livelock fix: a contender's
+// FLC Or can land on a word that was inflated after its load. fatEnter
+// must still recognise the word as this monitor's, so both contenders get
+// through and the last release deflates.
+func TestStrayFLCOnInflatedWord(t *testing.T) {
+	ths := newT(t, 3)
+	l := New(nil)
+	l.Lock(ths[0])
+	l.inflateAsOwner(ths[0], l.word.Load(), 0)
+	l.word.Or(lockword.FLCBit)
+
+	var wg sync.WaitGroup
+	for _, th := range ths[1:] {
+		wg.Add(1)
+		go func(th *jthread.Thread) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				l.Lock(th)
+				l.Unlock(th)
+			}
+		}(th)
+	}
+	// Release only once both contenders queue on the monitor, so the
+	// release cannot deflate the stray bit away.
+	m := l.monitorFor()
+	for deadline := time.Now().Add(5 * time.Second); m.StatsSnapshot().ContendedEnters < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("contenders never queued on the monitor")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	l.Unlock(ths[0])
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("contenders livelocked on word %#x", l.Word())
+	}
+	if w := l.Word(); !lockword.SoleroFree(w) {
+		t.Fatalf("lock did not deflate to a free word: %#x", w)
+	}
+}
+
+// TestReaderDeflatesContendedLock pins the read-side deflation policy: a
+// read section that held the fat lock deflates it on exit even with a
+// contender queued on the monitor. A queued writer then takes the flat
+// lock, and a queued reader elides instead of inflating again.
+func TestReaderDeflatesContendedLock(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		second func(l *Lock, th *jthread.Thread, inflated *bool)
+		want   map[string]uint64
+	}{
+		{"writer", func(l *Lock, th *jthread.Thread, inflated *bool) {
+			l.Sync(th, func() { *inflated = l.Inflated() })
+		}, map[string]uint64{"readFatEnters": 1, "inflations": 1, "deflations": 1}},
+		{"reader", func(l *Lock, th *jthread.Thread, inflated *bool) {
+			l.ReadOnly(th, func() {})
+		}, map[string]uint64{"readFatEnters": 1, "inflations": 1, "deflations": 1, "elisionSuccesses": 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ths := newT(t, 3)
+			l := New(nil)
+			l.Lock(ths[0])
+			l.inflateAsOwner(ths[0], l.word.Load(), 0)
+			m := l.monitorFor()
+			waitQueued := func(n uint64) {
+				for deadline := time.Now().Add(5 * time.Second); m.StatsSnapshot().ContendedEnters < n; {
+					if time.Now().After(deadline) {
+						panic("contenders never queued on the monitor")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			var inflated bool
+			secondDone, firstDone := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(firstDone)
+				l.ReadOnly(ths[1], func() {
+					// This reader holds the fat lock: queue the
+					// second thread behind it before exiting.
+					go func() {
+						defer close(secondDone)
+						tc.second(l, ths[2], &inflated)
+					}()
+					waitQueued(2)
+				})
+			}()
+			waitQueued(1)
+			l.Unlock(ths[0]) // a reader is queued: no deflation here
+			<-firstDone
+			<-secondDone
+			if inflated || l.Inflated() {
+				t.Fatalf("the reader's exit did not deflate the lock: %v", l.Stats().Snapshot())
+			}
+			snap := l.Stats().Snapshot()
+			for k, v := range tc.want {
+				if snap[k] != v {
+					t.Fatalf("%s = %d, want %d: %v", k, snap[k], v, snap)
+				}
+			}
+		})
 	}
 }

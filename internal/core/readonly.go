@@ -54,7 +54,7 @@ func (l *Lock) ReadOnly(t *jthread.Thread, fn func()) {
 		start := time.Now()
 		defer m.EndCS(t.StripeIndex(), start)
 	}
-	if l.cfg.DisableElision || l.adaptiveSkip(t) {
+	if l.cfg.DisableElision || l.adaptiveSkip() {
 		// Unelided-SOLERO (Figure 10), or an adaptive backoff window:
 		// the read section pays the full writing protocol.
 		l.Sync(t, fn)

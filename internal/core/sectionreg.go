@@ -274,7 +274,7 @@ func (l *Lock) ReadOnlySection(t *jthread.Thread, info *SectionInfo, fn func()) 
 	}
 	switch info.Proof {
 	case ProofElidable, ProofAnnotated:
-		if l.adaptiveSkip(t) {
+		if l.adaptiveSkip() {
 			l.Sync(t, fn)
 			return
 		}
@@ -296,7 +296,7 @@ func (l *Lock) ReadOnlySection(t *jthread.Thread, info *SectionInfo, fn func()) 
 func (l *Lock) dynamicSection(t *jthread.Thread, info *SectionInfo, fn func()) {
 	switch info.state.Load() {
 	case sectionTrusted:
-		if l.adaptiveSkip(t) {
+		if l.adaptiveSkip() {
 			l.Sync(t, fn)
 			return
 		}

@@ -11,21 +11,37 @@ package core
 // caller's stripe, and the exported Counter views aggregate across stripes
 // when read. Aggregation is exact once writers are quiescent and never
 // moves backwards under concurrency (every stripe slot is monotone).
+// Only the counters a fast path or a speculation's terminal outcome bumps
+// are striped; slow-path events, which already CAS the word or a monitor,
+// count once per lock in a shared block.
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/jthread"
 	"repro/internal/stats"
 )
 
-// counterID indexes one protocol counter within a stripe.
+// counterID indexes one protocol counter: the striped ids first (a slot in
+// every stripe), then the shared ids (a slot in Stats.shared).
 type counterID uint8
 
-// Counter ids, in the seed Stats block's declaration order (Snapshot's key
-// space and newStats's field table follow this order).
+// Striped counters are the ones the fast paths or a speculation's terminal
+// outcome bump: each thread bumps its own stripe, so readers never RMW a
+// line another thread writes. Shared counters count slow-path events, which
+// already CAS the lock word or a monitor; they live once per lock.
 const (
 	cFastAcquires counterID = iota
+	cElisionSuccesses
+	cElisionFailures
+	cFallbacks
+	cSuppressedFaults
+	cGenuineFaults
+	cAsyncAborts
+	cUpgrades
+	cUpgradeFailures
+
 	cSlowAcquires
 	cRecursions
 	cSpinAcquires
@@ -33,21 +49,18 @@ const (
 	cInflations
 	cDeflations
 	cFatEnters
-	cElisionAttempts
-	cElisionSuccesses
-	cElisionFailures
-	cFallbacks
-	cReadRecursions
 	cReadFatEnters
-	cSuppressedFaults
-	cGenuineFaults
-	cAsyncAborts
-	cUpgrades
-	cUpgradeFailures
+	cReadRecursions
 	cAdaptiveTrips
 	cAdaptiveSkips
+	// cElisionAttempts' slot holds only external Add adjustments; the
+	// counter itself is derived from the striped terminal outcomes.
+	cElisionAttempts
 
 	numCounters
+
+	numStriped = cSlowAcquires
+	numShared  = numCounters - numStriped
 )
 
 // counterKeys names each counter in Snapshot's key space (unchanged from
@@ -76,10 +89,10 @@ var counterKeys = [numCounters]string{
 	cAdaptiveSkips:    "adaptiveSkips",
 }
 
-// stripePad rounds statStripe up to a multiple of the false-sharing range
-// so stripes written by different threads never share a line.
+// stripePad rounds statStripe up to the false-sharing range so stripes
+// written by different threads never share a line.
 const (
-	stripeRawBytes = 8*int(numCounters) + 8 // counters + adaptive window pair
+	stripeRawBytes = 8*int(numStriped) + 8 // counters + adaptive window pair
 	stripePad      = (stats.FalseSharingRange - stripeRawBytes%stats.FalseSharingRange) % stats.FalseSharingRange
 )
 
@@ -88,7 +101,7 @@ const (
 // written on every speculative execution, so it must be just as private to
 // the stripe as the event counters.
 type statStripe struct {
-	c [numCounters]atomic.Uint64
+	c [numStriped]atomic.Uint64
 
 	// adAttempts/adFailures are this stripe's slice of the adaptive
 	// sampling window (adaptive.go).
@@ -98,7 +111,7 @@ type statStripe struct {
 	_ [stripePad]byte
 }
 
-// inc bumps one counter in this stripe.
+// inc bumps one striped counter in this stripe.
 func (sp *statStripe) inc(id counterID) { sp.c[id].Add(1) }
 
 // attemptOutcomes are the terminal outcomes of a speculative execution:
@@ -108,26 +121,34 @@ var attemptOutcomes = [...]counterID{
 	cElisionSuccesses, cElisionFailures, cGenuineFaults, cUpgrades, cUpgradeFailures,
 }
 
-// load reads one counter of this stripe, deriving ElisionAttempts from the
-// terminal outcomes (its own slot holds only external Add adjustments).
+// load reads one counter of this stripe: a striped slot, or for
+// cElisionAttempts the stripe's terminal outcomes.
 func (sp *statStripe) load(id counterID) uint64 {
-	n := sp.c[id].Load()
-	if id == cElisionAttempts {
-		for _, o := range attemptOutcomes {
-			n += sp.c[o].Load()
-		}
+	if id != cElisionAttempts {
+		return sp.c[id].Load()
+	}
+	var n uint64
+	for _, o := range attemptOutcomes {
+		n += sp.c[o].Load()
 	}
 	return n
 }
 
-// Stats counts SOLERO protocol events. Counters are sharded across
-// cache-line-padded stripes indexed by thread id — hot-path increments from
-// different threads touch disjoint lines — and each exported Counter
-// aggregates its stripes on Load. The elision counters feed the paper's
-// Figure 15 failure-ratio experiment.
+// Stats counts SOLERO protocol events. It is embedded in Lock, and its
+// stripe header (stripes, mask) sits on the lock's first cache line beside
+// the word, so a fast-path bump loads no line but its own stripe's. The
+// striped counters are sharded across cache-line-sized stripes indexed by
+// thread; the shared counters and the Counter views lie past that first
+// line. Each exported Counter aggregates on Load. The elision counters feed
+// the paper's Figure 15 failure-ratio experiment.
 type Stats struct {
 	stripes []statStripe
 	mask    uint32
+	// Lock's head precedes this Stats: the pad ends the lock's first line
+	// after the stripe header.
+	_ [stats.CacheLine - unsafe.Sizeof(lockHead{}) - unsafe.Sizeof([]statStripe(nil)) - unsafe.Sizeof(uint32(0))]byte
+
+	shared [numShared]atomic.Uint64
 
 	FastAcquires Counter // uncontended writing acquisitions
 	SlowAcquires Counter
@@ -157,40 +178,46 @@ type Stats struct {
 }
 
 // Counter is a read view of one aggregated protocol counter: Load sums the
-// owning Stats block's stripes. Copying a Counter is cheap and safe.
+// owning Stats block's stripes (or reads its shared slot). Copying a
+// Counter is cheap and safe.
 type Counter struct {
-	stripes []statStripe
-	id      counterID
+	s  *Stats
+	id counterID
 }
 
-// Load returns the counter's total across all stripes.
-func (c Counter) Load() uint64 {
-	var sum uint64
-	for i := range c.stripes {
-		sum += c.stripes[i].load(c.id)
+// Load returns the counter's total.
+func (c Counter) Load() uint64 { return c.s.load(c.id) }
+
+// Add adds n to the counter — for external accounting that has no thread
+// at hand: a striped counter takes it on the first stripe. Hot paths
+// inside the package increment the calling thread's stripe instead.
+func (c Counter) Add(n uint64) {
+	if c.id >= numStriped {
+		c.s.shared[c.id-numStriped].Add(n)
+		return
 	}
-	return sum
+	c.s.stripes[0].c[c.id].Add(n)
 }
 
-// Add adds n on the first stripe — for external accounting that has no
-// thread at hand. Hot paths inside the package increment the calling
-// thread's stripe instead.
-func (c Counter) Add(n uint64) { c.stripes[0].c[c.id].Add(n) }
-
-// newStats builds a Stats block with nstripes stripes (a power of two).
-func newStats(nstripes int) *Stats {
-	s := &Stats{stripes: make([]statStripe, nstripes), mask: uint32(nstripes - 1)}
-	for id, f := range []*Counter{
-		&s.FastAcquires, &s.SlowAcquires, &s.Recursions, &s.SpinAcquires,
-		&s.FLCWaits, &s.Inflations, &s.Deflations, &s.FatEnters,
-		&s.ElisionAttempts, &s.ElisionSuccesses, &s.ElisionFailures,
-		&s.Fallbacks, &s.ReadRecursions, &s.ReadFatEnters,
-		&s.SuppressedFaults, &s.GenuineFaults, &s.AsyncAborts,
-		&s.Upgrades, &s.UpgradeFailures, &s.AdaptiveTrips, &s.AdaptiveSkips,
+// init sets up s in place with nstripes stripes (a power of two). The
+// Counter views point back at s, so a Stats must not be copied after init.
+func (s *Stats) init(nstripes int) {
+	s.stripes, s.mask = make([]statStripe, nstripes), uint32(nstripes-1)
+	for id, f := range [numCounters]*Counter{
+		cFastAcquires: &s.FastAcquires, cSlowAcquires: &s.SlowAcquires,
+		cRecursions: &s.Recursions, cSpinAcquires: &s.SpinAcquires,
+		cFLCWaits: &s.FLCWaits, cInflations: &s.Inflations,
+		cDeflations: &s.Deflations, cFatEnters: &s.FatEnters,
+		cElisionAttempts: &s.ElisionAttempts, cElisionSuccesses: &s.ElisionSuccesses,
+		cElisionFailures: &s.ElisionFailures, cFallbacks: &s.Fallbacks,
+		cReadRecursions: &s.ReadRecursions, cReadFatEnters: &s.ReadFatEnters,
+		cSuppressedFaults: &s.SuppressedFaults, cGenuineFaults: &s.GenuineFaults,
+		cAsyncAborts: &s.AsyncAborts, cUpgrades: &s.Upgrades,
+		cUpgradeFailures: &s.UpgradeFailures, cAdaptiveTrips: &s.AdaptiveTrips,
+		cAdaptiveSkips: &s.AdaptiveSkips,
 	} {
-		*f = Counter{stripes: s.stripes, id: counterID(id)}
+		*f = Counter{s: s, id: counterID(id)}
 	}
-	return s
 }
 
 // stripeFor returns the calling thread's stripe.
@@ -211,12 +238,31 @@ func (s *Stats) FailureRatio() float64 {
 	return 100 * float64(f) / float64(a)
 }
 
+// incShared bumps one shared counter.
+func (s *Stats) incShared(id counterID) { s.shared[id-numStriped].Add(1) }
+
+// load returns counter id's total: the sum of its stripe slots, or its
+// shared slot (plus, for cElisionAttempts, every stripe's outcomes).
+func (s *Stats) load(id counterID) uint64 {
+	var n uint64
+	if id >= numStriped {
+		n = s.shared[id-numStriped].Load()
+		if id != cElisionAttempts {
+			return n
+		}
+	}
+	for i := range s.stripes {
+		n += s.stripes[i].load(id)
+	}
+	return n
+}
+
 // Snapshot returns a plain-value copy of all counters, aggregated across
 // stripes. Keys are unchanged from the seed implementation.
 func (s *Stats) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64, int(numCounters))
 	for id := counterID(0); id < numCounters; id++ {
-		out[counterKeys[id]] = Counter{stripes: s.stripes, id: id}.Load()
+		out[counterKeys[id]] = s.load(id)
 	}
 	return out
 }
@@ -225,27 +271,43 @@ func (s *Stats) Snapshot() map[string]uint64 {
 // seed's shared-counter layout).
 func (s *Stats) NumStripes() int { return len(s.stripes) }
 
-// StripeSnapshot returns stripe i's un-aggregated counter block, keyed as
-// Snapshot. lockstats -stripes prints these so skew across thread ids is
-// visible.
+// StripeSnapshot returns stripe i's un-aggregated counters, keyed as
+// Snapshot: the striped counters plus elisionAttempts (derived from the
+// stripe's outcomes). Shared counters have no per-stripe value and are
+// absent; SharedSnapshot reports them once. For every key, Snapshot equals
+// the sum over stripes plus the shared value. lockstats -stripes prints
+// these so skew across thread ids is visible.
 func (s *Stats) StripeSnapshot(i int) map[string]uint64 {
-	out := make(map[string]uint64, int(numCounters))
-	for id := counterID(0); id < numCounters; id++ {
+	out := make(map[string]uint64, int(numStriped)+1)
+	for id := counterID(0); id < numStriped; id++ {
 		out[counterKeys[id]] = s.stripes[i].load(id)
+	}
+	out[counterKeys[cElisionAttempts]] = s.stripes[i].load(cElisionAttempts)
+	return out
+}
+
+// SharedSnapshot returns the shared counter block, keyed as Snapshot; its
+// elisionAttempts is the external-Add slot alone (the derived part is
+// per stripe).
+func (s *Stats) SharedSnapshot() map[string]uint64 {
+	out := make(map[string]uint64, int(numShared))
+	for id := numStriped; id < numCounters; id++ {
+		out[counterKeys[id]] = s.shared[id-numStriped].Load()
 	}
 	return out
 }
 
-// StripeTotals returns the total event count recorded in each stripe — a
-// quick occupancy view of how thread ids spread over stripes.
+// StripeTotals returns the total event count recorded in each stripe (the
+// sum of its StripeSnapshot) — a quick occupancy view of how thread ids
+// spread over stripes. Shared counters are not in any stripe's total.
 func (s *Stats) StripeTotals() []uint64 {
 	out := make([]uint64, len(s.stripes))
 	for i := range s.stripes {
 		var sum uint64
-		for id := counterID(0); id < numCounters; id++ {
+		for id := counterID(0); id < numStriped; id++ {
 			sum += s.stripes[i].load(id)
 		}
-		out[i] = sum
+		out[i] = sum + s.stripes[i].load(cElisionAttempts)
 	}
 	return out
 }

@@ -276,3 +276,69 @@ func TestSingleStripeMatchesSeedSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedCountersReportedOnce pins how the shared (slow-path) counters
+// appear in the per-stripe views: absent from every StripeSnapshot and
+// StripeTotals entry, present once in SharedSnapshot, and for every key the
+// stripes plus the shared block add up to Snapshot.
+func TestSharedCountersReportedOnce(t *testing.T) {
+	vm := jthread.NewVM()
+	l := New(stripedCfg(4))
+	for i := 0; i < 4; i++ {
+		th := vm.Attach("t")
+		for j := 0; j < 5; j++ {
+			l.ReadOnly(th, func() {})
+		}
+		l.Lock(th)
+		l.Lock(th) // reentrant: a slow acquire and a recursion
+		l.Unlock(th)
+		l.Unlock(th)
+	}
+	st := l.Stats()
+	st.ElisionAttempts.Add(3) // external adjustment: the shared slot
+	st.Inflations.Add(2)
+
+	shared := st.SharedSnapshot()
+	if len(shared) != int(numShared) {
+		t.Fatalf("SharedSnapshot has %d keys, want %d: %v", len(shared), numShared, shared)
+	}
+	for k, want := range map[string]uint64{
+		"slowAcquires": 4, "recursions": 4, "inflations": 2, "elisionAttempts": 3,
+	} {
+		if shared[k] != want {
+			t.Errorf("shared %q = %d, want %d", k, shared[k], want)
+		}
+	}
+
+	sum := map[string]uint64{}
+	totals := st.StripeTotals()
+	for i := 0; i < st.NumStripes(); i++ {
+		sn := st.StripeSnapshot(i)
+		var total uint64
+		for k, v := range sn {
+			if _, isShared := shared[k]; isShared && k != "elisionAttempts" {
+				t.Errorf("stripe %d reports shared counter %q", i, k)
+			}
+			sum[k] += v
+			total += v
+		}
+		if total != totals[i] {
+			t.Errorf("stripe %d: StripeTotals %d != snapshot sum %d", i, totals[i], total)
+		}
+	}
+	for k, v := range shared {
+		sum[k] += v
+	}
+	snap := st.Snapshot()
+	if len(sum) != len(snap) {
+		t.Fatalf("stripes+shared cover %d keys, Snapshot %d", len(sum), len(snap))
+	}
+	for k, v := range snap {
+		if sum[k] != v {
+			t.Errorf("%q: stripes+shared = %d, Snapshot = %d", k, sum[k], v)
+		}
+	}
+	if snap["elisionAttempts"] != 4*5+3 {
+		t.Errorf("elisionAttempts = %d, want 23", snap["elisionAttempts"])
+	}
+}

@@ -18,7 +18,7 @@ func sub(w *atomic.Uint64, delta uint64) { w.Add(^delta + 1) }
 // slowEnter is solero_slow_enter: reentrant acquisition, contention
 // management, and fat-mode entry for writing critical sections.
 func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
-	l.st.stripeFor(t).inc(cSlowAcquires)
+	l.st.incShared(cSlowAcquires)
 	l.cfg.Tracer.Record(trace.EvAcquireSlow, t.ID(), v)
 	if m := l.cfg.Metrics; m != nil {
 		start := time.Now()
@@ -36,7 +36,7 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 				return
 			}
 		case lockword.SoleroHeldBy(v, tid):
-			l.st.stripeFor(t).inc(cRecursions)
+			l.st.incShared(cRecursions)
 			if lockword.SoleroRec(v) >= lockword.SoleroRecMax {
 				l.inflateAsOwner(t, v, 1)
 				return
@@ -75,7 +75,7 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 			if lockword.SoleroFree(v) {
 				if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
 					l.saved = v
-					l.st.stripeFor(t).inc(cSpinAcquires)
+					l.st.incShared(cSpinAcquires)
 					l.cfg.History.Record(history.Acquire, tid, v)
 					return true
 				}
@@ -110,18 +110,17 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 		case lockword.SoleroHeld(v):
 			// Held: announce contention and park (timed — the FLC
 			// bit can be clobbered by a racing fast release). The
-			// whole park is a Block region: under schedule injection
-			// the token must travel while this thread sleeps, or the
-			// releasing thread could never run to wake it.
+			// timeout ends the park, so under schedule injection it
+			// is a Park: the token stays with this thread.
 			l.word.Or(lockword.FLCBit)
 			var parkStart time.Time
 			if l.cfg.Metrics != nil {
 				parkStart = time.Now()
 			}
-			l.cfg.Sched.Block(tid, sched.PFLCPark, func() {
+			l.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
 				if w := l.word.Load(); lockword.SoleroHeld(w) {
-					l.st.stripeFor(t).inc(cFLCWaits)
+					l.st.incShared(cFLCWaits)
 					m.WaitLocked(l.cfg.FLCTimeout)
 				}
 				m.RawUnlock()
@@ -141,7 +140,7 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 					m.BroadcastLocked() // other FLC waiters must re-read
 					m.RawUnlock()
 				})
-				l.st.stripeFor(t).inc(cInflations)
+				l.st.incShared(cInflations)
 				l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 				l.cfg.Sched.Point(tid, sched.PInflate)
 				l.cfg.History.Record(history.Inflate, tid, lockword.InflatedWord(m.ID()))
@@ -166,8 +165,10 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 	if mr := l.cfg.Metrics; mr != nil {
 		mr.Park.Record(t.StripeIndex(), time.Since(parkStart).Nanoseconds())
 	}
-	if l.word.Load() == lockword.InflatedWord(m.ID()) {
-		l.st.stripeFor(t).inc(cFatEnters)
+	// Mask FLC: a contender's Or can land on a word inflated after its
+	// load, and the stray bit must not lock everyone out of the monitor.
+	if l.word.Load()&^lockword.FLCBit == lockword.InflatedWord(m.ID()) {
+		l.st.incShared(cFatEnters)
 		l.cfg.History.Record(history.Acquire, tid, lockword.InflatedWord(m.ID()))
 		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return true
@@ -195,7 +196,7 @@ func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
 		m.BroadcastLocked()
 		m.RawUnlock()
 	})
-	l.st.stripeFor(t).inc(cInflations)
+	l.st.incShared(cInflations)
 	l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 	l.cfg.Sched.Point(tid, sched.PInflate)
 	l.cfg.History.Record(history.Inflate, tid, lockword.InflatedWord(m.ID()))
@@ -216,7 +217,7 @@ func (l *Lock) slowExit(t *jthread.Thread, v2 uint64) {
 		var deflate func()
 		if l.cfg.Deflate {
 			deflate = func() {
-				l.st.stripeFor(t).inc(cDeflations)
+				l.st.incShared(cDeflations)
 				l.cfg.Tracer.Record(trace.EvDeflate, tid, m.SavedCounter)
 				// Runs under the monitor mutex, so no schedule point
 				// here; the Block around ExitDeflating covers it.
@@ -268,7 +269,7 @@ func (l *Lock) slowReadEnter(t *jthread.Thread) (v uint64, holding bool) {
 	v = l.word.Load()
 	// test_recursion: the thread already holds the flat lock.
 	if lockword.SoleroHeldBy(v, tid) {
-		l.st.stripeFor(t).inc(cReadRecursions)
+		l.st.incShared(cReadRecursions)
 		if lockword.SoleroRec(v) >= lockword.SoleroRecMax {
 			if m := l.cfg.Metrics; m != nil {
 				m.RecordAbort(t.StripeIndex(), metrics.AbortRecursionOverflow)
@@ -305,29 +306,35 @@ inflation:
 	if m := l.cfg.Metrics; m != nil {
 		m.RecordAbort(t.StripeIndex(), abortCauseFor(v))
 	}
-	l.contendForRead(t)
-	l.st.stripeFor(t).inc(cReadFatEnters)
-	return 0, true
+	if v, holding = l.contendForRead(t); holding {
+		l.st.incShared(cReadFatEnters)
+	}
+	return v, holding
 }
 
 // contendForRead acquires the lock non-speculatively for a read-only
 // section that lost the spin (inflating it, per the paper), leaving the
-// calling thread the owner.
-func (l *Lock) contendForRead(t *jthread.Thread) {
+// calling thread the owner. If the fat lock deflates while the thread waits
+// to enter it and the word is free, it returns that word instead (holding
+// false), and the section speculates on it.
+func (l *Lock) contendForRead(t *jthread.Thread) (v uint64, holding bool) {
 	for {
-		v := l.word.Load()
+		v = l.word.Load()
 		if lockword.Inflated(v) {
 			if l.cfg.Monitors != nil {
 				if l.fatEnterTable(t, v) {
-					return
+					return 0, true
 				}
 			} else if l.fatEnter(t) {
-				return
+				return 0, true
+			}
+			if v = l.word.Load(); lockword.SoleroFree(v) {
+				return v, false
 			}
 			continue
 		}
 		l.contendAndInflate(t)
-		return
+		return 0, true
 	}
 }
 
@@ -375,13 +382,17 @@ func (l *Lock) slowReadExit(t *jthread.Thread, v uint64) bool {
 		var deflate func()
 		if l.cfg.Deflate {
 			deflate = func() {
-				l.st.stripeFor(t).inc(cDeflations)
+				l.st.incShared(cDeflations)
 				l.cfg.History.Record(history.Deflate, tid, m.SavedCounter)
 				l.word.Store(m.SavedCounter)
 			}
 		}
+		// A read section deflates even with enterers queued: otherwise
+		// a steady stream of contenders keeps the lock fat and every
+		// later read holds the monitor instead of eliding. Queued
+		// enterers find the word flat after entering and retry.
 		l.cfg.Sched.Block(tid, sched.PDeflate, func() {
-			if released, _ := m.ExitDeflating(tid, deflate); released {
+			if released, _ := m.ExitDeflatingEager(tid, deflate); released {
 				l.cfg.History.Record(history.Release, tid, w)
 			}
 		})

@@ -65,7 +65,7 @@ func (l *Lock) fatEnterTablePinned(t *jthread.Thread, h montable.Handle) bool {
 		mr.Park.Record(t.StripeIndex(), time.Since(parkStart).Nanoseconds())
 	}
 	if l.word.Load()&^lockword.FLCBit == h.Word {
-		l.st.stripeFor(t).inc(cFatEnters)
+		l.st.incShared(cFatEnters)
 		l.cfg.History.Record(history.Acquire, tid, h.Word)
 		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return true
@@ -106,10 +106,10 @@ func (l *Lock) contendAndInflateTable(t *jthread.Thread) {
 			if l.cfg.Metrics != nil {
 				parkStart = time.Now()
 			}
-			l.cfg.Sched.Block(tid, sched.PFLCPark, func() {
+			l.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
 				if w := l.word.Load(); lockword.SoleroHeld(w) {
-					l.st.stripeFor(t).inc(cFLCWaits)
+					l.st.incShared(cFLCWaits)
 					m.WaitLocked(l.cfg.FLCTimeout)
 				}
 				m.RawUnlock()
@@ -129,7 +129,7 @@ func (l *Lock) contendAndInflateTable(t *jthread.Thread) {
 					m.BroadcastLocked() // other FLC waiters must re-read
 					m.RawUnlock()
 				})
-				l.st.stripeFor(t).inc(cInflations)
+				l.st.incShared(cInflations)
 				l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 				l.cfg.Sched.Point(tid, sched.PInflate)
 				l.cfg.History.Record(history.Inflate, tid, h.Word)
@@ -156,7 +156,7 @@ func (l *Lock) inflateAsOwnerTable(t *jthread.Thread, v uint64, extra uint32) {
 		m.BroadcastLocked()
 		m.RawUnlock()
 	})
-	l.st.stripeFor(t).inc(cInflations)
+	l.st.incShared(cInflations)
 	l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 	l.cfg.Sched.Point(tid, sched.PInflate)
 	l.cfg.History.Record(history.Inflate, tid, h.Word)
@@ -180,7 +180,7 @@ func (l *Lock) fatExitTable(t *jthread.Thread, v2 uint64) {
 	var deflate func()
 	if l.cfg.Deflate {
 		deflate = func() {
-			l.st.stripeFor(t).inc(cDeflations)
+			l.st.incShared(cDeflations)
 			l.cfg.Tracer.Record(trace.EvDeflate, tid, m.SavedCounter)
 			l.cfg.History.Record(history.Deflate, tid, m.SavedCounter)
 			l.word.Store(m.SavedCounter)

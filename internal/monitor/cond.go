@@ -36,6 +36,7 @@ func (m *Monitor) CondReleaseAndPark(tid uint64, timeout time.Duration) (rec uin
 	m.rec = 0
 	w := &condWaiter{ch: make(chan struct{})}
 	m.condq = append(m.condq, w)
+	sched.NotePark()
 	m.BroadcastLocked() // wake entry waiters: the monitor is free
 	m.mu.Unlock()
 
@@ -57,6 +58,7 @@ func (m *Monitor) CondReleaseAndPark(tid uint64, timeout time.Duration) (rec uin
 	for i, q := range m.condq {
 		if q == w {
 			m.condq = append(m.condq[:i], m.condq[i+1:]...)
+			sched.NoteUnpark(1)
 			return rec, false
 		}
 	}
@@ -74,7 +76,7 @@ func (m *Monitor) NotifyOne() {
 	w := m.condq[0]
 	m.condq = m.condq[1:]
 	close(w.ch)
-	sched.NoteWake()
+	sched.NoteUnpark(1)
 }
 
 // NotifyAllCond wakes every condition waiter.
@@ -84,9 +86,7 @@ func (m *Monitor) NotifyAllCond() {
 	for _, w := range m.condq {
 		close(w.ch)
 	}
-	if len(m.condq) > 0 {
-		sched.NoteWake()
-	}
+	sched.NoteUnpark(len(m.condq))
 	m.condq = nil
 }
 

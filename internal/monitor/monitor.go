@@ -44,6 +44,10 @@ type Monitor struct {
 	waiters int
 	condq   []*condWaiter // Object.wait queue
 
+	// parked counts the WaitLocked callers on waitq that are still
+	// registered with sched as parked: the next broadcast releases them.
+	parked int
+
 	// FIFO entry tickets: contended Enter calls are served strictly in
 	// arrival order. Besides being a fair policy, this makes the handoff
 	// order a deterministic function of the Enter call order, which the
@@ -90,6 +94,8 @@ func (m *Monitor) WaitLocked(timeout time.Duration) bool {
 		m.waitq = ch
 	}
 	m.waiters++
+	m.parked++
+	sched.NotePark()
 	m.mu.Unlock()
 	timer := time.NewTimer(timeout)
 	woken := true
@@ -102,6 +108,11 @@ func (m *Monitor) WaitLocked(timeout time.Duration) bool {
 	timer.Stop()
 	m.mu.Lock()
 	m.waiters--
+	if m.waitq == ch {
+		// Timed out with no broadcast since: release our own park.
+		m.parked--
+		sched.NoteUnpark(1)
+	}
 	return woken
 }
 
@@ -110,7 +121,8 @@ func (m *Monitor) BroadcastLocked() {
 	if m.waitq != nil {
 		close(m.waitq)
 		m.waitq = nil
-		sched.NoteWake()
+		sched.NoteUnpark(m.parked)
+		m.parked = 0
 	}
 	m.broadcasts.Add(1)
 }
@@ -217,6 +229,19 @@ func (m *Monitor) SetRecursionOwned(tid uint64, rec uint32) {
 // lock back to flat mode. It reports whether the monitor was fully released
 // and whether deflate ran.
 func (m *Monitor) ExitDeflating(tid uint64, deflate func()) (released, deflated bool) {
+	return m.exitDeflating(tid, deflate, false)
+}
+
+// ExitDeflatingEager is ExitDeflating without the quiet-queue condition: a
+// full release deflates even while enterers are queued or parked. It is for
+// locks whose fat entry re-checks the word after entering the monitor, so a
+// queued enterer that finds the lock deflated exits and retries flat; the
+// broadcast on release wakes the parked ones to re-read the word.
+func (m *Monitor) ExitDeflatingEager(tid uint64, deflate func()) (released, deflated bool) {
+	return m.exitDeflating(tid, deflate, true)
+}
+
+func (m *Monitor) exitDeflating(tid uint64, deflate func(), eager bool) (released, deflated bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.owner != tid {
@@ -229,7 +254,7 @@ func (m *Monitor) ExitDeflating(tid uint64, deflate func()) (released, deflated 
 	// Queued enterers are counted by their tickets, not by waiters: a
 	// queued thread is committed to entering even while it is between
 	// timed parks, so deflation must not yank the monitor from under it.
-	if deflate != nil && m.waiters == 0 && m.nextTicket == m.serveTicket {
+	if deflate != nil && (eager || m.waiters == 0 && m.nextTicket == m.serveTicket) {
 		deflate()
 		deflated = true
 	}
@@ -286,6 +311,7 @@ func (m *Monitor) ForceResetLocked() {
 	m.SavedCounter = 0
 	m.nextTicket = 0
 	m.serveTicket = 0
+	sched.NoteUnpark(len(m.condq))
 	m.condq = nil
 }
 

@@ -230,7 +230,7 @@ func (sp *Space) contendAndInflate(c *Compact, tid uint64) {
 			// Held: announce contention and park (timed — the FLC bit
 			// can be clobbered by a racing fast release).
 			c.word.Or(lockword.FLCBit)
-			sp.cfg.Sched.Block(tid, sched.PFLCPark, func() {
+			sp.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
 				v = c.word.Load()
 				if !lockword.Inflated(v) && lockword.Field(v) != 0 {

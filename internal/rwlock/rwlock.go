@@ -87,6 +87,9 @@ type RWLock struct {
 	gateMu   sync.Mutex
 	gateCond *sync.Cond
 	parked   atomic.Int32
+	// waiting counts threads inside gateCond.Wait, registered with sched
+	// as parked until the next broadcast releases them. Guarded by gateMu.
+	waiting int
 
 	holds [holdSlots]holdSlot
 
@@ -213,6 +216,8 @@ func (l *RWLock) park(t *jthread.Thread, ready func() bool) {
 		c := l.gate()
 		c.L.Lock()
 		for !ready() {
+			l.waiting++
+			sched.NotePark()
 			c.Wait()
 		}
 		c.L.Unlock()
@@ -234,8 +239,9 @@ func (l *RWLock) wake() {
 	c := l.gate()
 	c.L.Lock()
 	c.Broadcast()
+	sched.NoteUnpark(l.waiting)
+	l.waiting = 0
 	c.L.Unlock()
-	sched.NoteWake()
 }
 
 // RLock acquires the lock in read mode for t.

@@ -15,10 +15,11 @@
 // blocked thread would hold the scheduling token while the only thread
 // able to unblock it waits for that token. Those sites are instead wrapped
 // in Hooks.Block, which surrenders the token for the duration of the real
-// blocking call and re-enters the scheduler afterwards. Decisions stay
-// deterministic for a fixed seed as long as the set of runnable threads
-// evolves identically; timed parks bound the residual real-time
-// nondeterminism.
+// blocking call and re-enters the scheduler afterwards. Waits that end on
+// their own timeout (the FLC park) use Hooks.Park instead and keep the
+// token. Decisions are a function of the seed alone: no decision is taken
+// while a thread a wake released is still on its way back (see
+// parkedWaits), and no wait's outcome depends on a wall-clock watchdog.
 package sched
 
 import (
@@ -29,17 +30,28 @@ import (
 	"time"
 )
 
-// wakeEpoch counts wakeup-capable events (monitor broadcasts, condition
-// notifies) process-wide. The scheduler compares it against the value seen
-// at the last grant: a decision taken while a thread is stuck only pays
-// the quiescence window when something actually happened that could have
-// woken it. internal/monitor bumps it; with no scheduler in play the bump
-// is a single uncontended atomic add on paths that already maintain
-// atomic stats.
-var wakeEpoch atomic.Uint64
+// parkedWaits counts goroutines parked in an instrumented wait — monitor
+// entry and FLC waits, condition waits, the rwlock gate — that no wake has
+// released yet. A waker subtracts the waiters it wakes in the same
+// critical section that wakes them, and a waiter whose timeout fires first
+// subtracts itself. So when every thread stuck in a Block region is
+// counted here, none of them can rejoin the schedule until the next wake:
+// the scheduler's decision does not depend on how fast the host resolves
+// wakeups. With no scheduler in play the count is one uncontended atomic
+// add on paths that already park.
+var parkedWaits atomic.Int64
 
-// NoteWake records a wakeup-capable event (a broadcast or notify).
-func NoteWake() { wakeEpoch.Add(1) }
+// NotePark records that the caller is about to park in an instrumented
+// wait.
+func NotePark() { parkedWaits.Add(1) }
+
+// NoteUnpark records that n parked waiters were released (woken, or timed
+// out on their own).
+func NoteUnpark(n int) {
+	if n != 0 {
+		parkedWaits.Add(-int64(n))
+	}
+}
 
 // Point names one instrumented schedule point in internal/core (plus PBody,
 // which harnesses inject inside critical-section bodies). The names appear
@@ -111,7 +123,7 @@ func (h *Hooks) Point(tid uint64, p Point) {
 	if h == nil {
 		return
 	}
-	h.s.yield(tid, p)
+	h.s.yieldAt(tid, p, false)
 }
 
 // Block brackets a real blocking operation: the calling thread surrenders
@@ -123,6 +135,25 @@ func (h *Hooks) Block(tid uint64, p Point, fn func()) {
 		return
 	}
 	h.s.block(tid, p, fn)
+}
+
+// Park brackets a wait that ends on its own: a park bounded by its timeout,
+// such as the FLC park. The calling thread keeps the scheduling token while
+// fn runs, then yields at p. No other registered thread is needed to end
+// fn, so unlike Block there is no watchdog to hand the token on mid-wait:
+// whether that watchdog fired would depend on how fast the host ran fn,
+// not on the schedule, and a replay would diverge. Instead the parked
+// thread's timeout counts as spent only once a thread that did not come
+// from a Park has run: until then decisions offer the parked thread only
+// when nothing else is runnable, so no strategy can starve the thread it
+// waits for behind parked spinners.
+func (h *Hooks) Park(tid uint64, p Point, fn func()) {
+	if h == nil {
+		fn()
+		return
+	}
+	fn()
+	h.s.yieldAt(tid, p, true)
 }
 
 // Step is one recorded schedule-point arrival.
@@ -163,6 +194,11 @@ type tctl struct {
 	// blockSeq versions the thread's Block regions so a stale block
 	// watchdog cannot mark a thread that already returned.
 	blockSeq int
+	// parked marks a thread that yielded at a Park and has not seen a
+	// thread that did not come from a Park granted since: decisions pass
+	// it over while any other thread is runnable. fromPark records that
+	// the thread's latest yield was at a Park.
+	parked, fromPark bool
 }
 
 // Scheduler serializes registered threads between schedule points.
@@ -192,24 +228,17 @@ type Scheduler struct {
 	// help. Only a genuinely dependent call trips the block watchdog
 	// (blockTimeout), which surrenders the token — so the fast/stuck
 	// classification is semantic, not a timing accident. While any thread
-	// is stuck, every decision additionally waits for the blocked set to
-	// be quiescent for a full settle window (re-parks restart it), so a
-	// stuck thread woken by the previous segment deterministically rejoins
-	// the runnable set before the next pick. Both windows vastly exceed
-	// the harness's self-resolving park timeouts, which is what keeps
-	// schedules replayable across runs and build modes (-race shifts
-	// timings).
+	// is stuck, every decision additionally waits until all stuck threads
+	// are parked (parkedWaits): a stuck thread a wake released is either
+	// back in the runnable set or parked again before the next pick. A
+	// stuck thread blocked outside the instrumented waits can never count
+	// as parked, so after the settle window the decision goes ahead
+	// without it.
 	settle        time.Duration
 	blockTimeout  time.Duration
-	blockGen      int  // bumped whenever the blocked set changes
-	settlePending bool // a settle timer is in flight
-	calm          bool // set transiently while the settle timer dispatches
-	// seenWake is the wakeEpoch value at the last grant. A decision taken
-	// while a thread is stuck pays the quiescence window only when the
-	// epoch moved — i.e. a broadcast or notify actually fired since the
-	// last decision; segments that merely spin, read, or CAS cannot
-	// change the blocked set and dispatch immediately.
-	seenWake uint64
+	settlePending bool  // a settle poller is running
+	calm          bool  // set transiently while the settle poller dispatches
+	parkedBase    int64 // parkedWaits at the first grant: waiters outside this run
 }
 
 // DefaultMaxSteps bounds a run's decision count; past it the scheduler
@@ -227,11 +256,12 @@ func NewScheduler(strategy Strategy, maxSteps int) *Scheduler {
 		strategy: strategy,
 		maxSteps: maxSteps,
 		threads:  make(map[uint64]*tctl),
-		// Both windows dominate the harness's self-resolving park
-		// timeouts (FLC parks time out at 200µs) by an order of
-		// magnitude or more, so classification stays stable even under
-		// the race detector's slowdown.
-		settle:       time.Millisecond,
+		// The block watchdog dominates any non-dependent fn by orders of
+		// magnitude (timed parks use Park and never meet it), so
+		// classification stays stable even under the race detector's
+		// slowdown. The settle window only bounds waits for stuck threads
+		// parked outside the instrumented waits.
+		settle:       10 * time.Millisecond,
 		blockTimeout: 5 * time.Millisecond,
 	}
 }
@@ -334,7 +364,7 @@ func (s *Scheduler) Decisions() []uint64 {
 	return append([]uint64(nil), s.decisions...)
 }
 
-func (s *Scheduler) yield(tid uint64, p Point) {
+func (s *Scheduler) yieldAt(tid uint64, p Point, parked bool) {
 	s.mu.Lock()
 	t := s.threads[tid]
 	if t == nil || s.stopped {
@@ -343,6 +373,7 @@ func (s *Scheduler) yield(tid uint64, p Point) {
 	}
 	t.state = tsWaiting
 	t.point = p
+	t.parked, t.fromPark = parked, parked
 	s.trace = append(s.trace, Step{TID: tid, P: p})
 	s.tokenHeld = false
 	s.dispatchLocked()
@@ -374,7 +405,6 @@ func (s *Scheduler) block(tid uint64, p Point, fn func()) {
 		if t.blockSeq == seq && t.state == tsRunning && !s.stopped {
 			t.state = tsBlocked
 			s.tokenHeld = false
-			s.blockSetChangedLocked()
 			s.dispatchLocked()
 		}
 		s.mu.Unlock()
@@ -390,11 +420,12 @@ func (s *Scheduler) block(tid uint64, p Point, fn func()) {
 		s.mu.Unlock()
 		return
 	}
+	// The thread waits again at a Block, not a Park (see Hooks.Park).
+	t.parked, t.fromPark = false, false
 	if t.state == tsBlocked {
 		// The watchdog moved the token while fn was stuck; rejoin the
-		// schedulable set (restarting any pending settle window).
+		// schedulable set.
 		t.state = tsWaiting
-		s.blockSetChangedLocked()
 	} else {
 		// Fast path: fn completed holding the token — hand it on like a
 		// normal yield.
@@ -404,13 +435,6 @@ func (s *Scheduler) block(tid uint64, p Point, fn func()) {
 	s.dispatchLocked()
 	s.mu.Unlock()
 	<-t.gate
-}
-
-// blockSetChangedLocked notes that the blocked set changed: any pending
-// settle window restarts, and the next decision taken while a thread is
-// still blocked must wait out a fresh one.
-func (s *Scheduler) blockSetChangedLocked() {
-	s.blockGen++
 }
 
 // dispatchLocked grants the token to one waiting thread if it is free.
@@ -427,48 +451,45 @@ func (s *Scheduler) dispatchLocked() {
 			}
 		}
 		s.started = true
+		s.parkedBase = parkedWaits.Load()
 	}
 	runnable := make([]Runnable, 0, len(s.order))
-	blocked := 0
+	blocked, parked := 0, 0
 	for _, tid := range s.order {
 		t := s.threads[tid]
 		if t.state == tsWaiting {
 			runnable = append(runnable, Runnable{TID: tid, P: t.point})
+			if t.parked {
+				parked++
+			}
 		} else if t.state == tsBlocked {
 			blocked++
 		}
+	}
+	if parked > 0 && parked < len(runnable) {
+		// A parked thread waits for another to run (see Hooks.Park).
+		n := 0
+		for _, r := range runnable {
+			if !s.threads[r.TID].parked {
+				runnable[n] = r
+				n++
+			}
+		}
+		runnable = runnable[:n]
 	}
 	if len(runnable) == 0 {
 		// Everyone is done or inside a real blocking call; a blocked
 		// thread will dispatch again when it returns.
 		return
 	}
-	if blocked > 0 && wakeEpoch.Load() != s.seenWake && !s.calm {
-		// Quiescence gate: with a stuck thread in play, a broadcast or
-		// notify since the last decision may have just unblocked it.
-		// Defer every decision until the blocked set has been stable for
-		// a full settle window — a woken thread re-parks well inside it,
-		// restarting the wait — so whether a thread is in the runnable
-		// set never depends on how fast this host resolved the wakeup.
+	if blocked > 0 && !s.calm && !s.stuckParkedLocked() {
+		// Quiescence gate: a stuck thread is not parked — a wake just
+		// released it and it is on its way back into the runnable set or
+		// into its next park. Decide only once it got there, so whether
+		// it is runnable never depends on how fast this host ran it.
 		if !s.settlePending {
 			s.settlePending = true
-			gen := s.blockGen
-			go func() {
-				time.Sleep(s.settle)
-				s.mu.Lock()
-				s.settlePending = false
-				if !s.stopped && !s.tokenHeld {
-					if gen != s.blockGen {
-						// Set changed during the wait: re-arm.
-						s.dispatchLocked()
-					} else {
-						s.calm = true
-						s.dispatchLocked()
-						s.calm = false
-					}
-				}
-				s.mu.Unlock()
-			}()
+			go s.settleLoop()
 		}
 		return
 	}
@@ -486,11 +507,50 @@ func (s *Scheduler) dispatchLocked() {
 		t = s.threads[runnable[0].TID]
 		pick = t.tid
 	}
+	if !t.fromPark {
+		// A thread other than a parked one runs: every parked
+		// thread's wait is now spent.
+		for _, o := range s.threads {
+			o.parked = false
+		}
+	}
+	t.parked = false
 	t.state = tsRunning
 	s.tokenHeld = true
-	s.seenWake = wakeEpoch.Load()
 	s.decisions = append(s.decisions, pick)
 	t.gate <- struct{}{}
+}
+
+// settleLoop polls until every stuck thread is parked, then dispatches;
+// past the settle window it dispatches regardless.
+func (s *Scheduler) settleLoop() {
+	deadline := time.Now().Add(s.settle)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.stopped && !s.tokenHeld && !s.stuckParkedLocked() && time.Now().Before(deadline) {
+		s.mu.Unlock()
+		time.Sleep(50 * time.Microsecond)
+		s.mu.Lock()
+	}
+	s.settlePending = false
+	if s.stopped || s.tokenHeld {
+		return // another path dispatched meanwhile
+	}
+	s.calm = true
+	s.dispatchLocked()
+	s.calm = false
+}
+
+// stuckParkedLocked reports whether every stuck thread is parked in an
+// instrumented wait (see parkedWaits).
+func (s *Scheduler) stuckParkedLocked() bool {
+	blocked := 0
+	for _, t := range s.threads {
+		if t.state == tsBlocked {
+			blocked++
+		}
+	}
+	return parkedWaits.Load()-s.parkedBase >= int64(blocked)
 }
 
 // FormatTrace renders a point-trace compactly, collapsing consecutive

@@ -3,6 +3,7 @@ package sched
 import (
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -216,4 +217,83 @@ func TestFormatTrace(t *testing.T) {
 	if got != want {
 		t.Fatalf("FormatTrace = %q, want %q", got, want)
 	}
+}
+
+// TestParkLetsOthersRun checks that a thread leaving a Park is not offered
+// again while another thread is runnable: even a fixed priority order
+// cannot starve the thread a timed spinner waits for.
+func TestParkLetsOthersRun(t *testing.T) {
+	s := NewScheduler(Priorities(1, 2), 0)
+	s.Register(1)
+	s.Register(2)
+	h := s.Hooks()
+	var released atomic.Bool
+	spins := 0
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		s.ThreadStart(1)
+		for !released.Load() {
+			spins++
+			h.Park(1, PFLCPark, func() {})
+		}
+		s.ThreadDone(1)
+	}()
+	go func() {
+		defer wg.Done()
+		s.ThreadStart(2)
+		released.Store(true)
+		h.Point(2, PRelease)
+		s.ThreadDone(2)
+	}()
+	wg.Wait()
+	if s.Aborted() || spins != 1 {
+		t.Fatalf("spinner parked %d times (aborted %v), want 1: %s", spins, s.Aborted(), FormatTrace(s.Trace()))
+	}
+
+	// Park, then Block: the thread picked after the Block did not come
+	// from a Park, so its run spends the other thread's park.
+	rec := &offerRecorder{Strategy: Priorities(1, 2)}
+	s = NewScheduler(rec, 0)
+	s.Register(1)
+	s.Register(2)
+	h = s.Hooks()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		s.ThreadStart(1)
+		h.Park(1, PFLCPark, func() {})
+		h.Block(1, PMonitorEnter, func() {})
+		h.Point(1, PRelease)
+		s.ThreadDone(1)
+	}()
+	go func() {
+		defer wg.Done()
+		s.ThreadStart(2)
+		h.Park(2, PFLCPark, func() {})
+		h.Point(2, PSpin)
+		s.ThreadDone(2)
+	}()
+	wg.Wait()
+	// Decisions: 1 parks; 2 parks; 1 blocks; 1 runs from the Block to
+	// PRelease; the fifth must offer both threads.
+	if s.Aborted() || len(rec.offers) < 5 || !reflect.DeepEqual(rec.offers[4], []uint64{1, 2}) {
+		t.Fatalf("offers %v (aborted %v), want decision 5 to offer [1 2]: %s", rec.offers, s.Aborted(), FormatTrace(s.Trace()))
+	}
+}
+
+// offerRecorder records the thread ids each decision was offered.
+type offerRecorder struct {
+	Strategy
+	offers [][]uint64
+}
+
+func (r *offerRecorder) Pick(step int, runnable []Runnable) uint64 {
+	ids := make([]uint64, len(runnable))
+	for i, x := range runnable {
+		ids[i] = x.TID
+	}
+	r.offers = append(r.offers, ids)
+	return r.Strategy.Pick(step, runnable)
 }

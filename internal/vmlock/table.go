@@ -107,7 +107,7 @@ func (l *Lock) contendAndInflateTable(t *jthread.Thread) {
 			// Held: announce contention and park (timed — the FLC bit
 			// can be clobbered by a racing fast release).
 			l.word.Or(lockword.FLCBit)
-			l.cfg.Sched.Block(tid, sched.PFLCPark, func() {
+			l.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
 				v = l.word.Load()
 				if !lockword.Inflated(v) && lockword.Field(v) != 0 {

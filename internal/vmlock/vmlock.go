@@ -299,11 +299,11 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 			}
 		default:
 			// Held: announce contention and park (timed — the FLC
-			// bit can be clobbered by a racing fast release). The whole
-			// park is a Block region: under schedule injection the
-			// token must travel while this thread sleeps.
+			// bit can be clobbered by a racing fast release). The
+			// timeout ends the park, so under schedule injection it
+			// is a Park: the token stays with this thread.
 			l.word.Or(lockword.FLCBit)
-			l.cfg.Sched.Block(tid, sched.PFLCPark, func() {
+			l.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
 				v = l.word.Load()
 				if !lockword.Inflated(v) && lockword.Field(v) != 0 {
@@ -338,7 +338,9 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 	l.cfg.Sched.Block(t.ID(), sched.PMonitorEnter, func() {
 		m.Enter(t.ID())
 	})
-	if l.word.Load() == lockword.InflatedWord(m.ID()) {
+	// Mask FLC: a contender's Or can land on a word inflated after its
+	// load, and the stray bit must not lock everyone out of the monitor.
+	if l.word.Load()&^lockword.FLCBit == lockword.InflatedWord(m.ID()) {
 		l.st.FatEnters.Add(1)
 		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return true

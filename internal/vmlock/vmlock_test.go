@@ -301,3 +301,48 @@ func TestInflatedMutualExclusionStress(t *testing.T) {
 		t.Fatalf("lost updates in fat mode: %d", shared)
 	}
 }
+
+// TestStrayFLCOnInflatedWord pins the fat-mode livelock fix: a contender's
+// FLC Or can land on a word that was inflated after its load. fatEnter
+// must still recognise the word as this monitor's, so both contenders get
+// through and the last release deflates.
+func TestStrayFLCOnInflatedWord(t *testing.T) {
+	_, ths := newT(t, 3)
+	l := New(nil)
+	l.Lock(ths[0])
+	l.inflateAsOwner(ths[0], l.word.Load(), 0)
+	l.word.Or(lockword.FLCBit)
+
+	var wg sync.WaitGroup
+	for _, th := range ths[1:] {
+		wg.Add(1)
+		go func(th *jthread.Thread) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				l.Lock(th)
+				l.Unlock(th)
+			}
+		}(th)
+	}
+	// Release only once both contenders queue on the monitor, so the
+	// release cannot deflate the stray bit away.
+	m := l.monitorFor()
+	for deadline := time.Now().Add(5 * time.Second); m.StatsSnapshot().ContendedEnters < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("contenders never queued on the monitor")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	l.Unlock(ths[0])
+
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("contenders livelocked on word %#x", l.Word())
+	}
+	if w := l.Word(); w != 0 {
+		t.Fatalf("lock did not deflate to the free word: %#x", w)
+	}
+}
