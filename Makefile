@@ -3,7 +3,8 @@
 #   make build     - compile everything
 #   make vet       - go vet ./...
 #   make test      - full test suite
-#   make race      - race-detector pass over the lock core + schedule kernel
+#   make race      - race-detector pass over the lock core, thread registry,
+#                    public API + schedule kernel
 #   make bench     - reader-scaling + alloc-free benchmarks
 #   make allocfree - one pass of the alloc-free benchmarks: each fails if
 #                    an elided read entry allocates
@@ -54,7 +55,7 @@ race:
 		./internal/sched/... ./internal/history/... ./internal/schedcheck/... \
 		./internal/monitor/... ./internal/metrics/... ./internal/export/... \
 		./internal/trace/... ./internal/backend/... ./internal/bravo/... \
-		./internal/rwlock/...
+		./internal/rwlock/... ./internal/jthread/... ./solero/...
 	$(GO) test -race -short ./internal/montable/... ./internal/vmlock/... \
 		./internal/lockword/...
 

@@ -34,6 +34,7 @@ import (
 	"repro/internal/simcoherence"
 	"repro/internal/vmlock"
 	"repro/internal/workload"
+	"repro/solero"
 	"repro/solero/rmap"
 )
 
@@ -938,21 +939,24 @@ func BenchmarkReadOnly(b *testing.B) {
 }
 
 // BenchmarkReadOnlyAllocFree asserts each elided read entry performs zero
-// heap allocations (testing.AllocsPerRun), then times it: ReadOnly, the
-// recovery-free lean path of a facts-proven ReadOnlySection, and a
-// ReadMostly section that does not write.
+// heap allocations (testing.AllocsPerRun), then times it: ReadOnly, a
+// value-returning section through solero.ReadOnly (the generic speculative
+// frame), the recovery-free lean path of a facts-proven ReadOnlySection,
+// and a ReadMostly section that does not write.
 func BenchmarkReadOnlyAllocFree(b *testing.B) {
 	vm := jthread.NewVM()
 	th := vm.Attach("bench")
 	defer th.Detach()
 	lean := core.NewSectionRegistry(false, 0, nil).Seed("bench:lean", core.ProofElidable, true, 1)
 	fn := func() {}
+	valFn := func() uint64 { return 1 }
 	rmFn := func(*core.Section) {}
 	for _, bc := range []struct {
 		name string
 		op   func(l *core.Lock)
 	}{
 		{"ReadOnly", func(l *core.Lock) { l.ReadOnly(th, fn) }},
+		{"ReadOnlyValue", func(l *core.Lock) { benchSink.Store(solero.ReadOnly(l, th, valFn)) }},
 		{"ReadOnlySectionLean", func(l *core.Lock) { l.ReadOnlySection(th, lean, fn) }},
 		{"ReadMostlyNoWrite", func(l *core.Lock) { l.ReadMostly(th, rmFn) }},
 	} {
@@ -1011,6 +1015,14 @@ func BenchmarkMicroLocks(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			l.ReadOnly(th, func() {})
 		}
+	})
+	b.Run("SoleroReadOnlyValue", func(b *testing.B) {
+		l := core.New(nil)
+		var sum uint64
+		for i := 0; i < b.N; i++ {
+			sum += solero.ReadOnly(l, th, func() uint64 { return 1 })
+		}
+		benchSink.Store(sum)
 	})
 	b.Run("SoleroWrite", func(b *testing.B) {
 		l := core.New(nil)

@@ -55,7 +55,11 @@ const (
 )
 
 // Config tunes the SOLERO protocol. Use DefaultConfig as a starting point;
-// a nil Config given to New means DefaultConfig.
+// a nil Config given to New means DefaultConfig. Set every field before
+// passing the Config to New: a lock fixes some choices at New — its stripe
+// count, the metrics sample period, and whether its read sections may take
+// the hook-free first attempt, which needs Model, Tracer, Metrics, Sched
+// and History nil and Adaptive and DisableElision off.
 type Config struct {
 	// Tier1/Tier2/Tier3 parameterize the three-tier contention loops
 	// (innermost backoff spins, acquisition attempts per round, yield
@@ -143,7 +147,8 @@ var DefaultConfig = &Config{
 
 // hookFree reports whether ReadOnly may take its hook-free first attempt:
 // no metrics, schedule, history, trace or fence-model hook is wired, and
-// neither adaptive elision nor DisableElision is on.
+// neither adaptive elision nor DisableElision is on. New decides it once
+// per lock (see Config).
 func (c *Config) hookFree() bool {
 	return c.Metrics == nil && c.Sched == nil && c.History == nil && c.Tracer == nil &&
 		c.Model == nil && !c.Adaptive && !c.DisableElision
@@ -199,6 +204,10 @@ type lockHead struct {
 	// it, and the word's atomic acquire/release edges order successive
 	// owners' accesses, so a plain field is sound.
 	saved uint64
+
+	// hookFree is cfg.hookFree() as of New: an elided read decides on its
+	// hook-free first attempt with one byte of the line it loads anyway.
+	hookFree bool
 }
 
 // New creates a free lock (counter zero). nil cfg means DefaultConfig.
@@ -209,7 +218,7 @@ func New(cfg *Config) *Lock {
 	if cfg.Metrics != nil && cfg.MetricsSamplePeriod > 0 {
 		cfg.Metrics.SetSamplePeriod(cfg.MetricsSamplePeriod)
 	}
-	l := &Lock{lockHead: lockHead{cfg: cfg}}
+	l := &Lock{lockHead: lockHead{cfg: cfg, hookFree: cfg.hookFree()}}
 	l.st.init(cfg.statsStripeCount())
 	return l
 }
@@ -271,7 +280,7 @@ func (l *Lock) Lock(t *jthread.Thread) {
 			l.cfg.Sched.Point(tid, sched.PAcquireCAS)
 			if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
 				l.saved = v
-				l.st.stripeFor(t).inc(cFastAcquires)
+				l.st.bump(t, cFastAcquires)
 				l.cfg.Tracer.Record(trace.EvAcquireFast, tid, v)
 				l.cfg.History.Record(history.Acquire, tid, v)
 				l.cfg.Sched.Point(tid, sched.PAcquired)

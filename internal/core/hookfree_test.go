@@ -4,8 +4,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/jthread"
+	"repro/internal/stats"
 )
 
 // The tests in this file run on locks whose config wires no hook, so
@@ -13,7 +15,7 @@ import (
 // oracles always wire Sched or History and never reach that arm.
 
 func TestDefaultConfigIsHookFree(t *testing.T) {
-	if !New(nil).cfg.hookFree() {
+	if !New(nil).hookFree {
 		t.Fatal("the nil config must take ReadOnly's hook-free first attempt")
 	}
 	for name, mut := range map[string]func(*Config){
@@ -22,7 +24,7 @@ func TestDefaultConfigIsHookFree(t *testing.T) {
 	} {
 		cfg := *DefaultConfig
 		mut(&cfg)
-		if cfg.hookFree() {
+		if New(&cfg).hookFree {
 			t.Errorf("%s config must not take the hook-free first attempt", name)
 		}
 	}
@@ -174,75 +176,171 @@ func TestHookFreeFirstAttemptFailures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := *DefaultConfig
-			cfg.MaxElisionFailures = tc.maxFailures
-			l := New(&cfg)
-			if !l.cfg.hookFree() {
-				t.Fatal("test config must be hook-free")
+			for _, entry := range hookFreeEntries {
+				t.Run(entry.name, func(t *testing.T) {
+					cfg := *DefaultConfig
+					cfg.MaxElisionFailures = tc.maxFailures
+					l := New(&cfg)
+					if !l.hookFree {
+						t.Fatal("test config must be hook-free")
+					}
+					ths := newT(t, 2)
+					th, w := ths[0], ths[1]
+					var a, b atomic.Uint64
+					runs := 0
+					var ga, gb uint64
+					last := entry.run(l, th, func() int {
+						runs++
+						if runs == 1 {
+							tc.body(l, th, w, &a, &b)
+							return runs
+						}
+						ga, gb = a.Load(), b.Load()
+						return runs
+					})
+					if runs != 2 || last != 2 {
+						t.Fatalf("section ran %d times and returned run %d, want 2 and 2 (one failed attempt, one retry)", runs, last)
+					}
+					if ga != gb {
+						t.Fatalf("retry saw a torn pair: %d != %d", ga, gb)
+					}
+					if th.SpecDepth() != 0 {
+						t.Fatalf("speculative frames leaked: depth %d", th.SpecDepth())
+					}
+					if l.HeldBy(th) {
+						t.Fatal("lock leaked")
+					}
+					st := l.Stats()
+					got := want{st.ElisionSuccesses.Load(), st.Fallbacks.Load(), st.SuppressedFaults.Load(), st.AsyncAborts.Load()}
+					if got != tc.want {
+						t.Fatalf("got %+v, want %+v", got, tc.want)
+					}
+					if f := st.ElisionFailures.Load(); f != 1 {
+						t.Fatalf("ElisionFailures = %d, want 1", f)
+					}
+					checkAttemptsDerived(t, st)
+				})
 			}
-			ths := newT(t, 2)
-			th, w := ths[0], ths[1]
-			var a, b atomic.Uint64
-			runs := 0
-			var ga, gb uint64
-			l.ReadOnly(th, func() {
-				runs++
-				if runs == 1 {
-					tc.body(l, th, w, &a, &b)
-					return
-				}
-				ga, gb = a.Load(), b.Load()
-			})
-			if runs != 2 {
-				t.Fatalf("section ran %d times, want 2 (one failed attempt, one retry)", runs)
-			}
-			if ga != gb {
-				t.Fatalf("retry saw a torn pair: %d != %d", ga, gb)
-			}
-			if th.SpecDepth() != 0 {
-				t.Fatalf("speculative frames leaked: depth %d", th.SpecDepth())
-			}
-			if l.HeldBy(th) {
-				t.Fatal("lock leaked")
-			}
-			st := l.Stats()
-			got := want{st.ElisionSuccesses.Load(), st.Fallbacks.Load(), st.SuppressedFaults.Load(), st.AsyncAborts.Load()}
-			if got != tc.want {
-				t.Fatalf("got %+v, want %+v", got, tc.want)
-			}
-			if f := st.ElisionFailures.Load(); f != 1 {
-				t.Fatalf("ElisionFailures = %d, want 1", f)
-			}
-			checkAttemptsDerived(t, st)
 		})
 	}
+}
+
+// hookFreeEntries are the two entries with a hook-free first attempt:
+// ReadOnly's (runSpeculative) and ReadOnlyValue's, whose frame is its
+// own. Each runs fn as one section and returns the value of its final
+// execution.
+var hookFreeEntries = []struct {
+	name string
+	run  func(l *Lock, th *jthread.Thread, fn func() int) int
+}{
+	{"ReadOnly", func(l *Lock, th *jthread.Thread, fn func() int) int {
+		var out int
+		l.ReadOnly(th, func() { out = fn() })
+		return out
+	}},
+	{"ReadOnlyValue", func(l *Lock, th *jthread.Thread, fn func() int) int {
+		return ReadOnlyValue(l, th, fn)
+	}},
 }
 
 // TestHookFreeGenuineFaultPropagates: a panic raised while the word is
 // unchanged is genuine and must escape the hook-free attempt with the
 // speculative frame retired.
 func TestHookFreeGenuineFaultPropagates(t *testing.T) {
-	l := New(nil)
-	th := newT(t, 1)[0]
-	l.ReadOnly(th, func() {}) // one success beside the fault
-	r := func() (r any) {
-		defer func() { r = recover() }()
-		l.ReadOnly(th, func() { panic("boom") })
-		return nil
-	}()
-	if r != "boom" {
-		t.Fatalf("recovered %v, want the genuine fault", r)
+	for _, entry := range hookFreeEntries {
+		t.Run(entry.name, func(t *testing.T) {
+			l := New(nil)
+			th := newT(t, 1)[0]
+			entry.run(l, th, func() int { return 0 }) // one success beside the fault
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				entry.run(l, th, func() int { panic("boom") })
+				return nil
+			}()
+			if r != "boom" {
+				t.Fatalf("recovered %v, want the genuine fault", r)
+			}
+			if th.SpecDepth() != 0 {
+				t.Fatalf("speculative frames leaked: depth %d", th.SpecDepth())
+			}
+			st := l.Stats()
+			if st.GenuineFaults.Load() != 1 || st.ElisionSuccesses.Load() != 1 {
+				t.Fatalf("counters: %v", st.Snapshot())
+			}
+			checkAttemptsDerived(t, st)
+			if a := st.ElisionAttempts.Load(); a != 2 {
+				t.Fatalf("ElisionAttempts = %d, want 2", a)
+			}
+		})
 	}
-	if th.SpecDepth() != 0 {
-		t.Fatalf("speculative frames leaked: depth %d", th.SpecDepth())
+}
+
+// TestNestedFramesPastStackCap nests more elided sections than the frame
+// stack allocated at Attach holds (jthread's frameStackCap: one
+// false-sharing range of frames), alternating the two hook-free entries,
+// each level on its own lock. The stack grows past its initial capacity;
+// an asynchronous abort at the deepest level must unwind that level alone
+// — its section retries holding its lock — while every enclosing section
+// still elides, and the counts stay exact.
+func TestNestedFramesPastStackCap(t *testing.T) {
+	frameStackCap := stats.FalseSharingRange / int(unsafe.Sizeof(jthread.SpecFrame{}))
+	// Two depths, so each entry takes a turn at the innermost level.
+	for _, depth := range []int{frameStackCap + 1, frameStackCap + 2} {
+		t.Run(hookFreeEntries[(depth-1)%2].name, func(t *testing.T) { nestFrames(t, depth) })
 	}
-	st := l.Stats()
-	if st.GenuineFaults.Load() != 1 || st.ElisionSuccesses.Load() != 1 {
-		t.Fatalf("counters: %v", st.Snapshot())
+}
+
+func nestFrames(t *testing.T, depth int) {
+	ths := newT(t, 2)
+	th, w := ths[0], ths[1]
+	locks := make([]*Lock, depth)
+	for i := range locks {
+		locks[i] = New(nil)
 	}
-	checkAttemptsDerived(t, st)
-	if a := st.ElisionAttempts.Load(); a != 2 {
-		t.Fatalf("ElisionAttempts = %d, want 2", a)
+	innerRuns, maxDepth := 0, 0
+	var enter func(level int) int
+	enter = func(level int) int {
+		return hookFreeEntries[level%2].run(locks[level], th, func() int {
+			maxDepth = max(maxDepth, th.SpecDepth())
+			if level < depth-1 {
+				return enter(level+1) + 1
+			}
+			innerRuns++
+			if innerRuns == 1 {
+				// Change the innermost lock's word, then let an
+				// asynchronous event validate every frame.
+				locks[level].Sync(w, func() {})
+				th.Poke()
+				th.Checkpoint()
+				t.Fatal("the checkpoint did not abort the stale innermost frame")
+			}
+			if !locks[level].HeldBy(th) {
+				t.Fatal("the innermost retry is not holding its lock")
+			}
+			return 1
+		})
+	}
+	if got := enter(0); got != depth {
+		t.Fatalf("nest returned %d, want %d", got, depth)
+	}
+	if maxDepth != depth || th.SpecDepth() != 0 {
+		t.Fatalf("frame depth peaked at %d (want %d), %d left after", maxDepth, depth, th.SpecDepth())
+	}
+	if innerRuns != 2 {
+		t.Fatalf("innermost section ran %d times, want 2", innerRuns)
+	}
+	for i, l := range locks {
+		snap := l.Stats().Snapshot()
+		want := map[string]uint64{"elisionSuccesses": 1, "elisionFailures": 0, "asyncAborts": 0, "fallbacks": 0}
+		if i == depth-1 {
+			want = map[string]uint64{"elisionSuccesses": 0, "elisionFailures": 1, "asyncAborts": 1, "fallbacks": 1}
+		}
+		for k, v := range want {
+			if snap[k] != v {
+				t.Errorf("level %d: %s = %d, want %d (%v)", i, k, snap[k], v, snap)
+			}
+		}
+		checkAttemptsDerived(t, l.Stats())
 	}
 }
 

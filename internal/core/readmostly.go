@@ -154,12 +154,12 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 			l.cfg.Model.Charge(l.cfg.Plan.ReadExit)
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
 			if l.word.Load() == v {
-				l.st.stripeFor(t).inc(cElisionSuccesses)
+				l.st.bump(t, cElisionSuccesses)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
 				return
 			}
 			if l.slowReadExit(t, v) {
-				l.st.stripeFor(t).inc(cElisionSuccesses)
+				l.st.bump(t, cElisionSuccesses)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
 				return
 			}
@@ -230,12 +230,17 @@ func releaseSection(t *jthread.Thread, s *Section) {
 // runSpecUpgradable is runSpeculative extended with the upgrade protocol:
 // it distinguishes the restart-holding unwind, and treats faults raised
 // while holding (post-upgrade) as genuine, releasing the lock before
-// propagating them.
+// propagating them. Like runSpeculative it calls recover only when fn did
+// not return.
 func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section), s *Section) (outcome specOutcome) {
 	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
 	t.PushSpec(&l.word, v)
+	ran := false
 	defer func() {
 		s.popFrame()
+		if ran {
+			return
+		}
 		r := recover()
 		if r == nil {
 			return
@@ -255,22 +260,13 @@ func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section),
 			l.Unlock(t)
 			panic(r)
 		}
-		if ire, isIRE := r.(*jthread.InconsistentReadError); isIRE {
-			if ire.Word == &l.word {
-				l.st.stripeFor(t).inc(cAsyncAborts)
-				outcome = specFailedAsync
-				return
-			}
-			panic(r)
-		}
-		if l.word.Load() != v {
-			l.st.stripeFor(t).inc(cSuppressedFaults)
+		if l.specFault(t, v, r) {
+			outcome = specFailedAsync
+		} else {
 			outcome = specFailed
-			return
 		}
-		l.st.stripeFor(t).inc(cGenuineFaults)
-		panic(r)
 	}()
 	fn(s)
+	ran = true
 	return specOK
 }

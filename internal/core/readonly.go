@@ -27,22 +27,16 @@ import (
 // After MaxElisionFailures failed speculations, the section falls back to
 // real lock acquisition, which bounds starvation.
 func (l *Lock) ReadOnly(t *jthread.Thread, fn func()) {
-	if l.cfg.hookFree() {
+	if l.hookFree {
 		if v := l.word.Load(); lockword.SoleroFree(v) {
 			// Hook-free first attempt: with every hook nil and adaptive
 			// elision off, the success path is the paper's fast path —
-			// load, speculate, reload — plus one stripe increment.
+			// load, speculate, reload — plus one owned stripe increment.
 			if ok, _ := l.runSpeculative(t, v, fn); ok && (l.word.Load() == v || l.slowReadExit(t, v)) {
-				l.st.stripeFor(t).inc(cElisionSuccesses)
+				l.st.bump(t, cElisionSuccesses)
 				return
 			}
-			l.st.stripeFor(t).inc(cElisionFailures)
-			// Hand the section to the loop with this failure spent.
-			if n := l.cfg.MaxElisionFailures; n > 1 {
-				l.readOnlyImpl(t, fn, n-1, false)
-			} else {
-				l.readFallback(t, fn, v)
-			}
+			l.readRetry(t, fn, v)
 			return
 		}
 	}
@@ -87,24 +81,29 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 			l.runHolding(t, fn)
 			return false
 		}
-		var ok, async bool
+		// The ReadEnter fence: on a real weak machine the entry fence is
+		// what makes the validation sound (internal/memmodel). The
+		// hook-free first attempts skip it: hookFree implies a nil Model.
+		l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
+		ok, async := true, false
 		if lean {
-			ok = l.runSpeculativeLean(t, fn)
+			// Recovery-free: no speculative frame (asynchronous
+			// checkpoints cannot abort it) and no panic handler.
+			// Sound only for sections the static analysis proved
+			// unable to fault (no indexing, division, calls, or
+			// deeper-than-one-hop dereferences) and unable to loop
+			// (an inconsistent snapshot cannot spin without a
+			// checkpoint to break it); for those the validation
+			// below is the entire protocol.
+			fn()
 		} else {
 			ok, async = l.runSpeculative(t, v, fn)
 		}
 		if ok {
 			l.cfg.Model.Charge(l.cfg.Plan.ReadExit)
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
-			if l.word.Load() == v {
-				l.st.stripeFor(t).inc(cElisionSuccesses)
-				l.cfg.Tracer.Record(trace.EvElideSuccess, t.ID(), v)
-				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
-				l.adaptiveRecord(t, false)
-				return true
-			}
-			if l.slowReadExit(t, v) {
-				l.st.stripeFor(t).inc(cElisionSuccesses)
+			if l.word.Load() == v || l.slowReadExit(t, v) {
+				l.st.bump(t, cElisionSuccesses)
 				l.cfg.Tracer.Record(trace.EvElideSuccess, t.ID(), v)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
 				l.adaptiveRecord(t, false)
@@ -127,6 +126,19 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 	}
 }
 
+// readRetry takes a section whose hook-free first attempt on snapshot v
+// failed: it counts the failure and hands the section to the elision loop
+// with that failure spent, or straight to the fallback when it was the
+// last one allowed.
+func (l *Lock) readRetry(t *jthread.Thread, fn func(), v uint64) {
+	l.st.stripeFor(t).inc(cElisionFailures)
+	if n := l.cfg.MaxElisionFailures; n > 1 {
+		l.readOnlyImpl(t, fn, n-1, false)
+	} else {
+		l.readFallback(t, fn, v)
+	}
+}
+
 // readFallback is Figure 7's solero_slow_enter arm: after the last failed
 // speculation (snapshot v), run the section holding the lock. It lives
 // outside the retry loop because a defer inside a loop keeps the compiler
@@ -140,12 +152,42 @@ func (l *Lock) readFallback(t *jthread.Thread, fn func(), v uint64) {
 }
 
 // ReadOnlyValue runs fn as a read-only critical section of l and returns
-// its result; a convenience wrapper over (*Lock).ReadOnly for lookup-style
-// sections. fn may run more than once; only the final (consistent)
-// execution's result is returned.
-func ReadOnlyValue[T any](l *Lock, t *jthread.Thread, fn func() T) T {
-	var out T
-	l.ReadOnly(t, func() { out = fn() })
+// its result, for lookup-style sections. fn may run more than once; only
+// the final (consistent) execution's result is returned.
+//
+// Its hook-free first attempt is its own speculative frame, so a
+// successful lookup runs ReadOnlyValue → fn: no closure wrapper, no
+// (*Lock).ReadOnly or runSpeculative level. A fault in that attempt is
+// classified and the section retried from the deferred handler, after its
+// recover; every other case takes ReadOnly's paths.
+func ReadOnlyValue[T any](l *Lock, t *jthread.Thread, fn func() T) (out T) {
+	v := l.word.Load()
+	if !l.hookFree || !lockword.SoleroFree(v) {
+		l.ReadOnly(t, func() { out = fn() })
+		return out
+	}
+	t.PushSpec(&l.word, v)
+	ran := false
+	defer func() {
+		if ran {
+			return
+		}
+		t.PopSpec()
+		r := recover()
+		if r == nil {
+			return // runtime.Goexit: let it unwind
+		}
+		l.specFault(t, v, r)
+		l.readRetry(t, func() { out = fn() }, v)
+	}()
+	out = fn()
+	ran = true
+	t.PopSpec()
+	if l.word.Load() == v || l.slowReadExit(t, v) {
+		l.st.bump(t, cElisionSuccesses)
+		return out
+	}
+	l.readRetry(t, func() { out = fn() }, v)
 	return out
 }
 
@@ -161,60 +203,50 @@ func (l *Lock) runHolding(t *jthread.Thread, fn func()) {
 	fn()
 }
 
-// runSpeculativeLean runs fn speculatively with none of the §3.3 recovery
-// machinery: no speculative frame (asynchronous checkpoints cannot abort
-// it) and no panic handler. Sound only for sections the static analysis
-// proved recovery-free — unable to fault (no indexing, division, calls, or
-// deeper-than-one-hop dereferences) and unable to loop (an inconsistent
-// snapshot cannot spin without a checkpoint to break it). For those the
-// word-unchanged validation in readOnlyImpl is the entire protocol.
-func (l *Lock) runSpeculativeLean(t *jthread.Thread, fn func()) bool {
-	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
-	fn()
-	return true
-}
-
 // runSpeculative runs fn with the speculative-read recovery machinery of
 // §3.3 armed: a speculative frame for asynchronous checkpoint validation,
-// and a catch-all handler that classifies any fault as inconsistent
-// (suppress and retry) or genuine (rethrow) by re-validating the lock word.
-// It returns ok == false when the section must be retried; async
-// distinguishes an asynchronous checkpoint abort from a word-change fault
-// (the abort-taxonomy split the failure arm records). Charges the ReadEnter
-// fence — on a real weak machine the entry fence is what makes the
-// validation sound, see internal/memmodel.
+// and a catch-all handler that classifies any fault (specFault). It returns
+// ok == false when the section must be retried; async distinguishes an
+// asynchronous checkpoint abort from a word-change fault (the
+// abort-taxonomy split the failure arm records). The handler calls
+// recover only when fn did not return: ok, set by the return statement,
+// is the flag.
 func (l *Lock) runSpeculative(t *jthread.Thread, v uint64, fn func()) (ok, async bool) {
-	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
 	t.PushSpec(&l.word, v)
 	defer func() {
 		t.PopSpec()
-		r := recover()
-		if r == nil {
-			return
+		if !ok {
+			async = l.specFault(t, v, recover())
 		}
-		if ire, isIRE := r.(*jthread.InconsistentReadError); isIRE {
-			if ire.Word == &l.word {
-				// An asynchronous checkpoint aborted our
-				// speculation: retry.
-				l.st.stripeFor(t).inc(cAsyncAborts)
-				async = true
-				return
-			}
-			// An enclosing section's speculation is stale; let its
-			// handler deal with it.
-			panic(r)
-		}
-		// A fault escaped fn — the analogue of a runtime exception
-		// escaping the synchronized block. If the lock word changed,
-		// the reads may have been inconsistent and the fault is
-		// suppressed; otherwise it is genuine.
-		if l.word.Load() != v {
-			l.st.stripeFor(t).inc(cSuppressedFaults)
-			return
-		}
-		l.st.stripeFor(t).inc(cGenuineFaults)
-		panic(r)
 	}()
 	fn()
 	return true, false
+}
+
+// specFault classifies r, the value recovered from a speculative execution
+// on snapshot v that did not return, and reports whether it was an
+// asynchronous checkpoint abort of this lock's speculation. An abort, or a
+// fault raised while the word has changed (the reads may have been
+// inconsistent: suppressed), means retry. A fault raised while the word is
+// unchanged is genuine — the analogue of a runtime exception escaping the
+// synchronized block — and an abort aimed at an enclosing section belongs
+// to that section's handler: both are rethrown. A nil r (runtime.Goexit)
+// is left to unwind.
+func (l *Lock) specFault(t *jthread.Thread, v uint64, r any) (async bool) {
+	if r == nil {
+		return false
+	}
+	if ire, isIRE := r.(*jthread.InconsistentReadError); isIRE {
+		if ire.Word != &l.word {
+			panic(r)
+		}
+		l.st.stripeFor(t).inc(cAsyncAborts)
+		return true
+	}
+	if l.word.Load() != v {
+		l.st.stripeFor(t).inc(cSuppressedFaults)
+		return false
+	}
+	l.st.stripeFor(t).inc(cGenuineFaults)
+	panic(r)
 }

@@ -14,6 +14,32 @@ package core
 // Only the counters a fast path or a speculation's terminal outcome bumps
 // are striped; slow-path events, which already CAS the word or a monitor,
 // count once per lock in a shared block.
+//
+// The two counters every success bumps — cElisionSuccesses on an elided
+// read, cFastAcquires on an uncontended acquire — are single-writer slots,
+// so a hook-free elided read executes no LOCK-prefixed instruction at all.
+// Each stripe names an owner, a thread serial (jthread.Thread.Serial:
+// process-unique, never reused, never zero). The owner bumps its slot with
+// a plain load and store (ownedInc); every other thread adds atomically to
+// the stripe's foreign slot; a Counter's total is owned + foreign. A
+// thread claims an unowned stripe by CAS on the owner word, or takes over a
+// stripe whose owner has detached once jthread.SerialLive, which reads the
+// serial registry under the lock Detach writes it under, says so. That
+// read orders the old owner's Detach — and so every plain store it made —
+// before the new owner's first store, so a slot never has two writers
+// that are not ordered by happens-before.
+//
+// Memory-model argument for reading a slot while its owner writes it: the
+// owned slot is one aligned machine word, and the Go memory model
+// guarantees that a racy read of a word-sized location observes a value
+// some write actually stored — never a torn or invented one. The owner
+// only ever stores its previous value plus one, and each location is
+// coherent on every Go target, so a concurrent Snapshot sees each slot
+// move only forward: totals stay monotone, and once the writers are
+// quiescent (joined, so their stores happen before the read) they are
+// exact. Where a uint64 is wider than a machine word (32-bit targets)
+// ownedInc falls back to an atomic add. Every other striped counter is
+// bumped with an atomic add in the caller's stripe (inc).
 
 import (
 	"sync/atomic"
@@ -61,6 +87,10 @@ const (
 
 	numStriped = cSlowAcquires
 	numShared  = numCounters - numStriped
+
+	// numOwned counts the single-writer counters, the first striped ids:
+	// each stripe keeps a foreign slot for each of them (see bump).
+	numOwned = cElisionSuccesses + 1
 )
 
 // counterKeys names each counter in Snapshot's key space (unchanged from
@@ -92,15 +122,18 @@ var counterKeys = [numCounters]string{
 // stripePad rounds statStripe up to the false-sharing range so stripes
 // written by different threads never share a line.
 const (
-	stripeRawBytes = 8*int(numStriped) + 8 // counters + adaptive window pair
+	stripeRawBytes = 8*int(numStriped) + 8 + 8 + 8*int(numOwned) // counters, adaptive pair, owner, foreign
 	stripePad      = (stats.FalseSharingRange - stripeRawBytes%stats.FalseSharingRange) % stats.FalseSharingRange
 )
 
 // statStripe is one thread-stripe's counter block. The adaptive-elision
 // window bookkeeping (see adaptive.go) rides in the same stripe: it is
 // written on every speculative execution, so it must be just as private to
-// the stripe as the event counters.
+// the stripe as the event counters. The stripe holds no Go pointer, so a
+// lock's stripe block is a no-scan allocation.
 type statStripe struct {
+	// c[id] for id < numOwned is written by the stripe's owner alone (see
+	// bump); the other slots take atomic adds from any thread.
 	c [numStriped]atomic.Uint64
 
 	// adAttempts/adFailures are this stripe's slice of the adaptive
@@ -108,11 +141,47 @@ type statStripe struct {
 	adAttempts atomic.Uint32
 	adFailures atomic.Uint32
 
+	// owner is the serial of the thread that owns c[:numOwned] (0: none).
+	owner atomic.Uint64
+	// foreign[id] takes the bumps of counter id < numOwned from threads
+	// that do not own the stripe, and external Counter.Add.
+	foreign [numOwned]atomic.Uint64
+
 	_ [stripePad]byte
 }
 
-// inc bumps one striped counter in this stripe.
-func (sp *statStripe) inc(id counterID) { sp.c[id].Add(1) }
+// inc bumps one striped counter in this stripe with an atomic add; a
+// single-writer counter goes to the foreign slot, so inc is safe from any
+// thread (bump is the owner's locked-instruction-free path).
+func (sp *statStripe) inc(id counterID) {
+	if id < numOwned {
+		sp.foreign[id].Add(1)
+		return
+	}
+	sp.c[id].Add(1)
+}
+
+// ownedInc increments a single-writer slot with a plain load and store: no
+// LOCK prefix. Only the slot's one writer may call it. It is not
+// race-instrumented: the detector cannot see the ownership protocol that
+// orders successive writers, and readers load the slot atomically. On
+// targets whose machine word is narrower than a uint64 it falls back to an
+// atomic add, since a plain store there could be observed torn.
+//
+//go:norace
+func ownedInc(p *atomic.Uint64) {
+	if unsafe.Sizeof(uintptr(0)) < unsafe.Sizeof(uint64(0)) {
+		p.Add(1)
+		return
+	}
+	*(*uint64)(unsafe.Pointer(p))++
+}
+
+// takeoverPace is the mask of jthread.Thread.TakeoverTick: a thread bumping
+// another thread's stripe checks whether that owner has detached on its
+// first foreign bump and every 64th after, so the registry lock SerialLive
+// takes stays off the foreign path.
+const takeoverPace = 63
 
 // attemptOutcomes are the terminal outcomes of a speculative execution:
 // each one ends in exactly one of them, so ElisionAttempts is their sum
@@ -121,15 +190,24 @@ var attemptOutcomes = [...]counterID{
 	cElisionSuccesses, cElisionFailures, cGenuineFaults, cUpgrades, cUpgradeFailures,
 }
 
+// slot reads one striped counter of this stripe: its slot, plus the
+// foreign slot of a single-writer counter.
+func (sp *statStripe) slot(id counterID) uint64 {
+	if id < numOwned {
+		return sp.c[id].Load() + sp.foreign[id].Load()
+	}
+	return sp.c[id].Load()
+}
+
 // load reads one counter of this stripe: a striped slot, or for
 // cElisionAttempts the stripe's terminal outcomes.
 func (sp *statStripe) load(id counterID) uint64 {
 	if id != cElisionAttempts {
-		return sp.c[id].Load()
+		return sp.slot(id)
 	}
 	var n uint64
 	for _, o := range attemptOutcomes {
-		n += sp.c[o].Load()
+		n += sp.slot(o)
 	}
 	return n
 }
@@ -189,14 +267,18 @@ type Counter struct {
 func (c Counter) Load() uint64 { return c.s.load(c.id) }
 
 // Add adds n to the counter — for external accounting that has no thread
-// at hand: a striped counter takes it on the first stripe. Hot paths
-// inside the package increment the calling thread's stripe instead.
+// at hand: a striped counter takes it on the first stripe (a single-writer
+// counter in that stripe's foreign slot, which any thread may add to). Hot
+// paths inside the package increment the calling thread's stripe instead.
 func (c Counter) Add(n uint64) {
-	if c.id >= numStriped {
+	switch {
+	case c.id >= numStriped:
 		c.s.shared[c.id-numStriped].Add(n)
-		return
+	case c.id < numOwned:
+		c.s.stripes[0].foreign[c.id].Add(n)
+	default:
+		c.s.stripes[0].c[c.id].Add(n)
 	}
-	c.s.stripes[0].c[c.id].Add(n)
 }
 
 // init sets up s in place with nstripes stripes (a power of two). The
@@ -223,6 +305,30 @@ func (s *Stats) init(nstripes int) {
 // stripeFor returns the calling thread's stripe.
 func (s *Stats) stripeFor(t *jthread.Thread) *statStripe {
 	return &s.stripes[t.StripeIndex()&s.mask]
+}
+
+// bump increments single-writer counter id (< numOwned) for t. The
+// stripe's owner increments its slot with no locked instruction; anyone
+// else claims an unowned stripe or one whose owner detached, or else adds
+// to the foreign slot (see the package comment).
+func (s *Stats) bump(t *jthread.Thread, id counterID) {
+	sp := s.stripeFor(t)
+	if sp.owner.Load() == t.Serial() {
+		ownedInc(&sp.c[id])
+		return
+	}
+	sp.bumpSlow(t, id)
+}
+
+// bumpSlow is bump for a thread that does not own its stripe.
+func (sp *statStripe) bumpSlow(t *jthread.Thread, id counterID) {
+	o := sp.owner.Load()
+	if (o == 0 || t.TakeoverTick(takeoverPace) && !jthread.SerialLive(o)) &&
+		sp.owner.CompareAndSwap(o, t.Serial()) {
+		ownedInc(&sp.c[id])
+		return
+	}
+	sp.foreign[id].Add(1)
 }
 
 // FailureRatio returns ElisionFailures / ElisionAttempts as a percentage

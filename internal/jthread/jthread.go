@@ -61,6 +61,8 @@ func (f SpecFrame) Stale() bool { return f.Word.Load() != f.Saved }
 // one whole false-sharing range. Every speculative section writes a frame,
 // so two threads' stacks must not share a line: a smaller array, grown on
 // first use, lands next to another thread's in the same size class.
+// Nesting deeper than frameStackCap sections is allowed: PushSpec grows the
+// stack with one allocation, which the thread keeps.
 const frameStackCap = stats.FalseSharingRange / int(unsafe.Sizeof(SpecFrame{}))
 
 // Thread is a VM-attached thread. All lock operations take the current
@@ -77,6 +79,11 @@ type Thread struct {
 	// round-robin across any power-of-two stripe count (internal/core
 	// masks it down to the lock's stripe array).
 	stripe uint32
+	// takeoverTick paces TakeoverTick. Plain by the single-goroutine
+	// contract.
+	takeoverTick uint32
+	// serial is the thread's process-unique serial (see Serial).
+	serial uint64
 
 	asyncPending atomic.Bool
 	frames       []SpecFrame
@@ -125,6 +132,24 @@ func (t *Thread) ID() uint64 { return t.id }
 func (t *Thread) SampleTick(mask uint32) bool {
 	t.sampleTick++
 	return t.sampleTick&mask == 0
+}
+
+// Serial returns the thread's process-unique serial: unlike ID, which each
+// VM numbers from 1, no two threads of any VM in the process ever share a
+// serial, and a serial is never reused after Detach. It is never zero. A
+// lock runtime can therefore name a thread in a plain word — the owner of a
+// single-writer counter slot — without holding a pointer to it.
+func (t *Thread) Serial() uint64 { return t.serial }
+
+// TakeoverTick advances the thread-local counter that paces a lock
+// runtime's checks for slots abandoned by detached threads (SerialLive
+// takes a process-wide lock), and reports whether this call is selected:
+// the first call and every (mask+1)'th after it. Free of atomics and
+// shared state, like SampleTick.
+func (t *Thread) TakeoverTick(mask uint32) bool {
+	n := t.takeoverTick
+	t.takeoverTick++
+	return n&mask == 0
 }
 
 // StripeIndex returns the thread's precomputed stripe index, used by
@@ -234,6 +259,29 @@ func (t *Thread) Detach() {
 	}
 	t.detached = true
 	t.vm.detach(t)
+	serials.mu.Lock()
+	delete(serials.live, t.serial)
+	serials.mu.Unlock()
+}
+
+// serials is the process-wide serial registry: the next serial to hand
+// out and the set of attached ones.
+var serials = struct {
+	mu   sync.Mutex
+	next uint64
+	live map[uint64]struct{}
+}{next: 1, live: make(map[uint64]struct{})}
+
+// SerialLive reports whether the thread with the given serial is still
+// attached. It reads the registry under the lock Detach updates it under,
+// so a false result happens after that thread's Detach — and therefore
+// after every write the thread made before detaching. A lock runtime may
+// take over a single-writer slot the thread owned on that basis.
+func SerialLive(serial uint64) bool {
+	serials.mu.Lock()
+	_, ok := serials.live[serial]
+	serials.mu.Unlock()
+	return ok
 }
 
 // VM is the virtual-machine context: a thread registry plus the periodic
@@ -265,6 +313,11 @@ func (vm *VM) Attach(name string) *Thread {
 	}
 	vm.nextID++
 	vm.threads[t.id] = t
+	serials.mu.Lock()
+	t.serial = serials.next
+	serials.next++
+	serials.live[t.serial] = struct{}{}
+	serials.mu.Unlock()
 	return t
 }
 

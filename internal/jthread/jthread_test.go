@@ -251,3 +251,60 @@ func TestFrameStacksOnDisjointLines(t *testing.T) {
 		t.Fatalf("frame stacks share a %d-byte range: [%#x,%#x) and [%#x,%#x)", r, aLo, aHi, bLo, bHi)
 	}
 }
+
+// TestSerialsUniqueAcrossVMs: ids restart at 1 in every VM, serials never
+// repeat in the process — not across VMs, and not after a Detach — and
+// are never zero.
+func TestSerialsUniqueAcrossVMs(t *testing.T) {
+	seen := make(map[uint64]bool)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for v := 0; v < 4; v++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vm := NewVM()
+			for i := 0; i < 50; i++ {
+				th := vm.Attach("t")
+				if i%2 == 0 {
+					th.Detach()
+				}
+				mu.Lock()
+				if th.Serial() == 0 || seen[th.Serial()] {
+					t.Errorf("serial %d is zero or reused", th.Serial())
+				}
+				seen[th.Serial()] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestSerialLiveUntilDetach: a serial is live from Attach to Detach.
+func TestSerialLiveUntilDetach(t *testing.T) {
+	th := NewVM().Attach("t")
+	if !SerialLive(th.Serial()) {
+		t.Fatal("an attached thread's serial is not live")
+	}
+	th.Detach()
+	if SerialLive(th.Serial()) {
+		t.Fatal("a detached thread's serial is still live")
+	}
+	if SerialLive(0) {
+		t.Fatal("serial 0 (no thread) is live")
+	}
+}
+
+func TestTakeoverTickSelectsFirstAndEveryPeriod(t *testing.T) {
+	th := NewVM().Attach("t")
+	var got []int
+	for i := 0; i < 20; i++ {
+		if th.TakeoverTick(7) {
+			got = append(got, i)
+		}
+	}
+	if len(got) != 3 || got[0] != 0 || got[1] != 8 || got[2] != 16 {
+		t.Fatalf("mask 7 selected calls %v, want [0 8 16]", got)
+	}
+}
