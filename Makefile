@@ -9,6 +9,8 @@
 #   make allocfree - one pass of the alloc-free benchmarks: each fails if
 #                    an elided read entry allocates
 #   make check     - tier-1 gate: build + vet + test
+#   make benchtest - the end-to-end benchmark module's own tests (oracle,
+#                    watchdog, compare), short mode
 #   make lint      - solerovet speculation-safety analyzers over the module
 #   make lintcatch - inverted lint: seeded violations MUST be reported
 #   make factsmoke - proof-carrying pipeline: solerovet -facts feeds
@@ -39,7 +41,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench allocfree check lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
+.PHONY: build vet test race bench allocfree check benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
 
 build:
 	$(GO) build ./...
@@ -66,6 +68,10 @@ allocfree:
 	$(GO) test -run '^$$' -bench 'BenchmarkReadOnlyAllocFree' -benchtime 1x .
 
 check: build vet test
+
+# bench/ is its own module, so `go test ./...` at the root never reaches it.
+benchtest:
+	$(GO) test -C bench -short ./...
 
 # The whole module must be clean: critical-section closures proven
 # speculation-safe, ReadMostly stores dominated by BeforeWrite, elided

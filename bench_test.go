@@ -976,28 +976,43 @@ func BenchmarkReadOnlyAllocFree(b *testing.B) {
 }
 
 // BenchmarkReadOnlyAllocFreeMetrics repeats the allocation proof with the
-// metrics registry wired in and sampling forced to every section via the
-// config-level MetricsSamplePeriod (the `lockstats -sample-period 1`
+// metrics registry wired in. Period1 forces sampling to every section via
+// the config-level MetricsSamplePeriod (the `lockstats -sample-period 1`
 // route) — the worst case where each read pushes the EndCS defer and
-// records into the cs_duration histogram. Still zero heap allocations.
+// records into the cs_duration histogram. The default-period cases are the
+// metered hook-free attempt: 63 of 64 sections tick the sampler and
+// speculate as if no registry were wired, ReadOnlyValue (through
+// solero.ReadOnly) in its own frame. All stay at zero heap allocations.
 func BenchmarkReadOnlyAllocFreeMetrics(b *testing.B) {
 	vm := jthread.NewVM()
 	th := vm.Attach("bench")
 	defer th.Detach()
-	reg := metrics.New(0)
-	cfg := *core.DefaultConfig
-	cfg.Metrics = reg
-	cfg.MetricsSamplePeriod = 1
-	l := core.New(&cfg)
 	fn := func() {}
-	l.ReadOnly(th, fn)
-	if allocs := testing.AllocsPerRun(1000, func() { l.ReadOnly(th, fn) }); allocs != 0 {
-		b.Fatalf("metrics-on elided read path allocates: %v allocs/run", allocs)
-	}
-	b.ReportMetric(0, "allocs/run")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.ReadOnly(th, fn)
+	valFn := func() uint64 { return 1 }
+	for _, bc := range []struct {
+		name   string
+		period int // 0 keeps the registry's default
+		op     func(l *core.Lock)
+	}{
+		{"Period1/ReadOnly", 1, func(l *core.Lock) { l.ReadOnly(th, fn) }},
+		{"DefaultPeriod/ReadOnly", 0, func(l *core.Lock) { l.ReadOnly(th, fn) }},
+		{"DefaultPeriod/ReadOnlyValue", 0, func(l *core.Lock) { benchSink.Store(solero.ReadOnly(l, th, valFn)) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := *core.DefaultConfig
+			cfg.Metrics = metrics.New(0)
+			cfg.MetricsSamplePeriod = bc.period
+			l := core.New(&cfg)
+			bc.op(l)
+			if allocs := testing.AllocsPerRun(1000, func() { bc.op(l) }); allocs != 0 {
+				b.Fatalf("metrics-on %s allocates: %v allocs/run", bc.name, allocs)
+			}
+			b.ReportMetric(0, "allocs/run")
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.op(l)
+			}
+		})
 	}
 }
 
@@ -1018,6 +1033,27 @@ func BenchmarkMicroLocks(b *testing.B) {
 	})
 	b.Run("SoleroReadOnlyValue", func(b *testing.B) {
 		l := core.New(nil)
+		var sum uint64
+		for i := 0; i < b.N; i++ {
+			sum += solero.ReadOnly(l, th, func() uint64 { return 1 })
+		}
+		benchSink.Store(sum)
+	})
+	// The metered rows wire a registry at the default sample period; set
+	// beside their metrics-off rows above they give the metrics budget.
+	metered := func() *core.Lock {
+		cfg := *core.DefaultConfig
+		cfg.Metrics = metrics.New(0)
+		return core.New(&cfg)
+	}
+	b.Run("SoleroReadOnlyMetrics", func(b *testing.B) {
+		l := metered()
+		for i := 0; i < b.N; i++ {
+			l.ReadOnly(th, func() {})
+		}
+	})
+	b.Run("SoleroReadOnlyValueMetrics", func(b *testing.B) {
+		l := metered()
 		var sum uint64
 		for i := 0; i < b.N; i++ {
 			sum += solero.ReadOnly(l, th, func() uint64 { return 1 })

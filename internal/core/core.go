@@ -57,9 +57,11 @@ const (
 // Config tunes the SOLERO protocol. Use DefaultConfig as a starting point;
 // a nil Config given to New means DefaultConfig. Set every field before
 // passing the Config to New: a lock fixes some choices at New — its stripe
-// count, the metrics sample period, and whether its read sections may take
-// the hook-free first attempt, which needs Model, Tracer, Metrics, Sched
-// and History nil and Adaptive and DisableElision off.
+// count, the metrics sample period, whether its read sections sample
+// (Metrics non-nil), and whether they may take the hook-free first attempt,
+// which needs Model, Tracer, Sched and History nil and Adaptive and
+// DisableElision off. Metrics does not disqualify it: an unsampled section
+// of a metered lock takes the same attempt.
 type Config struct {
 	// Tier1/Tier2/Tier3 parameterize the three-tier contention loops
 	// (innermost backoff spins, acquisition attempts per round, yield
@@ -105,7 +107,9 @@ type Config struct {
 	// Metrics, when non-nil, feeds the observability registry: latency
 	// histograms for the slow paths, the abort-cause taxonomy, and sampled
 	// critical-section durations (see internal/metrics). Nil costs one
-	// predictable branch per hook and keeps the read fast path write-free.
+	// predictable branch per hook. Either way the read fast path stays
+	// write-free: a read section ticks a thread-local sampler, and one the
+	// sampler did not select runs exactly as with Metrics nil.
 	Metrics *metrics.Registry
 	// MetricsSamplePeriod overrides the success-path cs_duration sampling
 	// period (rounded up to a power of two; 0 keeps the registry's current
@@ -146,11 +150,13 @@ var DefaultConfig = &Config{
 }
 
 // hookFree reports whether ReadOnly may take its hook-free first attempt:
-// no metrics, schedule, history, trace or fence-model hook is wired, and
-// neither adaptive elision nor DisableElision is on. New decides it once
-// per lock (see Config).
+// no schedule, history, trace or fence-model hook is wired, and neither
+// adaptive elision nor DisableElision is on. A metrics registry may be
+// wired: the attempt serves the sections its sampler did not select, and
+// classifies their failures (readRetry). New decides it once per lock (see
+// Config).
 func (c *Config) hookFree() bool {
-	return c.Metrics == nil && c.Sched == nil && c.History == nil && c.Tracer == nil &&
+	return c.Sched == nil && c.History == nil && c.Tracer == nil &&
 		c.Model == nil && !c.Adaptive && !c.DisableElision
 }
 
@@ -208,6 +214,9 @@ type lockHead struct {
 	// hookFree is cfg.hookFree() as of New: an elided read decides on its
 	// hook-free first attempt with one byte of the line it loads anyway.
 	hookFree bool
+	// metered is cfg.Metrics != nil as of New: whether a read section
+	// ticks the CS-duration sampler, decided on the same line.
+	metered bool
 }
 
 // New creates a free lock (counter zero). nil cfg means DefaultConfig.
@@ -218,7 +227,7 @@ func New(cfg *Config) *Lock {
 	if cfg.Metrics != nil && cfg.MetricsSamplePeriod > 0 {
 		cfg.Metrics.SetSamplePeriod(cfg.MetricsSamplePeriod)
 	}
-	l := &Lock{lockHead: lockHead{cfg: cfg, hookFree: cfg.hookFree()}}
+	l := &Lock{lockHead: lockHead{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}}
 	l.st.init(cfg.statsStripeCount())
 	return l
 }

@@ -6,26 +6,44 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/history"
 	"repro/internal/jthread"
+	"repro/internal/memmodel"
+	"repro/internal/metrics"
+	"repro/internal/sched"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // The tests in this file run on locks whose config wires no hook, so
 // ReadOnly takes its hook-free first attempt. The schedule and history
-// oracles always wire Sched or History and never reach that arm.
+// oracles always wire Sched or History and never reach that arm; a metered
+// lock's unsampled sections do (TestHookFreeAbortTaxonomyExactlyOnce).
 
 func TestDefaultConfigIsHookFree(t *testing.T) {
-	if !New(nil).hookFree {
-		t.Fatal("the nil config must take ReadOnly's hook-free first attempt")
+	if l := New(nil); !l.hookFree || l.metered {
+		t.Fatal("the nil config must take ReadOnly's hook-free first attempt, unmetered")
 	}
-	for name, mut := range map[string]func(*Config){
-		"adaptive":       func(c *Config) { c.Adaptive = true },
-		"disableElision": func(c *Config) { c.DisableElision = true },
+	for _, tc := range []struct {
+		name              string
+		mut               func(*Config)
+		hookFree, metered bool
+	}{
+		// A metrics registry keeps the attempt: only sampled sections
+		// leave it.
+		{"metrics", func(c *Config) { c.Metrics = metrics.New(1) }, true, true},
+		{"adaptive", func(c *Config) { c.Adaptive = true }, false, false},
+		{"disableElision", func(c *Config) { c.DisableElision = true }, false, false},
+		{"sched", func(c *Config) { c.Sched = sched.NewScheduler(&phasedStrategy{}, 0).Hooks() }, false, false},
+		{"history", func(c *Config) { c.History = history.New() }, false, false},
+		{"tracer", func(c *Config) { c.Tracer = trace.New(16) }, false, false},
+		{"model", func(c *Config) { c.Model = memmodel.TSO }, false, false},
 	} {
 		cfg := *DefaultConfig
-		mut(&cfg)
-		if New(&cfg).hookFree {
-			t.Errorf("%s config must not take the hook-free first attempt", name)
+		tc.mut(&cfg)
+		l := New(&cfg)
+		if l.hookFree != tc.hookFree || l.metered != tc.metered {
+			t.Errorf("%s config: hookFree %v, metered %v; want %v, %v", tc.name, l.hookFree, l.metered, tc.hookFree, tc.metered)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -302,26 +304,128 @@ func TestDwellHistogramsPopulate(t *testing.T) {
 	}
 }
 
-// TestCSDurationSampling checks the success-path sampler: with the period
-// forced to 1 every read-only section contributes one duration sample, and
-// the abort taxonomy stays empty on uncontended success.
+// TestCSDurationSampling checks the success-path sampler on both hook-free
+// entries: with the period forced to 1 every read-only section contributes
+// one duration sample, with period 4 exactly every fourth does — so a
+// section ticks the sampler once, whichever arm it then takes — and the
+// abort taxonomy stays empty on uncontended success.
 func TestCSDurationSampling(t *testing.T) {
-	vm := jthread.NewVM()
-	th := vm.Attach("t")
-	reg := metrics.New(2)
-	reg.SetSamplePeriod(1)
-	l := New(&Config{
-		Tier1: 8, Tier2: 4, Tier3: 2,
-		FLCTimeout:         200 * time.Microsecond,
-		MaxElisionFailures: 1,
-		Metrics:            reg,
-	})
-	const n = 100
-	for i := 0; i < n; i++ {
-		l.ReadOnly(th, func() {})
+	for _, period := range []int{1, 4} {
+		for _, entry := range hookFreeEntries {
+			t.Run(fmt.Sprintf("period%d/%s", period, entry.name), func(t *testing.T) {
+				th := newT(t, 1)[0]
+				reg := metrics.New(2)
+				reg.SetSamplePeriod(period)
+				l := New(&Config{
+					Tier1: 8, Tier2: 4, Tier3: 2,
+					FLCTimeout:         200 * time.Microsecond,
+					MaxElisionFailures: 1,
+					Metrics:            reg,
+				})
+				const n = 100
+				for i := 0; i < n; i++ {
+					entry.run(l, th, func() int { return i })
+				}
+				if s := reg.CSDuration.Snapshot(); s.Count != uint64(n/period) {
+					t.Fatalf("cs duration samples = %d, want %d", s.Count, n/period)
+				}
+				if s := l.Stats().ElisionSuccesses.Load(); s != n {
+					t.Fatalf("elision successes = %d, want %d", s, n)
+				}
+				assertAbortCounts(t, reg, map[metrics.AbortCause]uint64{})
+			})
+		}
 	}
-	if s := reg.CSDuration.Snapshot(); s.Count != n {
-		t.Fatalf("cs duration samples = %d, want %d", s.Count, n)
+}
+
+// TestHookFreeAbortTaxonomyExactlyOnce fails the hook-free first attempt of
+// a metered lock each way it can fail. No Sched is wired (every schedule-
+// driven TestAbort*ExactlyOnce above wires one, so none reaches this arm),
+// and the thread's first section is never sampled, so the failure is
+// classified by readRetry: exactly one abort of the expected cause, and the
+// taxonomy total equal to ElisionFailures.
+func TestHookFreeAbortTaxonomyExactlyOnce(t *testing.T) {
+	cases := []struct {
+		name string
+		// body is the failing first execution; a goroutine it starts
+		// joins wg.
+		body  func(l *Lock, th, w *jthread.Thread, wg *sync.WaitGroup)
+		cause metrics.AbortCause
+	}{
+		{
+			// A whole writing section runs inside the speculation.
+			name:  "writer-raced",
+			body:  func(l *Lock, th, w *jthread.Thread, _ *sync.WaitGroup) { l.Sync(w, func() {}) },
+			cause: metrics.AbortWriterRaced,
+		},
+		{
+			// The writer still holds the lock at validation; it releases
+			// only once the reader has fallen back, after classification.
+			name: "lock-bit-set",
+			body: func(l *Lock, th, w *jthread.Thread, wg *sync.WaitGroup) {
+				l.Lock(w)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for l.Stats().Fallbacks.Load() == 0 {
+						runtime.Gosched()
+					}
+					l.Unlock(w)
+				}()
+			},
+			cause: metrics.AbortLockBitSet,
+		},
+		{
+			// A checkpoint validates the stale frame and unwinds.
+			name: "async",
+			body: func(l *Lock, th, w *jthread.Thread, _ *sync.WaitGroup) {
+				l.Sync(w, func() {})
+				th.Poke()
+				th.Checkpoint()
+			},
+			cause: metrics.AbortAsync,
+		},
 	}
-	assertAbortCounts(t, reg, map[metrics.AbortCause]uint64{})
+	for _, tc := range cases {
+		for _, entry := range hookFreeEntries {
+			t.Run(tc.name+"/"+entry.name, func(t *testing.T) {
+				ths := newT(t, 2)
+				th, w := ths[0], ths[1]
+				reg := metrics.New(2)
+				l := New(&Config{
+					Tier1: 8, Tier2: 4, Tier3: 2,
+					FLCTimeout:         200 * time.Microsecond,
+					MaxElisionFailures: 1,
+					Metrics:            reg,
+				})
+				if !l.hookFree || !l.metered {
+					t.Fatal("test config must be hook-free and metered")
+				}
+				runs := 0
+				var wg sync.WaitGroup
+				entry.run(l, th, func() int {
+					runs++
+					if runs == 1 {
+						tc.body(l, th, w, &wg)
+					}
+					return runs
+				})
+				wg.Wait()
+				if runs != 2 {
+					t.Fatalf("section ran %d times, want 2 (one failed attempt, one fallback)", runs)
+				}
+				if s := reg.CSDuration.Snapshot(); s.Count != 0 {
+					t.Fatalf("the section was sampled (%d cs samples); it must take the hook-free attempt", s.Count)
+				}
+				assertAbortCounts(t, reg, map[metrics.AbortCause]uint64{tc.cause: 1})
+				var total uint64
+				for c := metrics.AbortCause(0); c < metrics.NumAbortCauses; c++ {
+					total += reg.AbortCount(c)
+				}
+				if f := l.Stats().ElisionFailures.Load(); total != f {
+					t.Fatalf("taxonomy total %d != elision failures %d", total, f)
+				}
+			})
+		}
+	}
 }

@@ -2,11 +2,15 @@ package core
 
 // Metrics hooks. The registry (internal/metrics) rides the protocol's slow
 // paths only: abort classification happens where a speculation has already
-// failed, dwell timers wrap code that is already spinning, yielding, or
+// failed (the elision loop, or readRetry after a failed hook-free first
+// attempt), dwell timers wrap code that is already spinning, yielding, or
 // parking, and the sole fast-path touch — the critical-section duration
-// sampling gate in ReadOnly/ReadMostly — is a per-stripe counter behind a
-// nil check, so a production config (Metrics == nil) pays one predictable
-// branch and the write-free read fast path stays write-free.
+// sampling gate in ReadOnly/ReadMostly — is a thread-local counter behind
+// a byte test (ReadOnly) or nil check (ReadMostly). A production config
+// (Metrics == nil) pays one predictable branch; a metered lock's read
+// section ticks the counter once, and unless it is selected it takes the
+// same hook-free first attempt as an unmetered lock, so the read fast path
+// stays write-free either way.
 
 import (
 	"runtime"

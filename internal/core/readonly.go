@@ -27,30 +27,46 @@ import (
 // After MaxElisionFailures failed speculations, the section falls back to
 // real lock acquisition, which bounds starvation.
 func (l *Lock) ReadOnly(t *jthread.Thread, fn func()) {
+	// Sampled CS-duration timing, decided once per section: a metered
+	// lock ticks a thread-local counter, and only the selected 1/period
+	// sections leave for the timed path. The rest stay write-free and,
+	// on a hook-free lock, take the hook-free first attempt.
+	if l.metered && t.SampleTick(l.cfg.Metrics.CSSampleMask()) {
+		l.readTimed(t, fn)
+		return
+	}
 	if l.hookFree {
 		if v := l.word.Load(); lockword.SoleroFree(v) {
-			// Hook-free first attempt: with every hook nil and adaptive
+			// Hook-free first attempt: with no hook wired (a registry
+			// aside, which this section did not sample for) and adaptive
 			// elision off, the success path is the paper's fast path —
 			// load, speculate, reload — plus one owned stripe increment.
-			if ok, _ := l.runSpeculative(t, v, fn); ok && (l.word.Load() == v || l.slowReadExit(t, v)) {
+			ok, async := l.runSpeculative(t, v, fn)
+			if ok && (l.word.Load() == v || l.slowReadExit(t, v)) {
 				l.st.bump(t, cElisionSuccesses)
 				return
 			}
-			l.readRetry(t, fn, v)
+			l.readRetry(t, fn, v, async)
 			return
 		}
 	}
-	// Sampled CS-duration timing: the gate is one predicted branch (nil
-	// registry) or a thread-local counter test, so the metrics-on fast
-	// path stays write-free; only the selected 1/period executions pay
-	// for a timestamp and a striped histogram record.
-	if m := l.cfg.Metrics; m != nil && t.SampleTick(m.CSSampleMask()) {
-		start := time.Now()
-		defer m.EndCS(t.StripeIndex(), start)
-	}
+	l.readUntimed(t, fn)
+}
+
+// readTimed runs a section the CS-duration sampler selected: the elision
+// loop, timed, with its duration recorded in the registry.
+func (l *Lock) readTimed(t *jthread.Thread, fn func()) {
+	m := l.cfg.Metrics
+	start := time.Now()
+	defer m.EndCS(t.StripeIndex(), start)
+	l.readUntimed(t, fn)
+}
+
+// readUntimed runs a section through the elision loop, or, under
+// Unelided-SOLERO (Figure 10) or an adaptive backoff window, through the
+// full writing protocol.
+func (l *Lock) readUntimed(t *jthread.Thread, fn func()) {
 	if l.cfg.DisableElision || l.adaptiveSkip() {
-		// Unelided-SOLERO (Figure 10), or an adaptive backoff window:
-		// the read section pays the full writing protocol.
 		l.Sync(t, fn)
 		return
 	}
@@ -127,11 +143,13 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 }
 
 // readRetry takes a section whose hook-free first attempt on snapshot v
-// failed: it counts the failure and hands the section to the elision loop
-// with that failure spent, or straight to the fallback when it was the
-// last one allowed.
-func (l *Lock) readRetry(t *jthread.Thread, fn func(), v uint64) {
+// failed: it counts and classifies the failure (async as runSpeculative or
+// specFault reported it) and hands the section to the elision loop with
+// that failure spent, or straight to the fallback when it was the last one
+// allowed.
+func (l *Lock) readRetry(t *jthread.Thread, fn func(), v uint64, async bool) {
 	l.st.stripeFor(t).inc(cElisionFailures)
+	l.recordAbort(t, async)
 	if n := l.cfg.MaxElisionFailures; n > 1 {
 		l.readOnlyImpl(t, fn, n-1, false)
 	} else {
@@ -155,15 +173,20 @@ func (l *Lock) readFallback(t *jthread.Thread, fn func(), v uint64) {
 // its result, for lookup-style sections. fn may run more than once; only
 // the final (consistent) execution's result is returned.
 //
-// Its hook-free first attempt is its own speculative frame, so a
-// successful lookup runs ReadOnlyValue → fn: no closure wrapper, no
-// (*Lock).ReadOnly or runSpeculative level. A fault in that attempt is
-// classified and the section retried from the deferred handler, after its
-// recover; every other case takes ReadOnly's paths.
+// It samples like ReadOnly. Its hook-free first attempt is its own
+// speculative frame, so an unsampled successful lookup runs ReadOnlyValue
+// → fn: no closure wrapper, no (*Lock).ReadOnly or runSpeculative level.
+// A fault in that attempt is classified and the section retried from the
+// deferred handler, after its recover; every other case takes ReadOnly's
+// paths.
 func ReadOnlyValue[T any](l *Lock, t *jthread.Thread, fn func() T) (out T) {
+	if l.metered && t.SampleTick(l.cfg.Metrics.CSSampleMask()) {
+		l.readTimed(t, func() { out = fn() })
+		return out
+	}
 	v := l.word.Load()
 	if !l.hookFree || !lockword.SoleroFree(v) {
-		l.ReadOnly(t, func() { out = fn() })
+		l.readUntimed(t, func() { out = fn() })
 		return out
 	}
 	t.PushSpec(&l.word, v)
@@ -177,8 +200,8 @@ func ReadOnlyValue[T any](l *Lock, t *jthread.Thread, fn func() T) (out T) {
 		if r == nil {
 			return // runtime.Goexit: let it unwind
 		}
-		l.specFault(t, v, r)
-		l.readRetry(t, func() { out = fn() }, v)
+		async := l.specFault(t, v, r)
+		l.readRetry(t, func() { out = fn() }, v, async)
 	}()
 	out = fn()
 	ran = true
@@ -187,7 +210,7 @@ func ReadOnlyValue[T any](l *Lock, t *jthread.Thread, fn func() T) (out T) {
 		l.st.bump(t, cElisionSuccesses)
 		return out
 	}
-	l.readRetry(t, func() { out = fn() }, v)
+	l.readRetry(t, func() { out = fn() }, v, false)
 	return out
 }
 
