@@ -9,6 +9,9 @@
 #   make allocfree - one pass of the alloc-free benchmarks: each fails if
 #                    an elided read entry allocates
 #   make check     - tier-1 gate: build + vet + test
+#   make nofencemodel - the locks, backend SPI, workloads and solero API
+#                    must not depend on internal/memmodel: fences are
+#                    charged only in the coherence simulator
 #   make benchtest - the end-to-end benchmark module's own tests (oracle,
 #                    watchdog, compare), short mode
 #   make lint      - solerovet speculation-safety analyzers over the module
@@ -41,7 +44,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench allocfree check benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
+.PHONY: build vet test race bench allocfree check nofencemodel benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
 
 build:
 	$(GO) build ./...
@@ -68,6 +71,21 @@ allocfree:
 	$(GO) test -run '^$$' -bench 'BenchmarkReadOnlyAllocFree' -benchtime 1x .
 
 check: build vet test
+
+# The locks run natively on Go's sequentially consistent atomics. The §3.4
+# fence plans (internal/memmodel) are charged only by the coherence
+# simulator, so no lock, the backend SPI, the workloads or the public API
+# may import them.
+NOFENCE_PKGS = ./internal/core ./internal/vmlock ./internal/rwlock ./internal/bravo \
+	./internal/backend ./internal/workload ./solero/...
+nofencemodel:
+	@deps=$$($(GO) list -deps $(NOFENCE_PKGS)) || exit 1; \
+	if echo "$$deps" | grep -qx 'repro/internal/memmodel'; then \
+		echo "FAIL: a lock-path package depends on repro/internal/memmodel:"; \
+		$(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' -deps $(NOFENCE_PKGS) | grep 'repro/internal/memmodel' | grep -v '^repro/internal/memmodel:'; \
+		exit 1; \
+	fi; \
+	echo "OK: nofencemodel (no lock path depends on internal/memmodel)"
 
 # bench/ is its own module, so `go test ./...` at the root never reaches it.
 benchtest:

@@ -27,7 +27,6 @@ import (
 	"repro/internal/jit/interp"
 	"repro/internal/jthread"
 	"repro/internal/lockword"
-	"repro/internal/memmodel"
 	"repro/internal/metrics"
 	"repro/internal/rwlock"
 	"repro/internal/seqlock"
@@ -71,7 +70,7 @@ var sweepThreads = []int{1, 2, 4}
 // the HashMap 5%-writes benchmark and reports the read-only share — the
 // Table 1 statistic (cmd/solerobench -exp table1 prints the full table).
 func BenchmarkTable1LockStats(b *testing.B) {
-	wl := workload.NewMapBench(workload.Hash, workload.ImplSolero, "none", 5, 1024, 1)
+	wl := workload.NewMapBench(workload.Hash, workload.ImplSolero, 5, 1024, 1)
 	vm := jthread.NewVM()
 	r := uint64(12345)
 	benchThreads(b, vm, 1, func(g int, th *jthread.Thread) {
@@ -90,12 +89,13 @@ func BenchmarkTable1LockStats(b *testing.B) {
 
 // --- Figure 10 ---
 
-// BenchmarkFig10Empty measures the empty synchronized block under all five
-// configurations with the Power6 cost model — the lock-overhead comparison.
+// BenchmarkFig10Empty measures the empty synchronized block under the four
+// native configurations — the lock-overhead comparison. The WeakBarrier
+// fence ablation is simulated (simcoherence's BenchmarkAblationFence).
 func BenchmarkFig10Empty(b *testing.B) {
 	for _, impl := range workload.Fig10Impls {
 		b.Run(impl.String(), func(b *testing.B) {
-			e := workload.NewEmpty(impl, "power")
+			e := workload.NewEmpty(impl)
 			vm := jthread.NewVM()
 			benchThreads(b, vm, 1, func(g int, th *jthread.Thread) {
 				e.G.Read(th, func() {})
@@ -133,7 +133,7 @@ func BenchmarkFig11SingleThread(b *testing.B) {
 
 func mapOp(kind workload.MapKind, writePct int) func(workload.Impl) func(*jthread.Thread) {
 	return func(impl workload.Impl) func(*jthread.Thread) {
-		wl := workload.NewMapBench(kind, impl, "power", writePct, 1024, 1)
+		wl := workload.NewMapBench(kind, impl, writePct, 1024, 1)
 		var r uint64 = 99
 		return func(th *jthread.Thread) {
 			r = r*6364136223846793005 + 1
@@ -144,7 +144,7 @@ func mapOp(kind workload.MapKind, writePct int) func(workload.Impl) func(*jthrea
 
 func jbbOp() func(workload.Impl) func(*jthread.Thread) {
 	return func(impl workload.Impl) func(*jthread.Thread) {
-		bench := jbb.New(impl, "power", 1)
+		bench := jbb.New(impl, 1)
 		var r uint64 = 7
 		return func(th *jthread.Thread) {
 			r = r*6364136223846793005 + 1
@@ -170,7 +170,7 @@ func BenchmarkFig12HashMap(b *testing.B) {
 					if variant.fine {
 						shards = n
 					}
-					wl := workload.NewMapBench(workload.Hash, impl, "power", variant.writePct, 1024, shards)
+					wl := workload.NewMapBench(workload.Hash, impl, variant.writePct, 1024, shards)
 					vm := jthread.NewVM()
 					seeds := make([]uint64, n)
 					benchThreads(b, vm, n, func(g int, th *jthread.Thread) {
@@ -189,7 +189,7 @@ func BenchmarkFig13TreeMap(b *testing.B) {
 		for _, impl := range workload.PaperImpls {
 			for _, n := range sweepThreads {
 				b.Run(fmt.Sprintf("writes%d/%s/t%d", writePct, impl, n), func(b *testing.B) {
-					wl := workload.NewMapBench(workload.Tree, impl, "power", writePct, 1024, 1)
+					wl := workload.NewMapBench(workload.Tree, impl, writePct, 1024, 1)
 					vm := jthread.NewVM()
 					seeds := make([]uint64, n)
 					benchThreads(b, vm, n, func(g int, th *jthread.Thread) {
@@ -208,7 +208,7 @@ func BenchmarkFig14Jbb(b *testing.B) {
 	for _, impl := range workload.PaperImpls {
 		for _, n := range sweepThreads {
 			b.Run(fmt.Sprintf("%s/t%d", impl, n), func(b *testing.B) {
-				bench := jbb.New(impl, "power", n)
+				bench := jbb.New(impl, n)
 				vm := jthread.NewVM()
 				seeds := make([]uint64, n)
 				benchThreads(b, vm, n, func(g int, th *jthread.Thread) {
@@ -281,7 +281,7 @@ func BenchmarkFig15FailureRatio(b *testing.B) {
 		make func(n int) (op func(g int, th *jthread.Thread), ratio func() float64)
 	}{
 		{"HashMap5", func(n int) (func(int, *jthread.Thread), func() float64) {
-			wl := workload.NewMapBench(workload.Hash, workload.ImplSolero, "none", 5, 1024, 1)
+			wl := workload.NewMapBench(workload.Hash, workload.ImplSolero, 5, 1024, 1)
 			seeds := make([]uint64, n)
 			return func(g int, th *jthread.Thread) {
 				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
@@ -289,7 +289,7 @@ func BenchmarkFig15FailureRatio(b *testing.B) {
 			}, wl.FailureRatio
 		}},
 		{"TreeMap5", func(n int) (func(int, *jthread.Thread), func() float64) {
-			wl := workload.NewMapBench(workload.Tree, workload.ImplSolero, "none", 5, 1024, 1)
+			wl := workload.NewMapBench(workload.Tree, workload.ImplSolero, 5, 1024, 1)
 			seeds := make([]uint64, n)
 			return func(g int, th *jthread.Thread) {
 				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
@@ -297,7 +297,7 @@ func BenchmarkFig15FailureRatio(b *testing.B) {
 			}, wl.FailureRatio
 		}},
 		{"SPECjbb", func(n int) (func(int, *jthread.Thread), func() float64) {
-			bench := jbb.New(workload.ImplSolero, "none", n)
+			bench := jbb.New(workload.ImplSolero, n)
 			seeds := make([]uint64, n)
 			return func(g int, th *jthread.Thread) {
 				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
@@ -324,7 +324,7 @@ func BenchmarkFig16Dacapo(b *testing.B) {
 	for _, p := range dacapo.Profiles {
 		for _, impl := range []workload.Impl{workload.ImplLock, workload.ImplSolero} {
 			b.Run(p.Name+"/"+impl.String(), func(b *testing.B) {
-				bench := dacapo.New(p, impl, "power")
+				bench := dacapo.New(p, impl)
 				vm := jthread.NewVM()
 				seeds := make([]uint64, 2)
 				benchThreads(b, vm, 2, func(g int, th *jthread.Thread) {
@@ -359,32 +359,6 @@ func BenchmarkAblationFallback(b *testing.B) {
 			})
 			b.ReportMetric(lock.Stats().FailureRatio(), "failure_%")
 			b.ReportMetric(float64(lock.Stats().Fallbacks.Load()), "fallbacks")
-		})
-	}
-}
-
-// BenchmarkAblationFence compares fence plans for elided read sections.
-func BenchmarkAblationFence(b *testing.B) {
-	plans := []struct {
-		name  string
-		model *memmodel.Model
-		plan  memmodel.Plan
-	}{
-		{"none", nil, memmodel.NoFences},
-		{"power", memmodel.Power, memmodel.SoleroPower},
-		{"power-weak", memmodel.Power, memmodel.SoleroWeakBarrier},
-		{"tso", memmodel.TSO, memmodel.SoleroTSO},
-	}
-	for _, p := range plans {
-		b.Run(p.name, func(b *testing.B) {
-			cfg := *core.DefaultConfig
-			cfg.Model = p.model
-			cfg.Plan = p.plan
-			lock := core.New(&cfg)
-			vm := jthread.NewVM()
-			benchThreads(b, vm, 1, func(g int, th *jthread.Thread) {
-				lock.ReadOnly(th, func() {})
-			})
 		})
 	}
 }

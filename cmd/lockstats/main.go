@@ -12,10 +12,10 @@
 //	          [-pprof out.pb.gz] [-serve :PORT]
 //
 // -backend selects the lock implementation under the benchmark (solero by
-// default; lock/vmlock, rwlock, bravo, solero-unelided, solero-weakbarrier
-// also work). Every backend's protocol counters flow through the same
-// snapshot/export pipeline; the SOLERO-only views (latency histograms,
-// abort taxonomy, -stripes, -sites, -trace) stay empty for the others.
+// default; lock/vmlock, rwlock, bravo, solero-unelided also work). Every
+// backend's protocol counters flow through the same snapshot/export
+// pipeline; the SOLERO-only views (latency histograms, abort taxonomy,
+// -stripes, -sites, -trace) stay empty for the others.
 // The table-backed variants (vmlock-mt, solero-mt) rent fat monitors from
 // a compact monitor table instead of allocating them per lock; for those
 // the report adds a monitor-table section (occupancy, deflation churn,
@@ -55,7 +55,7 @@ import (
 
 func main() {
 	bench := flag.String("bench", "hashmap", "benchmark: empty|hashmap|treemap|jbb")
-	backendName := flag.String("backend", "solero", "lock backend: lock|rwlock|solero|solero-unelided|solero-weakbarrier|bravo|vmlock-mt|solero-mt")
+	backendName := flag.String("backend", "solero", "lock backend: lock|rwlock|solero|solero-unelided|bravo|vmlock-mt|solero-mt")
 	threads := flag.Int("threads", 4, "software threads")
 	writes := flag.Int("writes", 5, "write percentage (map benchmarks)")
 	entries := flag.Int("entries", 1024, "map entries")
@@ -109,7 +109,7 @@ func main() {
 	var guards func() []*workload.Guard
 	switch *bench {
 	case "empty":
-		b := workload.NewEmptyConfig(impl, "none", &lockCfg)
+		b := workload.NewEmptyConfig(impl, &lockCfg)
 		worker = b.Worker()
 		guards = func() []*workload.Guard { return []*workload.Guard{b.G} }
 		snap = func() (map[string]uint64, float64) {
@@ -123,7 +123,7 @@ func main() {
 		if *bench == "treemap" {
 			kind = workload.Tree
 		}
-		b := workload.NewMapBenchConfig(kind, impl, "none", *writes, *entries, *shards, &lockCfg)
+		b := workload.NewMapBenchConfig(kind, impl, *writes, *entries, *shards, &lockCfg)
 		worker = b.Worker()
 		guards = b.Guards
 		snap = func() (map[string]uint64, float64) {
@@ -133,7 +133,7 @@ func main() {
 			return agg, b.FailureRatio()
 		}
 	case "jbb":
-		b := jbb.NewWithConfig(impl, "none", *threads, &lockCfg)
+		b := jbb.NewWithConfig(impl, *threads, &lockCfg)
 		worker = b.Worker()
 		guards = b.Guards
 		snap = func() (map[string]uint64, float64) {

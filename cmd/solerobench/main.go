@@ -7,9 +7,11 @@
 //	solerobench -exp fig10 -duration 200ms -runs 5 -inner 5
 //
 // Experiments: table1, fig10, fig11, fig12, fig13, fig14, fig15, fig16, all.
-// Real-execution sweeps (-sim absent) exercise the actual lock protocols
-// under goroutines; -sim regenerates the 16-way Power6 shapes on the
-// coherence model (see DESIGN.md §3 for the substitution rationale).
+// Every lock runs natively. Real-execution sweeps (-sim absent) exercise the
+// actual lock protocols under goroutines; -sim regenerates the 16-way
+// Power6 shapes on the coherence model (see DESIGN.md §3 for the
+// substitution rationale). fig10 also prints its fence ablation from the
+// coherence model, labelled as simulated.
 //
 // -json out.json instead runs the instrumented benchmark suite and writes
 // one solero-snapshot/v1 bundle per benchmark — the schema shared with
@@ -47,7 +49,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1|fig10|fig11|fig12|fig13|fig14|fig15|fig16|crossover|tournament|all")
 	sim := flag.Bool("sim", false, "use the 16-way coherence simulator for multi-thread figures")
-	arch := flag.String("arch", "power", "fence model: none|power|tso")
 	threads := flag.String("threads", "1,2,4,8,16", "comma-separated thread counts for sweeps")
 	duration := flag.Duration("duration", 50*time.Millisecond, "measurement window")
 	runs := flag.Int("runs", 3, "independent runs (paper: 5)")
@@ -76,7 +77,6 @@ func main() {
 	csv := *format == "csv"
 
 	o := experiments.DefaultOptions()
-	o.Arch = *arch
 	o.Harness.Duration = *duration
 	o.Harness.Runs = *runs
 	o.Harness.InnerMeasures = *inner
@@ -116,7 +116,11 @@ func main() {
 		case "table1":
 			printTable(experiments.Table1(o))
 		case "fig10":
-			printTable(experiments.Fig10(o))
+			tables, err := experiments.Fig10(o)
+			check(err)
+			for _, t := range tables {
+				printTable(t)
+			}
 		case "fig11":
 			printTable(experiments.Fig11(o))
 		case "fig12":
@@ -231,7 +235,7 @@ func runRegress(dir string, tolerance float64, mdOut, jsonOut string) {
 		os.Exit(1)
 	}
 	if !rep.Gating {
-		fmt.Fprintln(os.Stderr, "solerobench: bench gate informational only (lowParallelism or incomplete trajectory)")
+		fmt.Fprintln(os.Stderr, "solerobench: bench gate informational only (lowParallelism, fence-model mismatch or incomplete trajectory)")
 	}
 }
 

@@ -14,10 +14,7 @@ import (
 	"time"
 
 	"repro/internal/collections/treemap"
-	"repro/internal/core"
 	"repro/internal/jthread"
-	"repro/internal/memmodel"
-	"repro/internal/vmlock"
 	"repro/solero"
 )
 
@@ -33,18 +30,9 @@ type index struct {
 	data *treemap.Map[int64]
 }
 
-// newIndex builds the index. With power=true the locks charge the Power6
-// cost model (atomic-RMW surcharge and §3.4 fences), showing the regime
-// the paper measured; with power=false both locks run at raw Go cost,
-// where an uncontended CAS is nearly as cheap as a load.
-func newIndex(power bool) *index {
-	scfg := *core.DefaultConfig
-	mcfg := *vmlock.DefaultConfig
-	if power {
-		scfg.Model, scfg.Plan = memmodel.Power, memmodel.SoleroPower
-		mcfg.Model, mcfg.Plan = memmodel.Power, memmodel.ConventionalPower
-	}
-	ix := &index{sol: solero.NewLock(&scfg), mon: vmlock.New(&mcfg), data: treemap.New[int64]()}
+// newIndex builds the index with both locks at their default settings.
+func newIndex() *index {
+	ix := &index{sol: solero.NewLock(nil), mon: solero.NewMonitorLock(nil), data: treemap.New[int64]()}
 	for k := int64(0); k < keySpace; k += 2 {
 		ix.data.Put(k, k*10)
 	}
@@ -53,8 +41,8 @@ func newIndex(power bool) *index {
 
 // run drives the index with one writer and several readers for a fixed
 // window, using either the SOLERO lock or the conventional monitor.
-func run(useSolero, power bool) (reads uint64, ix *index) {
-	ix = newIndex(power)
+func run(useSolero bool) (reads uint64, ix *index) {
+	ix = newIndex()
 	vm := solero.NewVM()
 	vm.StartAsyncEvents(time.Millisecond) // infinite-loop recovery (§3.3)
 	defer vm.StopAsyncEvents()
@@ -146,15 +134,10 @@ func run(useSolero, power bool) (reads uint64, ix *index) {
 }
 
 func main() {
-	monReads, _ := run(false, false)
-	solReads, ix := run(true, false)
-	fmt.Printf("raw Go cost      monitor: %8d reads   SOLERO: %8d reads  (%.2fx)\n",
+	monReads, _ := run(false)
+	solReads, ix := run(true)
+	fmt.Printf("monitor: %8d reads   SOLERO: %8d reads  (%.2fx)\n",
 		monReads, solReads, float64(solReads)/float64(monReads))
-
-	monPower, _ := run(false, true)
-	solPower, _ := run(true, true)
-	fmt.Printf("Power6 model     monitor: %8d reads   SOLERO: %8d reads  (%.2fx)\n",
-		monPower, solPower, float64(solPower)/float64(monPower))
 
 	st := ix.sol.Stats()
 	fmt.Printf("SOLERO: %d/%d elisions succeeded, %.2f%% failed, %d fallbacks, %d async aborts\n",

@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/jthread"
-	"repro/internal/memmodel"
 	"repro/internal/metrics"
 	"repro/internal/montable"
 	"repro/internal/rwlock"
@@ -83,12 +82,9 @@ type TableBacked interface {
 }
 
 // Options configures backend construction. The zero value builds
-// production-tuned backends with no instrumentation.
+// production-tuned backends with no instrumentation. Every backend runs
+// natively: no option charges simulated fence costs.
 type Options struct {
-	// Model and Plan charge simulated architecture fence costs (nil
-	// Model: native, charge nothing).
-	Model *memmodel.Model
-	Plan  memmodel.Plan
 	// Sched wires the backend's schedule points and parking regions into
 	// the schedule-injection kernel.
 	Sched *sched.Hooks
@@ -102,12 +98,12 @@ type Options struct {
 	// every hook to one predictable branch.
 	Metrics *metrics.Registry
 	// Solero, when set, is the base core.Config for the "solero" backends
-	// (Model/Plan/Sched/History/Bug above are layered on top of a copy).
+	// (Sched/History/Bug above are layered on top of a copy).
 	Solero *core.Config
 	// VMLock, when set, is the base vmlock.Config for the "vmlock"
-	// backends (Model/Plan/Sched layered on top of a copy).
+	// backends (Sched layered on top of a copy).
 	VMLock *vmlock.Config
-	// Bravo, when set, tunes the "bravo" backend (Model/Sched layered on
+	// Bravo, when set, tunes the "bravo" backend (Sched layered on
 	// top of a copy).
 	Bravo *bravo.Config
 	// Montable, when set, tunes the compact monitor table behind the
@@ -145,7 +141,7 @@ func New(name string, o Options) (Backend, error) {
 		} else {
 			cfg = *vmlock.DefaultConfig
 		}
-		cfg.Model, cfg.Plan, cfg.Sched = o.Model, o.Plan, o.Sched
+		cfg.Sched = o.Sched
 		cfg.Metrics = o.Metrics
 		b := &vmlockBackend{}
 		if name == "vmlock-mt" {
@@ -155,7 +151,7 @@ func New(name string, o Options) (Backend, error) {
 		b.l = vmlock.New(&cfg)
 		return b, nil
 	case "rwlock":
-		return &rwlockBackend{l: &rwlock.RWLock{Model: o.Model, Sched: o.Sched, Metrics: o.Metrics}}, nil
+		return &rwlockBackend{l: &rwlock.RWLock{Sched: o.Sched, Metrics: o.Metrics}}, nil
 	case "solero", "solero-mt":
 		var cfg core.Config
 		if o.Solero != nil {
@@ -163,7 +159,6 @@ func New(name string, o Options) (Backend, error) {
 		} else {
 			cfg = *core.DefaultConfig
 		}
-		cfg.Model, cfg.Plan = o.Model, o.Plan
 		cfg.Sched, cfg.History, cfg.Bug = o.Sched, o.History, o.Bug
 		if o.Metrics != nil {
 			cfg.Metrics = o.Metrics
@@ -180,7 +175,7 @@ func New(name string, o Options) (Backend, error) {
 		if o.Bravo != nil {
 			cfg = *o.Bravo
 		}
-		cfg.Model, cfg.Sched = o.Model, o.Sched
+		cfg.Sched = o.Sched
 		cfg.Metrics = o.Metrics
 		return &bravoBackend{l: bravo.New(&cfg)}, nil
 	}

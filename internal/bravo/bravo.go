@@ -33,7 +33,6 @@ import (
 	"unsafe"
 
 	"repro/internal/jthread"
-	"repro/internal/memmodel"
 	"repro/internal/metrics"
 	"repro/internal/rwlock"
 	"repro/internal/sched"
@@ -84,10 +83,6 @@ type Config struct {
 	// DisableBias pins the lock in its unbiased state: every operation
 	// goes to the underlying rwlock (an ablation/debug switch).
 	DisableBias bool
-	// Model, when set, charges the architecture's atomic surcharge on the
-	// fast-path publish CAS (one uncontended slot CAS per biased read,
-	// versus the rwlock baseline's two shared-word RMWs per section).
-	Model *memmodel.Model
 	// Sched wires the publish/revoke handshake and the underlying rwlock
 	// into the schedule-injection kernel.
 	Sched *sched.Hooks
@@ -132,7 +127,6 @@ func New(cfg *Config) *Lock {
 	if l.cfg.MaxInhibit == 0 {
 		l.cfg.MaxInhibit = DefaultMaxInhibit
 	}
-	l.rw.Model = l.cfg.Model
 	l.rw.Sched = l.cfg.Sched
 	l.rw.Metrics = l.cfg.Metrics
 	l.biasedReads = stats.NewStriped(0)
@@ -149,7 +143,6 @@ func (l *Lock) RLock(t *jthread.Thread) {
 		idx := slotIndex(tid, l)
 		s := &table[idx]
 		if s.l.CompareAndSwap(nil, l) {
-			l.cfg.Model.ChargeAtomic()
 			l.cfg.Sched.Point(tid, sched.PReadPublish)
 			// Recheck after publishing (the paper's store-load
 			// handshake): a writer that cleared the bias before our

@@ -29,7 +29,6 @@ import (
 	"repro/internal/history"
 	"repro/internal/jthread"
 	"repro/internal/lockword"
-	"repro/internal/memmodel"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/montable"
@@ -59,9 +58,11 @@ const (
 // passing the Config to New: a lock fixes some choices at New — its stripe
 // count, the metrics sample period, whether its read sections sample
 // (Metrics non-nil), and whether they may take the hook-free first attempt,
-// which needs Model, Tracer, Sched and History nil and Adaptive and
-// DisableElision off. Metrics does not disqualify it: an unsampled section
-// of a metered lock takes the same attempt.
+// which needs Tracer, Sched and History nil and Adaptive and DisableElision
+// off. Metrics does not disqualify it: an unsampled section of a metered
+// lock takes the same attempt. Fences are not modelled here: Go's atomics
+// are sequentially consistent, and the §3.4 fence costs live in the
+// coherence simulator (internal/simcoherence).
 type Config struct {
 	// Tier1/Tier2/Tier3 parameterize the three-tier contention loops
 	// (innermost backoff spins, acquisition attempts per round, yield
@@ -98,9 +99,6 @@ type Config struct {
 	// elided reader RMWs the same cache line — kept as the comparison
 	// baseline for BenchmarkReaderScaling.
 	StatsStripes int
-	// Model and Plan charge fence costs at the §3.4 placement points.
-	Model *memmodel.Model
-	Plan  memmodel.Plan
 	// Tracer, when non-nil, records protocol transitions into a ring
 	// buffer (see internal/trace; `lockstats -trace` prints it).
 	Tracer *trace.Ring
@@ -150,14 +148,14 @@ var DefaultConfig = &Config{
 }
 
 // hookFree reports whether ReadOnly may take its hook-free first attempt:
-// no schedule, history, trace or fence-model hook is wired, and neither
+// no schedule, history or trace hook is wired, and neither
 // adaptive elision nor DisableElision is on. A metrics registry may be
 // wired: the attempt serves the sections its sampler did not select, and
 // classifies their failures (readRetry). New decides it once per lock (see
 // Config).
 func (c *Config) hookFree() bool {
 	return c.Sched == nil && c.History == nil && c.Tracer == nil &&
-		c.Model == nil && !c.Adaptive && !c.DisableElision
+		!c.Adaptive && !c.DisableElision
 }
 
 // statsStripeCount resolves the configured stripe count (see
@@ -293,8 +291,6 @@ func (l *Lock) Lock(t *jthread.Thread) {
 				l.cfg.Tracer.Record(trace.EvAcquireFast, tid, v)
 				l.cfg.History.Record(history.Acquire, tid, v)
 				l.cfg.Sched.Point(tid, sched.PAcquired)
-				l.cfg.Model.ChargeAtomic()
-				l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 				return
 			}
 			continue
@@ -320,7 +316,6 @@ func (l *Lock) releaseWord(saved uint64) uint64 {
 // exactly the lock bit, store the local lock variable advanced by one
 // counter unit; otherwise take the slow path.
 func (l *Lock) Unlock(t *jthread.Thread) {
-	l.cfg.Model.Charge(l.cfg.Plan.WriteRelease)
 	v2 := l.word.Load()
 	if lockword.SoleroFastReleasable(v2) {
 		if lockword.Field(v2) != t.ID() {
@@ -335,7 +330,6 @@ func (l *Lock) Unlock(t *jthread.Thread) {
 		// the released word until it is published, which keeps the
 		// recorded release order consistent with the counter order.
 		l.cfg.History.Record(history.Release, t.ID(), w)
-		l.cfg.Model.ChargeAtomic()
 		l.word.Store(w)
 		l.cfg.Tracer.Record(trace.EvRelease, t.ID(), saved)
 		return

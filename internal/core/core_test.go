@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/jthread"
 	"repro/internal/lockword"
-	"repro/internal/memmodel"
 )
 
 func newT(t *testing.T, n int) []*jthread.Thread {
@@ -338,22 +337,6 @@ func TestUnlockByNonOwnerPanics(t *testing.T) {
 		}
 	}()
 	l.Unlock(ths[1])
-}
-
-func TestFenceChargedConfiguration(t *testing.T) {
-	cfg := *DefaultConfig
-	cfg.Model = memmodel.Power
-	cfg.Plan = memmodel.SoleroPower
-	ths := newT(t, 1)
-	l := New(&cfg)
-	for i := 0; i < 50; i++ {
-		l.Lock(ths[0])
-		l.Unlock(ths[0])
-		l.ReadOnly(ths[0], func() {})
-	}
-	if l.Stats().ElisionSuccesses.Load() != 50 {
-		t.Fatalf("fenced config broke elision")
-	}
 }
 
 // TestReadConsistencyStress is the central correctness property: a writer

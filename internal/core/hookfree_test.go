@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/jthread"
-	"repro/internal/memmodel"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -37,7 +36,6 @@ func TestDefaultConfigIsHookFree(t *testing.T) {
 		{"sched", func(c *Config) { c.Sched = sched.NewScheduler(&phasedStrategy{}, 0).Hooks() }, false, false},
 		{"history", func(c *Config) { c.History = history.New() }, false, false},
 		{"tracer", func(c *Config) { c.Tracer = trace.New(16) }, false, false},
-		{"model", func(c *Config) { c.Model = memmodel.TSO }, false, false},
 	} {
 		cfg := *DefaultConfig
 		tc.mut(&cfg)

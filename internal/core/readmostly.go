@@ -69,8 +69,6 @@ func (s *Section) BeforeWrite() {
 		// the upgrade marker itself.
 		l.cfg.History.Record(history.Acquire, t.ID(), s.v)
 		l.cfg.History.Record(history.Upgrade, t.ID(), s.v)
-		l.cfg.Model.ChargeAtomic()
-		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return
 	}
 	if l.HeldBy(t) {
@@ -151,7 +149,6 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 				l.Unlock(t)
 				return
 			}
-			l.cfg.Model.Charge(l.cfg.Plan.ReadExit)
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
 			if l.word.Load() == v {
 				l.st.bump(t, cElisionSuccesses)
@@ -233,7 +230,6 @@ func releaseSection(t *jthread.Thread, s *Section) {
 // propagating them. Like runSpeculative it calls recover only when fn did
 // not return.
 func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section), s *Section) (outcome specOutcome) {
-	l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
 	t.PushSpec(&l.word, v)
 	ran := false
 	defer func() {

@@ -97,10 +97,6 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 			l.runHolding(t, fn)
 			return false
 		}
-		// The ReadEnter fence: on a real weak machine the entry fence is
-		// what makes the validation sound (internal/memmodel). The
-		// hook-free first attempts skip it: hookFree implies a nil Model.
-		l.cfg.Model.Charge(l.cfg.Plan.ReadEnter)
 		ok, async := true, false
 		if lean {
 			// Recovery-free: no speculative frame (asynchronous
@@ -116,7 +112,6 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 			ok, async = l.runSpeculative(t, v, fn)
 		}
 		if ok {
-			l.cfg.Model.Charge(l.cfg.Plan.ReadExit)
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
 			if l.word.Load() == v || l.slowReadExit(t, v) {
 				l.st.bump(t, cElisionSuccesses)

@@ -47,7 +47,6 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 			// Held by another thread, or a stray FLC bit on a free
 			// word: spin, then park-and-inflate.
 			if l.spinAcquire(t) {
-				l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 				return
 			}
 			l.contendAndInflate(t)
@@ -145,7 +144,6 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 				l.cfg.Sched.Point(tid, sched.PInflate)
 				l.cfg.History.Record(history.Inflate, tid, lockword.InflatedWord(m.ID()))
 				l.word.Store(lockword.InflatedWord(m.ID()))
-				l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 				return
 			}
 		}
@@ -170,7 +168,6 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 	if l.word.Load()&^lockword.FLCBit == lockword.InflatedWord(m.ID()) {
 		l.st.incShared(cFatEnters)
 		l.cfg.History.Record(history.Acquire, tid, lockword.InflatedWord(m.ID()))
-		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return true
 	}
 	m.Exit(tid)

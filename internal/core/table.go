@@ -67,7 +67,6 @@ func (l *Lock) fatEnterTablePinned(t *jthread.Thread, h montable.Handle) bool {
 	if l.word.Load()&^lockword.FLCBit == h.Word {
 		l.st.incShared(cFatEnters)
 		l.cfg.History.Record(history.Acquire, tid, h.Word)
-		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return true
 	}
 	m.Exit(tid)
@@ -134,7 +133,6 @@ func (l *Lock) contendAndInflateTable(t *jthread.Thread) {
 				l.cfg.Sched.Point(tid, sched.PInflate)
 				l.cfg.History.Record(history.Inflate, tid, h.Word)
 				l.word.Store(h.Word)
-				l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 				h.Unpin()
 				return
 			}

@@ -64,10 +64,10 @@ type Bench struct {
 }
 
 // New builds the benchmark.
-func New(p Profile, impl workload.Impl, arch string) *Bench {
+func New(p Profile, impl workload.Impl) *Bench {
 	b := &Bench{Profile: p, Impl: impl}
 	for i := 0; i < p.SharedLocks; i++ {
-		b.guards = append(b.guards, workload.NewGuard(impl, arch))
+		b.guards = append(b.guards, workload.NewGuard(impl))
 		m := hashmap.New[int64](256)
 		for k := int64(0); k < 128; k++ {
 			m.Put(k, k)

@@ -41,7 +41,7 @@ func TestAllProfilesRunUnderLockAndSolero(t *testing.T) {
 		for _, impl := range []workload.Impl{workload.ImplLock, workload.ImplSolero} {
 			t.Run(p.Name+"/"+impl.String(), func(t *testing.T) {
 				vm := jthread.NewVM()
-				b := New(p, impl, "none")
+				b := New(p, impl)
 				res := harness.Measure(vm, quick, b.Worker())
 				if res.OpsPerSec <= 0 {
 					t.Fatalf("no throughput")
@@ -55,7 +55,7 @@ func TestMeasuredReadOnlyRatioTracksProfile(t *testing.T) {
 	for _, p := range Profiles {
 		t.Run(p.Name, func(t *testing.T) {
 			vm := jthread.NewVM()
-			b := New(p, workload.ImplSolero, "none")
+			b := New(p, workload.ImplSolero)
 			o := quick
 			o.Duration = 40 * time.Millisecond
 			harness.Measure(vm, o, b.Worker())

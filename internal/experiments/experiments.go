@@ -17,7 +17,9 @@ import (
 	"repro/internal/dacapo"
 	"repro/internal/harness"
 	"repro/internal/jbb"
+	"repro/internal/jit/codegen"
 	"repro/internal/jthread"
+	"repro/internal/memmodel"
 	"repro/internal/simcoherence"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -25,8 +27,6 @@ import (
 
 // Options scales all experiments.
 type Options struct {
-	// Arch is the fence model: "none", "power", or "tso".
-	Arch string
 	// Harness is the measurement protocol configuration.
 	Harness harness.Options
 	// Threads are the sweep points of the multi-thread figures.
@@ -43,7 +43,6 @@ type Options struct {
 // DefaultOptions is a CI-scale configuration of the paper's setup.
 func DefaultOptions() Options {
 	return Options{
-		Arch: "power",
 		Harness: harness.Options{
 			Duration:      50 * time.Millisecond,
 			Runs:          3,
@@ -80,7 +79,7 @@ func Table1(o Options) *stats.Table {
 	}
 	mapBench := func(kind workload.MapKind, writePct int) func() (float64, uint64, uint64) {
 		return func() (float64, uint64, uint64) {
-			b := workload.NewMapBench(kind, workload.ImplSolero, o.Arch, writePct, o.Entries, 1)
+			b := workload.NewMapBench(kind, workload.ImplSolero, writePct, o.Entries, 1)
 			ops := measure(o, 1, b.Worker())
 			total, ro := b.LockOps()
 			return ops, total, ro
@@ -88,7 +87,7 @@ func Table1(o Options) *stats.Table {
 	}
 	benches := []bench{
 		{name: "Empty", locksPerOp: 1, run: func() (float64, uint64, uint64) {
-			e := workload.NewEmpty(workload.ImplSolero, o.Arch)
+			e := workload.NewEmpty(workload.ImplSolero)
 			ops := measure(o, 1, e.Worker())
 			st := e.G.SoleroStats()
 			ro := st.ElisionAttempts.Load()
@@ -99,7 +98,7 @@ func Table1(o Options) *stats.Table {
 		{name: "TreeMap (0% writes)", locksPerOp: 1, run: mapBench(workload.Tree, 0)},
 		{name: "TreeMap (5% writes)", locksPerOp: 1, run: mapBench(workload.Tree, 5)},
 		{name: "SPECjbb-sim", locksPerOp: 1, run: func() (float64, uint64, uint64) {
-			b := jbb.New(workload.ImplSolero, o.Arch, 1)
+			b := jbb.New(workload.ImplSolero, 1)
 			ops := measure(o, 1, b.Worker())
 			total, ro := b.LockOps()
 			return ops, total, ro
@@ -109,7 +108,7 @@ func Table1(o Options) *stats.Table {
 		p := p
 		benches = append(benches, bench{name: p.Name, locksPerOp: float64(p.LocksPerOp),
 			run: func() (float64, uint64, uint64) {
-				b := dacapo.New(p, workload.ImplSolero, o.Arch)
+				b := dacapo.New(p, workload.ImplSolero)
 				ops := measure(o, 1, b.Worker())
 				total, ro := b.LockOps()
 				return ops, total, ro
@@ -128,17 +127,19 @@ func Table1(o Options) *stats.Table {
 }
 
 // Fig10 reproduces the Empty-benchmark overhead comparison: execution time
-// per empty synchronized block, normalized to the conventional lock, for
-// Lock, RWLock, SOLERO, Unelided-SOLERO, and WeakBarrier-SOLERO. Run with
-// Arch "power" — the whole point is the fence-cost decomposition.
-func Fig10(o Options) *stats.Table {
+// per empty synchronized block, normalized to the conventional lock. The
+// first table runs Lock, RWLock, SOLERO and Unelided-SOLERO natively. The
+// second is the fence ablation, which has no native form (Go's atomics are
+// sequentially consistent): Lock, SOLERO and WeakBarrier-SOLERO on the
+// coherence simulator, one core, with the Power fence plans charged.
+func Fig10(o Options) ([]*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Figure 10: Normalized execution time of Empty (to Lock)",
 		Cols:  []string{"Implementation", "Normalized time", "ops/s"},
 	}
 	base := 0.0
 	for _, impl := range workload.Fig10Impls {
-		e := workload.NewEmpty(impl, o.Arch)
+		e := workload.NewEmpty(impl)
 		ops := measure(o, 1, e.Worker())
 		if impl == workload.ImplLock {
 			base = ops
@@ -149,7 +150,56 @@ func Fig10(o Options) *stats.Table {
 		}
 		t.AddRow(impl.String(), fmt.Sprintf("%.3f", norm), fmt.Sprintf("%.0f", ops))
 	}
-	return t
+	sim, err := fig10Fences(o)
+	if err != nil {
+		return nil, err
+	}
+	return []*stats.Table{t, sim}, nil
+}
+
+// fig10Fences is Figure 10's fence ablation on the coherence model: an
+// empty section, back to back on one core, under the conventional lock's
+// Power plan (Lock), SOLERO's (SOLERO), and SOLERO with the conventional
+// lock's weaker fences (WeakBarrier-SOLERO).
+func fig10Fences(o Options) (*stats.Table, error) {
+	conv, sol, err := codegen.FencePlans("power")
+	if err != nil {
+		return nil, err
+	}
+	_, weak, err := codegen.FencePlans("power-weak")
+	if err != nil {
+		return nil, err
+	}
+	t := &stats.Table{
+		Title: "Figure 10: Normalized execution time of Empty (to Lock) [simulated, Power fence costs]",
+		Cols:  []string{"Implementation", "Normalized time", "ops/kcycle"},
+	}
+	base := 0.0
+	for _, row := range []struct {
+		name   string
+		proto  simcoherence.Protocol
+		fences memmodel.Plan
+	}{
+		{"Lock", simcoherence.ProtoMutex, conv},
+		{"SOLERO", simcoherence.ProtoSolero, sol},
+		{"WeakBarrier-SOLERO", simcoherence.ProtoSolero, weak},
+	} {
+		cfg := simcoherence.DefaultConfig()
+		cfg.Protocol = row.proto
+		cfg.BodyReads, cfg.BodyWrites, cfg.ThinkCycles = 0, 0, 0
+		cfg.Duration = o.SimDuration
+		cfg.Fences = row.fences
+		r, err := simcoherence.Run(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if row.proto == simcoherence.ProtoMutex {
+			base = r.OpsPerKCycle
+		}
+		// Every simulated section completes, so OpsPerKCycle > 0.
+		t.AddRow(row.name, fmt.Sprintf("%.3f", base/r.OpsPerKCycle), fmt.Sprintf("%.1f", r.OpsPerKCycle))
+	}
+	return t, nil
 }
 
 // Fig11 reproduces the single-thread comparison: relative performance (%)
@@ -187,11 +237,11 @@ func Fig11(o Options) *stats.Table {
 	} {
 		cfg := cfg
 		row(cfg.name, func(impl workload.Impl) harness.Worker {
-			return workload.NewMapBench(cfg.kind, impl, o.Arch, cfg.writePct, o.Entries, 1).Worker()
+			return workload.NewMapBench(cfg.kind, impl, cfg.writePct, o.Entries, 1).Worker()
 		})
 	}
 	row("SPECjbb-sim", func(impl workload.Impl) harness.Worker {
-		return jbb.New(impl, o.Arch, 1).Worker()
+		return jbb.New(impl, 1).Worker()
 	})
 	return t
 }
@@ -215,7 +265,7 @@ func mapSweep(o Options, kind workload.MapKind, writePct int, fineGrained bool, 
 			if fineGrained {
 				shards = n
 			}
-			b := workload.NewMapBench(kind, impl, o.Arch, writePct, o.Entries, shards)
+			b := workload.NewMapBench(kind, impl, writePct, o.Entries, shards)
 			ys = append(ys, measure(o, n, b.Worker()))
 		}
 		if impl == workload.ImplLock {
@@ -349,7 +399,7 @@ func Fig14(o Options) (*stats.Figure, error) {
 	for _, impl := range workload.PaperImpls {
 		ys := make([]float64, 0, len(o.Threads))
 		for _, n := range o.Threads {
-			b := jbb.New(impl, o.Arch, n)
+			b := jbb.New(impl, n)
 			ys = append(ys, measure(o, n, b.Worker()))
 		}
 		if impl == workload.ImplLock {
@@ -406,22 +456,22 @@ func Fig15(o Options) (*stats.Figure, error) {
 	}
 	curves := []mk{
 		{"HashMap 5%", func(n int) float64 {
-			b := workload.NewMapBench(workload.Hash, workload.ImplSolero, o.Arch, 5, o.Entries, 1)
+			b := workload.NewMapBench(workload.Hash, workload.ImplSolero, 5, o.Entries, 1)
 			measure(o, n, b.Worker())
 			return b.FailureRatio()
 		}},
 		{"HashMap 5% fine-grained", func(n int) float64 {
-			b := workload.NewMapBench(workload.Hash, workload.ImplSolero, o.Arch, 5, o.Entries, n)
+			b := workload.NewMapBench(workload.Hash, workload.ImplSolero, 5, o.Entries, n)
 			measure(o, n, b.Worker())
 			return b.FailureRatio()
 		}},
 		{"TreeMap 5%", func(n int) float64 {
-			b := workload.NewMapBench(workload.Tree, workload.ImplSolero, o.Arch, 5, o.Entries, 1)
+			b := workload.NewMapBench(workload.Tree, workload.ImplSolero, 5, o.Entries, 1)
 			measure(o, n, b.Worker())
 			return b.FailureRatio()
 		}},
 		{"SPECjbb-sim", func(n int) float64 {
-			b := jbb.New(workload.ImplSolero, o.Arch, n)
+			b := jbb.New(workload.ImplSolero, n)
 			measure(o, n, b.Worker())
 			return b.FailureRatio()
 		}},
@@ -493,8 +543,8 @@ func Fig16(o Options) *stats.Table {
 	}
 	threads := 2
 	for _, p := range dacapo.Profiles {
-		lock := measure(o, threads, dacapo.New(p, workload.ImplLock, o.Arch).Worker())
-		sol := measure(o, threads, dacapo.New(p, workload.ImplSolero, o.Arch).Worker())
+		lock := measure(o, threads, dacapo.New(p, workload.ImplLock).Worker())
+		sol := measure(o, threads, dacapo.New(p, workload.ImplSolero).Worker())
 		norm := 0.0
 		if sol > 0 {
 			norm = lock / sol

@@ -38,20 +38,20 @@ func JSONSuite(o Options) []*export.Bundle {
 	}
 	mapBench := func(kind workload.MapKind, writePct int) func(*core.Config) (harness.Worker, func() []*core.Stats, func() float64) {
 		return func(base *core.Config) (harness.Worker, func() []*core.Stats, func() float64) {
-			b := workload.NewMapBenchConfig(kind, workload.ImplSolero, o.Arch, writePct, o.Entries, 1, base)
+			b := workload.NewMapBenchConfig(kind, workload.ImplSolero, writePct, o.Entries, 1, base)
 			return b.Worker(), soleroBlocks(b.Guards()), b.FailureRatio
 		}
 	}
 	benches := []bench{
 		{"empty", func(base *core.Config) (harness.Worker, func() []*core.Stats, func() float64) {
-			e := workload.NewEmptyConfig(workload.ImplSolero, o.Arch, base)
+			e := workload.NewEmptyConfig(workload.ImplSolero, base)
 			return e.Worker(), soleroBlocks([]*workload.Guard{e.G}), e.G.SoleroStats().FailureRatio
 		}},
 		{"hashmap-0w", mapBench(workload.Hash, 0)},
 		{"hashmap-5w", mapBench(workload.Hash, 5)},
 		{"treemap-5w", mapBench(workload.Tree, 5)},
 		{"jbb", func(base *core.Config) (harness.Worker, func() []*core.Stats, func() float64) {
-			b := jbb.NewWithConfig(workload.ImplSolero, o.Arch, threads, base)
+			b := jbb.NewWithConfig(workload.ImplSolero, threads, base)
 			return b.Worker(), b.SoleroStats, b.FailureRatio
 		}},
 	}

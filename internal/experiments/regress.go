@@ -8,6 +8,8 @@ package experiments
 // regression. Records stamped (or derived) lowParallelism are reported but
 // never gated on — a GOMAXPROCS=1 container measures scheduler fairness,
 // not lock scaling, and must not fail CI for a lock it never contended.
+// Nor is a pair taken under different fence models (Arch): a record with
+// simulated Power charges and a native one measure different locks.
 
 import (
 	"encoding/json"
@@ -108,8 +110,9 @@ type RegressReport struct {
 	BaseDate  string  `json:"baseDate,omitempty"`
 	HeadDate  string  `json:"headDate,omitempty"`
 	Tolerance float64 `json:"tolerance"`
-	// Gating is false when either compared record is lowParallelism (or
-	// there is nothing to compare): regressions are then informational.
+	// Gating is false when either compared record is lowParallelism, when
+	// the two were taken under different fence models (Arch), or when
+	// there is nothing to compare: regressions are then informational.
 	Gating      bool           `json:"gating"`
 	Regressions int            `json:"regressions"`
 	Deltas      []RegressDelta `json:"deltas,omitempty"`
@@ -181,6 +184,12 @@ func Regress(records []TrajectoryRecord, tolerance float64) *RegressReport {
 			rep.Gating = false
 			rep.Notes = append(rep.Notes, lowParallelismNote(r))
 		}
+	}
+	if base.Rec.Arch != head.Rec.Arch {
+		rep.Gating = false
+		rep.Notes = append(rep.Notes, fmt.Sprintf(
+			"%s (arch=%q) and %s (arch=%q) were taken under different fence models: reported, not gated",
+			base.File, base.Rec.Arch, head.File, head.Rec.Arch))
 	}
 	for _, w := range head.Rec.Workloads {
 		for _, s := range w.Series {

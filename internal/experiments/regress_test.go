@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRegressCleanTrajectoryPasses(t *testing.T) {
@@ -122,6 +123,47 @@ func TestRegressLowParallelismNeverGates(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("notes should explain the exclusion: %v", rep.Notes)
+	}
+}
+
+func TestRegressArchMismatchNeverGates(t *testing.T) {
+	// The seeded -20% step, but with the head record taken natively: a
+	// Power-charged base and a native head measure different locks, so
+	// the step is reported and never gated.
+	records, err := LoadTrajectory(filepath.Join("testdata", "regress", "regressed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := *records[1].Rec
+	if records[0].Rec.Arch != "power" || head.Arch != "power" {
+		t.Fatalf("fixture arches %q/%q, want power/power", records[0].Rec.Arch, head.Arch)
+	}
+	head.Arch = NativeArch
+	records[1].Rec = &head
+	rep := Regress(records, 0)
+	if rep.Gating || rep.Failed() {
+		t.Fatal("a power/none pair must not gate")
+	}
+	if rep.Regressions != 4 {
+		t.Fatalf("got %d regressions, want the 4 solero steps reported informationally", rep.Regressions)
+	}
+	found := false
+	for _, n := range rep.Notes {
+		if strings.Contains(n, "different fence models") {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("notes should explain the exclusion: %v", rep.Notes)
+	}
+}
+
+func TestTournamentStampsNativeArch(t *testing.T) {
+	o := tiny()
+	o.Threads = []int{1}
+	o.Harness.Duration = time.Millisecond
+	if got := Tournament(o, []string{"solero"}).Arch; got != NativeArch {
+		t.Fatalf("tournament record arch = %q, want %q", got, NativeArch)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/harness"
 	"repro/internal/jthread"
-	"repro/internal/memmodel"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 )
@@ -98,6 +97,10 @@ type TournamentWorkload struct {
 	Series   []TournamentSeries `json:"series"`
 }
 
+// NativeArch is the Arch stamp of a record whose locks ran natively, with
+// no simulated fence costs.
+const NativeArch = "none"
+
 // TournamentResult is the durable perf-trajectory record: the whole
 // tournament, environment facts included, serialized as BENCH_<date>.json.
 // Date is injected by the caller (solerobench -date / make bench-record),
@@ -110,7 +113,10 @@ type TournamentResult struct {
 	GOARCH     string `json:"goarch"`
 	CPUs       int    `json:"cpus"`
 	GoMaxProcs int    `json:"gomaxprocs"`
-	Arch       string `json:"arch"`
+	// Arch names the fence model the record was taken under. Tournament
+	// writes NativeArch; older records carry "power", whose simulated
+	// fence charges make them incomparable with native ones (Regress).
+	Arch string `json:"arch"`
 	// LowParallelism stamps records taken where GOMAXPROCS is below the
 	// largest requested thread count: goroutines time-share a processor,
 	// so throughput curves measure scheduler fairness, not lock scaling.
@@ -121,20 +127,6 @@ type TournamentResult struct {
 	// -footprint), giving the perf trajectory a memory axis alongside
 	// throughput.
 	Footprint []FootprintPoint `json:"footprint,omitempty"`
-}
-
-// archModel maps the arch name to its fence model. The tournament charges
-// only the per-operation atomic/indirection surcharges (no per-backend
-// fence placement plans): it measures relative read-path scaling, where
-// the RMW surcharge is the cost being compared.
-func archModel(arch string) *memmodel.Model {
-	switch arch {
-	case "power":
-		return memmodel.Power
-	case "tso":
-		return memmodel.TSO
-	}
-	return nil
 }
 
 // tournamentSink defeats dead-code elimination of the read bodies.
@@ -214,7 +206,7 @@ func Tournament(o Options, backends []string) *TournamentResult {
 		GOARCH:     runtime.GOARCH,
 		CPUs:       runtime.NumCPU(),
 		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Arch:       o.Arch,
+		Arch:       NativeArch,
 		Workloads: []TournamentWorkload{
 			{Name: "read-only", WritePct: 0, Threads: o.Threads},
 			{Name: "mixed-5w", WritePct: 5, Threads: o.Threads},
@@ -225,7 +217,6 @@ func Tournament(o Options, backends []string) *TournamentResult {
 			res.LowParallelism = true
 		}
 	}
-	model := archModel(o.Arch)
 	for wi := range res.Workloads {
 		w := &res.Workloads[wi]
 		for _, name := range backends {
@@ -236,7 +227,7 @@ func Tournament(o Options, backends []string) *TournamentResult {
 			// events are counted unconditionally regardless.
 			reg := metrics.New(0)
 			reg.SetSamplePeriod(1 << 20)
-			be, err := backend.New(name, backend.Options{Model: model, Metrics: reg})
+			be, err := backend.New(name, backend.Options{Metrics: reg})
 			if err != nil {
 				panic(err) // registry names only; a typo is a programming error
 			}

@@ -53,9 +53,9 @@ type Warehouse struct {
 	history   atomic.Uint64
 }
 
-func newWarehouse(impl workload.Impl, arch string, base *core.Config) *Warehouse {
+func newWarehouse(impl workload.Impl, base *core.Config) *Warehouse {
 	w := &Warehouse{
-		guard:     workload.NewGuardConfig(impl, arch, base),
+		guard:     workload.NewGuardConfig(impl, base),
 		stock:     treemap.New[int64](),
 		customers: hashmap.New[int64](customers * 2),
 		orders:    hashmap.New[int64](1024),
@@ -73,20 +73,19 @@ func newWarehouse(impl workload.Impl, arch string, base *core.Config) *Warehouse
 type Bench struct {
 	Impl       workload.Impl
 	warehouses []*Warehouse
-	arch       string
 }
 
 // New creates a bench with capacity for maxThreads warehouses.
-func New(impl workload.Impl, arch string, maxThreads int) *Bench {
-	return NewWithConfig(impl, arch, maxThreads, nil)
+func New(impl workload.Impl, maxThreads int) *Bench {
+	return NewWithConfig(impl, maxThreads, nil)
 }
 
 // NewWithConfig is New with an explicit SOLERO base lock configuration for
 // every warehouse guard (see workload.NewGuardConfig).
-func NewWithConfig(impl workload.Impl, arch string, maxThreads int, base *core.Config) *Bench {
-	b := &Bench{Impl: impl, arch: arch}
+func NewWithConfig(impl workload.Impl, maxThreads int, base *core.Config) *Bench {
+	b := &Bench{Impl: impl}
 	for i := 0; i < maxThreads; i++ {
-		b.warehouses = append(b.warehouses, newWarehouse(impl, arch, base))
+		b.warehouses = append(b.warehouses, newWarehouse(impl, base))
 	}
 	return b
 }

@@ -21,7 +21,7 @@ func TestRunsUnderAllImpls(t *testing.T) {
 	for _, impl := range workload.PaperImpls {
 		t.Run(impl.String(), func(t *testing.T) {
 			vm := jthread.NewVM()
-			b := New(impl, "none", 2)
+			b := New(impl, 2)
 			res := harness.Measure(vm, quick, b.Worker())
 			if res.OpsPerSec <= 0 {
 				t.Fatalf("no throughput")
@@ -32,7 +32,7 @@ func TestRunsUnderAllImpls(t *testing.T) {
 
 func TestReadOnlyRatioMatchesTable1(t *testing.T) {
 	vm := jthread.NewVM()
-	b := New(workload.ImplSolero, "none", 2)
+	b := New(workload.ImplSolero, 2)
 	harness.Measure(vm, quick, b.Worker())
 	total, ro := b.LockOps()
 	if total == 0 {
@@ -48,7 +48,7 @@ func TestReadOnlyRatioMatchesTable1(t *testing.T) {
 
 func TestPerWarehouseIsolationGivesLowFailures(t *testing.T) {
 	vm := jthread.NewVM()
-	b := New(workload.ImplSolero, "none", 4)
+	b := New(workload.ImplSolero, 4)
 	o := quick
 	o.Threads = 4
 	harness.Measure(vm, o, b.Worker())
@@ -60,7 +60,7 @@ func TestPerWarehouseIsolationGivesLowFailures(t *testing.T) {
 
 func TestTransactionsPreserveInvariants(t *testing.T) {
 	vm := jthread.NewVM()
-	b := New(workload.ImplSolero, "none", 1)
+	b := New(workload.ImplSolero, 1)
 	harness.Measure(vm, quick, b.Worker())
 	w := b.warehouses[0]
 	// Stock keys unchanged (values mutate, keys do not).

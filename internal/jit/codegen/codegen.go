@@ -96,18 +96,19 @@ func (r *Report) Print(w io.Writer) {
 // FencePlans returns the fence plans §3.4 prescribes for an architecture:
 // the conventional lock's plan and SOLERO's plan. Architectures: "power",
 // "tso", "none" (sequentially consistent host, e.g. the Go implementation
-// itself), and "power-weak" (the incorrect WeakBarrier ablation).
-func FencePlans(arch string) (conventional, solero memmodel.Plan, model *memmodel.Model, err error) {
+// itself), and "power-weak" (the incorrect WeakBarrier ablation). The
+// coherence simulator charges these plans for Figure 10's fence ablation.
+func FencePlans(arch string) (conventional, solero memmodel.Plan, err error) {
 	switch arch {
 	case "power":
-		return memmodel.ConventionalPower, memmodel.SoleroPower, memmodel.Power, nil
+		return memmodel.ConventionalPower, memmodel.SoleroPower, nil
 	case "power-weak":
-		return memmodel.ConventionalPower, memmodel.SoleroWeakBarrier, memmodel.Power, nil
+		return memmodel.ConventionalPower, memmodel.SoleroWeakBarrier, nil
 	case "tso":
-		return memmodel.NoFences, memmodel.SoleroTSO, memmodel.TSO, nil
+		return memmodel.NoFences, memmodel.SoleroTSO, nil
 	case "none", "":
-		return memmodel.NoFences, memmodel.NoFences, nil, nil
+		return memmodel.NoFences, memmodel.NoFences, nil
 	default:
-		return memmodel.Plan{}, memmodel.Plan{}, nil, fmt.Errorf("codegen: unknown architecture %q", arch)
+		return memmodel.Plan{}, memmodel.Plan{}, fmt.Errorf("codegen: unknown architecture %q", arch)
 	}
 }

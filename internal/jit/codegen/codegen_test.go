@@ -99,26 +99,26 @@ func TestReportPrint(t *testing.T) {
 }
 
 func TestFencePlans(t *testing.T) {
-	conv, sol, model, err := FencePlans("power")
-	if err != nil || model != memmodel.Power {
-		t.Fatalf("power: %v %v", err, model)
+	conv, sol, err := FencePlans("power")
+	if err != nil {
+		t.Fatalf("power: %v", err)
 	}
 	if conv != memmodel.ConventionalPower || sol != memmodel.SoleroPower {
 		t.Fatalf("power plans wrong")
 	}
-	_, sol, _, err = FencePlans("power-weak")
-	if err != nil || sol != memmodel.SoleroWeakBarrier {
+	conv, sol, err = FencePlans("power-weak")
+	if err != nil || conv != memmodel.ConventionalPower || sol != memmodel.SoleroWeakBarrier {
 		t.Fatalf("power-weak wrong")
 	}
-	_, sol, model, err = FencePlans("tso")
-	if err != nil || model != memmodel.TSO || sol != memmodel.SoleroTSO {
+	conv, sol, err = FencePlans("tso")
+	if err != nil || conv != memmodel.NoFences || sol != memmodel.SoleroTSO {
 		t.Fatalf("tso wrong")
 	}
-	_, _, model, err = FencePlans("none")
-	if err != nil || model != nil {
+	conv, sol, err = FencePlans("none")
+	if err != nil || conv != memmodel.NoFences || sol != memmodel.NoFences {
 		t.Fatalf("none wrong")
 	}
-	if _, _, _, err := FencePlans("sparc9000"); err == nil {
+	if _, _, err := FencePlans("sparc9000"); err == nil {
 		t.Fatalf("unknown arch accepted")
 	}
 }

@@ -1,15 +1,14 @@
-// Package memmodel models the memory-ordering requirements of §3.4 of the
-// paper and the relative costs of the fence instructions that satisfy them
-// on different architectures.
+// Package memmodel records the memory-ordering requirements of §3.4 of the
+// paper: which fence each lock protocol places at each point, per
+// architecture.
 //
 // Go's sync/atomic operations are sequentially consistent, so the Go
-// implementations of the lock protocols are correct with no explicit fences.
-// What this package provides is the *performance* dimension the paper
-// evaluates — the Power6 results charge lwsync/sync/isync costs at specific
-// points in each protocol, and the WeakBarrier-SOLERO ablation (Figure 10)
-// runs SOLERO with the conventional lock's (insufficient) fences. Lock
-// implementations call Charge at the placement points of §3.4; a nil Model
-// charges nothing.
+// implementations of the lock protocols are correct with no explicit fences,
+// and the locks charge nothing for them. The plans here are the placement
+// record: jit/codegen.FencePlans selects them per architecture, and the
+// coherence simulator (internal/simcoherence) charges their cost for the
+// Figure 10 fence ablation — SOLERO with the conventional lock's
+// (insufficient) fences.
 //
 // The package also contains StoreBuffer, a tiny operational model of a
 // store-buffer architecture used by tests and the jitpipeline example to
@@ -37,8 +36,6 @@ const (
 	// FenceStoreLoad is the store→load fence x86-TSO needs before an
 	// elided read-only section (an mfence or locked instruction).
 	FenceStoreLoad
-
-	numFences
 )
 
 // String names the fence kind.
@@ -70,91 +67,6 @@ type Plan struct {
 	ReadExit     Fence // before the validating re-load
 }
 
-// Model is an architecture's fence cost table, in abstract work units
-// (iterations of a small busy loop). The shipped models use ratios
-// consistent with the paper's observations (sync > lwsync > isync, and a
-// 20%/7%/5% ordering overhead on HashMap/TreeMap/SPECjbb-scale sections).
-type Model struct {
-	Name string
-	Cost [numFences]uint32
-	// AtomicSurcharge models the cost gap between an atomic RMW (or a
-	// store to an actively shared lock word) and a plain load on the
-	// architecture — the very overhead §1 motivates eliding. Lock
-	// implementations charge it at lock-word writes; SOLERO's elided
-	// read path charges nothing.
-	AtomicSurcharge uint32
-	// IndirectionSurcharge models the java.util.concurrent read-write
-	// lock's call-path cost: §4.2 attributes RWLock's single-thread
-	// losses to lock methods that "are not inlined and involve a level
-	// of indirection in accessing lock variables", unlike the JIT-inlined
-	// monitor fast paths. Charged once per RWLock operation.
-	IndirectionSurcharge uint32
-}
-
-// Charge executes the cost of fence f. A nil model charges nothing, which is
-// the configuration library users get by default.
-func (m *Model) Charge(f Fence) {
-	if m == nil || f == FenceNone {
-		return
-	}
-	spinWork(m.Cost[f])
-}
-
-// ChargeAtomic executes the atomic-operation surcharge (no-op on nil).
-func (m *Model) ChargeAtomic() {
-	if m == nil {
-		return
-	}
-	spinWork(m.AtomicSurcharge)
-}
-
-// ChargeIndirection executes the uninlined-call surcharge (no-op on nil).
-func (m *Model) ChargeIndirection() {
-	if m == nil {
-		return
-	}
-	spinWork(m.IndirectionSurcharge)
-}
-
-// CostOf returns the work units model m charges for f (0 for a nil model).
-func (m *Model) CostOf(f Fence) uint32 {
-	if m == nil {
-		return 0
-	}
-	return m.Cost[f]
-}
-
-//go:noinline
-func spinWork(n uint32) uint32 {
-	var x uint32
-	for i := uint32(0); i < n; i++ {
-		x += i ^ (x << 1)
-	}
-	return x
-}
-
-// Shipped models. Power charges isync:lwsync:sync at 1:2:4; TSO charges only
-// the store→load fence; a nil *Model is the "free fences" configuration.
-var (
-	// Power approximates the paper's Power6 cost structure: atomic
-	// lock-word updates dominate (which is why eliding them halves the
-	// Empty overhead, Figure 10), with sync > lwsync > isync below them.
-	Power = &Model{Name: "power6", Cost: costs(0, 20, 45, 110, 48), AtomicSurcharge: 130, IndirectionSurcharge: 220}
-	// TSO approximates x86/SPARC-TSO: cheap locked RMWs, and only the
-	// store→load fence before elided read sections costs anything.
-	TSO = &Model{Name: "x86-tso", Cost: costs(0, 0, 0, 0, 40), AtomicSurcharge: 30, IndirectionSurcharge: 60}
-)
-
-func costs(none, isync, lwsync, sync, storeload uint32) [numFences]uint32 {
-	var c [numFences]uint32
-	c[FenceNone] = none
-	c[FenceISync] = isync
-	c[FenceLWSync] = lwsync
-	c[FenceSync] = sync
-	c[FenceStoreLoad] = storeload
-	return c
-}
-
 // Fence plans per protocol and architecture (§3.4).
 var (
 	// ConventionalPower: isync at entry, lwsync before release.
@@ -181,6 +93,6 @@ var (
 	// SoleroTSO: on TSO only the store→load fence before an elided
 	// section is required (and only when the preceding section elided).
 	SoleroTSO = Plan{ReadEnter: FenceStoreLoad}
-	// NoFences charges nothing anywhere.
+	// NoFences places no fence anywhere.
 	NoFences = Plan{}
 )

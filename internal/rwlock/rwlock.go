@@ -25,7 +25,6 @@ import (
 	"unsafe"
 
 	"repro/internal/jthread"
-	"repro/internal/memmodel"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -54,12 +53,6 @@ type holdSlot struct {
 
 // RWLock is a reentrant read-write lock. The zero value is ready to use.
 type RWLock struct {
-	// Model, when set, charges the architecture's atomic-RMW surcharge on
-	// every acquisition and release — read mode pays it twice per
-	// section, which is the overhead the paper's Figure 10/11 RWLock
-	// results exhibit.
-	Model *memmodel.Model
-
 	// Sched, when set, wires the lock's retry loops and gate parks into
 	// the schedule-injection kernel so the invariant oracle can explore
 	// this backend too. Nil (production) costs one predictable branch.
@@ -246,8 +239,6 @@ func (l *RWLock) wake() {
 
 // RLock acquires the lock in read mode for t.
 func (l *RWLock) RLock(t *jthread.Thread) {
-	l.Model.ChargeIndirection()
-	l.Model.ChargeAtomic()
 	tid := t.ID()
 	if l.writerTID.Load() == tid {
 		// Write holder reading: permitted (j.u.c. allows the write
@@ -284,8 +275,6 @@ func (l *RWLock) RLock(t *jthread.Thread) {
 
 // RUnlock releases one read hold of t.
 func (l *RWLock) RUnlock(t *jthread.Thread) {
-	l.Model.ChargeIndirection()
-	l.Model.ChargeAtomic()
 	l.Sched.Point(t.ID(), sched.PRelease)
 	l.dropHold(t.ID())
 	if l.state.Add(^uint64(0))&^writerBit == 0 {
@@ -295,8 +284,6 @@ func (l *RWLock) RUnlock(t *jthread.Thread) {
 
 // Lock acquires the lock in write mode for t (reentrant).
 func (l *RWLock) Lock(t *jthread.Thread) {
-	l.Model.ChargeIndirection()
-	l.Model.ChargeAtomic()
 	tid := t.ID()
 	if l.writerTID.Load() == tid {
 		l.wrec++
@@ -323,8 +310,6 @@ func (l *RWLock) Lock(t *jthread.Thread) {
 
 // Unlock releases one write hold of t.
 func (l *RWLock) Unlock(t *jthread.Thread) {
-	l.Model.ChargeIndirection()
-	l.Model.ChargeAtomic()
 	if l.writerTID.Load() != t.ID() {
 		panic("rwlock: Unlock by non-write-holder")
 	}

@@ -20,9 +20,20 @@
 // Cores execute one action at a time in global timestamp order (a
 // min-clock scan over ≤ dozens of cores), so version-based conflict
 // detection is exact within the model.
+//
+// Config.Fences adds the paper's fence axis (§3.4, Figure 10's
+// WeakBarrier ablation): a memmodel.Plan whose fences are charged, in
+// cycles, at the four placement points — after the acquiring RMW, before
+// the releasing store, after an elided section's entry load and before its
+// validating re-load. The real locks run on Go's sequentially consistent
+// atomics and charge nothing; this model is the only place fences cost.
 package simcoherence
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/memmodel"
+)
 
 // Protocol selects the simulated lock algorithm.
 type Protocol uint8
@@ -79,6 +90,24 @@ type Config struct {
 	FallbackAfter int
 	// Duration is the simulated time, in cycles.
 	Duration int64
+	// Fences is the fence plan charged at the §3.4 placement points
+	// (fenceCycles gives each fence's cost). The zero Plan,
+	// memmodel.NoFences, charges nothing. RWLock reader sections are
+	// never charged: the plans describe the mutex and SOLERO protocols.
+	Fences memmodel.Plan
+}
+
+// fenceCycles is the fence cost table, in cycles on the scale of
+// DefaultConfig's AtomicExtra (12, an atomic RMW's added cost). Power
+// fences keep the paper's ordering sync > lwsync > isync, all cheaper than
+// the RMW that elision removes; x86's store→load fence is a locked
+// instruction, so it costs what an RMW does.
+var fenceCycles = [...]int64{
+	memmodel.FenceNone:      0,
+	memmodel.FenceISync:     2,
+	memmodel.FenceLWSync:    4,
+	memmodel.FenceSync:      10,
+	memmodel.FenceStoreLoad: 12,
 }
 
 // DefaultConfig models the paper's microbenchmark regime on a Power6-like
@@ -320,7 +349,7 @@ func (s *Sim) step(ci int) {
 			c.clock += s.readLockLine(ci, c.shard) + 8
 			return
 		}
-		c.clock += s.rmwLockLine(ci, c.shard)
+		c.clock += s.rmwLockLine(ci, c.shard) + fenceCycles[cfg.Fences.WriteAcquire]
 		lk.held = true
 		lk.wheld = true
 		lk.owner = ci
@@ -332,6 +361,7 @@ func (s *Sim) step(ci int) {
 			accesses += cfg.BodyWrites
 		}
 		if c.bodyIdx >= accesses {
+			c.clock += fenceCycles[cfg.Fences.WriteRelease]
 			c.phase = phaseRelease
 			return
 		}
@@ -360,7 +390,7 @@ func (s *Sim) step(ci int) {
 			c.clock += s.readLockLine(ci, c.shard) + 8
 			return
 		}
-		c.clock += s.readLockLine(ci, c.shard)
+		c.clock += s.readLockLine(ci, c.shard) + fenceCycles[cfg.Fences.ReadEnter]
 		c.snapVersion = lk.version
 		c.bodyIdx = 0
 		c.phase = phaseReadBody
@@ -368,6 +398,7 @@ func (s *Sim) step(ci int) {
 
 	case phaseReadBody:
 		if c.bodyIdx >= cfg.BodyReads {
+			c.clock += fenceCycles[cfg.Fences.ReadExit]
 			c.phase = phaseReadValidate
 			return
 		}

@@ -57,7 +57,6 @@ func (l *Lock) fatEnterTablePinned(t *jthread.Thread, h montable.Handle) bool {
 	})
 	if l.word.Load()&^lockword.FLCBit == h.Word {
 		l.st.FatEnters.Add(1)
-		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return true
 	}
 	m.Exit(tid)

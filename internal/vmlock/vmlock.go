@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/jthread"
 	"repro/internal/lockword"
-	"repro/internal/memmodel"
 	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/montable"
@@ -40,10 +39,6 @@ type Config struct {
 	// FLCTimeout bounds parking on the FLC bit (guards the benign race
 	// between a contender's FLC store and the owner's fast release).
 	FLCTimeout time.Duration
-	// Model and Plan charge architecture fence costs at the §3.4
-	// placement points. A nil Model charges nothing.
-	Model *memmodel.Model
-	Plan  memmodel.Plan
 	// Sched, when set, exposes the lock's decision points and parking
 	// regions to the schedule-injection kernel so the shared invariant
 	// oracle can explore this baseline too. Nil is the production setting.
@@ -162,8 +157,6 @@ func (l *Lock) Lock(t *jthread.Thread) {
 		if v == 0 {
 			if l.word.CompareAndSwap(0, lockword.ConvOwned(tid, 0)) {
 				l.st.FastAcquires.Add(1)
-				l.cfg.Model.ChargeAtomic()
-				l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 				return
 			}
 			continue
@@ -176,14 +169,12 @@ func (l *Lock) Lock(t *jthread.Thread) {
 // Unlock releases one level of ownership, following Figure 2: a plain store
 // of zero when the low byte is clean, otherwise the slow path.
 func (l *Lock) Unlock(t *jthread.Thread) {
-	l.cfg.Model.Charge(l.cfg.Plan.WriteRelease)
 	l.cfg.Sched.Point(t.ID(), sched.PRelease)
 	v := l.word.Load()
 	if lockword.ConvFastReleasable(v) {
 		if !lockword.ConvHeldBy(v, t.ID()) {
 			panic("vmlock: Unlock by non-owner")
 		}
-		l.cfg.Model.ChargeAtomic()
 		l.word.Store(0)
 		return
 	}
@@ -231,7 +222,6 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 			// word): three-tier spinning, then FLC parking and
 			// inflation.
 			if l.spinAcquire(t) {
-				l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 				return
 			}
 			l.contendAndInflate(t)
@@ -342,7 +332,6 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 	// load, and the stray bit must not lock everyone out of the monitor.
 	if l.word.Load()&^lockword.FLCBit == lockword.InflatedWord(m.ID()) {
 		l.st.FatEnters.Add(1)
-		l.cfg.Model.Charge(l.cfg.Plan.WriteAcquire)
 		return true
 	}
 	m.Exit(t.ID())

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/jthread"
 	"repro/internal/lockword"
-	"repro/internal/memmodel"
 )
 
 func newT(t *testing.T, n int) (*jthread.VM, []*jthread.Thread) {
@@ -247,21 +246,6 @@ func TestSyncReleasesOnPanic(t *testing.T) {
 	}()
 	if l.HeldBy(ths[0]) {
 		t.Fatalf("lock leaked by panicking Sync")
-	}
-}
-
-func TestFenceChargingDoesNotBreakProtocol(t *testing.T) {
-	cfg := *DefaultConfig
-	cfg.Model = memmodel.Power
-	cfg.Plan = memmodel.ConventionalPower
-	_, ths := newT(t, 1)
-	l := New(&cfg)
-	for i := 0; i < 100; i++ {
-		l.Lock(ths[0])
-		l.Unlock(ths[0])
-	}
-	if l.Word() != 0 {
-		t.Fatalf("word = %#x", l.Word())
 	}
 }
 

@@ -2,8 +2,9 @@
 // HashMap, and TreeMap — a shared collection guarded by a single lock (or
 // striped locks for the fine-grained HashMap variant of Figure 12c) — under
 // each evaluated lock implementation: the conventional tasuki lock
-// ("Lock"), the read-write lock ("RWLock"), SOLERO, and SOLERO's ablations
-// (Unelided, WeakBarrier).
+// ("Lock"), the read-write lock ("RWLock"), SOLERO, and SOLERO's Unelided
+// ablation. Every lock runs natively; the paper's WeakBarrier fence
+// ablation has no native form and lives in internal/simcoherence.
 package workload
 
 import (
@@ -18,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/jthread"
-	"repro/internal/memmodel"
 	"repro/internal/metrics"
 	"repro/internal/montable"
 	"repro/internal/rwlock"
@@ -40,10 +40,6 @@ const (
 	// ImplSoleroUnelided is SOLERO with elision disabled (Figure 10's
 	// Unelided-SOLERO): read sections pay the full write protocol.
 	ImplSoleroUnelided
-	// ImplSoleroWeakBarrier is SOLERO with the conventional lock's
-	// cheaper (and on Power insufficient) fences (Figure 10's
-	// WeakBarrier-SOLERO). Only meaningful with the "power" arch.
-	ImplSoleroWeakBarrier
 	// ImplBravo is the BRAVO biased reader-writer lock (beyond the paper:
 	// the visible-reader-table contender from the backend tournament).
 	ImplBravo
@@ -65,8 +61,6 @@ func (im Impl) String() string {
 		return "SOLERO"
 	case ImplSoleroUnelided:
 		return "Unelided-SOLERO"
-	case ImplSoleroWeakBarrier:
-		return "WeakBarrier-SOLERO"
 	case ImplBravo:
 		return "BRAVO"
 	case ImplLockMT:
@@ -90,8 +84,6 @@ func ParseImpl(name string) (Impl, error) {
 		return ImplSolero, nil
 	case "solero-unelided":
 		return ImplSoleroUnelided, nil
-	case "solero-weakbarrier":
-		return ImplSoleroWeakBarrier, nil
 	case "bravo":
 		return ImplBravo, nil
 	case "vmlock-mt", "lock-mt":
@@ -105,8 +97,8 @@ func ParseImpl(name string) (Impl, error) {
 // PaperImpls are the three implementations of the main comparison.
 var PaperImpls = []Impl{ImplLock, ImplRWLock, ImplSolero}
 
-// Fig10Impls are the five Empty-benchmark configurations.
-var Fig10Impls = []Impl{ImplLock, ImplRWLock, ImplSolero, ImplSoleroUnelided, ImplSoleroWeakBarrier}
+// Fig10Impls are the four native Empty-benchmark configurations.
+var Fig10Impls = []Impl{ImplLock, ImplRWLock, ImplSolero, ImplSoleroUnelided}
 
 // Guard wraps one lock instance of the selected implementation, guarding
 // one shared resource.
@@ -121,31 +113,17 @@ type Guard struct {
 	tb *montable.Table
 }
 
-// NewGuard creates a guard for impl with the fence model of arch ("none",
-// "power", or "tso"; the WeakBarrier impl forces its weak plan on Power).
-func NewGuard(impl Impl, arch string) *Guard {
-	return NewGuardConfig(impl, arch, nil)
+// NewGuard creates a guard for impl.
+func NewGuard(impl Impl) *Guard {
+	return NewGuardConfig(impl, nil)
 }
 
 // NewGuardConfig is NewGuard with an explicit SOLERO base configuration:
 // the base's observability wiring (Metrics, Tracer, Sched) and tuning ride
-// along while arch still selects the fence model and plan. A nil base means
-// core.DefaultConfig; non-SOLERO impls ignore it.
-func NewGuardConfig(impl Impl, arch string, base *core.Config) *Guard {
+// along. A nil base means core.DefaultConfig; non-SOLERO impls use only its
+// metrics registry.
+func NewGuardConfig(impl Impl, base *core.Config) *Guard {
 	g := &Guard{impl: impl}
-	var model *memmodel.Model
-	convPlan, solPlan := memmodel.NoFences, memmodel.NoFences
-	switch arch {
-	case "power":
-		model = memmodel.Power
-		convPlan, solPlan = memmodel.ConventionalPower, memmodel.SoleroPower
-	case "tso":
-		model = memmodel.TSO
-		convPlan, solPlan = memmodel.NoFences, memmodel.SoleroTSO
-	case "none", "":
-	default:
-		panic(fmt.Sprintf("workload: unknown arch %q", arch))
-	}
 	// The base config's registry reaches every impl, not just SOLERO: the
 	// conventional baselines record their own contention causes (gate
 	// parks, monitor parks, revocation scans) into the same taxonomy.
@@ -156,8 +134,6 @@ func NewGuardConfig(impl Impl, arch string, base *core.Config) *Guard {
 	switch impl {
 	case ImplLock, ImplLockMT:
 		cfg := *vmlock.DefaultConfig
-		cfg.Model = model
-		cfg.Plan = convPlan
 		cfg.Metrics = reg
 		if impl == ImplLockMT {
 			g.tb = newGuardTable(base)
@@ -165,23 +141,17 @@ func NewGuardConfig(impl Impl, arch string, base *core.Config) *Guard {
 		}
 		g.conv = vmlock.New(&cfg)
 	case ImplRWLock:
-		g.rw = &rwlock.RWLock{Model: model, Metrics: reg}
+		g.rw = &rwlock.RWLock{Metrics: reg}
 	case ImplBravo:
-		g.brv = bravo.New(&bravo.Config{Model: model, Metrics: reg})
+		g.brv = bravo.New(&bravo.Config{Metrics: reg})
 	default:
 		cfg := *core.DefaultConfig
 		if base != nil {
 			cfg = *base
 		}
-		cfg.Model = model
-		cfg.Plan = solPlan
 		switch impl {
 		case ImplSoleroUnelided:
 			cfg.DisableElision = true
-		case ImplSoleroWeakBarrier:
-			if model != nil {
-				cfg.Plan = memmodel.SoleroWeakBarrier
-			}
 		case ImplSoleroMT:
 			g.tb = newGuardTable(base)
 			cfg.Monitors = g.tb
@@ -288,14 +258,14 @@ type Empty struct {
 }
 
 // NewEmpty creates the benchmark for one implementation.
-func NewEmpty(impl Impl, arch string) *Empty {
-	return &Empty{G: NewGuard(impl, arch)}
+func NewEmpty(impl Impl) *Empty {
+	return &Empty{G: NewGuard(impl)}
 }
 
 // NewEmptyConfig is NewEmpty with an explicit SOLERO base lock
 // configuration (see NewGuardConfig).
-func NewEmptyConfig(impl Impl, arch string, base *core.Config) *Empty {
-	return &Empty{G: NewGuardConfig(impl, arch, base)}
+func NewEmptyConfig(impl Impl, base *core.Config) *Empty {
+	return &Empty{G: NewGuardConfig(impl, base)}
 }
 
 // NewEmptyWithConfig creates the SOLERO Empty benchmark with an explicit
@@ -354,19 +324,19 @@ type MapBench struct {
 // NewMapBench builds and preloads the benchmark. The paper uses 1K entries,
 // write percentages 0 and 5, and shards equal to the thread count for the
 // fine-grained variant (1 otherwise).
-func NewMapBench(kind MapKind, impl Impl, arch string, writePct, entries, shards int) *MapBench {
-	return NewMapBenchConfig(kind, impl, arch, writePct, entries, shards, nil)
+func NewMapBench(kind MapKind, impl Impl, writePct, entries, shards int) *MapBench {
+	return NewMapBenchConfig(kind, impl, writePct, entries, shards, nil)
 }
 
 // NewMapBenchConfig is NewMapBench with an explicit SOLERO base lock
 // configuration for every shard guard (see NewGuardConfig).
-func NewMapBenchConfig(kind MapKind, impl Impl, arch string, writePct, entries, shards int, base *core.Config) *MapBench {
+func NewMapBenchConfig(kind MapKind, impl Impl, writePct, entries, shards int, base *core.Config) *MapBench {
 	if shards < 1 {
 		shards = 1
 	}
 	b := &MapBench{Kind: kind, WritePct: writePct, Entries: entries, Shards: shards}
 	for s := 0; s < shards; s++ {
-		b.guards = append(b.guards, NewGuardConfig(impl, arch, base))
+		b.guards = append(b.guards, NewGuardConfig(impl, base))
 		if kind == Hash {
 			b.hms = append(b.hms, hashmap.New[int64](entries*2))
 		} else {

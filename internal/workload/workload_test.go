@@ -22,7 +22,7 @@ func TestEmptyAllImpls(t *testing.T) {
 	for _, impl := range Fig10Impls {
 		t.Run(impl.String(), func(t *testing.T) {
 			vm := jthread.NewVM()
-			e := NewEmpty(impl, "power")
+			e := NewEmpty(impl)
 			res := harness.Measure(vm, quick, e.Worker())
 			if res.OpsPerSec <= 0 {
 				t.Fatalf("no throughput")
@@ -36,7 +36,7 @@ func TestMapBenchAllImplsAndKinds(t *testing.T) {
 		for _, impl := range PaperImpls {
 			t.Run(kind.String()+"/"+impl.String(), func(t *testing.T) {
 				vm := jthread.NewVM()
-				b := NewMapBench(kind, impl, "none", 5, 256, 1)
+				b := NewMapBench(kind, impl, 5, 256, 1)
 				res := harness.Measure(vm, quick, b.Worker())
 				if res.OpsPerSec <= 0 {
 					t.Fatalf("no throughput")
@@ -58,7 +58,7 @@ func TestMapBenchAllImplsAndKinds(t *testing.T) {
 
 func TestFineGrainedSharding(t *testing.T) {
 	vm := jthread.NewVM()
-	b := NewMapBench(Hash, ImplSolero, "none", 5, 256, 4)
+	b := NewMapBench(Hash, ImplSolero, 5, 256, 4)
 	if len(b.guards) != 4 {
 		t.Fatalf("shards = %d", len(b.guards))
 	}
@@ -70,7 +70,7 @@ func TestFineGrainedSharding(t *testing.T) {
 
 func TestFailureRatioBounds(t *testing.T) {
 	vm := jthread.NewVM()
-	b := NewMapBench(Hash, ImplSolero, "none", 50, 64, 1)
+	b := NewMapBench(Hash, ImplSolero, 50, 64, 1)
 	o := quick
 	o.Threads = 4
 	harness.Measure(vm, o, b.Worker())
@@ -80,7 +80,7 @@ func TestFailureRatioBounds(t *testing.T) {
 	}
 	// Pure reads, single thread: failures should be zero.
 	vm2 := jthread.NewVM()
-	b2 := NewMapBench(Hash, ImplSolero, "none", 0, 64, 1)
+	b2 := NewMapBench(Hash, ImplSolero, 0, 64, 1)
 	o2 := quick
 	o2.Threads = 1
 	harness.Measure(vm2, o2, b2.Worker())
@@ -91,7 +91,7 @@ func TestFailureRatioBounds(t *testing.T) {
 
 func TestZeroWriteKeepsValuesIntact(t *testing.T) {
 	vm := jthread.NewVM()
-	b := NewMapBench(Tree, ImplSolero, "none", 0, 128, 1)
+	b := NewMapBench(Tree, ImplSolero, 0, 128, 1)
 	o := quick
 	o.Threads = 3
 	harness.Measure(vm, o, b.Worker())
@@ -106,7 +106,7 @@ func TestZeroWriteKeepsValuesIntact(t *testing.T) {
 func TestImplStrings(t *testing.T) {
 	want := map[Impl]string{
 		ImplLock: "Lock", ImplRWLock: "RWLock", ImplSolero: "SOLERO",
-		ImplSoleroUnelided: "Unelided-SOLERO", ImplSoleroWeakBarrier: "WeakBarrier-SOLERO",
+		ImplSoleroUnelided: "Unelided-SOLERO",
 	}
 	for im, s := range want {
 		if im.String() != s {
@@ -122,7 +122,7 @@ func TestGuardDispatch(t *testing.T) {
 	vm := jthread.NewVM()
 	th := vm.Attach("t")
 	for _, impl := range Fig10Impls {
-		g := NewGuard(impl, "none")
+		g := NewGuard(impl)
 		ran := 0
 		g.Read(th, func() { ran++ })
 		g.Write(th, func() { ran++ })
@@ -130,10 +130,10 @@ func TestGuardDispatch(t *testing.T) {
 			t.Fatalf("%v: sections ran %d times", impl, ran)
 		}
 	}
-	if NewGuard(ImplLock, "none").SoleroStats() != nil {
+	if NewGuard(ImplLock).SoleroStats() != nil {
 		t.Fatalf("conventional guard has SOLERO stats")
 	}
-	if NewGuard(ImplSolero, "none").SoleroStats() == nil {
+	if NewGuard(ImplSolero).SoleroStats() == nil {
 		t.Fatalf("SOLERO guard missing stats")
 	}
 }
@@ -141,7 +141,7 @@ func TestGuardDispatch(t *testing.T) {
 func TestUnelidedNeverElides(t *testing.T) {
 	vm := jthread.NewVM()
 	th := vm.Attach("t")
-	g := NewGuard(ImplSoleroUnelided, "none")
+	g := NewGuard(ImplSoleroUnelided)
 	for i := 0; i < 10; i++ {
 		g.Read(th, func() {})
 	}
@@ -160,7 +160,7 @@ func TestGetSinkCountsExactlyOnce(t *testing.T) {
 	const entries = 64
 	vm := jthread.NewVM()
 	th := vm.Attach("t")
-	b := NewMapBench(Hash, ImplSolero, "none", 0, entries, 1)
+	b := NewMapBench(Hash, ImplSolero, 0, entries, 1)
 	// Keys are preloaded with value k, so one sweep adds exactly sum(k).
 	want := uint64(entries * (entries - 1) / 2)
 	before := opSink.Load()
