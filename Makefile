@@ -40,7 +40,8 @@
 #   make bench-gate - regression-gate the committed BENCH_*.json trajectory
 #                    (+ the seeded -20% fixture MUST fail: anti-vacuity)
 #   make tournament-smoke - every lock backend through the schedule-kernel
-#                    oracle + a quick tournament sanity run
+#                    oracle, vmlock and solero again with a monitor-table
+#                    sweeper thread, + a quick tournament sanity run
 
 GO ?= go
 
@@ -302,12 +303,12 @@ tournament-smoke:
 		$(GO) run ./cmd/solerocheck -sched -backend $$be -writers 1 -readers 2 -upgraders 1 -ops 4 -episodes 25 \
 			|| { echo "FAIL: backend $$be violated the oracle"; exit 1; }; \
 	done
-	@for be in vmlock-mt solero-mt; do \
+	@for be in vmlock solero; do \
 		$(GO) run ./cmd/solerocheck -sched -backend $$be -writers 2 -readers 1 -sweepers 1 -ops 3 -episodes 25 \
 			|| { echo "FAIL: table-backed backend $$be violated the oracle"; exit 1; }; \
 	done
 	$(GO) run ./cmd/solerobench -exp tournament -threads 1,2 -duration 20ms -runs 1 -inner 1 >/dev/null
-	@echo "OK: tournament-smoke (6 backends, oracle + pinned revocation window + sweep)"
+	@echo "OK: tournament-smoke (4 backends, oracle + pinned revocation window + sweep)"
 
 # Compact-monitor-table smoke: the short churn-torture/property pass, a
 # 1M-lock steady-state footprint assert (<64 bytes/lock — the scale

@@ -16,10 +16,10 @@
 // backend's protocol counters flow through the same snapshot/export
 // pipeline; the SOLERO-only views (latency histograms, abort taxonomy,
 // -stripes, -sites, -trace) stay empty for the others.
-// The table-backed variants (vmlock-mt, solero-mt) rent fat monitors from
-// a compact monitor table instead of allocating them per lock; for those
-// the report adds a monitor-table section (occupancy, deflation churn,
-// footprint bytes) and the sweep-latency histogram.
+// The lock/vmlock and solero backends rent fat monitors from a compact
+// monitor table of their own; for those the report adds a monitor-table
+// section (occupancy, deflation churn, footprint bytes) and the
+// sweep-latency histogram.
 //
 // -stripes additionally prints per-stripe occupancy of the sharded stat
 // engine, making skew across thread ids visible. -sites prints the sampled
@@ -55,7 +55,7 @@ import (
 
 func main() {
 	bench := flag.String("bench", "hashmap", "benchmark: empty|hashmap|treemap|jbb")
-	backendName := flag.String("backend", "solero", "lock backend: lock|rwlock|solero|solero-unelided|bravo|vmlock-mt|solero-mt")
+	backendName := flag.String("backend", "solero", "lock backend: lock|vmlock|rwlock|solero|solero-unelided|bravo")
 	threads := flag.Int("threads", 4, "software threads")
 	writes := flag.Int("writes", 5, "write percentage (map benchmarks)")
 	entries := flag.Int("entries", 1024, "map entries")
@@ -251,7 +251,7 @@ func main() {
 // quiesceTables stops the background sweepers of any compact monitor
 // tables backing the benchmark guards and runs a few explicit sweep
 // passes, so the counter dump and occupancy report show steady state
-// rather than mid-churn residue. No-op for classic backends.
+// rather than mid-churn residue. No-op for the table-less backends.
 func quiesceTables(gs []*workload.Guard) {
 	for _, g := range gs {
 		if tb := g.Table(); tb != nil {
@@ -264,8 +264,8 @@ func quiesceTables(gs []*workload.Guard) {
 }
 
 // printMonitorTables reports compact-monitor-table occupancy, deflation
-// churn, and the table's heap footprint for the -mt backends. Silent for
-// classic per-lock-monitor backends.
+// churn, and the table's heap footprint for the table-backed backends.
+// Silent for rwlock and bravo.
 func printMonitorTables(gs []*workload.Guard) {
 	first := true
 	for _, g := range gs {
@@ -274,7 +274,7 @@ func printMonitorTables(gs []*workload.Guard) {
 			continue
 		}
 		if first {
-			fmt.Printf("monitor table (compact -mt backend):\n")
+			fmt.Printf("monitor table (compact):\n")
 			first = false
 		}
 		st := tb.Snapshot()

@@ -52,7 +52,7 @@ func main() {
 	writers := flag.Int("writers", 0, "writer threads (model default 1, sched default 2)")
 	readers := flag.Int("readers", 2, "speculative reader threads")
 	upgraders := flag.Int("upgraders", 0, "read-mostly upgrader threads")
-	sweepers := flag.Int("sweepers", 0, "sched: monitor-table sweeper threads (-mt backends)")
+	sweepers := flag.Int("sweepers", 0, "sched: monitor-table sweeper threads (vmlock and solero)")
 	noDeflate := flag.Bool("nodeflate", false, "sched: disable on-release deflation (sweeper-only demotion)")
 	inflators := flag.Int("inflators", 0, "inflate/deflate threads (model mode only)")
 	retries := flag.Int("retries", 1, "speculation retries before fallback (paper: 1)")
@@ -65,7 +65,7 @@ func main() {
 	pctD := flag.Int("pct-d", 3, "sched: PCT priority change points")
 	ops := flag.Int("ops", 20, "sched: critical sections per thread")
 	bugName := flag.String("bug", "none", "sched: inject a protocol bug: none|no-counter-bump")
-	backendName := flag.String("backend", "solero", "sched: lock backend under test (internal/backend name, e.g. solero|vmlock-mt)")
+	backendName := flag.String("backend", "solero", "sched: lock backend under test (internal/backend name: vmlock|rwlock|solero|bravo)")
 	replay := flag.String("replay", "", "sched: replay a recorded decision sequence (comma list) instead of exploring")
 	flag.Parse()
 

@@ -9,24 +9,20 @@ import (
 	"repro/internal/vmlock"
 )
 
-// ForVMLock wraps an existing conventional lock in the SPI.
-func ForVMLock(l *vmlock.Lock) Backend { return &vmlockBackend{l: l} }
-
-// ForVMLockTable wraps a conventional lock whose fat mode rents from the
-// given monitor table (its Stats merge the table's counters).
-func ForVMLockTable(l *vmlock.Lock, tb *montable.Table) Backend {
+// ForVMLock wraps an existing conventional lock in the SPI. tb is the
+// monitor table the lock rents from: its counters join the backend's
+// Stats and it is the MonitorTable sweep harnesses drive. Pass nil for a
+// lock on montable.Shared, whose counters belong to no one lock.
+func ForVMLock(l *vmlock.Lock, tb *montable.Table) Backend {
 	return &vmlockBackend{l: l, tb: tb}
 }
 
 // ForRWLock wraps an existing reader-writer baseline in the SPI.
 func ForRWLock(l *rwlock.RWLock) Backend { return &rwlockBackend{l: l} }
 
-// ForSolero wraps an existing SOLERO lock in the SPI.
-func ForSolero(l *core.Lock) Backend { return &soleroBackend{l: l} }
-
-// ForSoleroTable wraps a SOLERO lock whose fat mode rents from the given
-// monitor table (its Stats merge the table's counters).
-func ForSoleroTable(l *core.Lock, tb *montable.Table) Backend {
+// ForSolero wraps an existing SOLERO lock in the SPI; tb is as for
+// ForVMLock.
+func ForSolero(l *core.Lock, tb *montable.Table) Backend {
 	return &soleroBackend{l: l, tb: tb}
 }
 
@@ -34,19 +30,14 @@ func ForSoleroTable(l *core.Lock, tb *montable.Table) Backend {
 func ForBravo(l *bravo.Lock) Backend { return &bravoBackend{l: l} }
 
 // vmlockBackend adapts the conventional tasuki lock. It has no read mode:
-// read acquisitions are exclusive acquisitions. A non-nil tb marks the
-// table-backed "vmlock-mt" variant.
+// read acquisitions are exclusive acquisitions. tb is the lock's own
+// monitor table (nil for a lock on montable.Shared).
 type vmlockBackend struct {
 	l  *vmlock.Lock
 	tb *montable.Table
 }
 
-func (b *vmlockBackend) Name() string {
-	if b.tb != nil {
-		return "vmlock-mt"
-	}
-	return "vmlock"
-}
+func (b *vmlockBackend) Name() string                           { return "vmlock" }
 func (b *vmlockBackend) Lock(t *jthread.Thread)                 { b.l.Lock(t) }
 func (b *vmlockBackend) Unlock(t *jthread.Thread)               { b.l.Unlock(t) }
 func (b *vmlockBackend) RLock(t *jthread.Thread)                { b.l.Lock(t) }
@@ -63,8 +54,8 @@ func (b *vmlockBackend) Stats() map[string]uint64 {
 	return s
 }
 
-// MonitorTable returns the compact monitor table ("vmlock-mt" only; nil
-// for the classic variant).
+// MonitorTable returns the lock's own monitor table (nil for a lock on
+// montable.Shared).
 func (b *vmlockBackend) MonitorTable() *montable.Table { return b.tb }
 
 // Underlying returns the wrapped lock (diagnostics).
@@ -94,12 +85,7 @@ type soleroBackend struct {
 	tb *montable.Table
 }
 
-func (b *soleroBackend) Name() string {
-	if b.tb != nil {
-		return "solero-mt"
-	}
-	return "solero"
-}
+func (b *soleroBackend) Name() string                           { return "solero" }
 func (b *soleroBackend) Lock(t *jthread.Thread)                 { b.l.Lock(t) }
 func (b *soleroBackend) Unlock(t *jthread.Thread)               { b.l.Unlock(t) }
 func (b *soleroBackend) RLock(t *jthread.Thread)                { b.l.Lock(t) }
@@ -116,8 +102,8 @@ func (b *soleroBackend) Stats() map[string]uint64 {
 	return s
 }
 
-// MonitorTable returns the compact monitor table ("solero-mt" only; nil
-// for the classic variant).
+// MonitorTable returns the lock's own monitor table (nil for a lock on
+// montable.Shared).
 func (b *soleroBackend) MonitorTable() *montable.Table { return b.tb }
 
 func (b *soleroBackend) ReadMostly(t *jthread.Thread, fn func(u Upgrader)) {

@@ -74,7 +74,7 @@ type ReadMostlyBackend interface {
 }
 
 // TableBacked is implemented by backends whose fat mode rents monitors
-// from a compact monitor table (the "-mt" variants). Harnesses use the
+// from a compact monitor table (vmlock and solero). Harnesses use the
 // accessor to drive explicit sweeps and read occupancy.
 type TableBacked interface {
 	Backend
@@ -97,23 +97,27 @@ type Options struct {
 	// exporters read any backend uniformly. Nil (production default) keeps
 	// every hook to one predictable branch.
 	Metrics *metrics.Registry
-	// Solero, when set, is the base core.Config for the "solero" backends
-	// (Sched/History/Bug above are layered on top of a copy).
+	// Solero, when set, is the base core.Config for the "solero" backend
+	// (Sched/History/Bug above and the backend's own monitor table are
+	// layered on top of a copy).
 	Solero *core.Config
 	// VMLock, when set, is the base vmlock.Config for the "vmlock"
-	// backends (Sched layered on top of a copy).
+	// backend (Sched and the backend's own monitor table layered on top of
+	// a copy).
 	VMLock *vmlock.Config
 	// Bravo, when set, tunes the "bravo" backend (Sched layered on
 	// top of a copy).
 	Bravo *bravo.Config
-	// Montable, when set, tunes the compact monitor table behind the
-	// "-mt" backends (Sched/History layered on top of a copy).
+	// Montable, when set, tunes the compact monitor table each vmlock or
+	// solero backend builds for itself (Sched/History/Metrics layered on
+	// top of a copy).
 	Montable *montable.Config
 	// Bug injects a protocol defect into the SOLERO backend under test.
 	Bug core.Bug
 }
 
-// table builds the compact monitor table for an "-mt" backend.
+// table builds the compact monitor table a vmlock or solero backend rents
+// its fat monitors from.
 func (o Options) table() *montable.Table {
 	var cfg montable.Config
 	if o.Montable != nil {
@@ -124,17 +128,15 @@ func (o Options) table() *montable.Table {
 	return montable.New(cfg)
 }
 
-// Names lists the registered backends in tournament order. The "-mt"
-// variants are the same protocols with fat mode backed by the compact
-// monitor table instead of per-lock monitor allocations.
+// Names lists the registered backends in tournament order.
 func Names() []string {
-	return []string{"vmlock", "rwlock", "solero", "bravo", "vmlock-mt", "solero-mt"}
+	return []string{"vmlock", "rwlock", "solero", "bravo"}
 }
 
 // New builds the named backend.
 func New(name string, o Options) (Backend, error) {
 	switch name {
-	case "vmlock", "vmlock-mt":
+	case "vmlock":
 		var cfg vmlock.Config
 		if o.VMLock != nil {
 			cfg = *o.VMLock
@@ -143,16 +145,11 @@ func New(name string, o Options) (Backend, error) {
 		}
 		cfg.Sched = o.Sched
 		cfg.Metrics = o.Metrics
-		b := &vmlockBackend{}
-		if name == "vmlock-mt" {
-			b.tb = o.table()
-			cfg.Monitors = b.tb
-		}
-		b.l = vmlock.New(&cfg)
-		return b, nil
+		cfg.Monitors = o.table()
+		return ForVMLock(vmlock.New(&cfg), cfg.Monitors), nil
 	case "rwlock":
 		return &rwlockBackend{l: &rwlock.RWLock{Sched: o.Sched, Metrics: o.Metrics}}, nil
-	case "solero", "solero-mt":
+	case "solero":
 		var cfg core.Config
 		if o.Solero != nil {
 			cfg = *o.Solero
@@ -163,13 +160,8 @@ func New(name string, o Options) (Backend, error) {
 		if o.Metrics != nil {
 			cfg.Metrics = o.Metrics
 		}
-		b := &soleroBackend{}
-		if name == "solero-mt" {
-			b.tb = o.table()
-			cfg.Monitors = b.tb
-		}
-		b.l = core.New(&cfg)
-		return b, nil
+		cfg.Monitors = o.table()
+		return ForSolero(core.New(&cfg), cfg.Monitors), nil
 	case "bravo":
 		var cfg bravo.Config
 		if o.Bravo != nil {

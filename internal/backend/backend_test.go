@@ -27,6 +27,28 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// TestTableVariantNamesRetired pins the one fat-mode path: the vmlock and
+// solero backends each rent from their own monitor table, and the retired
+// "-mt" names hit the ordinary unknown-backend error.
+func TestTableVariantNamesRetired(t *testing.T) {
+	for _, name := range []string{"vmlock", "solero"} {
+		be, err := New(name, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb, ok := be.(TableBacked); !ok || tb.MonitorTable() == nil {
+			t.Fatalf("%s has no monitor table of its own", name)
+		}
+	}
+	for _, name := range []string{"solero-mt", "vmlock-mt"} {
+		_, err := New(name, Options{})
+		want := fmt.Sprintf("backend: unknown backend %q (have %v)", name, Names())
+		if err == nil || err.Error() != want {
+			t.Fatalf("New(%q) error = %v, want %q", name, err, want)
+		}
+	}
+}
+
 func TestSoleroImplementsReadMostly(t *testing.T) {
 	be, _ := New("solero", Options{})
 	if _, ok := be.(ReadMostlyBackend); !ok {

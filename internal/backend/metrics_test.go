@@ -88,7 +88,7 @@ func TestRWLockGateParkMetrics(t *testing.T) {
 // under "sweep-stall" while clean passes are not.
 func TestMontableSweepStallMetrics(t *testing.T) {
 	reg := metrics.New(1)
-	be, err := New("solero-mt", Options{Metrics: reg})
+	be, err := New("solero", Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,13 +126,11 @@ type Config struct {
 	History *history.Recorder
 	// Bug injects a protocol defect for oracle validation (see Bug).
 	Bug Bug
-	// Monitors, when set, backs fat mode with the shared compact monitor
-	// table instead of a per-lock monitor.Global allocation: inflation
-	// binds a table entry, the inflated word carries the entry's ticket,
-	// and deflation (on release or by the table's sweeper) returns the
-	// entry to the free list so the steady-state monitor count tracks
-	// contended locks, not allocated ones. Nil keeps the classic
-	// per-lock monitor.
+	// Monitors is the compact monitor table fat mode rents from: inflation
+	// binds a table entry, the inflated word carries the entry's ticket, and
+	// deflation (on release or by the table's sweeper) returns the entry to
+	// the free list, so the monitor count tracks contended locks, not
+	// allocated ones. Nil means montable.Shared, the process-wide table.
 	Monitors *montable.Table
 }
 
@@ -173,8 +171,8 @@ func (c *Config) statsStripeCount() int {
 // loads: the word, cfg, the owner's saved word and the stats stripe header.
 // No thread but the owner writes that line, and the owner writes saved only
 // right after its CAS has taken the line exclusive. Everything other
-// threads write — the monitor pointer, the adaptive gate, the shared
-// counters — and the read-mostly Counter views lie past it; the striped
+// threads write — the adaptive gate, the shared counters — and the monitor
+// table pointer and the read-mostly Counter views lie past it; the striped
 // counters live in the separately allocated stripes.
 type Lock struct {
 	lockHead
@@ -183,7 +181,9 @@ type Lock struct {
 	// ends the first line (see Stats).
 	st Stats
 
-	mon atomic.Pointer[monitor.Monitor]
+	// mt is the monitor table fat mode rents from: cfg.Monitors, or
+	// montable.Shared when that is nil.
+	mt *montable.Table
 
 	// ad holds the shared remainder of the adaptive-elision machinery (the
 	// rare backoff gate); the per-execution window counters live in the
@@ -225,7 +225,10 @@ func New(cfg *Config) *Lock {
 	if cfg.Metrics != nil && cfg.MetricsSamplePeriod > 0 {
 		cfg.Metrics.SetSamplePeriod(cfg.MetricsSamplePeriod)
 	}
-	l := &Lock{lockHead: lockHead{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}}
+	l := &Lock{lockHead: lockHead{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}, mt: cfg.Monitors}
+	if l.mt == nil {
+		l.mt = montable.Shared
+	}
 	l.st.init(cfg.statsStripeCount())
 	return l
 }
@@ -257,23 +260,9 @@ func (l *Lock) Inflated() bool { return lockword.Inflated(l.word.Load()) }
 func (l *Lock) HeldBy(t *jthread.Thread) bool {
 	v := l.word.Load()
 	if lockword.Inflated(v) {
-		if l.cfg.Monitors != nil {
-			return l.heldFatTable(t, v)
-		}
-		return l.monitorFor().HeldBy(t.ID())
+		return l.heldFat(t, v)
 	}
 	return lockword.SoleroHeldBy(v, t.ID())
-}
-
-func (l *Lock) monitorFor() *monitor.Monitor {
-	if m := l.mon.Load(); m != nil {
-		return m
-	}
-	m := monitor.Global.New()
-	if l.mon.CompareAndSwap(nil, m) {
-		return m
-	}
-	return l.mon.Load()
 }
 
 // Lock acquires the lock for a writing critical section (Figure 6): CAS the

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/jthread"
 	"repro/internal/lockword"
+	"repro/internal/monitor"
 )
 
 func newT(t *testing.T, n int) []*jthread.Thread {
@@ -539,9 +540,11 @@ func TestStrayFLCOnInflatedWord(t *testing.T) {
 		}(th)
 	}
 	// Release only once both contenders queue on the monitor, so the
-	// release cannot deflate the stray bit away.
-	m := l.monitorFor()
-	for deadline := time.Now().Add(5 * time.Second); m.StatsSnapshot().ContendedEnters < 2; {
+	// release cannot deflate the stray bit away. A table monitor is
+	// recycled across bindings, so count from its current total.
+	m := boundMonitor(l)
+	queued := m.StatsSnapshot().ContendedEnters
+	for deadline := time.Now().Add(5 * time.Second); m.StatsSnapshot().ContendedEnters < queued+2; {
 		if time.Now().After(deadline) {
 			t.Fatalf("contenders never queued on the monitor")
 		}
@@ -583,9 +586,10 @@ func TestReaderDeflatesContendedLock(t *testing.T) {
 			l := New(nil)
 			l.Lock(ths[0])
 			l.inflateAsOwner(ths[0], l.word.Load(), 0)
-			m := l.monitorFor()
+			m := boundMonitor(l)
+			queued := m.StatsSnapshot().ContendedEnters
 			waitQueued := func(n uint64) {
-				for deadline := time.Now().Add(5 * time.Second); m.StatsSnapshot().ContendedEnters < n; {
+				for deadline := time.Now().Add(5 * time.Second); m.StatsSnapshot().ContendedEnters < queued+n; {
 					if time.Now().After(deadline) {
 						panic("contenders never queued on the monitor")
 					}
@@ -621,4 +625,15 @@ func TestReaderDeflatesContendedLock(t *testing.T) {
 			}
 		})
 	}
+}
+
+// boundMonitor returns the monitor of l's live table binding, or nil while
+// l has none.
+func boundMonitor(l *Lock) *monitor.Monitor {
+	h, ok := l.mt.FindBound(&l.word, 0)
+	if !ok {
+		return nil
+	}
+	h.Unpin()
+	return h.Mon
 }

@@ -14,8 +14,9 @@ const lockLine = stats.CacheLine
 
 // TestLockLineLayout checks the one-line fast path: the word at offset 0,
 // and cfg, saved and the stats stripe header inside the first 64 bytes,
-// while every field a non-owner writes (mon, the adaptive gate, the shared
-// counters) and the Counter views start past that line.
+// while every field a non-owner writes (the adaptive gate, the shared
+// counters), the monitor table pointer mt and the Counter views start past
+// that line.
 func TestLockLineLayout(t *testing.T) {
 	var l Lock
 	if off := unsafe.Offsetof(l.word); off != 0 {
@@ -34,7 +35,7 @@ func TestLockLineLayout(t *testing.T) {
 		}
 	}
 	cold := map[string]uintptr{
-		"mon":       unsafe.Offsetof(l.mon),
+		"mt":        unsafe.Offsetof(l.mt),
 		"ad":        unsafe.Offsetof(l.ad),
 		"st.shared": st + unsafe.Offsetof(l.st.shared),
 	}
@@ -45,7 +46,7 @@ func TestLockLineLayout(t *testing.T) {
 		}
 	}
 	if len(cold) != 3+int(numCounters) {
-		t.Fatalf("found %d cold fields, want mon, ad, shared and %d views", len(cold), numCounters)
+		t.Fatalf("found %d cold fields, want mt, ad, shared and %d views", len(cold), numCounters)
 	}
 	for name, off := range cold {
 		if off < lockLine {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/jthread"
 	"repro/internal/lockword"
 	"repro/internal/metrics"
+	"repro/internal/montable"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -28,11 +29,7 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 	for {
 		switch {
 		case lockword.Inflated(v):
-			if l.cfg.Monitors != nil {
-				if l.fatEnterTable(t, v) {
-					return
-				}
-			} else if l.fatEnter(t) {
+			if l.fatEnter(t, v) {
 				return
 			}
 		case lockword.SoleroHeldBy(v, tid):
@@ -88,29 +85,37 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 	return false
 }
 
-// contendAndInflate parks on the FLC bit until the flat lock can be
-// grabbed, then inflates it, stashing the incremented counter in the
-// monitor so deflation publishes a changed word. The caller ends up owning
-// the fat lock.
+// contendAndInflate is the END_OF_SPIN path: bind the lock's table entry
+// once, keep the pin across FLC parks (the sweeper must not reclaim the
+// monitor this contender is parked on), then either grab the freed flat
+// lock and publish the ticket — stashing the incremented counter in the
+// monitor so deflation publishes a changed word — or join the inflated
+// monitor. The caller ends up owning the fat lock.
 func (l *Lock) contendAndInflate(t *jthread.Thread) {
-	if l.cfg.Monitors != nil {
-		l.contendAndInflateTable(t)
-		return
-	}
 	tid := t.ID()
-	m := l.monitorFor()
+	h := l.mt.Bind(&l.word, tid)
+	m := h.Mon
 	for {
 		v := l.word.Load()
 		switch {
 		case lockword.Inflated(v):
-			if l.fatEnter(t) {
-				return
+			if v&^lockword.FLCBit == h.Word {
+				if l.fatEnterPinned(t, h) {
+					h.Unpin()
+					return
+				}
+				continue
 			}
+			// A different ticket cannot be published while we hold the
+			// pin; defensive retry.
+			h.UnpinReclaim(tid)
+			l.slowEnter(t, v)
+			return
 		case lockword.SoleroHeld(v):
-			// Held: announce contention and park (timed — the FLC
-			// bit can be clobbered by a racing fast release). The
-			// timeout ends the park, so under schedule injection it
-			// is a Park: the token stays with this thread.
+			// Held: announce contention and park (timed — the FLC bit
+			// can be clobbered by a racing fast release). The timeout
+			// ends the park, so under schedule injection it is a Park:
+			// the token stays with this thread.
 			l.word.Or(lockword.FLCBit)
 			var parkStart time.Time
 			if l.cfg.Metrics != nil {
@@ -128,8 +133,8 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 				mr.Park.Record(t.StripeIndex(), time.Since(parkStart).Nanoseconds())
 			}
 		default:
-			// Free, possibly with a stale FLC bit: grab the flat
-			// lock (clearing FLC), then publish the inflated word.
+			// Free, possibly with a stale FLC bit: grab the flat lock
+			// (clearing FLC), then publish the ticket word.
 			if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
 				l.cfg.History.Record(history.Acquire, tid, v)
 				l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
@@ -142,19 +147,41 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 				l.st.incShared(cInflations)
 				l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 				l.cfg.Sched.Point(tid, sched.PInflate)
-				l.cfg.History.Record(history.Inflate, tid, lockword.InflatedWord(m.ID()))
-				l.word.Store(lockword.InflatedWord(m.ID()))
+				l.cfg.History.Record(history.Inflate, tid, h.Word)
+				l.word.Store(h.Word)
+				h.Unpin()
 				return
 			}
 		}
 	}
 }
 
-// fatEnter acquires the fat lock; it returns false if the lock deflated
-// before the monitor was entered (the caller must then retry).
-func (l *Lock) fatEnter(t *jthread.Thread) bool {
-	m := l.monitorFor()
+// fatEnter resolves an observed ticket word and enters its monitor. False
+// means retry from the top: the ticket was stale or the lock deflated
+// before the monitor was entered.
+func (l *Lock) fatEnter(t *jthread.Thread, v uint64) bool {
+	h, ok := l.mt.PinWord(v, t.ID())
+	if !ok {
+		return false
+	}
+	if l.fatEnterPinned(t, h) {
+		h.Unpin()
+		return true
+	}
+	h.UnpinReclaim(t.ID())
+	return false
+}
+
+// fatEnterPinned enters the pinned handle's monitor; the caller keeps
+// ownership of the pin in every outcome. Entering is not owning: a release
+// may have deflated the word while this thread queued (read exits deflate
+// even with enterers queued), and a third thread may already hold it flat,
+// so the word is re-checked after entry. The check masks FLC: a
+// contender's Or can land on a word inflated after its load, and the stray
+// bit must not lock everyone out of the monitor.
+func (l *Lock) fatEnterPinned(t *jthread.Thread, h montable.Handle) bool {
 	tid := t.ID()
+	m := h.Mon
 	var parkStart time.Time
 	if l.cfg.Metrics != nil {
 		parkStart = time.Now()
@@ -163,11 +190,9 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 	if mr := l.cfg.Metrics; mr != nil {
 		mr.Park.Record(t.StripeIndex(), time.Since(parkStart).Nanoseconds())
 	}
-	// Mask FLC: a contender's Or can land on a word inflated after its
-	// load, and the stray bit must not lock everyone out of the monitor.
-	if l.word.Load()&^lockword.FLCBit == lockword.InflatedWord(m.ID()) {
+	if l.word.Load()&^lockword.FLCBit == h.Word {
 		l.st.incShared(cFatEnters)
-		l.cfg.History.Record(history.Acquire, tid, lockword.InflatedWord(m.ID()))
+		l.cfg.History.Record(history.Acquire, tid, h.Word)
 		return true
 	}
 	m.Exit(tid)
@@ -179,12 +204,9 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 // is in the middle of acquiring one more level — recursion saturation —
 // and 0 when the lock is inflated in place, e.g. before waiting).
 func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
-	if l.cfg.Monitors != nil {
-		l.inflateAsOwnerTable(t, v, extra)
-		return
-	}
 	tid := t.ID()
-	m := l.monitorFor()
+	h := l.mt.Bind(&l.word, tid)
+	m := h.Mon
 	l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
 		m.Enter(tid)
 		m.SetRecursionOwned(tid, uint32(lockword.SoleroRec(v))+extra)
@@ -196,8 +218,9 @@ func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
 	l.st.incShared(cInflations)
 	l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 	l.cfg.Sched.Point(tid, sched.PInflate)
-	l.cfg.History.Record(history.Inflate, tid, lockword.InflatedWord(m.ID()))
-	l.word.Store(lockword.InflatedWord(m.ID()))
+	l.cfg.History.Record(history.Inflate, tid, h.Word)
+	l.word.Store(h.Word)
+	h.Unpin()
 }
 
 // slowExit is solero_slow_exit: recursion unwind, contended flat release,
@@ -206,28 +229,7 @@ func (l *Lock) slowExit(t *jthread.Thread, v2 uint64) {
 	tid := t.ID()
 	switch {
 	case lockword.Inflated(v2):
-		if l.cfg.Monitors != nil {
-			l.fatExitTable(t, v2)
-			return
-		}
-		m := l.monitorFor()
-		var deflate func()
-		if l.cfg.Deflate {
-			deflate = func() {
-				l.st.incShared(cDeflations)
-				l.cfg.Tracer.Record(trace.EvDeflate, tid, m.SavedCounter)
-				// Runs under the monitor mutex, so no schedule point
-				// here; the Block around ExitDeflating covers it.
-				l.cfg.History.Record(history.Deflate, tid, m.SavedCounter)
-				l.word.Store(m.SavedCounter)
-			}
-		}
-		l.cfg.Sched.Block(tid, sched.PDeflate, func() {
-			if released, _ := m.ExitDeflating(tid, deflate); released {
-				l.cfg.History.Record(history.Release, tid, v2)
-			}
-		})
-		l.cfg.Tracer.Record(trace.EvRelease, tid, v2)
+		l.fatExit(t, v2, false)
 	case lockword.SoleroHeldBy(v2, tid) && lockword.SoleroRec(v2) > 0:
 		sub(&l.word, lockword.SoleroRecOne)
 	case lockword.SoleroHeldBy(v2, tid):
@@ -236,18 +238,7 @@ func (l *Lock) slowExit(t *jthread.Thread, v2 uint64) {
 		// byte is zero), so waiters re-examine the lock.
 		w := l.releaseWord(l.saved)
 		l.cfg.Sched.Point(tid, sched.PRelease)
-		if l.cfg.Monitors != nil {
-			l.flcReleaseTable(t, w)
-			return
-		}
-		m := l.monitorFor()
-		l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
-			m.RawLock()
-			l.cfg.History.Record(history.Release, tid, w)
-			l.word.Store(w)
-			m.BroadcastLocked()
-			m.RawUnlock()
-		})
+		l.flcRelease(t, w)
 	default:
 		panic("core: Unlock by non-owner (slow path)")
 	}
@@ -318,11 +309,7 @@ func (l *Lock) contendForRead(t *jthread.Thread) (v uint64, holding bool) {
 	for {
 		v = l.word.Load()
 		if lockword.Inflated(v) {
-			if l.cfg.Monitors != nil {
-				if l.fatEnterTable(t, v) {
-					return 0, true
-				}
-			} else if l.fatEnter(t) {
+			if l.fatEnter(t, v) {
 				return 0, true
 			}
 			if v = l.word.Load(); lockword.SoleroFree(v) {
@@ -353,46 +340,18 @@ func (l *Lock) slowReadExit(t *jthread.Thread, v uint64) bool {
 		rel := l.releaseWord(l.saved)
 		l.cfg.Sched.Point(tid, sched.PRelease)
 		if lockword.FLC(w) {
-			if l.cfg.Monitors != nil {
-				l.flcReleaseTable(t, rel)
-				return true
-			}
-			m := l.monitorFor()
-			l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
-				m.RawLock()
-				l.cfg.History.Record(history.Release, tid, rel)
-				l.word.Store(rel)
-				m.BroadcastLocked()
-				m.RawUnlock()
-			})
+			l.flcRelease(t, rel)
 		} else {
 			l.cfg.History.Record(history.Release, tid, rel)
 			l.word.Store(rel)
 		}
 		return true
-	case lockword.Inflated(w) && l.heldFatAny(t, w):
-		if l.cfg.Monitors != nil {
-			l.fatExitTable(t, w)
-			return true
-		}
-		m := l.monitorFor()
-		var deflate func()
-		if l.cfg.Deflate {
-			deflate = func() {
-				l.st.incShared(cDeflations)
-				l.cfg.History.Record(history.Deflate, tid, m.SavedCounter)
-				l.word.Store(m.SavedCounter)
-			}
-		}
-		// A read section deflates even with enterers queued: otherwise
-		// a steady stream of contenders keeps the lock fat and every
-		// later read holds the monitor instead of eliding. Queued
-		// enterers find the word flat after entering and retry.
-		l.cfg.Sched.Block(tid, sched.PDeflate, func() {
-			if released, _ := m.ExitDeflatingEager(tid, deflate); released {
-				l.cfg.History.Record(history.Release, tid, w)
-			}
-		})
+	case lockword.Inflated(w) && l.heldFat(t, w):
+		// A read section deflates even with enterers queued: otherwise a
+		// steady stream of contenders keeps the lock fat and every later
+		// read holds the monitor instead of eliding. Queued enterers find
+		// the word flat after entering and retry.
+		l.fatExit(t, w, true)
 		return true
 	case w == v:
 		// Late success: a changed word changing *back* is impossible
@@ -404,17 +363,83 @@ func (l *Lock) slowReadExit(t *jthread.Thread, v uint64) bool {
 	}
 }
 
-func (l *Lock) heldFat(tid uint64) bool {
-	m := l.mon.Load()
-	return m != nil && m.HeldBy(tid)
+// heldFat reports whether t owns the fat lock whose observed word is v. A
+// stale ticket means the fat episode ended; fall back to the flat reading
+// of the current word.
+func (l *Lock) heldFat(t *jthread.Thread, v uint64) bool {
+	h, ok := l.mt.PinWord(v, t.ID())
+	if !ok {
+		return lockword.SoleroHeldBy(l.word.Load(), t.ID())
+	}
+	held := h.Mon.HeldBy(t.ID())
+	// Reclaim-checked: a non-owner's pin can outlive the owner's
+	// deflating release.
+	h.UnpinReclaim(t.ID())
+	return held
 }
 
-// heldFatAny is heldFat for whichever fat backend the lock uses.
-func (l *Lock) heldFatAny(t *jthread.Thread, w uint64) bool {
-	if l.cfg.Monitors != nil {
-		return l.heldFatTable(t, w)
+// fatExit is the fat release (writing and read-only sections share it):
+// exit the monitor, deflating to SavedCounter when permitted, and reclaim
+// the entry the moment deflation empties it. eager deflates even with
+// enterers queued (Monitor.ExitDeflatingEager); they re-check the word
+// after entering and retry flat.
+func (l *Lock) fatExit(t *jthread.Thread, v2 uint64, eager bool) {
+	tid := t.ID()
+	h, ok := l.mt.PinWord(v2, tid)
+	if !ok {
+		// An owned monitor is never quiescent, so the owner's ticket
+		// cannot have been reclaimed.
+		panic("core: Unlock resolved a stale ticket while owned")
 	}
-	return l.heldFat(t.ID())
+	m := h.Mon
+	var deflate func()
+	if l.cfg.Deflate {
+		deflate = func() {
+			l.st.incShared(cDeflations)
+			l.cfg.Tracer.Record(trace.EvDeflate, tid, m.SavedCounter)
+			// Runs under the monitor mutex, so no schedule point here;
+			// the Block around the exit covers it.
+			l.cfg.History.Record(history.Deflate, tid, m.SavedCounter)
+			l.word.Store(m.SavedCounter)
+		}
+	}
+	exit := m.ExitDeflating
+	if eager {
+		exit = m.ExitDeflatingEager
+	}
+	l.cfg.Sched.Block(tid, sched.PDeflate, func() {
+		if released, _ := exit(tid, deflate); released {
+			l.cfg.History.Record(history.Release, tid, v2)
+		}
+	})
+	// Reclaim-checked even without deflating: the successor this exit
+	// handed the monitor to may deflate before this pin drops, and then
+	// this is the last pin out.
+	h.UnpinReclaim(tid)
+	l.cfg.Tracer.Record(trace.EvRelease, tid, v2)
+}
+
+// flcRelease publishes a flat release word while the FLC bit is set: wake
+// the contenders parked on the bound monitor, or store plainly when no
+// binding exists (a stray bit from a reclaimed episode — nobody can be
+// parked on a reclaimed, pin-guarded monitor).
+func (l *Lock) flcRelease(t *jthread.Thread, rel uint64) {
+	tid := t.ID()
+	h, ok := l.mt.FindBound(&l.word, tid)
+	if !ok {
+		l.cfg.History.Record(history.Release, tid, rel)
+		l.word.Store(rel)
+		return
+	}
+	m := h.Mon
+	l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
+		m.RawLock()
+		l.cfg.History.Record(history.Release, tid, rel)
+		l.word.Store(rel)
+		m.BroadcastLocked()
+		m.RawUnlock()
+	})
+	h.UnpinReclaim(tid)
 }
 
 // spinBackoff wastes roughly n loop iterations (the tier-1 backoff).

@@ -28,22 +28,30 @@ func (l *Lock) Wait(t *jthread.Thread) { l.WaitTimeout(t, 0) }
 // WaitTimeout is Wait with a bound (0 or negative waits indefinitely). It
 // reports whether the wakeup was a notification (false: timeout).
 func (l *Lock) WaitTimeout(t *jthread.Thread, d time.Duration) bool {
-	if l.cfg.Monitors != nil {
-		return l.waitTimeoutTable(t, d)
-	}
 	tid := t.ID()
 	v := l.word.Load()
 	switch {
 	case lockword.SoleroHeldBy(v, tid):
 		// Inflate in place, preserving the recursion depth.
 		l.inflateAsOwner(t, v, 0)
-	case lockword.Inflated(v) && l.monitorFor().HeldBy(tid):
+	case lockword.Inflated(v) && l.heldFat(t, v):
 	default:
 		panic("core: Wait without holding the lock (IllegalMonitorStateException)")
 	}
 	l.cfg.Tracer.Record(trace.EvWait, tid, l.word.Load())
 	l.cfg.History.Record(history.Wait, tid, l.word.Load())
-	m := l.monitorFor()
+	h, ok := l.mt.PinWord(l.word.Load(), tid)
+	if !ok {
+		panic("core: Wait resolved a stale ticket while owned")
+	}
+	m := h.Mon
+	// The wait set lives on the bound entry's monitor: ownership keeps the
+	// entry non-quiescent until the park takes the monitor's mutex, and
+	// the condition queue keeps it bound afterwards, so the pin can be
+	// dropped before parking. The sweeper may word-deflate around a parked
+	// cond waiter (enter-quiescence permits it); reacquisition below
+	// re-inflates on demand.
+	h.Unpin()
 	var rec uint32
 	var notified bool
 	// The park is a Block region: the token travels while this thread
@@ -67,17 +75,21 @@ func (l *Lock) WaitTimeout(t *jthread.Thread, d time.Duration) bool {
 func (l *Lock) restoreRecursion(t *jthread.Thread, rec uint32) {
 	tid := t.ID()
 	v := l.word.Load()
-	if lockword.Inflated(v) {
-		l.monitorFor().SetRecursionOwned(tid, rec)
-		return
+	if !lockword.Inflated(v) {
+		if rec <= lockword.SoleroRecMax {
+			l.word.Add(uint64(rec) * lockword.SoleroRecOne)
+			return
+		}
+		// Depth exceeds the flat bits: inflate and set it on the monitor.
+		l.inflateAsOwner(t, v, 0)
+		v = l.word.Load()
 	}
-	if rec <= lockword.SoleroRecMax {
-		l.word.Add(uint64(rec) * lockword.SoleroRecOne)
-		return
+	h, ok := l.mt.PinWord(v, tid)
+	if !ok {
+		panic("core: Wait reacquire resolved a stale ticket while owned")
 	}
-	// Depth exceeds the flat bits: inflate and set it on the monitor.
-	l.inflateAsOwner(t, l.word.Load(), 0)
-	l.monitorFor().SetRecursionOwned(tid, rec)
+	h.Mon.SetRecursionOwned(tid, rec)
+	h.Unpin()
 }
 
 // Notify wakes one thread waiting on the lock. The caller must hold the
@@ -87,13 +99,7 @@ func (l *Lock) Notify(t *jthread.Thread) {
 	l.cfg.Sched.Point(t.ID(), sched.PNotify)
 	l.cfg.Tracer.Record(trace.EvNotify, t.ID(), l.word.Load())
 	l.cfg.History.Record(history.Notify, t.ID(), l.word.Load())
-	if l.cfg.Monitors != nil {
-		l.notifyTable(t, false)
-		return
-	}
-	if m := l.mon.Load(); m != nil {
-		m.NotifyOne()
-	}
+	l.notify(t, false)
 }
 
 // NotifyAll wakes every thread waiting on the lock. The caller must hold
@@ -102,17 +108,27 @@ func (l *Lock) NotifyAll(t *jthread.Thread) {
 	l.requireHeld(t)
 	l.cfg.Sched.Point(t.ID(), sched.PNotify)
 	l.cfg.History.Record(history.Notify, t.ID(), l.word.Load())
-	if l.cfg.Monitors != nil {
-		l.notifyTable(t, true)
-		return
-	}
-	if m := l.mon.Load(); m != nil {
-		m.NotifyAllCond()
-	}
+	l.notify(t, true)
 }
 
 func (l *Lock) requireHeld(t *jthread.Thread) {
 	if !l.HeldBy(t) {
 		panic("core: Notify without holding the lock (IllegalMonitorStateException)")
 	}
+}
+
+// notify wakes one or all cond waiters through the table binding. An
+// unbound lock has no wait set — nothing to wake.
+func (l *Lock) notify(t *jthread.Thread, all bool) {
+	tid := t.ID()
+	h, ok := l.mt.FindBound(&l.word, tid)
+	if !ok {
+		return
+	}
+	if all {
+		h.Mon.NotifyAllCond()
+	} else {
+		h.Mon.NotifyOne()
+	}
+	h.UnpinReclaim(tid)
 }

@@ -370,11 +370,11 @@ func profiledSweep(tb backend.TableBacked, th *jthread.Thread) {
 }
 
 // TestContentionProfileRoundTrip is the in-tree stand-in for `go tool
-// pprof -top`: real bravo and solero-mt runs must yield profiles with at
+// pprof -top`: real bravo and solero runs must yield profiles with at
 // least two distinct lock-site frames, correctly typed values, and cause
 // labels drawn from the taxonomy.
 func TestContentionProfileRoundTrip(t *testing.T) {
-	for _, name := range []string{"bravo", "solero-mt"} {
+	for _, name := range []string{"bravo", "solero"} {
 		t.Run(name, func(t *testing.T) {
 			reg := metrics.New(0)
 			reg.SetSitePeriod(1) // attribute every event: determinism over overhead

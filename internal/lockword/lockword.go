@@ -79,10 +79,12 @@ func Field(w uint64) uint64 { return w >> TIDShift }
 // WithField returns w with its 56-bit high field replaced by f.
 func WithField(w, f uint64) uint64 { return (w &^ TIDMask) | f<<TIDShift }
 
-// MonitorID extracts the monitor id from an inflated word.
+// MonitorID extracts the monitor field of an inflated word: the compact
+// monitor table ticket naming the lock's entry (see ticket.go).
 func MonitorID(w uint64) uint64 { return Field(w) }
 
-// InflatedWord encodes a monitor id as an inflated lock word.
+// InflatedWord encodes a monitor field (a table ticket) as an inflated
+// lock word.
 func InflatedWord(monitorID uint64) uint64 { return monitorID<<TIDShift | InflationBit }
 
 // --- Conventional layout helpers ---
@@ -147,11 +149,14 @@ func SoleroNextFree(preAcquire uint64) uint64 {
 // (the paper's "(v2 & 0xff) == LOCK_BIT": flat, held, no recursion, no FLC).
 func SoleroFastReleasable(w uint64) bool { return w&LowByte == LockBit }
 
-// String renders a SOLERO word for diagnostics.
+// String renders a SOLERO word for diagnostics. An inflated word prints as
+// the table ticket it carries.
 func String(w uint64) string {
 	switch {
 	case Inflated(w):
-		return fmt.Sprintf("inflated{monitor=%d flc=%v}", MonitorID(w), FLC(w))
+		tk := MonitorID(w)
+		return fmt.Sprintf("inflated{shard=%d index=%d gen=%d flc=%v}",
+			TicketShard(tk), TicketIndex(tk), TicketGen(tk), FLC(w))
 	case w&LockBit != 0:
 		return fmt.Sprintf("held{tid=%d rec=%d flc=%v}", Field(w), SoleroRec(w), FLC(w))
 	default:

@@ -190,3 +190,21 @@ func TestStringForms(t *testing.T) {
 		}
 	}
 }
+
+// TestStringRendersTicket checks the diagnostic form of each word kind; an
+// inflated word prints the table ticket it carries.
+func TestStringRendersTicket(t *testing.T) {
+	for _, tc := range []struct {
+		w    uint64
+		want string
+	}{
+		{TicketWord(3, 17, 5) | FLCBit, "inflated{shard=3 index=17 gen=5 flc=true}"},
+		{TicketWord(0, 0, 0), "inflated{shard=0 index=0 gen=0 flc=false}"},
+		{SoleroOwned(7, 2), "held{tid=7 rec=2 flc=false}"},
+		{SoleroFreeWord(9), "free{counter=9 flc=false}"},
+	} {
+		if got := String(tc.w); got != tc.want {
+			t.Errorf("String(%#x) = %q, want %q", tc.w, got, tc.want)
+		}
+	}
+}

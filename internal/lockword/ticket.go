@@ -2,10 +2,9 @@ package lockword
 
 // Ticket encoding for the compact monitor table (internal/montable).
 //
-// When a lock's fat mode is backed by the shared monitor table instead of a
-// per-lock heap monitor, the 56-bit field of an inflated word is a *table
-// ticket* naming the entry that holds the monitor state, not a global
-// monitor id:
+// Every fat lock rents its monitor from a compact monitor table, so the
+// 56-bit field of an inflated word is a *table ticket* naming the entry
+// that holds the monitor state:
 //
 //	bits  0..23  arena index within the shard (entries never move)
 //	bits 24..31  shard number

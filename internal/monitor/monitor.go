@@ -69,7 +69,7 @@ type Monitor struct {
 	timeouts        atomic.Uint64
 }
 
-// ID returns the monitor's table id (the value stored in an inflated word).
+// ID returns the label the monitor was created with (see NewLocal).
 func (m *Monitor) ID() uint64 { return m.id }
 
 // RawLock acquires the monitor's internal mutex. It does NOT make the caller
@@ -347,50 +347,8 @@ func (m *Monitor) StatsSnapshot() Stats {
 	}
 }
 
-// Table assigns monitor ids and resolves ids back to monitors, standing in
-// for the JVM's object-to-OS-monitor mapping.
-type Table struct {
-	mu     sync.Mutex
-	byID   map[uint64]*Monitor
-	nextID uint64
-}
-
-// NewTable creates an empty monitor table.
-func NewTable() *Table {
-	return &Table{byID: make(map[uint64]*Monitor), nextID: 1}
-}
-
-// Global is the process-wide monitor table used by the lock packages.
-var Global = NewTable()
-
-// New allocates a monitor registered in the table.
-func (tb *Table) New() *Monitor {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	m := &Monitor{id: tb.nextID}
-	tb.nextID++
-	tb.byID[m.id] = m
-	return m
-}
-
-// NewLocal allocates a monitor that is NOT registered in any table. The
-// compact monitor table (internal/montable) owns its monitors' identity —
-// an inflated word carries a table ticket, not a Global id — so
-// registering them in the process-wide map would just leak an entry per
-// arena slot. id is the caller's label; montable uses the entry's ticket
-// for the initial binding.
+// NewLocal allocates a monitor. The compact monitor table
+// (internal/montable) owns its monitors' identity — an inflated word
+// carries a table ticket, not a monitor id — so id is only the caller's
+// label; montable uses the entry's arena position.
 func NewLocal(id uint64) *Monitor { return &Monitor{id: id} }
-
-// ByID resolves a monitor id; it returns nil for unknown ids.
-func (tb *Table) ByID(id uint64) *Monitor {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return tb.byID[id]
-}
-
-// Len returns the number of registered monitors.
-func (tb *Table) Len() int {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return len(tb.byID)
-}

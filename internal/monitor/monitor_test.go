@@ -7,7 +7,7 @@ import (
 )
 
 func TestEnterExitBasic(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	m.Enter(1)
 	if !m.HeldBy(1) || m.HeldBy(2) {
 		t.Fatalf("ownership wrong after Enter")
@@ -21,7 +21,7 @@ func TestEnterExitBasic(t *testing.T) {
 }
 
 func TestReentrancy(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	m.Enter(7)
 	m.Enter(7)
 	m.Enter(7)
@@ -40,7 +40,7 @@ func TestReentrancy(t *testing.T) {
 }
 
 func TestExitByNonOwnerPanics(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	m.Enter(1)
 	defer m.Exit(1)
 	defer func() {
@@ -52,7 +52,7 @@ func TestExitByNonOwnerPanics(t *testing.T) {
 }
 
 func TestTryEnter(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	if !m.TryEnter(1) {
 		t.Fatalf("TryEnter on free monitor failed")
 	}
@@ -71,7 +71,7 @@ func TestTryEnter(t *testing.T) {
 }
 
 func TestEnterBlocksUntilExit(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	m.Enter(1)
 	acquired := make(chan struct{})
 	go func() {
@@ -93,7 +93,7 @@ func TestEnterBlocksUntilExit(t *testing.T) {
 }
 
 func TestMutualExclusionStress(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	var shared, iters int
 	const perThread = 2000
 	var wg sync.WaitGroup
@@ -116,7 +116,7 @@ func TestMutualExclusionStress(t *testing.T) {
 }
 
 func TestWaitLockedTimesOut(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	m.RawLock()
 	start := time.Now()
 	woken := m.WaitLocked(5 * time.Millisecond)
@@ -134,7 +134,7 @@ func TestWaitLockedTimesOut(t *testing.T) {
 }
 
 func TestBroadcastWakesAllWaiters(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	const n = 4
 	var wg sync.WaitGroup
 	ready := make(chan struct{}, n)
@@ -170,7 +170,7 @@ func TestBroadcastWakesAllWaiters(t *testing.T) {
 }
 
 func TestEnterLockedTakesOwnership(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	m.RawLock()
 	m.EnterLocked(9)
 	m.RawUnlock()
@@ -180,25 +180,8 @@ func TestEnterLockedTakesOwnership(t *testing.T) {
 	m.Exit(9)
 }
 
-func TestTableAssignsDistinctIDs(t *testing.T) {
-	tb := NewTable()
-	a, b := tb.New(), tb.New()
-	if a.ID() == b.ID() || a.ID() == 0 {
-		t.Fatalf("bad ids: %d %d", a.ID(), b.ID())
-	}
-	if tb.ByID(a.ID()) != a || tb.ByID(b.ID()) != b {
-		t.Fatalf("ByID lookup wrong")
-	}
-	if tb.ByID(999) != nil {
-		t.Fatalf("unknown id resolved")
-	}
-	if tb.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tb.Len())
-	}
-}
-
 func TestSavedCounterRoundTrip(t *testing.T) {
-	m := NewTable().New()
+	m := NewLocal(1)
 	m.RawLock()
 	m.SavedCounter = 0xabc00
 	m.RawUnlock()

@@ -159,6 +159,12 @@ type Table struct {
 	done      chan struct{}
 }
 
+// Shared is the process-wide table behind every lock whose Config leaves
+// Monitors nil. It runs no background sweeper: a fat lock returns its entry
+// on the release that deflates it, so the table holds one monitor per lock
+// that is fat right now, not per lock that was ever fat.
+var Shared = New(Config{})
+
 // New creates a table. Defaults are applied to zero Config fields.
 func New(cfg Config) *Table {
 	if cfg.Shards <= 0 {

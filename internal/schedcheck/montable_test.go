@@ -91,8 +91,8 @@ func replayAndCheck(t *testing.T, opts Options, out Outcome, keys []string) {
 				k, re.BackendStats[k], out.BackendStats[k])
 		}
 	}
-	t.Logf("replay: go run ./cmd/solerocheck -sched -backend %s -writers %d -readers 0 -sweepers %d -ops %d %s-replay %s",
-		opts.Backend, opts.Writers, opts.Sweepers, opts.Ops,
+	t.Logf("replay: go run ./cmd/solerocheck -sched -backend %s -writers %d -readers %d -sweepers %d -ops %d %s-replay %s",
+		opts.Backend, opts.Writers, opts.Readers, opts.Sweepers, opts.Ops,
 		map[bool]string{true: "-nodeflate ", false: ""}[opts.NoDeflate],
 		sched.FormatDecisions(out.Decisions))
 }
@@ -104,7 +104,7 @@ func replayAndCheck(t *testing.T, opts Options, out Outcome, keys []string) {
 // it here would tear the monitor out from under the parked contender.
 func TestMontableInflateVsSweepPinned(t *testing.T) {
 	opts := Options{
-		Backend: "vmlock-mt",
+		Backend: "vmlock",
 		Writers: 2, Sweepers: 1,
 		Ops: 2,
 	}
@@ -112,9 +112,9 @@ func TestMontableInflateVsSweepPinned(t *testing.T) {
 	out := RunStrategy(opts, &pinScript{steps: []pinStep{
 		{grant: 1, watch: 1, point: sched.PBody},    // w1 into its section, flat lock held
 		{grant: 2, watch: 2, point: sched.PFLCPark}, // w2 binds an entry (pin held) and parks contended
-		{grant: 3},                                  // sweeper: both passes against the pinned entry
-		{grant: 1},                                  // w1 drains: FLC release, then op 2
-		{grant: 2},                                  // w2 wakes, inflates through the entry, drains
+		{grant: 3}, // sweeper: both passes against the pinned entry
+		{grant: 1}, // w1 drains: FLC release, then op 2
+		{grant: 2}, // w2 wakes, inflates through the entry, drains
 	}})
 	if out.Aborted {
 		t.Fatalf("pinned episode aborted after %d steps:\n%s", out.Steps, sched.FormatTrace(out.Trace))
@@ -142,7 +142,7 @@ func TestMontableInflateVsSweepPinned(t *testing.T) {
 // racing a lucky release.
 func TestMontableReclaimVsLateWaiterPinned(t *testing.T) {
 	opts := Options{
-		Backend: "vmlock-mt",
+		Backend: "vmlock",
 		Writers: 2, Sweepers: 1,
 		Ops:       2,
 		NoDeflate: true,
@@ -184,7 +184,7 @@ func TestMontableReclaimVsLateWaiterPinned(t *testing.T) {
 // inflation.
 func TestMontableTicketReusePinned(t *testing.T) {
 	opts := Options{
-		Backend: "vmlock-mt",
+		Backend: "vmlock",
 		Writers: 3, Sweepers: 1,
 		Ops:       2,
 		NoDeflate: true,
@@ -228,7 +228,7 @@ func TestMontableSweeperExploration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, name := range []string{"vmlock-mt", "solero-mt"} {
+	for _, name := range []string{"vmlock", "solero"} {
 		for _, nodeflate := range []bool{false, true} {
 			opts := Options{
 				Backend: name,
@@ -248,4 +248,66 @@ func TestMontableSweeperExploration(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEagerReadDeflationVsQueuedWriterPinned pins the eager read-side
+// deflation race on the table path: reader 4 holds the fat lock inside its
+// section while writer 2 has resolved the ticket and queued on the bound
+// entry's monitor. The reader's exit deflates anyway (a read exit does not
+// wait for a quiet queue), and writer 3 — which bound the same entry
+// while spinning on the fat word — grabs the deflated flat word and queues
+// to re-inflate through that binding before writer 2 runs again. Writer 2
+// is then handed the monitor, but the word is no longer its ticket: it
+// must leave on the post-entry word re-check rather than run its section
+// beside writer 3's flat hold.
+func TestEagerReadDeflationVsQueuedWriterPinned(t *testing.T) {
+	opts := Options{
+		Backend: "solero",
+		Writers: 3, Readers: 1,
+		Ops: 1,
+	}
+	// tids: writers 1-3, reader 4.
+	out := RunStrategy(opts, &pinScript{steps: []pinStep{
+		{grant: 1, watch: 1, point: sched.PBody},    // w1 into its section, flat lock held
+		{grant: 3, watch: 3, point: sched.PSpin},    // w3 starts spinning on the held word
+		{grant: 4, watch: 4, point: sched.PFLCPark}, // r4 gives up spinning, binds the entry, parks contended
+		{grant: 1},                               // w1 drains: the FLC release wakes r4
+		{grant: 4, watch: 4, point: sched.PBody}, // r4 inflates and runs its section holding the fat lock
+		{grant: 2},                               // w2 pins the ticket and queues on the monitor
+		{grant: 3, watch: 3, point: sched.PTableBind}, // w3 sees the fat word and heads for the entry
+		{grant: 4}, // r4 exits: eager deflation with w2 queued
+		{grant: 3}, // w3 binds the same entry, takes the flat word, queues
+		{grant: 2, watch: 2, point: sched.PTableReclaim}, // w2 enters, finds w3's word, leaves
+	}})
+	if out.Aborted {
+		t.Fatalf("pinned episode aborted after %d steps:\n%s", out.Steps, sched.FormatTrace(out.Trace))
+	}
+	if out.Failed() {
+		t.Fatalf("pinned episode violations: %v\n%s", out.Violations, out.HistoryTail)
+	}
+	// w2's first monitor entry is the queued one; the next thing it does
+	// must be to drop its pin on the failed re-check, not to run its body.
+	var entered, left bool
+	for _, st := range out.Trace {
+		if st.TID != 2 {
+			continue
+		}
+		if entered {
+			left = st.P == sched.PTableReclaim
+			break
+		}
+		entered = st.P == sched.PMonitorEnter
+	}
+	if !left {
+		t.Errorf("w2 did not leave on the post-entry re-check\n%s", sched.FormatTrace(out.Trace))
+	}
+	// One binding, inflated by r4 and re-inflated by w3, returned to the
+	// table once the last holder deflated.
+	for k, want := range map[string]uint64{"tableBinds": 1, "tableRebinds": 0, "inflations": 2, "tableBound": 0} {
+		if got := out.BackendStats[k]; got != want {
+			t.Errorf("%s = %d, want %d: the schedule missed the re-inflation window\n%s",
+				k, got, want, sched.FormatTrace(out.Trace))
+		}
+	}
+	replayAndCheck(t, opts, out, []string{"inflations", "deflations", "tableReleaseReclaims"})
 }

@@ -44,9 +44,9 @@ type Options struct {
 	// (elided for solero), upgraders run read-mostly sections that write.
 	Writers, Readers, Upgraders int
 	// Sweepers are threads that drive explicit montable sweep passes
-	// (Ops each) against a table-backed ("-mt") backend, exposing the
-	// inflate-vs-sweep, reclaim-vs-late-waiter, and ticket-reuse races to
-	// the schedule explorer. Ignored (the threads idle) for backends
+	// (Ops each) against a table-backed backend (vmlock, solero),
+	// exposing the inflate-vs-sweep, reclaim-vs-late-waiter, and
+	// ticket-reuse races to the schedule explorer. Ignored (the threads idle) for backends
 	// without a monitor table. Sweepers register after all other roles,
 	// so their tids follow the workload tids.
 	Sweepers int

@@ -43,14 +43,10 @@ type Config struct {
 	// regions to the schedule-injection kernel so the shared invariant
 	// oracle can explore this baseline too. Nil is the production setting.
 	Sched *sched.Hooks
-	// Monitors, when set, backs fat mode with the shared compact monitor
-	// table instead of a per-lock monitor.Global allocation: inflation
-	// binds a table entry, the inflated word carries the entry's ticket,
-	// and deflation (on release or by the table's sweeper) returns the
-	// entry to the free list. Nil keeps the classic per-lock monitor —
-	// including its leak: a monitor whose waiters all time out stays fat
-	// until a lucky no-waiter release, which is exactly the gap the table
-	// mode closes.
+	// Monitors is the compact monitor table fat mode rents from: inflation
+	// binds a table entry, the inflated word carries the entry's ticket, and
+	// deflation (on release or by the table's sweeper) returns the entry to
+	// the free list. Nil means montable.Shared, the process-wide table.
 	Monitors *montable.Table
 	// Metrics, when set, records slow-path acquire latency into the
 	// acquire_wait histogram and each FLC park's dwell under the
@@ -98,9 +94,11 @@ func (s *Stats) Snapshot() map[string]uint64 {
 // Lock is a conventional tasuki lock. The zero value is NOT ready; use New.
 type Lock struct {
 	word atomic.Uint64
-	mon  atomic.Pointer[monitor.Monitor]
 	cfg  *Config
-	st   Stats
+	// mt is the monitor table fat mode rents from: cfg.Monitors, or
+	// montable.Shared when that is nil.
+	mt *montable.Table
+	st Stats
 }
 
 // New creates a free lock with the given configuration (nil means
@@ -109,7 +107,11 @@ func New(cfg *Config) *Lock {
 	if cfg == nil {
 		cfg = DefaultConfig
 	}
-	return &Lock{cfg: cfg}
+	l := &Lock{cfg: cfg, mt: cfg.Monitors}
+	if l.mt == nil {
+		l.mt = montable.Shared
+	}
+	return l
 }
 
 // Word returns the raw lock word (diagnostics and tests).
@@ -125,26 +127,24 @@ func (l *Lock) Inflated() bool { return lockword.Inflated(l.word.Load()) }
 func (l *Lock) HeldBy(t *jthread.Thread) bool {
 	v := l.word.Load()
 	if lockword.Inflated(v) {
-		if l.cfg.Monitors != nil {
-			return l.heldFatTable(t, v)
-		}
-		return l.monitorFor().HeldBy(t.ID())
+		return l.heldFat(t, v)
 	}
 	return lockword.ConvHeldBy(v, t.ID())
 }
 
-// monitorFor returns the lock's monitor, allocating it on first use. The
-// monitor, once bound, stays bound across inflation cycles (tasuki reuses
-// the mapping).
-func (l *Lock) monitorFor() *monitor.Monitor {
-	if m := l.mon.Load(); m != nil {
-		return m
+// heldFat reports whether t owns the fat lock whose observed word is v. A
+// stale ticket means the fat episode ended; fall back to the flat reading
+// of the current word.
+func (l *Lock) heldFat(t *jthread.Thread, v uint64) bool {
+	h, ok := l.mt.PinWord(v, t.ID())
+	if !ok {
+		return lockword.ConvHeldBy(l.word.Load(), t.ID())
 	}
-	m := monitor.Global.New()
-	if l.mon.CompareAndSwap(nil, m) {
-		return m
-	}
-	return l.mon.Load()
+	held := h.Mon.HeldBy(t.ID())
+	// Reclaim-checked: a non-owner's pin can outlive the owner's
+	// deflating release.
+	h.UnpinReclaim(t.ID())
+	return held
 }
 
 // Lock acquires the lock for t, following Figure 2: a CAS fast path when
@@ -200,11 +200,7 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 	for {
 		switch {
 		case lockword.Inflated(v):
-			if l.cfg.Monitors != nil {
-				if l.fatEnterTable(t, v) {
-					return
-				}
-			} else if l.fatEnter(t) {
+			if l.fatEnter(t, v) {
 				return
 			}
 		case lockword.ConvHeldBy(v, tid):
@@ -256,42 +252,51 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 	return false
 }
 
-// contendAndInflate is the paper's END_OF_SPIN path: park on the FLC bit
-// until the flat lock can be grabbed, then inflate it. The caller ends up
-// owning the fat lock.
+// contendAndInflate is the paper's END_OF_SPIN path: bind the lock's
+// table entry once, keep the pin across FLC parks (the sweeper must not
+// reclaim the monitor this contender is parked on), then either grab the
+// freed flat lock and publish the ticket or join the inflated monitor. The
+// caller ends up owning the fat lock.
 func (l *Lock) contendAndInflate(t *jthread.Thread) {
-	if l.cfg.Monitors != nil {
-		l.contendAndInflateTable(t)
-		return
-	}
 	tid := t.ID()
-	m := l.monitorFor()
+	h := l.mt.Bind(&l.word, tid)
+	m := h.Mon
 	for {
 		v := l.word.Load()
 		switch {
 		case lockword.Inflated(v):
-			if l.fatEnter(t) {
-				return
+			if v&^lockword.FLCBit == h.Word {
+				if l.fatEnterPinned(t, h) {
+					h.Unpin()
+					return
+				}
+				continue
 			}
+			// A different ticket cannot be published while we hold the
+			// pin; defensive retry.
+			h.UnpinReclaim(tid)
+			l.slowEnter(t, v)
+			return
 		case lockword.Field(v) == 0:
 			// Free (possibly with a stale FLC bit): grab it, then
-			// publish the inflated word. The CAS clears FLC.
+			// publish the ticket word. The CAS clears FLC.
 			if l.word.CompareAndSwap(v, lockword.ConvOwned(tid, 0)) {
 				l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
 					m.Enter(tid)
 				})
 				l.st.Inflations.Add(1)
-				l.word.Store(lockword.InflatedWord(m.ID()))
+				l.word.Store(h.Word)
 				m.RawLock()
 				m.BroadcastLocked() // other FLC waiters must re-read
 				m.RawUnlock()
+				h.Unpin()
 				return
 			}
 		default:
-			// Held: announce contention and park (timed — the FLC
-			// bit can be clobbered by a racing fast release). The
-			// timeout ends the park, so under schedule injection it
-			// is a Park: the token stays with this thread.
+			// Held: announce contention and park (timed — the FLC bit
+			// can be clobbered by a racing fast release). The timeout
+			// ends the park, so under schedule injection it is a Park:
+			// the token stays with this thread.
 			l.word.Or(lockword.FLCBit)
 			l.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
@@ -305,10 +310,9 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 	}
 }
 
-// flcWait is the timed FLC park shared by the classic and table-backed
-// contention paths: count the wait, park on m's condition, and record the
-// dwell as one "monitor-park" contention event. Called with m's raw mutex
-// held.
+// flcWait is contendAndInflate's timed FLC park: count the wait, park on
+// m's condition, and record the dwell as one "monitor-park" contention
+// event. Called with m's raw mutex held.
 func (l *Lock) flcWait(t *jthread.Thread, m *monitor.Monitor) {
 	l.st.FLCWaits.Add(1)
 	var start time.Time
@@ -321,20 +325,37 @@ func (l *Lock) flcWait(t *jthread.Thread, m *monitor.Monitor) {
 	}
 }
 
-// fatEnter acquires the fat lock; it returns false if the lock deflated
-// before the monitor was entered (the caller must then retry from the top).
-func (l *Lock) fatEnter(t *jthread.Thread) bool {
-	m := l.monitorFor()
-	l.cfg.Sched.Block(t.ID(), sched.PMonitorEnter, func() {
-		m.Enter(t.ID())
+// fatEnter resolves an observed ticket word and enters its monitor. False
+// means retry from the top: the ticket was stale or the lock deflated
+// before the monitor was entered.
+func (l *Lock) fatEnter(t *jthread.Thread, v uint64) bool {
+	h, ok := l.mt.PinWord(v, t.ID())
+	if !ok {
+		return false
+	}
+	if l.fatEnterPinned(t, h) {
+		h.Unpin()
+		return true
+	}
+	h.UnpinReclaim(t.ID())
+	return false
+}
+
+// fatEnterPinned enters the pinned handle's monitor; the caller keeps
+// ownership of the pin in every outcome. The word is re-checked after
+// entry, masking FLC: a contender's Or can land on a word inflated after
+// its load, and the stray bit must not lock everyone out of the monitor.
+func (l *Lock) fatEnterPinned(t *jthread.Thread, h montable.Handle) bool {
+	tid := t.ID()
+	m := h.Mon
+	l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
+		m.Enter(tid)
 	})
-	// Mask FLC: a contender's Or can land on a word inflated after its
-	// load, and the stray bit must not lock everyone out of the monitor.
-	if l.word.Load()&^lockword.FLCBit == lockword.InflatedWord(m.ID()) {
+	if l.word.Load()&^lockword.FLCBit == h.Word {
 		l.st.FatEnters.Add(1)
 		return true
 	}
-	m.Exit(t.ID())
+	m.Exit(tid)
 	return false
 }
 
@@ -342,32 +363,32 @@ func (l *Lock) fatEnter(t *jthread.Thread) bool {
 // recursion depth plus extra into the monitor (extra is 1 when called
 // mid-acquisition at recursion saturation, 0 when inflating in place).
 func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
-	if l.cfg.Monitors != nil {
-		l.inflateAsOwnerTable(t, v, extra)
-		return
-	}
 	tid := t.ID()
-	m := l.monitorFor()
+	h := l.mt.Bind(&l.word, tid)
+	m := h.Mon
 	l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
 		m.Enter(tid)
 	})
 	m.SetRecursionOwned(tid, uint32(lockword.ConvRec(v))+extra)
 	l.st.Inflations.Add(1)
-	l.word.Store(lockword.InflatedWord(m.ID()))
+	l.word.Store(h.Word)
 	m.RawLock()
 	m.BroadcastLocked()
 	m.RawUnlock()
+	h.Unpin()
 }
 
 func (l *Lock) slowExit(t *jthread.Thread, v uint64) {
-	if l.cfg.Monitors != nil {
-		l.slowExitTable(t, v)
-		return
-	}
 	tid := t.ID()
 	switch {
 	case lockword.Inflated(v):
-		m := l.monitorFor()
+		h, ok := l.mt.PinWord(v, tid)
+		if !ok {
+			// An owned monitor is never quiescent, so the owner's ticket
+			// cannot have been reclaimed.
+			panic("vmlock: Unlock resolved a stale ticket while owned")
+		}
+		m := h.Mon
 		var deflate func()
 		if l.cfg.Deflate {
 			deflate = func() {
@@ -378,16 +399,27 @@ func (l *Lock) slowExit(t *jthread.Thread, v uint64) {
 		l.cfg.Sched.Block(tid, sched.PDeflate, func() {
 			m.ExitDeflating(tid, deflate)
 		})
+		// Reclaim-checked even without deflating: the successor this
+		// exit handed the monitor to may deflate before this pin drops,
+		// and then this is the last pin out.
+		h.UnpinReclaim(tid)
 	case lockword.ConvHeldBy(v, tid) && lockword.ConvRec(v) > 0:
 		sub(&l.word, lockword.ConvRecOne)
 	case lockword.ConvHeldBy(v, tid):
-		// FLC is set: release under the monitor mutex and wake parked
-		// contenders.
-		m := l.monitorFor()
-		m.RawLock()
-		l.word.Store(0)
-		m.BroadcastLocked()
-		m.RawUnlock()
+		// FLC set: release under the bound monitor's mutex and wake the
+		// parked contenders. No binding means the bit is a stray from a
+		// reclaimed episode — nobody can be parked on a reclaimed
+		// (pin-guarded) monitor, so a plain store suffices.
+		if h, ok := l.mt.FindBound(&l.word, tid); ok {
+			m := h.Mon
+			m.RawLock()
+			l.word.Store(0)
+			m.BroadcastLocked()
+			m.RawUnlock()
+			h.UnpinReclaim(tid)
+		} else {
+			l.word.Store(0)
+		}
 	default:
 		panic("vmlock: Unlock by non-owner (slow path)")
 	}

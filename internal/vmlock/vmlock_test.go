@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/jthread"
 	"repro/internal/lockword"
+	"repro/internal/monitor"
 )
 
 func newT(t *testing.T, n int) (*jthread.VM, []*jthread.Thread) {
@@ -309,9 +310,11 @@ func TestStrayFLCOnInflatedWord(t *testing.T) {
 		}(th)
 	}
 	// Release only once both contenders queue on the monitor, so the
-	// release cannot deflate the stray bit away.
-	m := l.monitorFor()
-	for deadline := time.Now().Add(5 * time.Second); m.StatsSnapshot().ContendedEnters < 2; {
+	// release cannot deflate the stray bit away. A table monitor is
+	// recycled across bindings, so count from its current total.
+	m := boundMonitor(l)
+	queued := m.StatsSnapshot().ContendedEnters
+	for deadline := time.Now().Add(5 * time.Second); m.StatsSnapshot().ContendedEnters < queued+2; {
 		if time.Now().After(deadline) {
 			t.Fatalf("contenders never queued on the monitor")
 		}
@@ -329,4 +332,15 @@ func TestStrayFLCOnInflatedWord(t *testing.T) {
 	if w := l.Word(); w != 0 {
 		t.Fatalf("lock did not deflate to the free word: %#x", w)
 	}
+}
+
+// boundMonitor returns the monitor of l's live table binding, or nil while
+// l has none.
+func boundMonitor(l *Lock) *monitor.Monitor {
+	h, ok := l.mt.FindBound(&l.word, 0)
+	if !ok {
+		return nil
+	}
+	h.Unpin()
+	return h.Mon
 }

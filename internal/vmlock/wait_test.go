@@ -1,6 +1,7 @@
 package vmlock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,7 +113,7 @@ func TestNotifyAllWithConventionalLock(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("waiters never parked")
 		}
-		if m := l.mon.Load(); m != nil && m.CondWaiters() == n {
+		if m := boundMonitor(l); m != nil && m.CondWaiters() == n {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -123,5 +124,36 @@ func TestNotifyAllWithConventionalLock(t *testing.T) {
 	wg.Wait()
 	if woken.Load() != n {
 		t.Fatalf("woken = %d", woken.Load())
+	}
+}
+
+// TestInflatedLocksDoNotLeak pins that a lock which inflated once leaves
+// nothing behind when dropped: its fat monitor is rented from the shared
+// monitor table and returned on the deflating release, not filed in a
+// process-wide registry for the rest of the process.
+func TestInflatedLocksDoNotLeak(t *testing.T) {
+	const locks = 20000
+	th := jthread.NewVM().Attach("inflater")
+	cycle := func() {
+		l := New(nil)
+		l.Lock(th)
+		l.WaitTimeout(th, 1) // inflates in place, then times out
+		l.Unlock(th)
+	}
+	cycle() // let the shared table grow its first entry
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < locks; i++ {
+		cycle()
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / locks
+	t.Logf("live heap growth: %.1f B per dropped lock", per)
+	if per >= 32 {
+		t.Fatalf("live heap grew %.1f B per dropped lock, want < 32", per)
 	}
 }

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -43,11 +44,6 @@ const (
 	// ImplBravo is the BRAVO biased reader-writer lock (beyond the paper:
 	// the visible-reader-table contender from the backend tournament).
 	ImplBravo
-	// ImplLockMT is the conventional lock with fat mode rented from the
-	// compact monitor table instead of per-lock monitor allocations.
-	ImplLockMT
-	// ImplSoleroMT is SOLERO with table-backed fat mode.
-	ImplSoleroMT
 )
 
 // String names the implementation as the paper does.
@@ -63,10 +59,6 @@ func (im Impl) String() string {
 		return "Unelided-SOLERO"
 	case ImplBravo:
 		return "BRAVO"
-	case ImplLockMT:
-		return "Lock-MT"
-	case ImplSoleroMT:
-		return "SOLERO-MT"
 	default:
 		return "impl(?)"
 	}
@@ -86,10 +78,6 @@ func ParseImpl(name string) (Impl, error) {
 		return ImplSoleroUnelided, nil
 	case "bravo":
 		return ImplBravo, nil
-	case "vmlock-mt", "lock-mt":
-		return ImplLockMT, nil
-	case "solero-mt":
-		return ImplSoleroMT, nil
 	}
 	return 0, fmt.Errorf("workload: unknown implementation %q", name)
 }
@@ -108,8 +96,9 @@ type Guard struct {
 	rw   *rwlock.RWLock
 	sol  *core.Lock
 	brv  *bravo.Lock
-	// tb is the compact monitor table behind the -mt impls (nil
-	// otherwise); its background sweeper runs for the guard's lifetime.
+	// tb is the compact monitor table the Lock and SOLERO impls rent fat
+	// monitors from (nil for the others); its background sweeper runs
+	// until the guard is collected.
 	tb *montable.Table
 }
 
@@ -132,13 +121,10 @@ func NewGuardConfig(impl Impl, base *core.Config) *Guard {
 		reg = base.Metrics
 	}
 	switch impl {
-	case ImplLock, ImplLockMT:
+	case ImplLock:
 		cfg := *vmlock.DefaultConfig
 		cfg.Metrics = reg
-		if impl == ImplLockMT {
-			g.tb = newGuardTable(base)
-			cfg.Monitors = g.tb
-		}
+		cfg.Monitors = g.newTable(reg)
 		g.conv = vmlock.New(&cfg)
 	case ImplRWLock:
 		g.rw = &rwlock.RWLock{Metrics: reg}
@@ -149,39 +135,31 @@ func NewGuardConfig(impl Impl, base *core.Config) *Guard {
 		if base != nil {
 			cfg = *base
 		}
-		switch impl {
-		case ImplSoleroUnelided:
-			cfg.DisableElision = true
-		case ImplSoleroMT:
-			g.tb = newGuardTable(base)
-			cfg.Monitors = g.tb
-		}
+		cfg.DisableElision = impl == ImplSoleroUnelided
+		cfg.Monitors = g.newTable(reg)
 		g.sol = core.New(&cfg)
 	}
 	return g
 }
 
-// newGuardTable builds and starts the monitor table behind an -mt guard,
-// wiring the sweep-latency histogram when the base config carries a
-// metrics registry.
-func newGuardTable(base *core.Config) *montable.Table {
-	cfg := montable.Config{SweepInterval: 2 * time.Millisecond}
-	if base != nil {
-		cfg.Metrics = base.Metrics
-	}
-	tb := montable.New(cfg)
-	tb.Start()
-	return tb
+// newTable builds and starts the guard's monitor table, wiring the
+// sweep-latency histogram into reg. The sweeper stops when the guard is
+// collected: benchmarks build guards by the hundred and never close them.
+func (g *Guard) newTable(reg *metrics.Registry) *montable.Table {
+	g.tb = montable.New(montable.Config{SweepInterval: 2 * time.Millisecond, Metrics: reg})
+	g.tb.Start()
+	runtime.SetFinalizer(g, func(g *Guard) { g.tb.Stop() })
+	return g.tb
 }
 
-// Table returns the compact monitor table behind an -mt guard (nil for
-// the allocation-backed impls).
+// Table returns the guard's compact monitor table (nil for the RWLock and
+// BRAVO impls).
 func (g *Guard) Table() *montable.Table { return g.tb }
 
 // Read runs fn as a read-only critical section under the guard.
 func (g *Guard) Read(t *jthread.Thread, fn func()) {
 	switch g.impl {
-	case ImplLock, ImplLockMT:
+	case ImplLock:
 		g.conv.Sync(t, fn)
 	case ImplRWLock:
 		g.rw.ReadSync(t, fn)
@@ -195,7 +173,7 @@ func (g *Guard) Read(t *jthread.Thread, fn func()) {
 // Write runs fn as a writing critical section under the guard.
 func (g *Guard) Write(t *jthread.Thread, fn func()) {
 	switch g.impl {
-	case ImplLock, ImplLockMT:
+	case ImplLock:
 		g.conv.Sync(t, fn)
 	case ImplRWLock:
 		g.rw.WriteSync(t, fn)
@@ -212,18 +190,14 @@ func (g *Guard) Write(t *jthread.Thread, fn func()) {
 // to sol.ReadOnly.
 func (g *Guard) Backend() backend.Backend {
 	switch {
-	case g.conv != nil && g.tb != nil:
-		return backend.ForVMLockTable(g.conv, g.tb)
 	case g.conv != nil:
-		return backend.ForVMLock(g.conv)
+		return backend.ForVMLock(g.conv, g.tb)
 	case g.rw != nil:
 		return backend.ForRWLock(g.rw)
 	case g.brv != nil:
 		return backend.ForBravo(g.brv)
-	case g.tb != nil:
-		return backend.ForSoleroTable(g.sol, g.tb)
 	default:
-		return backend.ForSolero(g.sol)
+		return backend.ForSolero(g.sol, g.tb)
 	}
 }
 
