@@ -9,6 +9,8 @@
 #   make allocfree - one pass of the alloc-free benchmarks: each fails if
 #                    an elided read entry allocates
 #   make check     - tier-1 gate: build + vet + test
+#   make fmtcheck  - gofmt -l over the whole tree (bench/ included) must
+#                    list nothing
 #   make nofencemodel - the locks, backend SPI, workloads and solero API
 #                    must not depend on internal/memmodel: fences are
 #                    charged only in the coherence simulator
@@ -35,17 +37,19 @@
 #   make json-smoke - solerobench -json writes valid snapshot bundles
 #   make montable-smoke - compact monitor table: short churn torture,
 #                    1M-lock footprint assert, inverted lost-waiter catch
-#   make bench-record - run the backend tournament, commit-ready
-#                    BENCH_<date>.json perf-trajectory record at the repo root
-#   make bench-gate - regression-gate the committed BENCH_*.json trajectory
-#                    (+ the seeded -20% fixture MUST fail: anti-vacuity)
+#   make bench-gate - `bench compare` with the BENCHMARK.json bounds over
+#                    the committed bench/testdata fixtures (+ the seeded
+#                    regression MUST fail: anti-vacuity)
 #   make tournament-smoke - every lock backend through the schedule-kernel
 #                    oracle, vmlock and solero again with a monitor-table
-#                    sweeper thread, + a quick tournament sanity run
+#                    sweeper thread
+#
+# Smoke targets that write files do so in one `mktemp -d` directory
+# (honouring $TMPDIR), removed when the target exits.
 
 GO ?= go
 
-.PHONY: build vet test race bench allocfree check nofencemodel benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-record bench-gate tournament-smoke montable-smoke
+.PHONY: build vet test race bench allocfree check fmtcheck nofencemodel benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-gate tournament-smoke montable-smoke
 
 build:
 	$(GO) build ./...
@@ -72,6 +76,15 @@ allocfree:
 	$(GO) test -run '^$$' -bench 'BenchmarkReadOnlyAllocFree' -benchtime 1x .
 
 check: build vet test
+
+# `gofmt -l .` walks every directory, so the bench/ module and the
+# analyzer testdata are held to the same formatting as the module.
+fmtcheck:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "FAIL: gofmt -l lists unformatted files:"; echo "$$out"; exit 1; \
+	fi; \
+	echo "OK: fmtcheck (gofmt -l lists nothing)"
 
 # The locks run natively on Go's sequentially consistent atomics. The §3.4
 # fence plans (internal/memmodel) are charged only by the coherence
@@ -121,17 +134,18 @@ CORPUS_PKGS = repro/internal/govet/testdata/src/corpus/annotated \
 	repro/internal/govet/testdata/src/corpus/counterbank \
 	repro/internal/govet/testdata/src/corpus/linkedlist
 factsmoke:
-	$(GO) build -o /tmp/solerovet ./cmd/solerovet
-	$(GO) build -o /tmp/solerojit ./cmd/solerojit
-	/tmp/solerovet -facts /tmp/solero.facts.json $(CORPUS_PKGS)
-	@grep -q '"schema": "solero-facts/v3"' /tmp/solero.facts.json || { \
-		echo "FAIL: solerovet -facts did not write the v3 schema"; head -2 /tmp/solero.facts.json; exit 1; }
-	@for mj in internal/jit/testdata/*.mj; do \
-		out=$$(/tmp/solerojit -facts /tmp/solero.facts.json $$mj) || { echo "FAIL: agreement gate tripped for $$mj"; exit 1; }; \
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/solerovet ./cmd/solerovet || exit 1; \
+	$(GO) build -o $$tmp/solerojit ./cmd/solerojit || exit 1; \
+	$$tmp/solerovet -facts $$tmp/solero.facts.json $(CORPUS_PKGS) || exit 1; \
+	grep -q '"schema": "solero-facts/v3"' $$tmp/solero.facts.json || { \
+		echo "FAIL: solerovet -facts did not write the v3 schema"; head -2 $$tmp/solero.facts.json; exit 1; }; \
+	for mj in internal/jit/testdata/*.mj; do \
+		out=$$($$tmp/solerojit -facts $$tmp/solero.facts.json $$mj) || { echo "FAIL: agreement gate tripped for $$mj"; exit 1; }; \
 		echo "$$out" | grep -q 're-analyzed 0$$' || { echo "FAIL: $$mj was re-analyzed despite carried facts"; echo "$$out"; exit 1; }; \
 		echo "OK: $$mj seeded from facts"; \
-	done
-	@echo "OK: factsmoke"
+	done; \
+	echo "OK: factsmoke"
 
 # Inverted lockorder: testdata/src/lockorderseed is nothing but a seeded
 # two-lock ABBA cycle (it lives under testdata, so the module build never
@@ -166,10 +180,11 @@ guardedby-catch:
 # detector on this corpus.
 racecatch: guardedby-catch
 	@echo "--- dynamic half: go test -race MUST fail on the seeded package ---"
-	@if $(GO) test -race -count 1 repro/internal/govet/testdata/src/guardedbyseed >/tmp/solero-racecatch.log 2>&1; then \
-		echo "FAIL: go test -race did not catch the seeded races"; cat /tmp/solero-racecatch.log; exit 1; \
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
+	if $(GO) test -race -count 1 repro/internal/govet/testdata/src/guardedbyseed >$$tmp/racecatch.log 2>&1; then \
+		echo "FAIL: go test -race did not catch the seeded races"; cat $$tmp/racecatch.log; exit 1; \
 	fi; \
-	grep -q 'DATA RACE' /tmp/solero-racecatch.log || { echo "FAIL: -race run failed for another reason"; cat /tmp/solero-racecatch.log; exit 1; }; \
+	grep -q 'DATA RACE' $$tmp/racecatch.log || { echo "FAIL: -race run failed for another reason"; cat $$tmp/racecatch.log; exit 1; }; \
 	echo "OK: racecatch (static findings and dynamic detector agree on the seeds)"
 
 # Escape differential: testdata/src/escapeseed leaks the live backing
@@ -187,20 +202,21 @@ escape-catch:
 	fi; \
 	echo "$$out" | grep -q 'registry\.items' || { echo "FAIL: escaping registry.items not named"; echo "$$out"; exit 1; }; \
 	echo "OK: static half (registry.items escape flagged)"
-	@echo "--- dynamic half: go test -race MUST fail on the seeded package ---"
-	@if $(GO) test -race -count 1 repro/internal/govet/testdata/src/escapeseed >/tmp/solero-escapecatch.log 2>&1; then \
-		echo "FAIL: go test -race did not catch the stale read"; cat /tmp/solero-escapecatch.log; exit 1; \
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
+	echo "--- dynamic half: go test -race MUST fail on the seeded package ---"; \
+	if $(GO) test -race -count 1 repro/internal/govet/testdata/src/escapeseed >$$tmp/escapecatch.log 2>&1; then \
+		echo "FAIL: go test -race did not catch the stale read"; cat $$tmp/escapecatch.log; exit 1; \
 	fi; \
-	grep -q 'DATA RACE' /tmp/solero-escapecatch.log || { echo "FAIL: -race run failed for another reason"; cat /tmp/solero-escapecatch.log; exit 1; }; \
-	echo "OK: dynamic half (stale read caught by -race)"
-	@echo "--- fixed twin: snapshot copy MUST pass both halves ---"
-	@out=$$($(GO) run ./cmd/solerovet -checks escape repro/internal/govet/testdata/src/escapeseedfixed 2>&1); rc=$$?; \
+	grep -q 'DATA RACE' $$tmp/escapecatch.log || { echo "FAIL: -race run failed for another reason"; cat $$tmp/escapecatch.log; exit 1; }; \
+	echo "OK: dynamic half (stale read caught by -race)"; \
+	echo "--- fixed twin: snapshot copy MUST pass both halves ---"; \
+	out=$$($(GO) run ./cmd/solerovet -checks escape repro/internal/govet/testdata/src/escapeseedfixed 2>&1); rc=$$?; \
 	if [ $$rc -ne 0 ]; then \
 		echo "FAIL: snapshot-fixed twin still flagged (exit $$rc, want 0)"; echo "$$out"; exit 1; \
-	fi
-	@$(GO) test -race -count 1 repro/internal/govet/testdata/src/escapeseedfixed >/tmp/solero-escapecatch-fixed.log 2>&1 || { \
-		echo "FAIL: fixed twin failed under -race"; cat /tmp/solero-escapecatch-fixed.log; exit 1; }
-	@echo "OK: escape-catch (leak flagged + raced; snapshot fix silent + race-free)"
+	fi; \
+	$(GO) test -race -count 1 repro/internal/govet/testdata/src/escapeseedfixed >$$tmp/escapecatch-fixed.log 2>&1 || { \
+		echo "FAIL: fixed twin failed under -race"; cat $$tmp/escapecatch-fixed.log; exit 1; }; \
+	echo "OK: escape-catch (leak flagged + raced; snapshot fix silent + race-free)"
 
 # SARIF interchange smoke: solerovet -sarif over the seeded escape
 # package must exit 1 (findings present) and the emitted document must
@@ -208,11 +224,12 @@ escape-catch:
 # rule metadata, relative URIs, and deterministic ordering that code
 # scanning consumers rely on.
 lint-sarif:
-	@$(GO) run ./cmd/solerovet -checks escape -sarif repro/internal/govet/testdata/src/escapeseed >/tmp/solero-lint.sarif 2>/dev/null; rc=$$?; \
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/solerovet -checks escape -sarif repro/internal/govet/testdata/src/escapeseed >$$tmp/lint.sarif 2>/dev/null; rc=$$?; \
 	if [ $$rc -ne 1 ]; then \
 		echo "FAIL: solerovet -sarif exit $$rc, want 1 (findings present)"; exit 1; \
 	fi; \
-	diff -u internal/govet/testdata/escapeseed.sarif.golden /tmp/solero-lint.sarif || { \
+	diff -u internal/govet/testdata/escapeseed.sarif.golden $$tmp/lint.sarif || { \
 		echo "FAIL: SARIF output diverged from golden (regenerate with the command above if intended)"; exit 1; }; \
 	echo "OK: lint-sarif (SARIF output matches golden)"
 
@@ -248,54 +265,44 @@ fuzz:
 # bundle and snapshot schema, then shut the server down.
 OBS_PORT ?= 18321
 obs-smoke:
-	$(GO) build -o /tmp/solero-lockstats ./cmd/lockstats
-	@/tmp/solero-lockstats -bench empty -threads 2 -duration 100ms -serve :$(OBS_PORT) >/tmp/solero-obs.log 2>&1 & \
-	pid=$$!; trap 'kill $$pid 2>/dev/null' EXIT; \
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o $$tmp/lockstats ./cmd/lockstats || exit 1; \
+	$$tmp/lockstats -bench empty -threads 2 -duration 100ms -serve :$(OBS_PORT) >$$tmp/obs.log 2>&1 & \
+	pid=$$!; trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf "$$tmp"' EXIT; \
 	ok=0; for i in $$(seq 1 50); do \
-		if curl -sf localhost:$(OBS_PORT)/metrics >/tmp/solero-metrics.txt 2>/dev/null; then ok=1; break; fi; \
+		if curl -sf localhost:$(OBS_PORT)/metrics >$$tmp/metrics.txt 2>/dev/null; then ok=1; break; fi; \
 		sleep 0.2; \
 	done; \
-	[ $$ok -eq 1 ] || { echo "FAIL: /metrics never came up"; cat /tmp/solero-obs.log; exit 1; }; \
-	grep -q '^solero_ops_total ' /tmp/solero-metrics.txt || { echo "FAIL: solero_ops_total gauge missing"; exit 1; }; \
-	grep -q 'solero_aborts_total{cause="writer-raced"}' /tmp/solero-metrics.txt || { echo "FAIL: abort taxonomy missing"; exit 1; }; \
-	grep -q 'solero_cs_duration_nanoseconds_bucket{le="255"}' /tmp/solero-metrics.txt || { echo "FAIL: histogram buckets missing"; exit 1; }; \
+	[ $$ok -eq 1 ] || { echo "FAIL: /metrics never came up"; cat $$tmp/obs.log; exit 1; }; \
+	grep -q '^solero_ops_total ' $$tmp/metrics.txt || { echo "FAIL: solero_ops_total gauge missing"; exit 1; }; \
+	grep -q 'solero_aborts_total{cause="writer-raced"}' $$tmp/metrics.txt || { echo "FAIL: abort taxonomy missing"; exit 1; }; \
+	grep -q 'solero_cs_duration_nanoseconds_bucket{le="255"}' $$tmp/metrics.txt || { echo "FAIL: histogram buckets missing"; exit 1; }; \
 	curl -sf localhost:$(OBS_PORT)/debug/vars | grep -q '"solero"' || { echo "FAIL: expvar bundle missing"; exit 1; }; \
 	curl -sf localhost:$(OBS_PORT)/snapshot.json | grep -q 'solero-snapshot/v1' || { echo "FAIL: snapshot schema missing"; exit 1; }; \
 	curl -sf localhost:$(OBS_PORT)/trace.json | grep -q 'traceEvents' || { echo "FAIL: Perfetto trace missing"; exit 1; }; \
 	curl -sf localhost:$(OBS_PORT)/trace.json | grep -q '"process_name"' || { echo "FAIL: Perfetto process metadata missing"; exit 1; }; \
-	curl -sf localhost:$(OBS_PORT)/debug/pprof/contention -o /tmp/solero-contention.pb.gz || { echo "FAIL: pprof contention endpoint missing"; exit 1; }; \
-	gunzip -t /tmp/solero-contention.pb.gz || { echo "FAIL: contention profile is not valid gzip"; exit 1; }; \
+	curl -sf localhost:$(OBS_PORT)/debug/pprof/contention -o $$tmp/contention.pb.gz || { echo "FAIL: pprof contention endpoint missing"; exit 1; }; \
+	gunzip -t $$tmp/contention.pb.gz || { echo "FAIL: contention profile is not valid gzip"; exit 1; }; \
 	echo "OK: obs-smoke (/metrics, /debug/vars, /snapshot.json, /trace.json, /debug/pprof/contention)"
 
-# The backend tournament's durable perf trajectory: one solero-bench/v2
-# JSON record per date at the repo root, commit it so throughput is
-# diffable across the repo's history (EXPERIMENTS.md documents the
-# schema). The date stamp is injected here — BENCH_DATE=YYYY-MM-DD
-# overrides today — because the harness itself never reads a clock for
-# record identity.
-BENCH_DATE ?= $(shell date +%F)
-bench-record:
-	$(GO) run ./cmd/solerobench -exp tournament -threads 1,2,4,8 \
-		-duration 100ms -runs 3 -inner 3 -footprint 1000000,10000000 \
-		-json BENCH_$(BENCH_DATE).json -date $(BENCH_DATE)
-	@grep -q '"schema": "solero-bench/v2"' BENCH_$(BENCH_DATE).json || { echo "FAIL: tournament schema missing"; exit 1; }
-	@echo "OK: wrote BENCH_$(BENCH_DATE).json"
-
-# The bench-trajectory regression gate: the committed BENCH_*.json
-# trajectory must pass (lowParallelism records are reported, never
-# gated), the zero-delta fixture must pass, and — so the gate can't rot
-# into vacuity — the seeded -20% step fixture MUST fail.
+# The benchmark regression gate is `bench compare` (bench/compare.go; the
+# BENCHMARK.json end-to-end bounds are declared in bench/metrics.go) over
+# the committed bench/testdata fixtures:
+# a record set judged against itself must pass, and — so the gate can't
+# rot into vacuity — the seeded change set (a 35% ops_per_s drop and a
+# failed_share rise) MUST fail with exit 1.
 bench-gate:
-	$(GO) run ./cmd/solerobench -regress
-	$(GO) run ./cmd/solerobench -regress -regress-dir internal/experiments/testdata/regress/clean
-	@if $(GO) run ./cmd/solerobench -regress -regress-dir internal/experiments/testdata/regress/regressed >/dev/null 2>&1; then \
-		echo "FAIL: seeded -20% regression fixture passed the gate (vacuous gate)"; exit 1; \
-	fi
-	@echo "OK: bench-gate (trajectory clean, seeded regression caught)"
+	$(GO) run -C bench . compare testdata/base.jsonl testdata/base.jsonl
+	@$(GO) run -C bench . compare testdata/base.jsonl testdata/change.jsonl >/dev/null 2>&1; rc=$$?; \
+	if [ $$rc -ne 1 ]; then \
+		echo "FAIL: seeded regression fixture exited $$rc, want 1 (vacuous gate)"; exit 1; \
+	fi; \
+	echo "OK: bench-gate (fixture set clean against itself, seeded regression caught)"
 
 # Every lock backend must survive the same schedule-kernel oracle — the
-# deterministic revocation-window schedule included — and the tournament
-# itself must run end to end. This is the CI gate for the backend SPI.
+# deterministic revocation-window schedule included. This is the CI gate
+# for the backend SPI; the cross-backend race itself is the root
+# BenchmarkBackendTournament (`make bench`).
 tournament-smoke:
 	$(GO) test -run 'TestAllBackendsPassOracle|TestBravoRevocationWindowPinned|TestOracleWorkloadAllBackends' \
 		./internal/schedcheck/ ./internal/backend/
@@ -307,8 +314,7 @@ tournament-smoke:
 		$(GO) run ./cmd/solerocheck -sched -backend $$be -writers 2 -readers 1 -sweepers 1 -ops 3 -episodes 25 \
 			|| { echo "FAIL: table-backed backend $$be violated the oracle"; exit 1; }; \
 	done
-	$(GO) run ./cmd/solerobench -exp tournament -threads 1,2 -duration 20ms -runs 1 -inner 1 >/dev/null
-	@echo "OK: tournament-smoke (4 backends, oracle + pinned revocation window + sweep)"
+	@echo "OK: tournament-smoke (4 backends, oracle + pinned revocation window + table sweeper)"
 
 # Compact-monitor-table smoke: the short churn-torture/property pass, a
 # 1M-lock steady-state footprint assert (<64 bytes/lock — the scale
@@ -323,14 +329,16 @@ montable-smoke:
 		|| { echo "$$out"; echo "FAIL: 1M-lock footprint assert"; exit 1; }; \
 	echo "$$out" | grep -E 'bytes/lock|^ok'
 	@echo "--- inverted step: the seeded lost-waiter bug below MUST be caught ---"
-	@if MONTABLE_BUG=lost-waiter $(GO) test -short -count 1 -run TestChurnTorture ./internal/montable/ >/tmp/solero-montable-bug.log 2>&1; then \
-		echo "FAIL: seeded lost-waiter bug was NOT caught"; cat /tmp/solero-montable-bug.log; exit 1; \
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
+	if MONTABLE_BUG=lost-waiter $(GO) test -short -count 1 -run TestChurnTorture ./internal/montable/ >$$tmp/montable-bug.log 2>&1; then \
+		echo "FAIL: seeded lost-waiter bug was NOT caught"; cat $$tmp/montable-bug.log; exit 1; \
 	else \
 		echo "OK: seeded lost-waiter bug caught"; \
 	fi
 
 # The instrumented suite must emit parseable solero-snapshot/v1 bundles.
 json-smoke:
-	$(GO) run ./cmd/solerobench -json /tmp/solero-suite.json -duration 20ms -runs 1 -inner 1 -threads 1,2
-	@grep -q '"schema": "solero-snapshot/v1"' /tmp/solero-suite.json || { echo "FAIL: schema missing from bundles"; exit 1; }
-	@echo "OK: json-smoke"
+	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/solerobench -json $$tmp/suite.json -duration 20ms -runs 1 -inner 1 -threads 1,2 || exit 1; \
+	grep -q '"schema": "solero-snapshot/v1"' $$tmp/suite.json || { echo "FAIL: schema missing from bundles"; exit 1; }; \
+	echo "OK: json-smoke"

@@ -748,9 +748,10 @@ func BenchmarkReaderScalingMetricsOverhead(b *testing.B) {
 // the reader sweep on the tournament workload: a tiny guarded read of
 // shared state, the regime where per-acquisition lock overhead dominates
 // (RWLock's centralized RMW pair versus BRAVO's slot publish versus
-// SOLERO's elided entry). cmd/solerobench -exp tournament runs the same
-// contest under the 5×best-of protocol and records it as BENCH_<date>.json;
-// this entry point regenerates the measurements under `go test -bench`.
+// SOLERO's elided entry). It is the repo's one cross-backend race; the
+// end-to-end perf verdicts come from the bench/ module, and `make
+// tournament-smoke` checks every backend against the schedule-kernel
+// oracle.
 func BenchmarkBackendTournament(b *testing.B) {
 	workloads := []struct {
 		name     string
@@ -794,11 +795,11 @@ func BenchmarkBackendTournament(b *testing.B) {
 	}
 }
 
-// BenchmarkBravoReaderSeparation asserts the claim the tournament only
-// illustrates: at full reader parallelism on a read-only workload, BRAVO's
-// biased read path (one slot publish, no centralized RMW) must out-run the
-// plain reader-writer lock's fetch-add pair by a real margin. On fewer
-// than 4 CPUs there is no reader-count cache line to ping-pong, the two
+// BenchmarkBravoReaderSeparation asserts the claim
+// BenchmarkBackendTournament only illustrates: at full reader parallelism
+// on a read-only workload, BRAVO's biased read path (one slot publish, no
+// centralized RMW) must out-run the plain reader-writer lock's fetch-add
+// pair by a real margin. On fewer than 4 CPUs there is no reader-count cache line to ping-pong, the two
 // designs legitimately converge, and the benchmark skips. Each contender's
 // throughput is the best of 3 fixed wall-clock windows (the
 // BenchmarkReaderScalingSeparation protocol).

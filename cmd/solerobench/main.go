@@ -17,20 +17,6 @@
 // one solero-snapshot/v1 bundle per benchmark — the schema shared with
 // `lockstats -json` and the live /snapshot.json endpoint (EXPERIMENTS.md
 // documents the fields).
-//
-// -exp tournament runs the backend reader-scaling tournament (every
-// internal/backend contender × the -threads sweep); with -json it writes a
-// solero-bench/v2 record instead of snapshot bundles — the BENCH_<date>.json
-// perf trajectory `make bench-record` commits at the repo root. -date stamps
-// that record (injected here, never read from a clock inside the harness).
-// Records taken with GOMAXPROCS below the largest thread count are stamped
-// lowParallelism and excluded from regression gating.
-//
-// -regress loads every BENCH_*.json in -regress-dir (default: the current
-// directory), compares the most recent record against its predecessor
-// per (workload, backend, threads), and exits 1 when throughput drops or
-// p99 latency rises beyond -tolerance. -regress-md / -regress-json write
-// the trajectory report; `make bench-gate` runs this in CI.
 package main
 
 import (
@@ -47,7 +33,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig10|fig11|fig12|fig13|fig14|fig15|fig16|crossover|tournament|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig10|fig11|fig12|fig13|fig14|fig15|fig16|crossover|all")
 	sim := flag.Bool("sim", false, "use the 16-way coherence simulator for multi-thread figures")
 	threads := flag.String("threads", "1,2,4,8,16", "comma-separated thread counts for sweeps")
 	duration := flag.Duration("duration", 50*time.Millisecond, "measurement window")
@@ -57,20 +43,8 @@ func main() {
 	simCycles := flag.Int64("simcycles", 2_000_000, "simulated cycles per point (-sim)")
 	format := flag.String("format", "text", "output format: text|csv")
 	jsonOut := flag.String("json", "", "run the instrumented suite and write solero-snapshot/v1 bundles to this file")
-	backends := flag.String("backends", "", "comma-separated backend names for -exp tournament (default: all registered)")
-	date := flag.String("date", "", "date stamp recorded in tournament JSON output (e.g. 2026-08-09)")
-	footprint := flag.String("footprint", "", "comma-separated lock populations for the session-footprint grid (-exp tournament, e.g. 1000000,10000000)")
-	regress := flag.Bool("regress", false, "compare the newest BENCH_*.json against its predecessor and exit 1 on regression")
-	regressDir := flag.String("regress-dir", ".", "directory holding the BENCH_*.json trajectory (-regress)")
-	tolerance := flag.Float64("tolerance", experiments.DefaultRegressTolerance, "fractional noise tolerance for -regress (0.10 = ±10%)")
-	regressMD := flag.String("regress-md", "", "write the -regress markdown report to this file (default: stdout)")
-	regressJSON := flag.String("regress-json", "", "also write the -regress report as JSON to this file")
 	flag.Parse()
 
-	if *regress {
-		runRegress(*regressDir, *tolerance, *regressMD, *regressJSON)
-		return
-	}
 	if *format != "text" && *format != "csv" {
 		fatalf("unknown format %q", *format)
 	}
@@ -150,50 +124,6 @@ func main() {
 		}
 	}
 
-	if *exp == "tournament" {
-		var names []string
-		if *backends != "" {
-			for _, part := range strings.Split(*backends, ",") {
-				names = append(names, strings.TrimSpace(part))
-			}
-		}
-		res := experiments.Tournament(o, names)
-		res.Date = *date
-		if res.LowParallelism {
-			fmt.Fprintf(os.Stderr,
-				"solerobench: WARNING: GOMAXPROCS=%d is below the largest requested thread count %d;\n"+
-					"  goroutines time-share processors, so this record measures scheduler fairness,\n"+
-					"  not lock scaling. It is stamped \"lowParallelism\" and the bench-gate regression\n"+
-					"  analyzer will report but never gate on it.\n",
-				res.GoMaxProcs, maxInt(o.Threads))
-		}
-		if *footprint != "" {
-			var fo experiments.FootprintOptions
-			for _, part := range strings.Split(*footprint, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil || n < 2 {
-					fatalf("bad -footprint value %q", part)
-				}
-				fo.Locks = append(fo.Locks, n)
-			}
-			res.Footprint = experiments.Footprint(fo)
-		}
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(res, "", "  ")
-			check(err)
-			check(os.WriteFile(*jsonOut, append(data, '\n'), 0o644))
-			fmt.Printf("wrote %s tournament record to %s\n", res.Schema, *jsonOut)
-			return
-		}
-		for _, f := range res.Figures() {
-			printFig(f)
-		}
-		if len(res.Footprint) > 0 {
-			fmt.Print(experiments.FormatFootprint(res.Footprint))
-		}
-		return
-	}
-
 	if *jsonOut != "" {
 		bundles := experiments.JSONSuite(o)
 		data, err := json.MarshalIndent(bundles, "", "  ")
@@ -210,43 +140,6 @@ func main() {
 		return
 	}
 	run(*exp)
-}
-
-// runRegress is the bench-gate entry point: load the trajectory, compare
-// head vs predecessor, emit the report, exit 1 on a gated regression.
-func runRegress(dir string, tolerance float64, mdOut, jsonOut string) {
-	records, err := experiments.LoadTrajectory(dir)
-	check(err)
-	rep := experiments.Regress(records, tolerance)
-	md := rep.Markdown()
-	if mdOut != "" {
-		check(os.WriteFile(mdOut, []byte(md), 0o644))
-	} else {
-		fmt.Print(md)
-	}
-	if jsonOut != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		check(err)
-		check(os.WriteFile(jsonOut, append(data, '\n'), 0o644))
-	}
-	if rep.Failed() {
-		fmt.Fprintf(os.Stderr, "solerobench: bench gate FAILED: %d regression(s) beyond ±%.0f%%\n",
-			rep.Regressions, rep.Tolerance*100)
-		os.Exit(1)
-	}
-	if !rep.Gating {
-		fmt.Fprintln(os.Stderr, "solerobench: bench gate informational only (lowParallelism, fence-model mismatch or incomplete trajectory)")
-	}
-}
-
-func maxInt(xs []int) int {
-	m := 0
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 func check(err error) {

@@ -10,8 +10,7 @@
 // With no file, a built-in demo program is compiled. -disasm also prints
 // the bytecode of every method; -run executes a static int method and
 // prints its result. -facts pre-seeds the classifier from a
-// solero-facts/v3 proof file (`solerovet -facts` output, or - for stdin;
-// v1 files still load):
+// solero-facts/v3 proof file (`solerovet -facts` output, or - for stdin):
 // proven blocks skip re-analysis, and any carried verdict that disagrees
 // with fresh analysis exits 1 — the proof-carrying agreement gate.
 package main

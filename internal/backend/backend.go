@@ -128,7 +128,8 @@ func (o Options) table() *montable.Table {
 	return montable.New(cfg)
 }
 
-// Names lists the registered backends in tournament order.
+// Names lists the registered backends in the order every harness sweeps
+// them (BenchmarkBackendTournament, `make tournament-smoke`).
 func Names() []string {
 	return []string{"vmlock", "rwlock", "solero", "bravo"}
 }

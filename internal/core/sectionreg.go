@@ -85,7 +85,7 @@ type SectionInfo struct {
 	diverged atomic.Bool
 
 	// readGuards/writeGuards are the facts file's field→guard maps
-	// (solero-facts/v2): each field the section reads or writes, keyed by
+	// (solero-facts/v3): each field the section reads or writes, keyed by
 	// display name, mapped to the static identity of the lock that guards
 	// it. Set once via SetGuards before the section runs; read-only after.
 	readGuards  map[string]string

@@ -40,11 +40,11 @@ type lockEdge struct {
 
 // lockWait is one wait-while-holding finding.
 type lockWait struct {
-	pos      token.Pos
-	end      token.Pos
-	target   string // lock being waited on
-	held     string // other lock still held
-	pkgPath  string
+	pos     token.Pos
+	end     token.Pos
+	target  string // lock being waited on
+	held    string // other lock still held
+	pkgPath string
 }
 
 // lockGraph is the whole-program result, built once per Context.

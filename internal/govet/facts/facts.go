@@ -3,9 +3,7 @@
 // read-mostly / writing, recovery-free or not, retry bounds, written-field
 // sets, the guardedby analyzer's per-section field→guard maps, and the
 // escape analyzer's per-section escaping-reference summaries) into a
-// stable JSON interchange file, the `solero-facts/v3` schema (v1 files,
-// which predate guard maps, and v2 files, which predate escape
-// summaries, still decode).
+// stable JSON interchange file, the `solero-facts/v3` schema.
 //
 // The paper's JIT classifies a synchronized block once, at compile time,
 // and the runtime then trusts that classification forever (§3.2). PR 3
@@ -31,18 +29,10 @@ import (
 	"sort"
 )
 
-// Schema identifies the interchange format written by Encode. v3 added
-// the per-section Escapes summaries.
+// Schema identifies the interchange format Encode writes and the only
+// one Decode accepts: a document of an older schema lacks guard maps or
+// escape summaries, so it must be regenerated with `solerovet -facts`.
 const Schema = "solero-facts/v3"
-
-// SchemaV2 is the previous format: identical except that sections carry
-// no escape summaries (it added the ReadGuards/WriteGuards maps over
-// v1). Decode accepts it so existing facts files keep loading.
-const SchemaV2 = "solero-facts/v2"
-
-// SchemaV1 is the original format: no guard maps, no escape summaries.
-// Decode accepts it so existing facts files keep loading.
-const SchemaV1 = "solero-facts/v1"
 
 // Class is a section's proof class — the static verdict carried to the
 // JIT and the runtime.
@@ -108,7 +98,7 @@ type Section struct {
 	// writes ("Type.field") to the lock the guardedby analyzer determined
 	// protects it ("Type.mu" or "pkgpath.name"). The runtime's verify mode
 	// cross-checks these against the lock the section actually runs under
-	// and latches a divergence on mismatch. (v2; absent in v1 files.)
+	// and latches a divergence on mismatch.
 	ReadGuards  map[string]string `json:"readGuards,omitempty"`
 	WriteGuards map[string]string `json:"writeGuards,omitempty"`
 	// Escapes lists the display expressions of guarded references the
@@ -117,8 +107,7 @@ type Section struct {
 	// non-empty list on an elidable/annotated section means the facts
 	// were produced against different source than the binary runs:
 	// verify mode latches that as a divergence rather than speculating
-	// on a proof the section no longer satisfies. (v3; absent in
-	// v1/v2 files.)
+	// on a proof the section no longer satisfies.
 	Escapes []string `json:"escapes,omitempty"`
 }
 
@@ -179,10 +168,8 @@ func Decode(data []byte) (*File, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("facts: %w", err)
 	}
-	switch f.Schema {
-	case Schema, SchemaV2, SchemaV1:
-	default:
-		return nil, fmt.Errorf("facts: schema %q, want %q, %q or %q", f.Schema, Schema, SchemaV2, SchemaV1)
+	if f.Schema != Schema {
+		return nil, fmt.Errorf("facts: schema %q, want %q", f.Schema, Schema)
 	}
 	for i := range f.Sections {
 		s := &f.Sections[i]

@@ -80,10 +80,10 @@ func TestDecodeRejects(t *testing.T) {
 	if _, err := Decode([]byte(`{"schema":"bogus/v9"}`)); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("wrong-schema decode: %v", err)
 	}
-	if _, err := Decode([]byte(`{"schema":"solero-facts/v1","sections":[{"id":"","class":"elidable"}]}`)); err == nil || !strings.Contains(err.Error(), "no id") {
+	if _, err := Decode([]byte(`{"schema":"solero-facts/v3","sections":[{"id":"","class":"elidable"}]}`)); err == nil || !strings.Contains(err.Error(), "no id") {
 		t.Fatalf("empty-id decode: %v", err)
 	}
-	if _, err := Decode([]byte(`{"schema":"solero-facts/v1","sections":[{"id":"x","class":"mystery"}]}`)); err == nil || !strings.Contains(err.Error(), "unknown class") {
+	if _, err := Decode([]byte(`{"schema":"solero-facts/v3","sections":[{"id":"x","class":"mystery"}]}`)); err == nil || !strings.Contains(err.Error(), "unknown class") {
 		t.Fatalf("unknown-class decode: %v", err)
 	}
 	if _, err := Decode([]byte(`not json`)); err == nil {
@@ -91,58 +91,21 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeV1StillLoads pins the compatibility contract: a v1 facts
-// file (no guard maps) decodes under the v2 reader, with empty maps.
-func TestDecodeV1StillLoads(t *testing.T) {
-	data := []byte(`{"schema":"solero-facts/v1","module":"repro","sections":[` +
-		`{"id":"repro/pkg:a.go:1:1","pkg":"repro/pkg","func":"F","mode":"ReadOnly","class":"elidable","maxRetries":1}]}` + "\n")
-	f, err := Decode(data)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if f.Schema != SchemaV1 || len(f.Sections) != 1 {
-		t.Fatalf("v1 decode lost shape: %+v", f)
-	}
-	s := &f.Sections[0]
-	if s.Class != ClassElidable || s.ReadGuards != nil || s.WriteGuards != nil {
-		t.Fatalf("v1 section decoded wrong: %+v", s)
-	}
-	// Re-encoding stamps the current schema.
-	out, err := Encode(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), Schema) {
-		t.Fatalf("re-encode kept the old schema:\n%s", out)
-	}
-}
-
-// TestDecodeV2StillLoads pins the second compatibility step: a v2 facts
-// file (guard maps, no escape summaries) decodes under the v3 reader,
-// guard maps intact and escapes empty, so all three schema generations
-// round-trip.
-func TestDecodeV2StillLoads(t *testing.T) {
-	data := []byte(`{"schema":"solero-facts/v2","module":"repro","sections":[` +
-		`{"id":"repro/pkg:a.go:1:1","pkg":"repro/pkg","func":"F","mode":"ReadOnly","class":"elidable",` +
-		`"maxRetries":1,"readGuards":{"T.val":"T.mu"}}]}` + "\n")
-	f, err := Decode(data)
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
-	}
-	if f.Schema != SchemaV2 || len(f.Sections) != 1 {
-		t.Fatalf("v2 decode lost shape: %+v", f)
-	}
-	s := &f.Sections[0]
-	if s.Class != ClassElidable || s.ReadGuards["T.val"] != "T.mu" || s.Escapes != nil {
-		t.Fatalf("v2 section decoded wrong: %+v", s)
-	}
-	// Re-encoding stamps the current schema.
-	out, err := Encode(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(out), Schema) {
-		t.Fatalf("re-encode kept the old schema:\n%s", out)
+// TestDecodeRejectsOldSchemas pins that only v3 loads: a v1 document
+// (no guard maps) or a v2 document (no escape summaries) would seed
+// sections with proofs missing half their evidence, so Decode refuses
+// both and names the schema to regenerate with.
+func TestDecodeRejectsOldSchemas(t *testing.T) {
+	for _, old := range []string{"solero-facts/v1", "solero-facts/v2"} {
+		data := []byte(`{"schema":"` + old + `","module":"repro","sections":[` +
+			`{"id":"repro/pkg:a.go:1:1","pkg":"repro/pkg","func":"F","mode":"ReadOnly","class":"elidable","maxRetries":1}]}` + "\n")
+		f, err := Decode(data)
+		if err == nil {
+			t.Fatalf("%s decoded: %+v", old, f)
+		}
+		if !strings.Contains(err.Error(), Schema) {
+			t.Fatalf("%s rejected without naming %s: %v", old, Schema, err)
+		}
 	}
 }
 

@@ -19,10 +19,10 @@ func ProofOf(c Class) core.ProofClass {
 
 // SeedRegistry loads every section of a facts file into a runtime section
 // registry and returns how many were seeded. Sections already registered
-// are re-proved in place. Guard maps (v2 files) and escape summaries (v3
-// files) ride along so verify mode can cross-check a speculating
-// section's fields against their static guards and refuse to trust a
-// proof whose section leaks guarded references.
+// are re-proved in place. Guard maps and escape summaries ride along so
+// verify mode can cross-check a speculating section's fields against
+// their static guards and refuse to trust a proof whose section leaks
+// guarded references.
 func SeedRegistry(reg *core.SectionRegistry, f *File) int {
 	n := 0
 	for i := range f.Sections {
