@@ -28,6 +28,7 @@ import (
 	"repro/internal/jthread"
 	"repro/internal/lockword"
 	"repro/internal/metrics"
+	"repro/internal/montable"
 	"repro/internal/rwlock"
 	"repro/internal/seqlock"
 	"repro/internal/simcoherence"
@@ -1055,6 +1056,22 @@ func BenchmarkMicroLocks(b *testing.B) {
 			l.Unlock(th)
 		}
 	})
+	// Go's own locks are the reference rows: the uncontended cost the
+	// elided read and the SOLERO write are compared against.
+	b.Run("SyncMutex", func(b *testing.B) {
+		var l sync.Mutex
+		for i := 0; i < b.N; i++ {
+			l.Lock()
+			l.Unlock()
+		}
+	})
+	b.Run("SyncRWMutexRLock", func(b *testing.B) {
+		var l sync.RWMutex
+		for i := 0; i < b.N; i++ {
+			l.RLock()
+			l.RUnlock()
+		}
+	})
 	b.Run("RWLockRead", func(b *testing.B) {
 		var l rwlock.RWLock
 		for i := 0; i < b.N; i++ {
@@ -1080,6 +1097,22 @@ func BenchmarkMicroLocks(b *testing.B) {
 			b.Fatalf("counter advanced by reentrant sections")
 		}
 	})
+}
+
+// BenchmarkLockNew measures what building one lock costs, with the
+// configuration the many-locks workload of bench/ gives its 65,536 locks:
+// the default protocol, fat mode renting from the workload's own monitor
+// table. It is the per-lock term of that workload's setup_s; B/op is the
+// lock's footprint.
+func BenchmarkLockNew(b *testing.B) {
+	cfg := *core.DefaultConfig
+	cfg.Monitors = montable.New(montable.Config{})
+	locks := make([]*solero.Lock, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		locks[i%len(locks)] = solero.NewLock(&cfg)
+	}
+	runtime.KeepAlive(locks)
 }
 
 // BenchmarkMicroInterp measures the JIT substrate: method dispatch and

@@ -171,19 +171,15 @@ func (c *Config) statsStripeCount() int {
 // loads: the word, cfg, the owner's saved word and the stats stripe header.
 // No thread but the owner writes that line, and the owner writes saved only
 // right after its CAS has taken the line exclusive. Everything other
-// threads write — the adaptive gate, the shared counters — and the monitor
-// table pointer and the read-mostly Counter views lie past it; the striped
-// counters live in the separately allocated stripes.
+// threads write — the adaptive gate, the shared counters — and the one-byte
+// Counter views lie past it; the striped counters live in the separately
+// allocated stripes. A lock is 208 B plus its stripes; it must not be copied.
 type Lock struct {
 	lockHead
 
 	// st is embedded so a stats bump chases no pointer: its stripe header
 	// ends the first line (see Stats).
 	st Stats
-
-	// mt is the monitor table fat mode rents from: cfg.Monitors, or
-	// montable.Shared when that is nil.
-	mt *montable.Table
 
 	// ad holds the shared remainder of the adaptive-elision machinery (the
 	// rare backoff gate); the per-execution window counters live in the
@@ -225,12 +221,17 @@ func New(cfg *Config) *Lock {
 	if cfg.Metrics != nil && cfg.MetricsSamplePeriod > 0 {
 		cfg.Metrics.SetSamplePeriod(cfg.MetricsSamplePeriod)
 	}
-	l := &Lock{lockHead: lockHead{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}, mt: cfg.Monitors}
-	if l.mt == nil {
-		l.mt = montable.Shared
-	}
+	l := &Lock{lockHead: lockHead{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}}
 	l.st.init(cfg.statsStripeCount())
 	return l
+}
+
+// table returns the monitor table fat mode rents from (see Config.Monitors).
+func (l *Lock) table() *montable.Table {
+	if mt := l.cfg.Monitors; mt != nil {
+		return mt
+	}
+	return montable.Shared
 }
 
 // Word returns the raw lock word (diagnostics and tests).

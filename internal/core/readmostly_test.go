@@ -326,31 +326,31 @@ func TestReadMostlyTerminalOutcomesDeriveAttempts(t *testing.T) {
 		name    string
 		body    func(l *Lock, w *jthread.Thread, s *Section, run int)
 		panics  bool
-		outcome func(*Stats) Counter
+		outcome func(*Stats) *Counter
 	}{
 		{"success", func(*Lock, *jthread.Thread, *Section, int) {}, false,
-			func(st *Stats) Counter { return st.ElisionSuccesses }},
+			func(st *Stats) *Counter { return &st.ElisionSuccesses }},
 		{"failure", func(l *Lock, w *jthread.Thread, _ *Section, run int) {
 			if run == 1 {
 				invalidate(l, w)
 			}
-		}, false, func(st *Stats) Counter { return st.ElisionFailures }},
+		}, false, func(st *Stats) *Counter { return &st.ElisionFailures }},
 		{"in-place upgrade", func(_ *Lock, _ *jthread.Thread, s *Section, _ int) {
 			s.BeforeWrite()
-		}, false, func(st *Stats) Counter { return st.Upgrades }},
+		}, false, func(st *Stats) *Counter { return &st.Upgrades }},
 		{"failed upgrade, restart", func(l *Lock, w *jthread.Thread, s *Section, run int) {
 			if run == 1 {
 				invalidate(l, w)
 			}
 			s.BeforeWrite()
-		}, false, func(st *Stats) Counter { return st.UpgradeFailures }},
+		}, false, func(st *Stats) *Counter { return &st.UpgradeFailures }},
 		{"genuine fault before upgrade", func(*Lock, *jthread.Thread, *Section, int) {
 			panic("boom")
-		}, true, func(st *Stats) Counter { return st.GenuineFaults }},
+		}, true, func(st *Stats) *Counter { return &st.GenuineFaults }},
 		{"genuine fault after upgrade", func(_ *Lock, _ *jthread.Thread, s *Section, _ int) {
 			s.BeforeWrite()
 			panic("boom")
-		}, true, func(st *Stats) Counter { return st.Upgrades }},
+		}, true, func(st *Stats) *Counter { return &st.Upgrades }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

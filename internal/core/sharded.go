@@ -216,9 +216,9 @@ func (sp *statStripe) load(id counterID) uint64 {
 // stripe header (stripes, mask) sits on the lock's first cache line beside
 // the word, so a fast-path bump loads no line but its own stripe's. The
 // striped counters are sharded across cache-line-sized stripes indexed by
-// thread; the shared counters and the Counter views lie past that first
-// line. Each exported Counter aggregates on Load. The elision counters feed
-// the paper's Figure 15 failure-ratio experiment.
+// thread; the shared counters and the Counter views, declared in counterID
+// order, lie past that first line. Each exported Counter aggregates on Load.
+// The elision counters feed the paper's Figure 15 failure-ratio experiment.
 type Stats struct {
 	stripes []statStripe
 	mask    uint32
@@ -228,77 +228,75 @@ type Stats struct {
 
 	shared [numShared]atomic.Uint64
 
-	FastAcquires Counter // uncontended writing acquisitions
-	SlowAcquires Counter
-	Recursions   Counter
-	SpinAcquires Counter
-	FLCWaits     Counter
-	Inflations   Counter
-	Deflations   Counter
-	FatEnters    Counter
-
-	ElisionAttempts  Counter // speculative executions (derived, see attemptOutcomes)
+	FastAcquires     Counter // uncontended writing acquisitions
 	ElisionSuccesses Counter // validated unchanged at exit
 	ElisionFailures  Counter // changed word, suppressed fault, or async abort
 	Fallbacks        Counter // read sections re-run holding the lock
-	ReadRecursions   Counter // read sections entered reentrantly
-	ReadFatEnters    Counter // read sections run under the fat lock
-
 	SuppressedFaults Counter // panics suppressed as inconsistent reads
 	GenuineFaults    Counter // panics validated as genuine and rethrown
 	AsyncAborts      Counter // speculations aborted at checkpoints
-
-	Upgrades        Counter // read-mostly in-place upgrades
-	UpgradeFailures Counter // upgrades that forced re-execution
-
-	AdaptiveTrips Counter // adaptive backoffs triggered
-	AdaptiveSkips Counter // read sections routed to the lock by backoff
+	Upgrades         Counter // read-mostly in-place upgrades
+	UpgradeFailures  Counter // upgrades that forced re-execution
+	SlowAcquires     Counter
+	Recursions       Counter
+	SpinAcquires     Counter
+	FLCWaits         Counter
+	Inflations       Counter
+	Deflations       Counter
+	FatEnters        Counter
+	ReadFatEnters    Counter // read sections run under the fat lock
+	ReadRecursions   Counter // read sections entered reentrantly
+	AdaptiveTrips    Counter // adaptive backoffs triggered
+	AdaptiveSkips    Counter // read sections routed to the lock by backoff
+	ElisionAttempts  Counter // speculative executions (derived, see attemptOutcomes)
 }
 
 // Counter is a read view of one aggregated protocol counter: Load sums the
-// owning Stats block's stripes (or reads its shared slot). Copying a
-// Counter is cheap and safe.
+// owning Stats block's stripes (or reads its shared slot). A view is its
+// one-byte id: it finds its Stats from its own address, so it must not be
+// copied (go vet's copylocks check reports a copy, which reads garbage).
 type Counter struct {
-	s  *Stats
+	_  noCopy
 	id counterID
 }
 
+// noCopy makes go vet's copylocks check report a copied Counter.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// stats returns the Stats block c is a view of: view id lies id bytes past
+// the first view.
+func (c *Counter) stats() *Stats {
+	return (*Stats)(unsafe.Add(unsafe.Pointer(c), -int(unsafe.Offsetof(Stats{}.FastAcquires))-int(c.id)))
+}
+
 // Load returns the counter's total.
-func (c Counter) Load() uint64 { return c.s.load(c.id) }
+func (c *Counter) Load() uint64 { return c.stats().load(c.id) }
 
 // Add adds n to the counter — for external accounting that has no thread
 // at hand: a striped counter takes it on the first stripe (a single-writer
 // counter in that stripe's foreign slot, which any thread may add to). Hot
 // paths inside the package increment the calling thread's stripe instead.
-func (c Counter) Add(n uint64) {
+func (c *Counter) Add(n uint64) {
 	switch {
 	case c.id >= numStriped:
-		c.s.shared[c.id-numStriped].Add(n)
+		c.stats().shared[c.id-numStriped].Add(n)
 	case c.id < numOwned:
-		c.s.stripes[0].foreign[c.id].Add(n)
+		c.stats().stripes[0].foreign[c.id].Add(n)
 	default:
-		c.s.stripes[0].c[c.id].Add(n)
+		c.stats().stripes[0].c[c.id].Add(n)
 	}
 }
 
-// init sets up s in place with nstripes stripes (a power of two). The
-// Counter views point back at s, so a Stats must not be copied after init.
+// init sets up s in place with nstripes stripes (a power of two) and
+// numbers its views.
 func (s *Stats) init(nstripes int) {
 	s.stripes, s.mask = make([]statStripe, nstripes), uint32(nstripes-1)
-	for id, f := range [numCounters]*Counter{
-		cFastAcquires: &s.FastAcquires, cSlowAcquires: &s.SlowAcquires,
-		cRecursions: &s.Recursions, cSpinAcquires: &s.SpinAcquires,
-		cFLCWaits: &s.FLCWaits, cInflations: &s.Inflations,
-		cDeflations: &s.Deflations, cFatEnters: &s.FatEnters,
-		cElisionAttempts: &s.ElisionAttempts, cElisionSuccesses: &s.ElisionSuccesses,
-		cElisionFailures: &s.ElisionFailures, cFallbacks: &s.Fallbacks,
-		cReadRecursions: &s.ReadRecursions, cReadFatEnters: &s.ReadFatEnters,
-		cSuppressedFaults: &s.SuppressedFaults, cGenuineFaults: &s.GenuineFaults,
-		cAsyncAborts: &s.AsyncAborts, cUpgrades: &s.Upgrades,
-		cUpgradeFailures: &s.UpgradeFailures, cAdaptiveTrips: &s.AdaptiveTrips,
-		cAdaptiveSkips: &s.AdaptiveSkips,
-	} {
-		*f = Counter{s: s, id: counterID(id)}
+	views := (*[numCounters]Counter)(unsafe.Pointer(&s.FastAcquires))
+	for id := range views {
+		views[id].id = counterID(id)
 	}
 }
 

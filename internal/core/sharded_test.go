@@ -70,28 +70,28 @@ func TestSnapshotExactSingleThreaded(t *testing.T) {
 		t.Errorf("ElisionAttempts.Load() = %d, want 43", got)
 	}
 	// Counter views and Snapshot must agree on every key.
-	checks := map[string]Counter{
-		"fastAcquires":     st.FastAcquires,
-		"slowAcquires":     st.SlowAcquires,
-		"recursions":       st.Recursions,
-		"spinAcquires":     st.SpinAcquires,
-		"flcWaits":         st.FLCWaits,
-		"inflations":       st.Inflations,
-		"deflations":       st.Deflations,
-		"fatEnters":        st.FatEnters,
-		"elisionAttempts":  st.ElisionAttempts,
-		"elisionSuccesses": st.ElisionSuccesses,
-		"elisionFailures":  st.ElisionFailures,
-		"fallbacks":        st.Fallbacks,
-		"readRecursions":   st.ReadRecursions,
-		"readFatEnters":    st.ReadFatEnters,
-		"suppressedFaults": st.SuppressedFaults,
-		"genuineFaults":    st.GenuineFaults,
-		"asyncAborts":      st.AsyncAborts,
-		"upgrades":         st.Upgrades,
-		"upgradeFailures":  st.UpgradeFailures,
-		"adaptiveTrips":    st.AdaptiveTrips,
-		"adaptiveSkips":    st.AdaptiveSkips,
+	checks := map[string]*Counter{
+		"fastAcquires":     &st.FastAcquires,
+		"slowAcquires":     &st.SlowAcquires,
+		"recursions":       &st.Recursions,
+		"spinAcquires":     &st.SpinAcquires,
+		"flcWaits":         &st.FLCWaits,
+		"inflations":       &st.Inflations,
+		"deflations":       &st.Deflations,
+		"fatEnters":        &st.FatEnters,
+		"elisionAttempts":  &st.ElisionAttempts,
+		"elisionSuccesses": &st.ElisionSuccesses,
+		"elisionFailures":  &st.ElisionFailures,
+		"fallbacks":        &st.Fallbacks,
+		"readRecursions":   &st.ReadRecursions,
+		"readFatEnters":    &st.ReadFatEnters,
+		"suppressedFaults": &st.SuppressedFaults,
+		"genuineFaults":    &st.GenuineFaults,
+		"asyncAborts":      &st.AsyncAborts,
+		"upgrades":         &st.Upgrades,
+		"upgradeFailures":  &st.UpgradeFailures,
+		"adaptiveTrips":    &st.AdaptiveTrips,
+		"adaptiveSkips":    &st.AdaptiveSkips,
 	}
 	if len(checks) != int(numCounters) {
 		t.Fatalf("check table covers %d counters, stripe has %d", len(checks), numCounters)

@@ -93,7 +93,7 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 // monitor. The caller ends up owning the fat lock.
 func (l *Lock) contendAndInflate(t *jthread.Thread) {
 	tid := t.ID()
-	h := l.mt.Bind(&l.word, tid)
+	h := l.table().Bind(&l.word, tid)
 	m := h.Mon
 	for {
 		v := l.word.Load()
@@ -160,7 +160,7 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 // means retry from the top: the ticket was stale or the lock deflated
 // before the monitor was entered.
 func (l *Lock) fatEnter(t *jthread.Thread, v uint64) bool {
-	h, ok := l.mt.PinWord(v, t.ID())
+	h, ok := l.table().PinWord(v, t.ID())
 	if !ok {
 		return false
 	}
@@ -205,7 +205,7 @@ func (l *Lock) fatEnterPinned(t *jthread.Thread, h montable.Handle) bool {
 // and 0 when the lock is inflated in place, e.g. before waiting).
 func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
 	tid := t.ID()
-	h := l.mt.Bind(&l.word, tid)
+	h := l.table().Bind(&l.word, tid)
 	m := h.Mon
 	l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
 		m.Enter(tid)
@@ -367,7 +367,7 @@ func (l *Lock) slowReadExit(t *jthread.Thread, v uint64) bool {
 // stale ticket means the fat episode ended; fall back to the flat reading
 // of the current word.
 func (l *Lock) heldFat(t *jthread.Thread, v uint64) bool {
-	h, ok := l.mt.PinWord(v, t.ID())
+	h, ok := l.table().PinWord(v, t.ID())
 	if !ok {
 		return lockword.SoleroHeldBy(l.word.Load(), t.ID())
 	}
@@ -385,7 +385,7 @@ func (l *Lock) heldFat(t *jthread.Thread, v uint64) bool {
 // after entering and retry flat.
 func (l *Lock) fatExit(t *jthread.Thread, v2 uint64, eager bool) {
 	tid := t.ID()
-	h, ok := l.mt.PinWord(v2, tid)
+	h, ok := l.table().PinWord(v2, tid)
 	if !ok {
 		// An owned monitor is never quiescent, so the owner's ticket
 		// cannot have been reclaimed.
@@ -425,7 +425,7 @@ func (l *Lock) fatExit(t *jthread.Thread, v2 uint64, eager bool) {
 // parked on a reclaimed, pin-guarded monitor).
 func (l *Lock) flcRelease(t *jthread.Thread, rel uint64) {
 	tid := t.ID()
-	h, ok := l.mt.FindBound(&l.word, tid)
+	h, ok := l.table().FindBound(&l.word, tid)
 	if !ok {
 		l.cfg.History.Record(history.Release, tid, rel)
 		l.word.Store(rel)

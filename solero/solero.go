@@ -62,7 +62,8 @@ type Config = core.Config
 // Section is the write-announcement handle of a read-mostly section.
 type Section = core.Section
 
-// Stats is a Lock's event-counter block.
+// Stats is a Lock's event-counter block. Read a counter in place,
+// lock.Stats().Inflations.Load(): a Counter view must not be copied.
 type Stats = core.Stats
 
 // NewLock creates a SOLERO lock (nil cfg for defaults).
