@@ -532,25 +532,21 @@ func readerCounts() []int {
 	return append(out, maxr)
 }
 
-// BenchmarkReaderScaling is the proof benchmark for the sharded-stats
-// engine: read-only critical sections (Empty, HashMap get, TreeMap get)
-// swept over reader counts, under the seed-style shared counter layout
-// (StatsStripes=1: every "elided" reader still RMWs one stats cache line)
-// versus the sharded default. With sharded stats the fast path performs no
-// cross-stripe writes, so Empty throughput should scale with readers
-// instead of flattening on counter-line ping-pong.
+// BenchmarkReaderScaling sweeps read-only critical sections (Empty,
+// HashMap get, TreeMap get) over reader counts. An elided read writes no
+// shared line — its one counter bump lands in the reading thread's own
+// counter page — so Empty throughput should scale with readers instead of
+// flattening on counter-line ping-pong.
 func BenchmarkReaderScaling(b *testing.B) {
 	modes := []struct {
 		name    string
-		stripes int
 		metrics bool
 	}{
-		{"sharedStats", 1, false},
-		{"shardedStats", 0, false},
+		{"ownedStats", false},
 		// The observability pipeline on: per-stripe histograms and abort
-		// taxonomy behind a sampled gate. Must track shardedStats — the
+		// taxonomy behind a sampled gate. Must track ownedStats — the
 		// registry adds no shared cache-line writes to the success path.
-		{"shardedStatsMetrics", 0, true},
+		{"ownedStatsMetrics", true},
 	}
 	sections := []struct {
 		name string
@@ -594,7 +590,6 @@ func BenchmarkReaderScaling(b *testing.B) {
 			for _, n := range readerCounts() {
 				b.Run(fmt.Sprintf("%s/%s/r%d", sec.name, mode.name, n), func(b *testing.B) {
 					cfg := *core.DefaultConfig
-					cfg.StatsStripes = mode.stripes
 					if mode.metrics {
 						cfg.Metrics = metrics.New(0)
 					}
@@ -615,69 +610,6 @@ func BenchmarkReaderScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkReaderScalingSeparation asserts the claim BenchmarkReaderScaling
-// only illustrates: at full reader parallelism the sharded-stats fast path
-// must out-run the shared-counter layout by a real margin. On fewer than 4
-// CPUs the two layouts legitimately converge (there is no counter-line
-// ping-pong to remove), so the benchmark skips rather than asserting
-// single-core parity. Each mode's throughput is the best of 3 fixed
-// wall-clock windows, which damps scheduler noise without needing b.N to
-// agree across modes.
-func BenchmarkReaderScalingSeparation(b *testing.B) {
-	if runtime.NumCPU() < 4 {
-		b.Skipf("need >= 4 CPUs for stats-contention separation, have %d", runtime.NumCPU())
-	}
-	readers := runtime.GOMAXPROCS(0)
-	const window = 100 * time.Millisecond
-
-	measure := func(stripes int) float64 {
-		cfg := *core.DefaultConfig
-		cfg.StatsStripes = stripes
-		l := core.New(&cfg)
-		best := 0.0
-		for round := 0; round < 3; round++ {
-			var stop atomic.Bool
-			var ops atomic.Uint64
-			vm := jthread.NewVM()
-			var wg sync.WaitGroup
-			for g := 0; g < readers; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					th := vm.Attach("bench")
-					defer th.Detach()
-					n := uint64(0)
-					for !stop.Load() {
-						l.ReadOnly(th, func() {})
-						n++
-					}
-					ops.Add(n)
-				}()
-			}
-			start := time.Now()
-			time.Sleep(window)
-			stop.Store(true)
-			wg.Wait()
-			if rate := float64(ops.Load()) / time.Since(start).Seconds(); rate > best {
-				best = rate
-			}
-		}
-		return best
-	}
-
-	b.ResetTimer()
-	shared := measure(1)
-	sharded := measure(0)
-	ratio := sharded / shared
-	b.ReportMetric(ratio, "sharded/shared")
-	b.ReportMetric(sharded, "sharded-ops/s")
-	b.ReportMetric(shared, "shared-ops/s")
-	if ratio < 1.1 {
-		b.Fatalf("sharded stats no longer separate from the shared layout at %d readers: %.2fx (sharded %.0f ops/s, shared %.0f ops/s)",
-			readers, ratio, sharded, shared)
-	}
-}
-
 // BenchmarkReaderScalingMetricsOverhead asserts the observability claim the
 // metrics registry makes: recording latency histograms and the abort
 // taxonomy costs the write-free read fast path at most 10% throughput at
@@ -686,8 +618,7 @@ func BenchmarkReaderScalingSeparation(b *testing.B) {
 // noise of metrics-off; a bigger gap means a shared cache-line write crept
 // onto the elided path. Fewer than 4 CPUs cannot exhibit the contention
 // this guards against, so the benchmark skips there. Each mode's
-// throughput is the best of 3 fixed wall-clock windows (as in
-// BenchmarkReaderScalingSeparation).
+// throughput is the best of 3 fixed wall-clock windows.
 func BenchmarkReaderScalingMetricsOverhead(b *testing.B) {
 	if runtime.NumCPU() < 4 {
 		b.Skipf("need >= 4 CPUs for a meaningful overhead bound, have %d", runtime.NumCPU())
@@ -802,8 +733,8 @@ func BenchmarkBackendTournament(b *testing.B) {
 // centralized RMW) must out-run the plain reader-writer lock's fetch-add
 // pair by a real margin. On fewer than 4 CPUs there is no reader-count cache line to ping-pong, the two
 // designs legitimately converge, and the benchmark skips. Each contender's
-// throughput is the best of 3 fixed wall-clock windows (the
-// BenchmarkReaderScalingSeparation protocol).
+// throughput is the best of 3 fixed wall-clock windows (as in
+// BenchmarkReaderScalingMetricsOverhead).
 func BenchmarkBravoReaderSeparation(b *testing.B) {
 	if runtime.NumCPU() < 4 {
 		b.Skipf("need >= 4 CPUs for reader-scaling separation, have %d", runtime.NumCPU())
@@ -1072,6 +1003,29 @@ func BenchmarkMicroLocks(b *testing.B) {
 			l.RUnlock()
 		}
 	})
+	// The parallel rows run two readers (b.RunParallel at -cpu 2, or
+	// GOMAXPROCS) on one lock: where concurrent readers' counts land is
+	// what separates an elided read from a reader count.
+	b.Run("SoleroReadOnlyParallel", func(b *testing.B) {
+		l := core.New(nil)
+		pvm := jthread.NewVM()
+		b.RunParallel(func(pb *testing.PB) {
+			th := pvm.Attach("reader")
+			defer th.Detach()
+			for pb.Next() {
+				l.ReadOnly(th, func() {})
+			}
+		})
+	})
+	b.Run("SyncRWMutexRLockParallel", func(b *testing.B) {
+		var l sync.RWMutex
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				l.RLock()
+				l.RUnlock()
+			}
+		})
+	})
 	b.Run("RWLockRead", func(b *testing.B) {
 		var l rwlock.RWLock
 		for i := 0; i < b.N; i++ {
@@ -1111,6 +1065,31 @@ func BenchmarkLockNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		locks[i%len(locks)] = solero.NewLock(&cfg)
+	}
+	runtime.KeepAlive(locks)
+}
+
+// BenchmarkLockFirstUse measures what a lock costs once it is used: New,
+// then a counted read and a counted write by each of two threads. Beside
+// BenchmarkLockNew it shows the cost that moved from New to the first
+// count — the stats id, its finalizer, and each thread's slot (a counter
+// page only when the id opens a page the thread has not touched).
+func BenchmarkLockFirstUse(b *testing.B) {
+	cfg := *core.DefaultConfig
+	cfg.Monitors = montable.New(montable.Config{})
+	vm := jthread.NewVM()
+	t1, t2 := vm.Attach("first"), vm.Attach("second")
+	defer t1.Detach()
+	defer t2.Detach()
+	locks := make([]*solero.Lock, 4096)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l := solero.NewLock(&cfg)
+		l.ReadOnly(t1, func() {})
+		l.Sync(t1, func() {})
+		l.ReadOnly(t2, func() {})
+		l.Sync(t2, func() {})
+		locks[i%len(locks)] = l
 	}
 	runtime.KeepAlive(locks)
 }

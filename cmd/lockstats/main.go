@@ -7,7 +7,7 @@
 // Usage:
 //
 //	lockstats [-bench hashmap|treemap|empty|jbb] [-backend NAME] [-threads N]
-//	          [-writes PCT] [-duration D] [-trace N] [-stripes] [-sites]
+//	          [-writes PCT] [-duration D] [-trace N] [-sites]
 //	          [-sample-period N] [-json out.json] [-perfetto out.json]
 //	          [-pprof out.pb.gz] [-serve :PORT]
 //
@@ -15,15 +15,13 @@
 // default; lock/vmlock, rwlock, bravo, solero-unelided also work). Every
 // backend's protocol counters flow through the same snapshot/export
 // pipeline; the SOLERO-only views (latency histograms, abort taxonomy,
-// -stripes, -sites, -trace) stay empty for the others.
+// -sites, -trace) stay empty for the others.
 // The lock/vmlock and solero backends rent fat monitors from a compact
 // monitor table of their own; for those the report adds a monitor-table
 // section (occupancy, deflation churn, footprint bytes) and the
 // sweep-latency histogram.
 //
-// -stripes additionally prints per-stripe occupancy of the sharded stat
-// engine, making skew across thread ids visible. -sites prints the sampled
-// abort call sites. -json writes the solero-snapshot/v1 bundle, -perfetto
+// -sites prints the sampled abort call sites. -json writes the solero-snapshot/v1 bundle, -perfetto
 // writes the flight recorder as Chrome trace-event JSON for Perfetto.
 //
 // -serve :PORT switches to live mode: the workload runs continuously while
@@ -62,7 +60,6 @@ func main() {
 	shards := flag.Int("shards", 1, "locks (fine-grained variant when > 1)")
 	duration := flag.Duration("duration", 200*time.Millisecond, "measurement window")
 	traceN := flag.Int("trace", 0, "record and print the last N protocol events")
-	stripes := flag.Bool("stripes", false, "print per-stripe stat occupancy alongside the aggregated snapshot")
 	sites := flag.Bool("sites", false, "print sampled abort call sites")
 	jsonOut := flag.String("json", "", "write the solero-snapshot/v1 JSON bundle to this file")
 	perfettoOut := flag.String("perfetto", "", "write the flight recorder as Perfetto trace-event JSON to this file")
@@ -105,7 +102,6 @@ func main() {
 
 	var worker harness.Worker
 	var snap func() (map[string]uint64, float64)
-	var statBlocks func() []*core.Stats
 	var guards func() []*workload.Guard
 	switch *bench {
 	case "empty":
@@ -146,19 +142,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lockstats: unknown benchmark %q\n", *bench)
 		os.Exit(1)
 	}
-	// The SOLERO-only views (-stripes, histogram wiring) read the striped
-	// counter blocks; the export pipeline below reads the backend SPI, so
-	// every implementation's counters reach -json / -serve.
-	statBlocks = func() []*core.Stats {
-		var out []*core.Stats
-		for _, g := range guards() {
-			if st := g.SoleroStats(); st != nil {
-				out = append(out, st)
-			}
-		}
-		return out
-	}
-
 	src := export.NewSource(*bench, *threads, reg)
 	src.Backend = *backendName
 	src.Ring = ring
@@ -210,9 +193,6 @@ func main() {
 	printMonitorTables(guards())
 	printHistograms(reg)
 	printAborts(reg)
-	if *stripes {
-		printStripes(statBlocks())
-	}
 	if *sites {
 		printSites(reg)
 	}
@@ -335,56 +315,6 @@ func printSites(reg *metrics.Registry) {
 	for _, s := range sites {
 		fmt.Printf("  %6d  %-18s %s (%s:%d)\n", s.Total, s.TopCause(), s.Function, s.File, s.Line)
 	}
-}
-
-// printStripes renders per-stripe occupancy of the sharded stat engine,
-// aggregated across the benchmark's lock instances: total events and
-// elision attempts per stripe index, with each stripe's share of all
-// events. Skewed shares mean thread ids are hashing badly onto stripes.
-// The slow-path counters are not striped; they are reported once, on a
-// final "shared" row that counts toward the shares.
-func printStripes(blocks []*core.Stats) {
-	if len(blocks) == 0 {
-		fmt.Printf("per-stripe occupancy: no SOLERO locks in this benchmark\n")
-		return
-	}
-	n := 0
-	for _, st := range blocks {
-		if st.NumStripes() > n {
-			n = st.NumStripes()
-		}
-	}
-	events := make([]uint64, n)
-	attempts := make([]uint64, n)
-	var shared, sharedAttempts, total uint64
-	for _, st := range blocks {
-		totals := st.StripeTotals()
-		for i, v := range totals {
-			events[i] += v
-			total += v
-			attempts[i] += st.StripeSnapshot(i)["elisionAttempts"]
-		}
-		for k, v := range st.SharedSnapshot() {
-			shared += v
-			total += v
-			if k == "elisionAttempts" {
-				sharedAttempts += v
-			}
-		}
-	}
-	share := func(v uint64) float64 {
-		if total == 0 {
-			return 0
-		}
-		return 100 * float64(v) / float64(total)
-	}
-	fmt.Printf("per-stripe occupancy (%d stripes, %d locks):\n", n, len(blocks))
-	for i := 0; i < n; i++ {
-		fmt.Printf("  stripe %2d: %10d events  %10d elision attempts  %5.1f%%\n",
-			i, events[i], attempts[i], share(events[i]))
-	}
-	fmt.Printf("  shared   : %10d events  %10d elision attempts  %5.1f%%  (slow-path counters, once per lock)\n",
-		shared, sharedAttempts, share(shared))
 }
 
 // serveUntilSignal runs the observability endpoint until SIGINT/SIGTERM,

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"repro/internal/jthread"
-)
-
 // Adaptive elision — an extension in the spirit of the paper's remark that
 // the single-failure fallback "can be expanded" (§3.2): instead of only
 // reacting per execution, the lock tracks its recent speculation failure
@@ -15,25 +9,13 @@ import (
 // pathological regime Figure 15 exposes at high thread counts, where
 // failed speculations and their fallback acquisitions feed each other.
 //
-// The window bookkeeping runs on the elided fast path, so — like the stat
-// counters — it is sharded: each stats stripe carries its own
-// attempts/failures window (statStripe.adAttempts/adFailures), updated
-// without touching shared cache lines. Only the *trip* decision, a rare
-// event at window boundaries, writes the shared backoff gate. Each stripe
-// evaluates its own AdaptiveWindow-sized window against
-// AdaptiveFailurePct, so with S active stripes the lock observes between
-// window and S*window executions before a write-heavy phase trips —
-// per-stripe semantics are exactly the seed's, and single-threaded
-// behavior is bit-identical.
-
-// adaptiveState is the shared remainder of the machinery, embedded in
-// Lock: the backoff gate. It is read on every adaptive read section (a
-// load of a shared-state line, which readers cache) but written only when
-// a window trips or a backoff credit is consumed — both on the unelided
-// path.
-type adaptiveState struct {
-	backoffLeft atomic.Int32 // unelided read sections remaining
-}
+// The window and the backoff gate live in the lock's cold block, which an
+// Adaptive lock rents at its first speculation: the window counts every
+// speculative execution with an atomic add, so an Adaptive lock's readers
+// write one shared line — the price of a per-lock failure ratio. Locks
+// without Adaptive never touch either. The window is the lock's: the first
+// AdaptiveWindow executions, from whatever threads, are evaluated against
+// AdaptiveFailurePct together. Single-threaded behaviour is the seed's.
 
 // adaptiveDefaults.
 const (
@@ -65,40 +47,44 @@ func (l *Lock) adaptiveSkip() bool {
 	if !l.cfg.Adaptive {
 		return false
 	}
+	c := l.cold.Load()
+	if c == nil {
+		return false
+	}
 	for {
-		left := l.ad.backoffLeft.Load()
+		left := c.backoffLeft.Load()
 		if left <= 0 {
 			return false
 		}
-		if l.ad.backoffLeft.CompareAndSwap(left, left-1) {
-			l.st.incShared(cAdaptiveSkips)
+		if c.backoffLeft.CompareAndSwap(left, left-1) {
+			c.c[cAdaptiveSkips].Add(1)
 			return true
 		}
 	}
 }
 
-// adaptiveRecord accounts one speculative execution outcome in the calling
-// thread's stripe and trips the shared backoff gate when the stripe's
-// window completes with a failure ratio at or above the threshold.
-func (l *Lock) adaptiveRecord(t *jthread.Thread, failed bool) {
+// adaptiveRecord accounts one speculative execution outcome in the lock's
+// window and trips the backoff gate when the window completes with a
+// failure ratio at or above the threshold.
+func (l *Lock) adaptiveRecord(failed bool) {
 	if !l.cfg.Adaptive {
 		return
 	}
-	sp := l.st.stripeFor(t)
+	c := l.coldBlock()
 	if failed {
-		sp.adFailures.Add(1)
+		c.adFailures.Add(1)
 	}
 	window, pct, backoff := l.cfg.adaptiveParams()
-	if sp.adAttempts.Add(1) < window {
+	if c.adAttempts.Add(1) < window {
 		return
 	}
-	// Stripe window complete: evaluate and reset. Racing evaluators on a
-	// shared stripe may both reset; harmless.
-	fails := sp.adFailures.Load()
-	sp.adAttempts.Store(0)
-	sp.adFailures.Store(0)
+	// Window complete: evaluate and reset. Racing evaluators may both
+	// reset; harmless.
+	fails := c.adFailures.Load()
+	c.adAttempts.Store(0)
+	c.adFailures.Store(0)
 	if fails*100 >= window*pct {
-		l.ad.backoffLeft.Store(backoff)
-		l.st.incShared(cAdaptiveTrips)
+		c.backoffLeft.Store(backoff)
+		c.c[cAdaptiveTrips].Add(1)
 	}
 }

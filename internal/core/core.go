@@ -33,7 +33,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/montable"
 	"repro/internal/sched"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -55,14 +54,14 @@ const (
 
 // Config tunes the SOLERO protocol. Use DefaultConfig as a starting point;
 // a nil Config given to New means DefaultConfig. Set every field before
-// passing the Config to New: a lock fixes some choices at New — its stripe
-// count, the metrics sample period, whether its read sections sample
-// (Metrics non-nil), and whether they may take the hook-free first attempt,
-// which needs Tracer, Sched and History nil and Adaptive and DisableElision
-// off. Metrics does not disqualify it: an unsampled section of a metered
-// lock takes the same attempt. Fences are not modelled here: Go's atomics
-// are sequentially consistent, and the §3.4 fence costs live in the
-// coherence simulator (internal/simcoherence).
+// passing the Config to New: a lock fixes some choices at New — the metrics
+// sample period, whether its read sections sample (Metrics non-nil), and
+// whether they may take the hook-free first attempt, which needs Tracer,
+// Sched and History nil and Adaptive and DisableElision off. Metrics does
+// not disqualify it: an unsampled section of a metered lock takes the same
+// attempt. Fences are not modelled here: Go's atomics are sequentially
+// consistent, and the §3.4 fence costs live in the coherence simulator
+// (internal/simcoherence).
 type Config struct {
 	// Tier1/Tier2/Tier3 parameterize the three-tier contention loops
 	// (innermost backoff spins, acquisition attempts per round, yield
@@ -92,13 +91,6 @@ type Config struct {
 	AdaptiveWindow     uint32
 	AdaptiveFailurePct uint32
 	AdaptiveBackoffOps int32
-	// StatsStripes sets the number of cache-line-padded stat/adaptive
-	// stripes per lock (rounded up to a power of two). 0 selects the
-	// automatic count (GOMAXPROCS rounded up, capped); 1 collapses the
-	// counters onto a single shared stripe — the seed layout, where every
-	// elided reader RMWs the same cache line — kept as the comparison
-	// baseline for BenchmarkReaderScaling.
-	StatsStripes int
 	// Tracer, when non-nil, records protocol transitions into a ring
 	// buffer (see internal/trace; `lockstats -trace` prints it).
 	Tracer *trace.Ring
@@ -156,46 +148,18 @@ func (c *Config) hookFree() bool {
 		!c.Adaptive && !c.DisableElision
 }
 
-// statsStripeCount resolves the configured stripe count (see
-// Config.StatsStripes) to a power of two.
-func (c *Config) statsStripeCount() int {
-	if c.StatsStripes > 0 {
-		return stats.CeilPow2(c.StatsStripes)
-	}
-	return stats.DefaultStripeCount()
-}
-
 // Lock is a SOLERO lock. The zero value is not ready; use New.
 //
-// The first 64-B line holds what an elided read or an uncontended write
-// loads: the word, cfg, the owner's saved word and the stats stripe header.
-// No thread but the owner writes that line, and the owner writes saved only
-// right after its CAS has taken the line exclusive. Everything other
-// threads write — the adaptive gate, the shared counters — and the one-byte
-// Counter views lie past it; the striped counters live in the separately
-// allocated stripes. A lock is 208 B plus its stripes; it must not be copied.
+// A lock is one 64-B allocation, one cache line: what an elided read or an
+// uncontended write loads — the word, cfg, the owner's saved word and the
+// hookFree/metered flags — plus the stats id, the cold-block pointer and the
+// 21 one-byte Counter views. No thread but the owner writes the line on the
+// fast paths, and the owner writes saved only right after its CAS has taken
+// the line exclusive; the stats id and the cold pointer are each set once,
+// by CAS. The counts live off the lock (see stats.go): the single-writer
+// counters in thread-owned counter pages, everything else in the cold
+// block. A lock must not be copied.
 type Lock struct {
-	lockHead
-
-	// st is embedded so a stats bump chases no pointer: its stripe header
-	// ends the first line (see Stats).
-	st Stats
-
-	// ad holds the shared remainder of the adaptive-elision machinery (the
-	// rare backoff gate); the per-execution window counters live in the
-	// stats stripes (see adaptive.go).
-	ad adaptiveState
-
-	// staticID is the lock's solerovet identity ("Type.mu" /
-	// "pkgpath.name"), set by SetStaticID. Verify-mode registries compare
-	// it against the static guards of the fields a section touches.
-	staticID string
-}
-
-// lockHead is the part of Lock before the embedded Stats. Stats pads its
-// stripe header out to the end of the first line from lockHead's size, so
-// this type alone decides what else shares the word's line.
-type lockHead struct {
 	word atomic.Uint64
 	cfg  *Config
 
@@ -205,12 +169,23 @@ type lockHead struct {
 	// owners' accesses, so a plain field is sound.
 	saved uint64
 
+	// cold is the lock's cold block: the shared counters, the adaptive
+	// gate and the static id, rented on the first event that needs it.
+	cold atomic.Pointer[coldBlock]
+
+	// id is the lock's stats id: the index of its slots in the threads'
+	// counter pages (0 until its first count).
+	id atomic.Uint32
+
 	// hookFree is cfg.hookFree() as of New: an elided read decides on its
 	// hook-free first attempt with one byte of the line it loads anyway.
 	hookFree bool
 	// metered is cfg.Metrics != nil as of New: whether a read section
 	// ticks the CS-duration sampler, decided on the same line.
 	metered bool
+
+	// st is the Counter views, one byte each.
+	st Stats
 }
 
 // New creates a free lock (counter zero). nil cfg means DefaultConfig.
@@ -221,8 +196,8 @@ func New(cfg *Config) *Lock {
 	if cfg.Metrics != nil && cfg.MetricsSamplePeriod > 0 {
 		cfg.Metrics.SetSamplePeriod(cfg.MetricsSamplePeriod)
 	}
-	l := &Lock{lockHead: lockHead{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}}
-	l.st.init(cfg.statsStripeCount())
+	l := &Lock{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}
+	l.st.init()
 	return l
 }
 
@@ -243,10 +218,15 @@ func (l *Lock) Word() uint64 { return l.word.Load() }
 // when a speculating section touches a field whose facts-file guard is a
 // different lock. Set it once at construction; "" (the default) disables
 // the cross-check for this lock.
-func (l *Lock) SetStaticID(id string) { l.staticID = id }
+func (l *Lock) SetStaticID(id string) { l.coldBlock().staticID = id }
 
 // StaticID returns the identity set by SetStaticID.
-func (l *Lock) StaticID() string { return l.staticID }
+func (l *Lock) StaticID() string {
+	if c := l.cold.Load(); c != nil {
+		return c.staticID
+	}
+	return ""
+}
 
 // Stats exposes the lock's event counters.
 func (l *Lock) Stats() *Stats { return &l.st }
@@ -277,7 +257,7 @@ func (l *Lock) Lock(t *jthread.Thread) {
 			l.cfg.Sched.Point(tid, sched.PAcquireCAS)
 			if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
 				l.saved = v
-				l.st.bump(t, cFastAcquires)
+				l.bump(t, cFastAcquires)
 				l.cfg.Tracer.Record(trace.EvAcquireFast, tid, v)
 				l.cfg.History.Record(history.Acquire, tid, v)
 				l.cfg.Sched.Point(tid, sched.PAcquired)

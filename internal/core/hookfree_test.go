@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -362,14 +363,28 @@ func nestFrames(t *testing.T, depth int) {
 
 // TestFreshThreadFirstReadOnlyAllocFree: the speculative-frame stack is
 // allocated at Attach, so a thread's first elided read allocates nothing.
+// A thread's first count on a lock may allocate its counter slot (at most
+// one 4-KB page and its index, checked below); each thread here takes its
+// slot with a write first, which pushes no speculative frame.
 func TestFreshThreadFirstReadOnlyAllocFree(t *testing.T) {
 	const runs = 100
 	vm := jthread.NewVM()
 	ths := make([]*jthread.Thread, runs+1) // AllocsPerRun adds a warm-up call
+	l := New(nil)
 	for i := range ths {
 		ths[i] = vm.Attach("fresh")
 	}
-	l := New(nil)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, th := range ths {
+		l.Sync(th, func() {})
+	}
+	runtime.ReadMemStats(&m1)
+	// The page, the thread's lease and directory, and the registry's
+	// amortized growth.
+	if b := (m1.TotalAlloc - m0.TotalAlloc) / uint64(len(ths)); b > 4096+256 {
+		t.Fatalf("a fresh thread's first count allocates %d B, want at most a 4-KB page and its index", b)
+	}
 	fn := func() {}
 	i := 0
 	allocs := testing.AllocsPerRun(runs, func() {

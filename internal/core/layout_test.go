@@ -10,20 +10,19 @@ import (
 	"repro/internal/stats"
 )
 
-// lockLine is the cache line an elided read touches in the Lock itself.
+// lockLine is the cache line a lock occupies.
 const lockLine = stats.CacheLine
 
-// TestLockLineLayout checks the one-line fast path: the word, cfg, saved,
-// the hookFree/metered flags and the stats stripe header at the offsets the
-// read and write paths were compiled against, all inside the first 64
-// bytes, while every field a non-owner writes (the adaptive gate, the
-// shared counters) and the Counter views start past that line. Each view is
-// one pointer-free byte at its id's place in the view run, which is how a
-// view finds its Stats.
+// TestLockLineLayout checks the one-line lock: the word, cfg, saved, the
+// cold-block pointer, the stats id, the hookFree/metered flags and the 21
+// Counter views at the offsets the read and write paths were compiled
+// against, the whole Lock within one 64-B line. Each view is one
+// pointer-free byte at its id's place in the view run, which is how a view
+// finds its lock.
 func TestLockLineLayout(t *testing.T) {
 	var l Lock
 	st := unsafe.Offsetof(l.st)
-	hot := []struct {
+	fields := []struct {
 		name      string
 		off, size uintptr
 		want      uintptr
@@ -31,43 +30,38 @@ func TestLockLineLayout(t *testing.T) {
 		{"word", unsafe.Offsetof(l.word), unsafe.Sizeof(l.word), 0},
 		{"cfg", unsafe.Offsetof(l.cfg), unsafe.Sizeof(l.cfg), 8},
 		{"saved", unsafe.Offsetof(l.saved), unsafe.Sizeof(l.saved), 16},
-		{"hookFree", unsafe.Offsetof(l.hookFree), unsafe.Sizeof(l.hookFree), 24},
-		{"metered", unsafe.Offsetof(l.metered), unsafe.Sizeof(l.metered), 25},
-		{"st.stripes", st + unsafe.Offsetof(l.st.stripes), unsafe.Sizeof(l.st.stripes), 32},
-		{"st.mask", st + unsafe.Offsetof(l.st.mask), unsafe.Sizeof(l.st.mask), 56},
+		{"cold", unsafe.Offsetof(l.cold), unsafe.Sizeof(l.cold), 24},
+		{"id", unsafe.Offsetof(l.id), unsafe.Sizeof(l.id), 32},
+		{"hookFree", unsafe.Offsetof(l.hookFree), unsafe.Sizeof(l.hookFree), 36},
+		{"metered", unsafe.Offsetof(l.metered), unsafe.Sizeof(l.metered), 37},
+		{"st", st, unsafe.Sizeof(l.st), 38},
 	}
-	for _, f := range hot {
+	for _, f := range fields {
 		if f.off != f.want {
 			t.Errorf("%s at offset %d, want %d", f.name, f.off, f.want)
 		}
 		if f.off+f.size > lockLine {
-			t.Errorf("%s spans [%d,%d), want within the first %d bytes", f.name, f.off, f.off+f.size, lockLine)
+			t.Errorf("%s spans [%d,%d), want within %d bytes", f.name, f.off, f.off+f.size, lockLine)
 		}
 	}
-	cold := map[string]uintptr{
-		"ad":        unsafe.Offsetof(l.ad),
-		"st.shared": st + unsafe.Offsetof(l.st.shared),
+	if sz := unsafe.Sizeof(l); sz != lockLine {
+		t.Errorf("Lock is %d bytes, want exactly one %d-B line", sz, lockLine)
 	}
-	views, first := 0, unsafe.Offsetof(l.st.FastAcquires)
+	views := 0
 	stt := reflect.TypeOf((*Stats)(nil)).Elem()
 	for i := 0; i < stt.NumField(); i++ {
 		f := stt.Field(i)
 		if f.Type != reflect.TypeOf(Counter{}) {
+			t.Errorf("Stats field %s is a %v, want only Counter views", f.Name, f.Type)
 			continue
 		}
-		cold["st."+f.Name] = st + f.Offset
-		if id := counterID(views); !strings.EqualFold(counterKeys[id], f.Name) || f.Offset != first+uintptr(id) {
-			t.Errorf("view %s at Stats offset %d, want counter %q at %d", f.Name, f.Offset, counterKeys[id], first+uintptr(id))
+		if id := counterID(views); !strings.EqualFold(counterKeys[id], f.Name) || f.Offset != uintptr(id) {
+			t.Errorf("view %s at Stats offset %d, want counter %q at %d", f.Name, f.Offset, counterKeys[id], id)
 		}
 		views++
 	}
 	if views != int(numCounters) {
 		t.Fatalf("found %d Counter views, want %d", views, numCounters)
-	}
-	for name, off := range cold {
-		if off < lockLine {
-			t.Errorf("field %s at offset %d, want >= %d", name, off, lockLine)
-		}
 	}
 	// One byte cannot hold a pointer.
 	if sz := unsafe.Sizeof(Counter{}); sz != 1 {
@@ -75,39 +69,14 @@ func TestLockLineLayout(t *testing.T) {
 	}
 }
 
-// TestStatStripeSize checks the stripe type: exactly one false-sharing
-// range, so adjacent stripes never share a line.
-func TestStatStripeSize(t *testing.T) {
-	if sz := unsafe.Sizeof(statStripe{}); sz != stats.FalseSharingRange {
-		t.Fatalf("statStripe is %d bytes, want %d", sz, stats.FalseSharingRange)
-	}
-	var ss [2]statStripe
-	d := uintptr(unsafe.Pointer(&ss[1])) - uintptr(unsafe.Pointer(&ss[0]))
-	if d < 128 {
-		t.Fatalf("adjacent stripes %d bytes apart, want >= 128", d)
-	}
-}
-
-// lockSizeClass is the heap size class a Lock rounds up to.
-const lockSizeClass = 208
-
-// TestLockFootprint pins what New costs: exactly two allocations (the
-// Lock with its embedded Stats, and the stripes) totalling at most the
-// size-class budget for the stripe count: 464 B at 2 stripes, and 8,400 B
-// at 64, the cap a host with 64 or more CPUs gets by default.
+// TestLockFootprint pins what New costs: one allocation of at most one
+// line, whatever GOMAXPROCS is, and each lock on a line of its own.
 func TestLockFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(Lock{}); sz > lockSizeClass {
-		t.Fatalf("Lock is %d bytes, over its %d-B size class", sz, lockSizeClass)
-	}
-	if n := testing.AllocsPerRun(100, func() { New(nil) }); n != 2 {
-		t.Fatalf("New(nil) makes %v allocations, want 2", n)
-	}
-	for _, stripes := range []int{1, 2, 8, 64} {
-		cfg := *DefaultConfig
-		cfg.StatsStripes = stripes
-		// Power-of-two multiples of 128 B are exact size classes.
-		budget := uint64(lockSizeClass + stripes*stats.FalseSharingRange)
-
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		if n := testing.AllocsPerRun(100, func() { New(nil) }); n != 1 {
+			t.Errorf("GOMAXPROCS %d: New(nil) makes %v allocations, want 1", procs, n)
+		}
 		// Background runtime allocations can only add to a trial: keep
 		// the cheapest of a few.
 		const n = 1024
@@ -118,21 +87,19 @@ func TestLockFootprint(t *testing.T) {
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			for i := range locks {
-				locks[i] = New(&cfg)
+				locks[i] = New(nil)
 			}
 			runtime.ReadMemStats(&m1)
 			per = min(per, (m1.TotalAlloc-m0.TotalAlloc)/n)
 		}
-		t.Logf("%d stripes: %d B per lock", stripes, per)
-		if per > budget {
-			t.Errorf("New costs %d B with %d stripes, budget %d B", per, stripes, budget)
+		runtime.GOMAXPROCS(prev)
+		t.Logf("GOMAXPROCS %d: %d B per lock", procs, per)
+		if per > lockLine {
+			t.Errorf("GOMAXPROCS %d: New costs %d B, want at most %d", procs, per, lockLine)
 		}
 		for _, l := range locks {
-			if l.Stats().NumStripes() != stripes {
-				t.Fatalf("lock has %d stripes, want %d", l.Stats().NumStripes(), stripes)
-			}
-			if p := uintptr(unsafe.Pointer(&l.st.stripes[0])); p%stats.FalseSharingRange != 0 {
-				t.Fatalf("stripes at %#x, not %d-B aligned", p, stats.FalseSharingRange)
+			if p := uintptr(unsafe.Pointer(l)); p%lockLine != 0 {
+				t.Fatalf("lock at %#x, not %d-B aligned", p, lockLine)
 			}
 		}
 	}

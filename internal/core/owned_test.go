@@ -1,15 +1,18 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/jthread"
 )
 
-// The tests in this file pin the single-writer counter slots (bump): each
-// ends with exact totals at quiescence, however the bumping threads map
-// onto stripes and owners.
+// The tests in this file pin the single-writer counters (bump): each
+// thread counts in its own slot of its own counter pages, and every test
+// ends with exact totals at quiescence, across threads, VMs and detaches.
 
 // runOwnedLoad has every thread run reads elided sections on l, all
 // concurrently, and then — once every read is done, so each one elides —
@@ -52,23 +55,26 @@ func checkOwnedTotals(t *testing.T, st *Stats, reads, writes uint64) {
 	if got := snap["fastAcquires"] + snap["slowAcquires"]; got != writes {
 		t.Fatalf("fastAcquires+slowAcquires = %d, want %d (%v)", got, writes, snap)
 	}
-	var sum uint64
-	for i := 0; i < st.NumStripes(); i++ {
-		sum += st.StripeSnapshot(i)["elisionSuccesses"]
+}
+
+// coldOwned returns what the lock's cold block holds of the single-writer
+// counters: the counts no thread-owned slot took.
+func coldOwned(l *Lock) uint64 {
+	c := l.cold.Load()
+	if c == nil {
+		return 0
 	}
-	if sum != snap["elisionSuccesses"] {
-		t.Fatalf("stripes sum to %d successes, Snapshot says %d", sum, snap["elisionSuccesses"])
-	}
+	return c.c[cFastAcquires].Load() + c.c[cElisionSuccesses].Load()
 }
 
 // TestOwnedSlotsSnapshotWhileOwnerBumps reads Snapshot concurrently with a
-// stripe's owner bumping it with plain stores: under -race nothing may be
-// reported, every counter must be monotone across snapshots, and the
-// totals exact at the end.
+// thread bumping its slots with plain stores: under -race nothing may be
+// reported, every counter must be monotone across snapshots, no count may
+// leave the thread's slots, and the totals must be exact at the end.
 func TestOwnedSlotsSnapshotWhileOwnerBumps(t *testing.T) {
 	const reads, writes = 20000, 2000
 	vm := jthread.NewVM()
-	l := New(stripedCfg(2))
+	l := New(nil)
 	owner := vm.Attach("owner")
 
 	stop := make(chan struct{})
@@ -99,116 +105,125 @@ func TestOwnedSlotsSnapshotWhileOwnerBumps(t *testing.T) {
 	close(stop)
 	snaps.Wait()
 
-	sp := &l.st.stripes[owner.StripeIndex()&l.st.mask]
-	if sp.owner.Load() != owner.Serial() {
-		t.Fatalf("stripe owner = %d, want the bumping thread's serial %d", sp.owner.Load(), owner.Serial())
-	}
-	if f := sp.foreign[cElisionSuccesses].Load() + sp.foreign[cFastAcquires].Load(); f != 0 {
-		t.Fatalf("the owner's bumps took the foreign path %d times", f)
+	if n := coldOwned(l); n != 0 {
+		t.Fatalf("%d of the owner's counts went to the cold block", n)
 	}
 	checkOwnedTotals(t, l.Stats(), reads, writes)
 }
 
 // TestOwnedSlotsTwoVMsShareStripe: each VM numbers its threads (and
-// stripe indexes) from its own start, so threads of two VMs can map to the
-// same stripe of a shared lock. Serials tell them apart: one owns the
-// stripe, the other bumps its foreign slot. (The two threads have distinct
-// ids, as threads sharing a lock must.)
+// stripe indexes) from its own start, so threads of two VMs can share a
+// stripe while counting on one lock. Serials and stripes play no part in
+// where a count lands: each thread counts in its own pages, and the totals
+// are exact. (The two threads have distinct ids, as threads sharing a lock
+// must.)
 func TestOwnedSlotsTwoVMsShareStripe(t *testing.T) {
 	const reads, writes = 5000, 500
 	vm2 := jthread.NewVM()
 	vm2.Attach("idle-1")
 	vm2.Attach("idle-2")
 	a, b := jthread.NewVM().Attach("a"), vm2.Attach("b")
-	if a.StripeIndex()&1 != b.StripeIndex()&1 || a.ID() == b.ID() || a.Serial() == b.Serial() {
-		t.Fatalf("stripes %d/%d, ids %d/%d, serials %d/%d: want one stripe, two ids and serials",
-			a.StripeIndex(), b.StripeIndex(), a.ID(), b.ID(), a.Serial(), b.Serial())
+	if a.StripeIndex()&1 != b.StripeIndex()&1 || a.ID() == b.ID() {
+		t.Fatalf("stripe indexes %d/%d, ids %d/%d: want one stripe of two, two ids",
+			a.StripeIndex(), b.StripeIndex(), a.ID(), b.ID())
 	}
-	l := New(stripedCfg(2))
-	// Claim the stripe for a before the race, so b is foreign throughout.
+	l := New(nil)
 	l.ReadOnly(a, func() {})
+	if sa, sb := a.CounterSlot(l.id.Load()), b.CounterSlot(l.id.Load()); sa == nil || sb != nil {
+		t.Fatalf("after a's first count: a's slot %p, b's %p; want a's alone", sa, sb)
+	}
 	runOwnedLoad(l, []*jthread.Thread{a, b}, reads, writes)
-
-	// a owned the stripe through the read phase (it detaches only after
-	// the writes, when b may take the stripe over).
-	sp := &l.st.stripes[a.StripeIndex()&l.st.mask]
-	if f := sp.foreign[cElisionSuccesses].Load(); f != reads {
-		t.Fatalf("foreign successes = %d, want b's %d", f, reads)
+	if n := coldOwned(l); n != 0 {
+		t.Fatalf("%d counts went to the cold block", n)
 	}
 	checkOwnedTotals(t, l.Stats(), 2*reads+1, 2*writes)
 }
 
-// TestOwnedSlotsMoreThreadsThanStripes: eight threads over two stripes,
-// so most bumps are foreign, and owners that finish first detach while
-// others still bump, so stripes may change hands.
-func TestOwnedSlotsMoreThreadsThanStripes(t *testing.T) {
+// TestStatsExactAcrossDetach: threads count on one lock and then detach,
+// one by one; Snapshot is exact before and after each detach, a thread
+// attached later counts in a slot of its own, and a detached thread that
+// (wrongly) keeps counting loses nothing either.
+func TestStatsExactAcrossDetach(t *testing.T) {
+	vm := jthread.NewVM()
+	l := New(nil)
+	ths := []*jthread.Thread{vm.Attach("a"), vm.Attach("b"), vm.Attach("c")}
+	var reads, writes uint64
+	for i, th := range ths {
+		for j := 0; j <= i; j++ {
+			l.ReadOnly(th, func() {})
+			reads++
+		}
+		l.Sync(th, func() {})
+		writes++
+	}
+	checkOwnedTotals(t, l.Stats(), reads, writes)
+	for _, th := range ths {
+		th.Detach()
+		checkOwnedTotals(t, l.Stats(), reads, writes)
+	}
+	late := vm.Attach("late")
+	l.ReadOnly(late, func() {})
+	l.Sync(late, func() {})
+	reads, writes = reads+1, writes+1
+	if s := late.CounterSlot(l.id.Load()); s == nil || s[cElisionSuccesses].Load() != 1 || s[cFastAcquires].Load() != 1 {
+		t.Fatalf("a thread attached after the detaches did not count in its own slot")
+	}
+	checkOwnedTotals(t, l.Stats(), reads, writes)
+	l.ReadOnly(ths[0], func() {})
+	reads++
+	if n := coldOwned(l); n != 1 {
+		t.Fatalf("a detached thread's count: %d in the cold block, want 1", n)
+	}
+	checkOwnedTotals(t, l.Stats(), reads, writes)
+}
+
+// TestSnapshotMonotoneWhileThreadsDetach: eight threads count on one lock
+// and detach as they finish, while a reader polls Snapshot; every total is
+// non-decreasing (the -race target runs it) and exact at the end.
+func TestSnapshotMonotoneWhileThreadsDetach(t *testing.T) {
 	const threads, reads, writes = 8, 3000, 300
 	vm := jthread.NewVM()
-	l := New(stripedCfg(2))
+	l := New(nil)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		prev := l.Stats().Snapshot()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			cur := l.Stats().Snapshot()
+			for k, v := range cur {
+				if v < prev[k] {
+					t.Errorf("counter %q went backwards: %d -> %d", k, prev[k], v)
+					return
+				}
+			}
+			prev = cur
+		}
+	}()
 	ths := make([]*jthread.Thread, threads)
 	for i := range ths {
 		ths[i] = vm.Attach("t")
 	}
 	runOwnedLoad(l, ths, reads, writes)
+	close(stop)
+	<-done
 	checkOwnedTotals(t, l.Stats(), threads*reads, threads*writes)
 }
 
-// TestOwnedSlotTakeoverAfterDetach: a stripe whose owner detached is taken
-// over by the next thread that bumps it, which then bumps with plain
-// stores; nothing the old owner counted is lost.
-func TestOwnedSlotTakeoverAfterDetach(t *testing.T) {
-	vm := jthread.NewVM()
-	l := New(stripedCfg(1))
-	sp := &l.st.stripes[0]
-	first, second := vm.Attach("first"), vm.Attach("second")
-
-	l.ReadOnly(first, func() {})
-	l.Sync(first, func() {})
-	// While first is attached, second is foreign.
-	l.ReadOnly(second, func() {})
-	if o := sp.owner.Load(); o != first.Serial() {
-		t.Fatalf("owner = %d, want first (%d)", o, first.Serial())
-	}
-	if f := sp.foreign[cElisionSuccesses].Load(); f != 1 {
-		t.Fatalf("foreign successes = %d, want 1", f)
-	}
-
-	first.Detach()
-	if jthread.SerialLive(first.Serial()) {
-		t.Fatal("a detached thread's serial is still live")
-	}
-	// second's first foreign bump after the detach is paced to check (it
-	// checked once above, so up to takeoverPace more bumps may pass).
-	for i := 0; i <= takeoverPace && sp.owner.Load() != second.Serial(); i++ {
-		l.ReadOnly(second, func() {})
-	}
-	if o := sp.owner.Load(); o != second.Serial() {
-		t.Fatalf("owner = %d after first detached, want second (%d)", o, second.Serial())
-	}
-	foreign := sp.foreign[cElisionSuccesses].Load()
-	before := l.Stats().ElisionSuccesses.Load()
-	l.ReadOnly(second, func() {})
-	l.Sync(second, func() {})
-	if f := sp.foreign[cElisionSuccesses].Load(); f != foreign {
-		t.Fatalf("the new owner's bump went foreign (%d -> %d)", foreign, f)
-	}
-	if got := l.Stats().ElisionSuccesses.Load(); got != before+1 {
-		t.Fatalf("ElisionSuccesses = %d, want %d", got, before+1)
-	}
-	if got := l.Stats().FastAcquires.Load(); got != 2 {
-		t.Fatalf("FastAcquires = %d, want 2 (one per owner)", got)
-	}
-}
-
 // TestExternalAddOnOwnedCounter: Counter.Add on a single-writer counter
-// lands in a foreign slot, so it neither races with nor clobbers the
+// lands in the cold block, so it neither races with nor clobbers the
 // owner's plain stores, even while the owner bumps concurrently.
 func TestExternalAddOnOwnedCounter(t *testing.T) {
 	const reads, writes, adds = 5000, 500, 1000
 	vm := jthread.NewVM()
-	l := New(stripedCfg(1))
+	l := New(nil)
 	owner := vm.Attach("owner")
-	l.ReadOnly(owner, func() {}) // owner claims stripe 0
+	l.ReadOnly(owner, func() {}) // owner takes its slot
 	st := l.Stats()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -222,12 +237,119 @@ func TestExternalAddOnOwnedCounter(t *testing.T) {
 	runOwnedLoad(l, []*jthread.Thread{owner}, reads, writes)
 	wg.Wait()
 
-	sp := &l.st.stripes[0]
-	if o := sp.owner.Load(); o != owner.Serial() {
-		t.Fatalf("external Add changed the owner to %d", o)
-	}
-	if got := sp.c[cElisionSuccesses].Load(); got != reads+1 {
-		t.Fatalf("owned slot = %d, want the owner's %d alone", got, reads+1)
+	if n := coldOwned(l); n != 3*adds {
+		t.Fatalf("cold block holds %d, want the %d external adds alone", n, 3*adds)
 	}
 	checkOwnedTotals(t, st, reads+1+adds, writes+2*adds)
+}
+
+// TestCountsLandInOwnSlots: each thread's counts land in its own slot for
+// the lock's stats id, and nowhere else.
+func TestCountsLandInOwnSlots(t *testing.T) {
+	const threads = 4
+	vm := jthread.NewVM()
+	l := New(nil)
+	ths := make([]*jthread.Thread, threads)
+	for i := range ths {
+		ths[i] = vm.Attach("t")
+		for j := 0; j <= i; j++ {
+			l.ReadOnly(ths[i], func() {})
+		}
+	}
+	id := l.id.Load()
+	for i, th := range ths {
+		s := th.CounterSlot(id)
+		if s == nil {
+			t.Fatalf("thread %d has no slot for the lock", i)
+		}
+		if got := s[cElisionSuccesses].Load(); got != uint64(i+1) {
+			t.Errorf("thread %d's slot holds %d successes, want %d", i, got, i+1)
+		}
+	}
+	if got := l.Stats().ElisionAttempts.Load(); got != 1+2+3+4 {
+		t.Fatalf("ElisionAttempts = %d, want 10", got)
+	}
+}
+
+// TestStatsIDSpaceExhausted: a lock that finds the stats-id space
+// exhausted counts its single-writer counters in its cold block, asks for
+// an id once, and stays exact.
+func TestStatsIDSpaceExhausted(t *testing.T) {
+	var calls atomic.Int32
+	defer func(f func() uint32) { newStatsID = f }(newStatsID)
+	newStatsID = func() uint32 { calls.Add(1); return 0 }
+
+	const reads, writes = 300, 30
+	vm := jthread.NewVM()
+	l := New(nil)
+	runOwnedLoad(l, []*jthread.Thread{vm.Attach("a"), vm.Attach("b")}, reads, writes)
+	if id := l.id.Load(); id != 0 {
+		t.Fatalf("lock took stats id %d from an exhausted space", id)
+	}
+	if c := l.cold.Load(); c == nil || !c.noID.Load() {
+		t.Fatal("exhaustion was not latched in the cold block")
+	}
+	if n := calls.Load(); n == 0 || n > 2 {
+		t.Fatalf("the lock asked for an id %d times, want once per racing thread at most", n)
+	}
+	snap := l.Stats().Snapshot()
+	if n, want := coldOwned(l), snap["fastAcquires"]+snap["elisionSuccesses"]; n != want {
+		t.Fatalf("cold block holds %d single-writer counts, want all %d", n, want)
+	}
+	checkOwnedTotals(t, l.Stats(), 2*reads, 2*writes)
+}
+
+// TestCountedLocksDoNotLeak pins that a lock which counted leaves nothing
+// behind when dropped: its finalizer returns its stats id, so ids are
+// reused, the id high-water mark and the threads' counter pages stay
+// bounded by the locks alive at once, and the live heap does not grow.
+func TestCountedLocksDoNotLeak(t *testing.T) {
+	const locks, rounds = 4096, 5
+	th := jthread.NewVM().Attach("counter")
+	defer th.Detach()
+	fn := func() {}
+	round := func() {
+		for i := 0; i < locks; i++ {
+			l := New(nil)
+			l.ReadOnly(th, fn)
+			l.Sync(th, fn)
+		}
+	}
+	// settle collects the dropped locks and waits for their finalizers
+	// to return every id they took.
+	settle := func() {
+		for i := 0; i < 100; i++ {
+			runtime.GC()
+			if _, free, _ := jthread.CounterFootprint(); free >= locks {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	round()
+	settle()
+	hw0, _, pages0 := jthread.CounterFootprint()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rounds; r++ {
+		round()
+		settle()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	hw1, free, pages1 := jthread.CounterFootprint()
+	t.Logf("high-water %d -> %d, pages %d -> %d, %d ids free", hw0, hw1, pages0, pages1, free)
+	// Without recycling each round would add locks ids, and a page per 256.
+	if hw1 > hw0+locks {
+		t.Fatalf("id high-water mark grew %d -> %d over %d rounds of %d dropped locks", hw0, hw1, rounds, locks)
+	}
+	if pages1 > pages0+locks/256+1 {
+		t.Fatalf("counter pages grew %d -> %d over %d rounds of %d dropped locks", pages0, pages1, rounds, locks)
+	}
+	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (rounds * locks)
+	t.Logf("live heap growth: %.1f B per dropped lock", per)
+	if per >= 32 {
+		t.Fatalf("live heap grew %.1f B per dropped lock, want < 32", per)
+	}
 }

@@ -62,7 +62,7 @@ func (s *Section) BeforeWrite() {
 		l.saved = s.v
 		s.holding, s.upgraded = true, true
 		s.popFrame()
-		l.st.stripeFor(t).inc(cUpgrades)
+		l.inc(cUpgrades)
 		l.cfg.Tracer.Record(trace.EvUpgrade, t.ID(), s.v)
 		// An upgrade both acquires the lock and proves the reads so
 		// far: it is an Acquire for the counter-pairing oracle plus
@@ -80,7 +80,7 @@ func (s *Section) BeforeWrite() {
 	}
 	// Not holding and the snapshot is stale: acquire for real, then
 	// unwind so the section re-executes holding the lock.
-	l.st.stripeFor(t).inc(cUpgradeFailures)
+	l.inc(cUpgradeFailures)
 	l.Lock(t)
 	s.holding = true
 	s.popFrame()
@@ -151,29 +151,29 @@ func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
 			}
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
 			if l.word.Load() == v {
-				l.st.bump(t, cElisionSuccesses)
+				l.bump(t, cElisionSuccesses)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
 				return
 			}
 			if l.slowReadExit(t, v) {
-				l.st.bump(t, cElisionSuccesses)
+				l.bump(t, cElisionSuccesses)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
 				return
 			}
 		case specRestartHolding:
 			// BeforeWrite acquired the lock after a failed upgrade;
 			// re-execute holding it.
-			l.st.stripeFor(t).inc(cFallbacks)
+			l.inc(cFallbacks)
 			l.runHeldSection(t, fn, s)
 			return
 		case specFailed, specFailedAsync:
 			// fall through to the retry/fallback accounting
 		}
-		l.st.stripeFor(t).inc(cElisionFailures)
+		l.inc(cElisionFailures)
 		l.recordAbort(t, outcome == specFailedAsync)
 		failures++
 		if failures >= l.cfg.MaxElisionFailures {
-			l.st.stripeFor(t).inc(cFallbacks)
+			l.inc(cFallbacks)
 			l.cfg.Sched.Point(t.ID(), sched.PReadFallback)
 			l.cfg.History.Record(history.ReadFallback, t.ID(), v)
 			l.Lock(t)
@@ -251,7 +251,7 @@ func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section),
 			// speculation already ended in its counted upgrade, so
 			// only a section holding without one counts the fault.
 			if !s.upgraded {
-				l.st.stripeFor(t).inc(cGenuineFaults)
+				l.inc(cGenuineFaults)
 			}
 			l.Unlock(t)
 			panic(r)

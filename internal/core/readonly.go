@@ -40,10 +40,10 @@ func (l *Lock) ReadOnly(t *jthread.Thread, fn func()) {
 			// Hook-free first attempt: with no hook wired (a registry
 			// aside, which this section did not sample for) and adaptive
 			// elision off, the success path is the paper's fast path —
-			// load, speculate, reload — plus one owned stripe increment.
+			// load, speculate, reload — plus one owned-slot increment.
 			ok, async := l.runSpeculative(t, v, fn)
 			if ok && (l.word.Load() == v || l.slowReadExit(t, v)) {
-				l.st.bump(t, cElisionSuccesses)
+				l.bump(t, cElisionSuccesses)
 				return
 			}
 			l.readRetry(t, fn, v, async)
@@ -114,17 +114,17 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 		if ok {
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
 			if l.word.Load() == v || l.slowReadExit(t, v) {
-				l.st.bump(t, cElisionSuccesses)
+				l.bump(t, cElisionSuccesses)
 				l.cfg.Tracer.Record(trace.EvElideSuccess, t.ID(), v)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
-				l.adaptiveRecord(t, false)
+				l.adaptiveRecord(false)
 				return true
 			}
 		}
-		l.st.stripeFor(t).inc(cElisionFailures)
+		l.inc(cElisionFailures)
 		l.cfg.Tracer.Record(trace.EvElideFailure, t.ID(), v)
 		l.recordAbort(t, async)
-		l.adaptiveRecord(t, true)
+		l.adaptiveRecord(true)
 		failures++
 		if failures >= maxFailures {
 			l.readFallback(t, fn, v)
@@ -143,7 +143,7 @@ func (l *Lock) readOnlyImpl(t *jthread.Thread, fn func(), maxFailures int, lean 
 // that failure spent, or straight to the fallback when it was the last one
 // allowed.
 func (l *Lock) readRetry(t *jthread.Thread, fn func(), v uint64, async bool) {
-	l.st.stripeFor(t).inc(cElisionFailures)
+	l.inc(cElisionFailures)
 	l.recordAbort(t, async)
 	if n := l.cfg.MaxElisionFailures; n > 1 {
 		l.readOnlyImpl(t, fn, n-1, false)
@@ -157,7 +157,7 @@ func (l *Lock) readRetry(t *jthread.Thread, fn func(), v uint64, async bool) {
 // outside the retry loop because a defer inside a loop keeps the compiler
 // from open-coding the caller's defers.
 func (l *Lock) readFallback(t *jthread.Thread, fn func(), v uint64) {
-	l.st.stripeFor(t).inc(cFallbacks)
+	l.inc(cFallbacks)
 	l.cfg.Tracer.Record(trace.EvFallback, t.ID(), v)
 	l.cfg.Sched.Point(t.ID(), sched.PReadFallback)
 	l.cfg.History.Record(history.ReadFallback, t.ID(), v)
@@ -202,7 +202,7 @@ func ReadOnlyValue[T any](l *Lock, t *jthread.Thread, fn func() T) (out T) {
 	ran = true
 	t.PopSpec()
 	if l.word.Load() == v || l.slowReadExit(t, v) {
-		l.st.bump(t, cElisionSuccesses)
+		l.bump(t, cElisionSuccesses)
 		return out
 	}
 	l.readRetry(t, func() { out = fn() }, v, false)
@@ -258,13 +258,13 @@ func (l *Lock) specFault(t *jthread.Thread, v uint64, r any) (async bool) {
 		if ire.Word != &l.word {
 			panic(r)
 		}
-		l.st.stripeFor(t).inc(cAsyncAborts)
+		l.inc(cAsyncAborts)
 		return true
 	}
 	if l.word.Load() != v {
-		l.st.stripeFor(t).inc(cSuppressedFaults)
+		l.inc(cSuppressedFaults)
 		return false
 	}
-	l.st.stripeFor(t).inc(cGenuineFaults)
+	l.inc(cGenuineFaults)
 	panic(r)
 }

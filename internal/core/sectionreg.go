@@ -333,19 +333,20 @@ func (l *Lock) dynamicSection(t *jthread.Thread, info *SectionInfo, fn func()) {
 // identity (SetStaticID never called) skip the check: an unnamed lock
 // cannot be told apart from the guard.
 func (l *Lock) verifyGuards(t *jthread.Thread, info *SectionInfo) {
-	if l.staticID == "" || info.guardDiv.Load() {
+	id := l.StaticID()
+	if id == "" || info.guardDiv.Load() {
 		return
 	}
 	mismatch := false
 	for _, guard := range info.readGuards {
-		if guard != "" && guard != l.staticID {
+		if guard != "" && guard != id {
 			mismatch = true
 			break
 		}
 	}
 	if !mismatch {
 		for _, guard := range info.writeGuards {
-			if guard != "" && guard != l.staticID {
+			if guard != "" && guard != id {
 				mismatch = true
 				break
 			}

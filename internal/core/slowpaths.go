@@ -19,7 +19,7 @@ func sub(w *atomic.Uint64, delta uint64) { w.Add(^delta + 1) }
 // slowEnter is solero_slow_enter: reentrant acquisition, contention
 // management, and fat-mode entry for writing critical sections.
 func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
-	l.st.incShared(cSlowAcquires)
+	l.inc(cSlowAcquires)
 	l.cfg.Tracer.Record(trace.EvAcquireSlow, t.ID(), v)
 	if m := l.cfg.Metrics; m != nil {
 		start := time.Now()
@@ -33,7 +33,7 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 				return
 			}
 		case lockword.SoleroHeldBy(v, tid):
-			l.st.incShared(cRecursions)
+			l.inc(cRecursions)
 			if lockword.SoleroRec(v) >= lockword.SoleroRecMax {
 				l.inflateAsOwner(t, v, 1)
 				return
@@ -71,7 +71,7 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 			if lockword.SoleroFree(v) {
 				if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
 					l.saved = v
-					l.st.incShared(cSpinAcquires)
+					l.inc(cSpinAcquires)
 					l.cfg.History.Record(history.Acquire, tid, v)
 					return true
 				}
@@ -124,7 +124,7 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 			l.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
 				if w := l.word.Load(); lockword.SoleroHeld(w) {
-					l.st.incShared(cFLCWaits)
+					l.inc(cFLCWaits)
 					m.WaitLocked(l.cfg.FLCTimeout)
 				}
 				m.RawUnlock()
@@ -144,7 +144,7 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 					m.BroadcastLocked() // other FLC waiters must re-read
 					m.RawUnlock()
 				})
-				l.st.incShared(cInflations)
+				l.inc(cInflations)
 				l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 				l.cfg.Sched.Point(tid, sched.PInflate)
 				l.cfg.History.Record(history.Inflate, tid, h.Word)
@@ -191,7 +191,7 @@ func (l *Lock) fatEnterPinned(t *jthread.Thread, h montable.Handle) bool {
 		mr.Park.Record(t.StripeIndex(), time.Since(parkStart).Nanoseconds())
 	}
 	if l.word.Load()&^lockword.FLCBit == h.Word {
-		l.st.incShared(cFatEnters)
+		l.inc(cFatEnters)
 		l.cfg.History.Record(history.Acquire, tid, h.Word)
 		return true
 	}
@@ -215,7 +215,7 @@ func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
 		m.BroadcastLocked()
 		m.RawUnlock()
 	})
-	l.st.incShared(cInflations)
+	l.inc(cInflations)
 	l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 	l.cfg.Sched.Point(tid, sched.PInflate)
 	l.cfg.History.Record(history.Inflate, tid, h.Word)
@@ -257,7 +257,7 @@ func (l *Lock) slowReadEnter(t *jthread.Thread) (v uint64, holding bool) {
 	v = l.word.Load()
 	// test_recursion: the thread already holds the flat lock.
 	if lockword.SoleroHeldBy(v, tid) {
-		l.st.incShared(cReadRecursions)
+		l.inc(cReadRecursions)
 		if lockword.SoleroRec(v) >= lockword.SoleroRecMax {
 			if m := l.cfg.Metrics; m != nil {
 				m.RecordAbort(t.StripeIndex(), metrics.AbortRecursionOverflow)
@@ -295,7 +295,7 @@ inflation:
 		m.RecordAbort(t.StripeIndex(), abortCauseFor(v))
 	}
 	if v, holding = l.contendForRead(t); holding {
-		l.st.incShared(cReadFatEnters)
+		l.inc(cReadFatEnters)
 	}
 	return v, holding
 }
@@ -395,7 +395,7 @@ func (l *Lock) fatExit(t *jthread.Thread, v2 uint64, eager bool) {
 	var deflate func()
 	if l.cfg.Deflate {
 		deflate = func() {
-			l.st.incShared(cDeflations)
+			l.inc(cDeflations)
 			l.cfg.Tracer.Record(trace.EvDeflate, tid, m.SavedCounter)
 			// Runs under the monitor mutex, so no schedule point here;
 			// the Block around the exit covers it.

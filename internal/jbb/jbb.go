@@ -214,7 +214,7 @@ func (w *Warehouse) payment(th *jthread.Thread, r *rng) {
 }
 
 // SoleroStats returns each warehouse guard's SOLERO counter block (empty
-// for non-SOLERO impls); lockstats uses it for the per-stripe view.
+// for non-SOLERO impls).
 func (b *Bench) SoleroStats() []*core.Stats {
 	var out []*core.Stats
 	for _, w := range b.warehouses {

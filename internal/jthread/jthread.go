@@ -75,18 +75,23 @@ type Thread struct {
 	id   uint64
 	name string
 
-	// stripe is the precomputed stat-stripe index: sequential ids
-	// round-robin across any power-of-two stripe count (internal/core
-	// masks it down to the lock's stripe array).
+	// stripe is the precomputed stripe index: sequential ids round-robin
+	// across any power-of-two stripe count (the metrics registry masks it
+	// down to its stripe array).
 	stripe uint32
-	// takeoverTick paces TakeoverTick. Plain by the single-goroutine
-	// contract.
-	takeoverTick uint32
 	// serial is the thread's process-unique serial (see Serial).
 	serial uint64
 
 	asyncPending atomic.Bool
 	frames       []SpecFrame
+
+	// pages is the thread's counter-page index (see counters.go):
+	// pages[id>>pageShift] holds its slot for stats id. The thread reads it
+	// without a lock and writes it only under ctrs.mu, beside lease.dir.
+	pages []*counterPage
+	// lease holds the thread's live counter directory (nil until its first
+	// count, and again after Detach).
+	lease *counterLease
 
 	// forceEvery, when > 0, makes every forceEvery'th Checkpoint validate
 	// even without a pending async event. Deterministic tests use this.
@@ -136,25 +141,13 @@ func (t *Thread) SampleTick(mask uint32) bool {
 
 // Serial returns the thread's process-unique serial: unlike ID, which each
 // VM numbers from 1, no two threads of any VM in the process ever share a
-// serial, and a serial is never reused after Detach. It is never zero. A
-// lock runtime can therefore name a thread in a plain word — the owner of a
-// single-writer counter slot — without holding a pointer to it.
+// serial, and a serial is never reused after Detach. It is never zero, so
+// it names a thread across VMs in a plain word.
 func (t *Thread) Serial() uint64 { return t.serial }
 
-// TakeoverTick advances the thread-local counter that paces a lock
-// runtime's checks for slots abandoned by detached threads (SerialLive
-// takes a process-wide lock), and reports whether this call is selected:
-// the first call and every (mask+1)'th after it. Free of atomics and
-// shared state, like SampleTick.
-func (t *Thread) TakeoverTick(mask uint32) bool {
-	n := t.takeoverTick
-	t.takeoverTick++
-	return n&mask == 0
-}
-
 // StripeIndex returns the thread's precomputed stripe index, used by
-// sharded per-lock statistics to pick a cache-line-padded counter stripe
-// without hashing on the hot path. Consecutively attached threads map to
+// sharded statistics (the metrics registry) to pick a cache-line-padded
+// stripe without hashing on the hot path. Consecutively attached threads map to
 // consecutive stripes, so any power-of-two stripe count sees a round-robin
 // spread.
 func (t *Thread) StripeIndex() uint32 { return t.stripe }
@@ -251,38 +244,20 @@ func (t *Thread) AsyncAborts() uint64 { return t.asyncAborts }
 // EventsSeen returns how many async events the thread has consumed.
 func (t *Thread) EventsSeen() uint64 { return t.eventsSeen }
 
-// Detach unregisters the thread from its VM. Using a detached thread with
-// any lock operation is a bug.
+// Detach unregisters the thread from its VM and folds its counter slots
+// into the retired table, so the counts it made stay in every total. Using
+// a detached thread with any lock operation is a bug.
 func (t *Thread) Detach() {
 	if t.detached {
 		return
 	}
 	t.detached = true
 	t.vm.detach(t)
-	serials.mu.Lock()
-	delete(serials.live, t.serial)
-	serials.mu.Unlock()
+	t.retireCounters()
 }
 
-// serials is the process-wide serial registry: the next serial to hand
-// out and the set of attached ones.
-var serials = struct {
-	mu   sync.Mutex
-	next uint64
-	live map[uint64]struct{}
-}{next: 1, live: make(map[uint64]struct{})}
-
-// SerialLive reports whether the thread with the given serial is still
-// attached. It reads the registry under the lock Detach updates it under,
-// so a false result happens after that thread's Detach — and therefore
-// after every write the thread made before detaching. A lock runtime may
-// take over a single-writer slot the thread owned on that basis.
-func SerialLive(serial uint64) bool {
-	serials.mu.Lock()
-	_, ok := serials.live[serial]
-	serials.mu.Unlock()
-	return ok
-}
+// lastSerial is the most recently issued thread serial.
+var lastSerial atomic.Uint64
 
 // VM is the virtual-machine context: a thread registry plus the periodic
 // asynchronous-event source (the stand-in for the JVM's GC-check events).
@@ -313,11 +288,7 @@ func (vm *VM) Attach(name string) *Thread {
 	}
 	vm.nextID++
 	vm.threads[t.id] = t
-	serials.mu.Lock()
-	t.serial = serials.next
-	serials.next++
-	serials.live[t.serial] = struct{}{}
-	serials.mu.Unlock()
+	t.serial = lastSerial.Add(1)
 	return t
 }
 

@@ -280,31 +280,3 @@ func TestSerialsUniqueAcrossVMs(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestSerialLiveUntilDetach: a serial is live from Attach to Detach.
-func TestSerialLiveUntilDetach(t *testing.T) {
-	th := NewVM().Attach("t")
-	if !SerialLive(th.Serial()) {
-		t.Fatal("an attached thread's serial is not live")
-	}
-	th.Detach()
-	if SerialLive(th.Serial()) {
-		t.Fatal("a detached thread's serial is still live")
-	}
-	if SerialLive(0) {
-		t.Fatal("serial 0 (no thread) is live")
-	}
-}
-
-func TestTakeoverTickSelectsFirstAndEveryPeriod(t *testing.T) {
-	th := NewVM().Attach("t")
-	var got []int
-	for i := 0; i < 20; i++ {
-		if th.TakeoverTick(7) {
-			got = append(got, i)
-		}
-	}
-	if len(got) != 3 || got[0] != 0 || got[1] != 8 || got[2] != 16 {
-		t.Fatalf("mask 7 selected calls %v, want [0 8 16]", got)
-	}
-}

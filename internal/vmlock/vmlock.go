@@ -95,10 +95,7 @@ func (s *Stats) Snapshot() map[string]uint64 {
 type Lock struct {
 	word atomic.Uint64
 	cfg  *Config
-	// mt is the monitor table fat mode rents from: cfg.Monitors, or
-	// montable.Shared when that is nil.
-	mt *montable.Table
-	st Stats
+	st   Stats
 }
 
 // New creates a free lock with the given configuration (nil means
@@ -107,11 +104,15 @@ func New(cfg *Config) *Lock {
 	if cfg == nil {
 		cfg = DefaultConfig
 	}
-	l := &Lock{cfg: cfg, mt: cfg.Monitors}
-	if l.mt == nil {
-		l.mt = montable.Shared
+	return &Lock{cfg: cfg}
+}
+
+// table returns the monitor table fat mode rents from (see Config.Monitors).
+func (l *Lock) table() *montable.Table {
+	if mt := l.cfg.Monitors; mt != nil {
+		return mt
 	}
-	return l
+	return montable.Shared
 }
 
 // Word returns the raw lock word (diagnostics and tests).
@@ -136,7 +137,7 @@ func (l *Lock) HeldBy(t *jthread.Thread) bool {
 // stale ticket means the fat episode ended; fall back to the flat reading
 // of the current word.
 func (l *Lock) heldFat(t *jthread.Thread, v uint64) bool {
-	h, ok := l.mt.PinWord(v, t.ID())
+	h, ok := l.table().PinWord(v, t.ID())
 	if !ok {
 		return lockword.ConvHeldBy(l.word.Load(), t.ID())
 	}
@@ -259,7 +260,7 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 // caller ends up owning the fat lock.
 func (l *Lock) contendAndInflate(t *jthread.Thread) {
 	tid := t.ID()
-	h := l.mt.Bind(&l.word, tid)
+	h := l.table().Bind(&l.word, tid)
 	m := h.Mon
 	for {
 		v := l.word.Load()
@@ -329,7 +330,7 @@ func (l *Lock) flcWait(t *jthread.Thread, m *monitor.Monitor) {
 // means retry from the top: the ticket was stale or the lock deflated
 // before the monitor was entered.
 func (l *Lock) fatEnter(t *jthread.Thread, v uint64) bool {
-	h, ok := l.mt.PinWord(v, t.ID())
+	h, ok := l.table().PinWord(v, t.ID())
 	if !ok {
 		return false
 	}
@@ -364,7 +365,7 @@ func (l *Lock) fatEnterPinned(t *jthread.Thread, h montable.Handle) bool {
 // mid-acquisition at recursion saturation, 0 when inflating in place).
 func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
 	tid := t.ID()
-	h := l.mt.Bind(&l.word, tid)
+	h := l.table().Bind(&l.word, tid)
 	m := h.Mon
 	l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
 		m.Enter(tid)
@@ -382,7 +383,7 @@ func (l *Lock) slowExit(t *jthread.Thread, v uint64) {
 	tid := t.ID()
 	switch {
 	case lockword.Inflated(v):
-		h, ok := l.mt.PinWord(v, tid)
+		h, ok := l.table().PinWord(v, tid)
 		if !ok {
 			// An owned monitor is never quiescent, so the owner's ticket
 			// cannot have been reclaimed.
@@ -410,7 +411,7 @@ func (l *Lock) slowExit(t *jthread.Thread, v uint64) {
 		// parked contenders. No binding means the bit is a stray from a
 		// reclaimed episode — nobody can be parked on a reclaimed
 		// (pin-guarded) monitor, so a plain store suffices.
-		if h, ok := l.mt.FindBound(&l.word, tid); ok {
+		if h, ok := l.table().FindBound(&l.word, tid); ok {
 			m := h.Mon
 			m.RawLock()
 			l.word.Store(0)

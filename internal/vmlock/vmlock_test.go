@@ -337,7 +337,7 @@ func TestStrayFLCOnInflatedWord(t *testing.T) {
 // boundMonitor returns the monitor of l's live table binding, or nil while
 // l has none.
 func boundMonitor(l *Lock) *monitor.Monitor {
-	h, ok := l.mt.FindBound(&l.word, 0)
+	h, ok := l.table().FindBound(&l.word, 0)
 	if !ok {
 		return nil
 	}

@@ -28,7 +28,7 @@ func (l *Lock) WaitTimeout(t *jthread.Thread, d time.Duration) bool {
 	default:
 		panic("vmlock: Wait without holding the lock (IllegalMonitorStateException)")
 	}
-	h, ok := l.mt.PinWord(l.word.Load(), tid)
+	h, ok := l.table().PinWord(l.word.Load(), tid)
 	if !ok {
 		panic("vmlock: Wait resolved a stale ticket while owned")
 	}
@@ -62,7 +62,7 @@ func (l *Lock) restoreRecursion(t *jthread.Thread, rec uint32) {
 		l.inflateAsOwner(t, v, 0)
 		v = l.word.Load()
 	}
-	h, ok := l.mt.PinWord(v, tid)
+	h, ok := l.table().PinWord(v, tid)
 	if !ok {
 		panic("vmlock: Wait reacquire resolved a stale ticket while owned")
 	}
@@ -92,7 +92,7 @@ func (l *Lock) requireHeld(t *jthread.Thread) {
 // unbound lock has no wait set — nothing to wake.
 func (l *Lock) notify(t *jthread.Thread, all bool) {
 	tid := t.ID()
-	h, ok := l.mt.FindBound(&l.word, tid)
+	h, ok := l.table().FindBound(&l.word, tid)
 	if !ok {
 		return
 	}

@@ -62,8 +62,11 @@ type Config = core.Config
 // Section is the write-announcement handle of a read-mostly section.
 type Section = core.Section
 
-// Stats is a Lock's event-counter block. Read a counter in place,
-// lock.Stats().Inflations.Load(): a Counter view must not be copied.
+// Stats is a Lock's event-counter views: 21 one-byte views on the lock's
+// own line, whose counts live in the counting threads' counter pages and
+// the lock's cold block. Read a counter in place,
+// lock.Stats().Inflations.Load(): a Counter view must not be copied. A
+// total is exact once the counting threads are quiescent.
 type Stats = core.Stats
 
 // NewLock creates a SOLERO lock (nil cfg for defaults).
