@@ -8,6 +8,8 @@
 #   make bench     - reader-scaling + alloc-free benchmarks
 #   make allocfree - one pass of the alloc-free benchmarks: each fails if
 #                    an elided read entry allocates
+#   make inlinecheck - the owned-slot increment (core's (*Lock).bump) must
+#                    stay under the inliner's budget
 #   make check     - tier-1 gate: build + vet + test
 #   make fmtcheck  - gofmt -l over the whole tree (bench/ included) must
 #                    list nothing
@@ -49,7 +51,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench allocfree check fmtcheck nofencemodel benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-gate tournament-smoke montable-smoke
+.PHONY: build vet test race bench allocfree inlinecheck check fmtcheck nofencemodel benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-gate tournament-smoke montable-smoke
 
 build:
 	$(GO) build ./...
@@ -74,6 +76,17 @@ bench:
 
 allocfree:
 	$(GO) test -run '^$$' -bench 'BenchmarkReadOnlyAllocFree' -benchtime 1x .
+
+# Every elided read and uncontended write ends with (*Lock).bump, the
+# owned-slot increment; kept under the inliner's budget, it costs those
+# success paths no call. The compiler's inlining report must say so
+# (go build replays the report from its cache, so a warm build checks too).
+inlinecheck:
+	@out=$$($(GO) build -gcflags=-m=2 ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
+	if ! echo "$$out" | grep -q 'can inline (\*Lock)\.bump '; then \
+		echo "FAIL: (*Lock).bump is no longer inlinable:"; echo "$$out" | grep 'inline (\*Lock)\.bump:'; exit 1; \
+	fi; \
+	echo "OK: inlinecheck ((*Lock).bump is inlinable)"
 
 check: build vet test
 

@@ -946,6 +946,25 @@ func BenchmarkMicroLocks(b *testing.B) {
 		}
 		benchSink.Store(sum)
 	})
+	// The section rows run the same empty body under a static proof: lean
+	// is ProofElidable and recovery-free (no speculative frame), annotated
+	// is author-asserted (full frame). Beside SoleroReadOnly they show
+	// what the proof saves.
+	sections := core.NewSectionRegistry(false, 0, nil)
+	lean := sections.Seed("bench:lean", core.ProofElidable, true, 0)
+	annotated := sections.Seed("bench:annotated", core.ProofAnnotated, false, 0)
+	b.Run("SoleroReadOnlySectionLean", func(b *testing.B) {
+		l := core.New(nil)
+		for i := 0; i < b.N; i++ {
+			l.ReadOnlySection(th, lean, func() {})
+		}
+	})
+	b.Run("SoleroReadOnlySectionAnnotated", func(b *testing.B) {
+		l := core.New(nil)
+		for i := 0; i < b.N; i++ {
+			l.ReadOnlySection(th, annotated, func() {})
+		}
+	})
 	// The metered rows wire a registry at the default sample period; set
 	// beside their metrics-off rows above they give the metrics budget.
 	metered := func() *core.Lock {

@@ -4,7 +4,7 @@ package core
 // the single-failure fallback "can be expanded" (§3.2): instead of only
 // reacting per execution, the lock tracks its recent speculation failure
 // ratio and, when a sampling window shows elision mostly failing (a
-// write-heavy phase), routes read-only sections through the plain lock for
+// write-heavy phase), routes elided sections through the plain lock for
 // a backoff period before re-probing. This bounds the cost of the
 // pathological regime Figure 15 exposes at high thread counts, where
 // failed speculations and their fallback acquisitions feed each other.
@@ -41,7 +41,7 @@ func (c *Config) adaptiveParams() (window, pct uint32, backoff int32) {
 	return
 }
 
-// adaptiveSkip reports whether this read-only section should skip
+// adaptiveSkip reports whether this elided section should skip
 // speculation (backoff active) and consumes one backoff credit.
 func (l *Lock) adaptiveSkip() bool {
 	if !l.cfg.Adaptive {

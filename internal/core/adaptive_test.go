@@ -111,3 +111,40 @@ func TestAdaptiveOffByDefault(t *testing.T) {
 		t.Fatalf("adaptive machinery active without the flag")
 	}
 }
+
+// TestAdaptiveReadMostly: read-mostly sections feed the adaptive window
+// and honour its backoff like read-only ones. A failure storm trips the
+// gate; during the backoff a section runs holding the lock from its first
+// statement, with no speculation attempted.
+func TestAdaptiveReadMostly(t *testing.T) {
+	vm := jthread.NewVM()
+	l := New(adaptiveCfg())
+	reader := vm.Attach("reader")
+	writer := vm.Attach("writer")
+	for i := 0; i < 8; i++ {
+		l.ReadMostly(reader, func(s *Section) {
+			if !s.Holding() { // skip during fallback re-execution
+				l.Lock(writer)
+				l.Unlock(writer)
+			}
+		})
+	}
+	st := l.Stats()
+	if st.AdaptiveTrips.Load() == 0 {
+		t.Fatalf("adaptive backoff never tripped: %v", st.Snapshot())
+	}
+	attemptsBefore := st.ElisionAttempts.Load()
+	for i := 0; i < 10; i++ {
+		l.ReadMostly(reader, func(s *Section) {
+			if !s.Holding() || !l.HeldBy(reader) {
+				t.Fatal("a section in the backoff window must run holding the lock")
+			}
+		})
+	}
+	if st.ElisionAttempts.Load() != attemptsBefore {
+		t.Fatalf("speculation attempted during backoff: %v", st.Snapshot())
+	}
+	if st.AdaptiveSkips.Load() < 10 {
+		t.Fatalf("skips = %d, want at least 10", st.AdaptiveSkips.Load())
+	}
+}

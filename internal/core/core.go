@@ -79,13 +79,14 @@ type Config struct {
 	// of a read-only section before falling back to real lock
 	// acquisition. The paper uses 1.
 	MaxElisionFailures int
-	// DisableElision makes ReadOnly take the writing path
+	// DisableElision makes every elided entry take the writing path
 	// (the paper's "Unelided-SOLERO" configuration in Figure 10).
 	DisableElision bool
 	// Adaptive enables per-lock adaptive elision (see adaptive.go): when
 	// a window of AdaptiveWindow speculative executions fails at or above
-	// AdaptiveFailurePct percent, the next AdaptiveBackoffOps read-only
-	// sections take the plain lock before speculation is re-probed.
+	// AdaptiveFailurePct percent, the next AdaptiveBackoffOps elided
+	// sections — read-only and read-mostly alike — take the plain lock
+	// before speculation is re-probed.
 	// Zero-valued knobs use the defaults in adaptive.go.
 	Adaptive           bool
 	AdaptiveWindow     uint32
@@ -137,12 +138,12 @@ var DefaultConfig = &Config{
 	MaxElisionFailures: 1,
 }
 
-// hookFree reports whether ReadOnly may take its hook-free first attempt:
-// no schedule, history or trace hook is wired, and neither
+// hookFree reports whether read sections may take the hook-free first
+// attempt: no schedule, history or trace hook is wired, and neither
 // adaptive elision nor DisableElision is on. A metrics registry may be
 // wired: the attempt serves the sections its sampler did not select, and
-// classifies their failures (readRetry). New decides it once per lock (see
-// Config).
+// hands their failures to the elision loop, which classifies them. New
+// decides it once per lock (see Config).
 func (c *Config) hookFree() bool {
 	return c.Sched == nil && c.History == nil && c.Tracer == nil &&
 		!c.Adaptive && !c.DisableElision
@@ -257,7 +258,9 @@ func (l *Lock) Lock(t *jthread.Thread) {
 			l.cfg.Sched.Point(tid, sched.PAcquireCAS)
 			if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
 				l.saved = v
-				l.bump(t, cFastAcquires)
+				if !l.bump(t, cFastAcquires) {
+					l.bumpSlow(t, cFastAcquires)
+				}
 				l.cfg.Tracer.Record(trace.EvAcquireFast, tid, v)
 				l.cfg.History.Record(history.Acquire, tid, v)
 				l.cfg.Sched.Point(tid, sched.PAcquired)

@@ -137,6 +137,9 @@ func TestHookFreeFirstAttemptFailures(t *testing.T) {
 		maxFailures int
 		body        func(l *Lock, th, w *jthread.Thread, a, b *atomic.Uint64)
 		want        want
+		// leanSafe: the body neither faults nor checkpoints, so the
+		// frameless lean section can run it too.
+		leanSafe bool
 	}{
 		{
 			name:        "torn panic suppressed, fallback",
@@ -188,12 +191,25 @@ func TestHookFreeFirstAttemptFailures(t *testing.T) {
 			body: func(l *Lock, th, w *jthread.Thread, a, b *atomic.Uint64) {
 				l.Sync(w, func() {})
 			},
-			want: want{fallbacks: 1},
+			want:     want{fallbacks: 1},
+			leanSafe: true,
+		},
+		{
+			name:        "changed word, speculative retry",
+			maxFailures: 3,
+			body: func(l *Lock, th, w *jthread.Thread, a, b *atomic.Uint64) {
+				l.Sync(w, func() {})
+			},
+			want:     want{successes: 1},
+			leanSafe: true,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, entry := range hookFreeEntries {
+				if entry.lean && !tc.leanSafe {
+					continue
+				}
 				t.Run(entry.name, func(t *testing.T) {
 					cfg := *DefaultConfig
 					cfg.MaxElisionFailures = tc.maxFailures
@@ -242,22 +258,47 @@ func TestHookFreeFirstAttemptFailures(t *testing.T) {
 	}
 }
 
-// hookFreeEntries are the two entries with a hook-free first attempt:
-// ReadOnly's (runSpeculative) and ReadOnlyValue's, whose frame is its
-// own. Each runs fn as one section and returns the value of its final
-// execution.
+// hookFreeEntries are the read entries, each with its hook-free first
+// attempt: ReadOnly's (runSpeculative), ReadOnlyValue's, whose frame is its
+// own, ReadOnlySection under each proof that speculates, and a ReadMostly
+// section that does not write (the upgrade-aware frame). Each runs fn as
+// one section and returns the value of its final execution. lean marks the
+// recovery-free section: it has no frame and no handler, so it cannot
+// survive a fault or an asynchronous abort, and the tests run it only
+// where its body neither faults nor checkpoints. The first two entries
+// alternate in TestNestedFramesPastStackCap.
 var hookFreeEntries = []struct {
 	name string
+	lean bool
 	run  func(l *Lock, th *jthread.Thread, fn func() int) int
 }{
-	{"ReadOnly", func(l *Lock, th *jthread.Thread, fn func() int) int {
+	{"ReadOnly", false, func(l *Lock, th *jthread.Thread, fn func() int) int {
 		var out int
 		l.ReadOnly(th, func() { out = fn() })
 		return out
 	}},
-	{"ReadOnlyValue", func(l *Lock, th *jthread.Thread, fn func() int) int {
+	{"ReadOnlyValue", false, func(l *Lock, th *jthread.Thread, fn func() int) int {
 		return ReadOnlyValue(l, th, fn)
 	}},
+	{"ReadOnlySectionElidable", false, sectionEntry(ProofElidable, false)},
+	{"ReadOnlySectionAnnotated", false, sectionEntry(ProofAnnotated, false)},
+	{"ReadOnlySectionLean", true, sectionEntry(ProofElidable, true)},
+	{"ReadMostlyNoWrite", false, func(l *Lock, th *jthread.Thread, fn func() int) int {
+		var out int
+		l.ReadMostly(th, func(*Section) { out = fn() })
+		return out
+	}},
+}
+
+// sectionEntry runs fn through ReadOnlySection under a registry-seeded
+// proof, with the configured retry bound.
+func sectionEntry(proof ProofClass, recoveryFree bool) func(l *Lock, th *jthread.Thread, fn func() int) int {
+	info := NewSectionRegistry(false, 0, nil).Seed("hookfree", proof, recoveryFree, 0)
+	return func(l *Lock, th *jthread.Thread, fn func() int) int {
+		var out int
+		l.ReadOnlySection(th, info, func() { out = fn() })
+		return out
+	}
 }
 
 // TestHookFreeGenuineFaultPropagates: a panic raised while the word is
@@ -265,6 +306,9 @@ var hookFreeEntries = []struct {
 // speculative frame retired.
 func TestHookFreeGenuineFaultPropagates(t *testing.T) {
 	for _, entry := range hookFreeEntries {
+		if entry.lean {
+			continue // no handler: a fault is not classified
+		}
 		t.Run(entry.name, func(t *testing.T) {
 			l := New(nil)
 			th := newT(t, 1)[0]
@@ -294,11 +338,12 @@ func TestHookFreeGenuineFaultPropagates(t *testing.T) {
 
 // TestNestedFramesPastStackCap nests more elided sections than the frame
 // stack allocated at Attach holds (jthread's frameStackCap: one
-// false-sharing range of frames), alternating the two hook-free entries,
-// each level on its own lock. The stack grows past its initial capacity;
-// an asynchronous abort at the deepest level must unwind that level alone
-// — its section retries holding its lock — while every enclosing section
-// still elides, and the counts stay exact.
+// false-sharing range of frames), alternating the first two hook-free
+// entries (ReadOnly and ReadOnlyValue), each level on its own lock. The
+// stack grows past its initial capacity; an asynchronous abort at the
+// deepest level must unwind that level alone — its section retries holding
+// its lock — while every enclosing section still elides, and the counts
+// stay exact.
 func TestNestedFramesPastStackCap(t *testing.T) {
 	frameStackCap := stats.FalseSharingRange / int(unsafe.Sizeof(jthread.SpecFrame{}))
 	// Two depths, so each entry takes a turn at the innermost level.

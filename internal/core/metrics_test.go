@@ -304,8 +304,8 @@ func TestDwellHistogramsPopulate(t *testing.T) {
 	}
 }
 
-// TestCSDurationSampling checks the success-path sampler on both hook-free
-// entries: with the period forced to 1 every read-only section contributes
+// TestCSDurationSampling checks the success-path sampler on every hook-free
+// entry: with the period forced to 1 every read-only section contributes
 // one duration sample, with period 4 exactly every fourth does — so a
 // section ticks the sampler once, whichever arm it then takes — and the
 // abort taxonomy stays empty on uncontended success.
@@ -338,12 +338,42 @@ func TestCSDurationSampling(t *testing.T) {
 	}
 }
 
+// TestCSDurationSampledOncePerSection extends TestCSDurationSampling to
+// the ReadOnlySection plans hookFreeEntries does not cover: with every
+// section sampled, one call records exactly one cs_duration sample. The
+// unregistered case is a SectionInfo built outside a registry: its
+// unproven section runs as ReadOnly, and must not be sampled a second time
+// on the way.
+func TestCSDurationSampledOncePerSection(t *testing.T) {
+	reg := NewSectionRegistry(false, 0, nil)
+	for _, tc := range []struct {
+		name string
+		info *SectionInfo
+	}{
+		{"unregistered", &SectionInfo{}},
+		{"probe", reg.Section("probe")},
+		{"writing", reg.Seed("writing", ProofWriting, false, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := metrics.New(2)
+			cfg := *DefaultConfig
+			cfg.Metrics = m
+			cfg.MetricsSamplePeriod = 1
+			l := New(&cfg)
+			l.ReadOnlySection(newT(t, 1)[0], tc.info, func() {})
+			if n := m.CSDuration.Snapshot().Count; n != 1 {
+				t.Fatalf("one section recorded %d cs_duration samples, want 1", n)
+			}
+		})
+	}
+}
+
 // TestHookFreeAbortTaxonomyExactlyOnce fails the hook-free first attempt of
 // a metered lock each way it can fail. No Sched is wired (every schedule-
 // driven TestAbort*ExactlyOnce above wires one, so none reaches this arm),
 // and the thread's first section is never sampled, so the failure is
-// classified by readRetry: exactly one abort of the expected cause, and the
-// taxonomy total equal to ElisionFailures.
+// handed to the elision loop's failure arm: exactly one abort of the
+// expected cause, and the taxonomy total equal to ElisionFailures.
 func TestHookFreeAbortTaxonomyExactlyOnce(t *testing.T) {
 	cases := []struct {
 		name string
@@ -351,6 +381,9 @@ func TestHookFreeAbortTaxonomyExactlyOnce(t *testing.T) {
 		// joins wg.
 		body  func(l *Lock, th, w *jthread.Thread, wg *sync.WaitGroup)
 		cause metrics.AbortCause
+		// frameOnly: the failure needs a speculative frame, which the
+		// lean section does not push.
+		frameOnly bool
 	}{
 		{
 			// A whole writing section runs inside the speculation.
@@ -383,11 +416,15 @@ func TestHookFreeAbortTaxonomyExactlyOnce(t *testing.T) {
 				th.Poke()
 				th.Checkpoint()
 			},
-			cause: metrics.AbortAsync,
+			cause:     metrics.AbortAsync,
+			frameOnly: true,
 		},
 	}
 	for _, tc := range cases {
 		for _, entry := range hookFreeEntries {
+			if entry.lean && tc.frameOnly {
+				continue
+			}
 			t.Run(tc.name+"/"+entry.name, func(t *testing.T) {
 				ths := newT(t, 2)
 				th, w := ths[0], ths[1]

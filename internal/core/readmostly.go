@@ -1,7 +1,7 @@
 package core
 
 import (
-	"time"
+	"sync/atomic"
 
 	"repro/internal/history"
 	"repro/internal/jthread"
@@ -33,11 +33,10 @@ type Section struct {
 	// upgraded is true when this section acquired the lock mid-flight
 	// and must release it on the way out.
 	upgraded bool
-	// framePopped tracks whether the speculative frame was already
-	// retired (it must be, on upgrade, or checkpoints would abort a
-	// thread that now legitimately owns the lock).
-	framePopped bool
 }
+
+// inertWord is never written: a speculative frame on it never goes stale.
+var inertWord atomic.Uint64
 
 // Holding reports whether the section currently owns the lock (writes are
 // safe without further ado).
@@ -61,7 +60,7 @@ func (s *Section) BeforeWrite() {
 	if l.word.CompareAndSwap(s.v, lockword.SoleroOwned(t.ID(), 0)) {
 		l.saved = s.v
 		s.holding, s.upgraded = true, true
-		s.popFrame()
+		s.retireFrame()
 		l.inc(cUpgrades)
 		l.cfg.Tracer.Record(trace.EvUpgrade, t.ID(), s.v)
 		// An upgrade both acquires the lock and proves the reads so
@@ -75,7 +74,7 @@ func (s *Section) BeforeWrite() {
 		// Figure 17's hold_lock(obj): the thread already owns the
 		// lock (reentrant structure); writing is safe.
 		s.holding = true
-		s.popFrame()
+		s.retireFrame()
 		return
 	}
 	// Not holding and the snapshot is stale: acquire for real, then
@@ -83,25 +82,25 @@ func (s *Section) BeforeWrite() {
 	l.inc(cUpgradeFailures)
 	l.Lock(t)
 	s.holding = true
-	s.popFrame()
 	panic(errUpgradeRestart)
 }
 
-func (s *Section) popFrame() {
-	if !s.framePopped {
-		s.t.PopSpec()
-		s.framePopped = true
-	}
+// retireFrame makes the section's speculative frame inert once the thread
+// owns the lock, or checkpoints would abort a thread that now legitimately
+// holds it. The frame stays on the stack for runSpeculative to pop.
+func (s *Section) retireFrame() {
+	s.t.PopSpec()
+	s.t.PushSpec(&inertWord, 0)
 }
 
-type specOutcome uint8
-
-const (
-	specOK specOutcome = iota
-	specFailed
-	specFailedAsync
-	specRestartHolding
-)
+// hold makes s, if any, a section holding the lock from its first
+// statement: entered holding (reentrant or fat), re-executed after a failed
+// upgrade, or run under the writing protocol.
+func (s *Section) hold() {
+	if s != nil {
+		s.v, s.holding, s.upgraded = 0, true, false
+	}
+}
 
 // ReadMostly executes fn as a read-mostly critical section (§5): it runs
 // elided like a read-only section, but fn may write shared state after
@@ -110,91 +109,11 @@ const (
 // The Section is valid only while fn runs: the thread reuses it for its
 // next read-mostly section.
 func (l *Lock) ReadMostly(t *jthread.Thread, fn func(*Section)) {
-	// Same sampled CS-duration gate as ReadOnly: thread-local, write-free.
-	if m := l.cfg.Metrics; m != nil && t.SampleTick(m.CSSampleMask()) {
-		start := time.Now()
-		defer m.EndCS(t.StripeIndex(), start)
-	}
 	// Every execution of fn runs on this one record.
 	s := takeSection(t)
 	defer releaseSection(t, s)
-	if l.cfg.DisableElision {
-		l.Lock(t)
-		l.runHeldSection(t, fn, s)
-		return
-	}
-	v := l.word.Load()
-	l.cfg.Sched.Point(t.ID(), sched.PReadEnter)
-	holding := false
-	if !lockword.SoleroFree(v) {
-		v, holding = l.slowReadEnter(t)
-	}
-	failures := 0
-	for {
-		if holding {
-			// Entered holding (reentrant or fat): writes are safe
-			// throughout.
-			l.cfg.History.Record(history.ReadFallback, t.ID(), l.word.Load())
-			*s = Section{l: l, t: t, holding: true, framePopped: true}
-			l.runHolding(t, func() { fn(s) })
-			return
-		}
-		*s = Section{l: l, t: t, v: v}
-		outcome := l.runSpecUpgradable(t, v, fn, s)
-		switch outcome {
-		case specOK:
-			if s.upgraded {
-				// The section wrote: release the upgraded hold,
-				// publishing a fresh counter.
-				l.Unlock(t)
-				return
-			}
-			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
-			if l.word.Load() == v {
-				l.bump(t, cElisionSuccesses)
-				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
-				return
-			}
-			if l.slowReadExit(t, v) {
-				l.bump(t, cElisionSuccesses)
-				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
-				return
-			}
-		case specRestartHolding:
-			// BeforeWrite acquired the lock after a failed upgrade;
-			// re-execute holding it.
-			l.inc(cFallbacks)
-			l.runHeldSection(t, fn, s)
-			return
-		case specFailed, specFailedAsync:
-			// fall through to the retry/fallback accounting
-		}
-		l.inc(cElisionFailures)
-		l.recordAbort(t, outcome == specFailedAsync)
-		failures++
-		if failures >= l.cfg.MaxElisionFailures {
-			l.inc(cFallbacks)
-			l.cfg.Sched.Point(t.ID(), sched.PReadFallback)
-			l.cfg.History.Record(history.ReadFallback, t.ID(), v)
-			l.Lock(t)
-			l.runHeldSection(t, fn, s)
-			return
-		}
-		v = l.word.Load()
-		if !lockword.SoleroFree(v) {
-			v, holding = l.slowReadEnter(t)
-		}
-	}
-}
-
-// runHeldSection runs fn on s as a section holding the lock from its first
-// statement (the caller acquired it) and releases the lock on the way out.
-// It lives outside readMostly's retry loop because a defer inside a loop
-// keeps the compiler from open-coding the caller's defers.
-func (l *Lock) runHeldSection(t *jthread.Thread, fn func(*Section), s *Section) {
-	defer l.Unlock(t)
-	*s = Section{l: l, t: t, holding: true, framePopped: true}
-	fn(s)
+	s.l, s.t = l, t
+	l.read(t, func() { fn(s) }, plan{s: s})
 }
 
 // sectionStack is a thread's free list of Section records. fn's *Section
@@ -222,47 +141,4 @@ func releaseSection(t *jthread.Thread, s *Section) {
 	}
 	*s = Section{}
 	*ss = append(*ss, s)
-}
-
-// runSpecUpgradable is runSpeculative extended with the upgrade protocol:
-// it distinguishes the restart-holding unwind, and treats faults raised
-// while holding (post-upgrade) as genuine, releasing the lock before
-// propagating them. Like runSpeculative it calls recover only when fn did
-// not return.
-func (l *Lock) runSpecUpgradable(t *jthread.Thread, v uint64, fn func(*Section), s *Section) (outcome specOutcome) {
-	t.PushSpec(&l.word, v)
-	ran := false
-	defer func() {
-		s.popFrame()
-		if ran {
-			return
-		}
-		r := recover()
-		if r == nil {
-			return
-		}
-		if r == errUpgradeRestart {
-			outcome = specRestartHolding
-			return
-		}
-		if s.holding {
-			// Reads are consistent once holding; the fault is
-			// genuine. Release and rethrow. An upgraded section's
-			// speculation already ended in its counted upgrade, so
-			// only a section holding without one counts the fault.
-			if !s.upgraded {
-				l.inc(cGenuineFaults)
-			}
-			l.Unlock(t)
-			panic(r)
-		}
-		if l.specFault(t, v, r) {
-			outcome = specFailedAsync
-		} else {
-			outcome = specFailed
-		}
-	}()
-	fn(s)
-	ran = true
-	return specOK
 }

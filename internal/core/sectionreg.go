@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/jthread"
 	"repro/internal/metrics"
@@ -100,14 +99,6 @@ type SectionInfo struct {
 	// before the section runs; read-only after.
 	escapes   []string
 	escapeDiv atomic.Bool
-}
-
-// retries resolves the section's elision failure bound.
-func (s *SectionInfo) retries(cfg *Config) int {
-	if s.MaxRetries > 0 {
-		return s.MaxRetries
-	}
-	return cfg.MaxElisionFailures
 }
 
 // Diverged reports whether trust-but-verify latched a divergence for this
@@ -246,10 +237,10 @@ func (r *SectionRegistry) EscapeDivergences() uint64 { return r.escapeDivergence
 
 // ReadOnlySection runs fn as a read-only critical section under a
 // proof-carrying section identity. A nil info degenerates to ReadOnly.
-// Dispatch by proof class:
+// The proof class picks the section's plan:
 //
 //   - ProofElidable: speculate immediately with the section's static retry
-//     bound; recovery-free sections take the lean path.
+//     bound; recovery-free sections run without a speculative frame.
 //   - ProofAnnotated: speculate immediately, full recovery machinery.
 //   - ProofWriting / ProofReadMostly: full lock protocol (under verify,
 //     after a trust-but-verify probe window first).
@@ -260,66 +251,70 @@ func (l *Lock) ReadOnlySection(t *jthread.Thread, info *SectionInfo, fn func()) 
 		l.ReadOnly(t, fn)
 		return
 	}
-	if m := l.cfg.Metrics; m != nil && t.SampleTick(m.CSSampleMask()) {
-		start := time.Now()
-		defer m.EndCS(t.StripeIndex(), start)
-	}
-	if info.reg != nil && info.reg.verify {
+	verify := info.reg != nil && info.reg.verify
+	if verify {
 		l.verifyGuards(t, info)
 		l.verifyEscapes(t, info)
 	}
-	if l.cfg.DisableElision {
-		l.Sync(t, fn)
-		return
-	}
+	var p plan
 	switch info.Proof {
 	case ProofElidable, ProofAnnotated:
-		if l.adaptiveSkip() {
-			l.Sync(t, fn)
-			return
+		p.retries = info.MaxRetries
+		if info.Proof == ProofElidable && info.RecoveryFree {
+			p.frame = frameLean
 		}
-		l.readOnlyImpl(t, fn, info.retries(l.cfg), info.Proof == ProofElidable && info.RecoveryFree)
 	case ProofWriting, ProofReadMostly:
-		if info.Proof == ProofWriting && info.reg != nil && info.reg.verify &&
-			info.state.Load() == sectionProbing {
-			l.verifyProbe(t, info, fn)
+		if info.Proof == ProofWriting && verify && info.state.Load() == sectionProbing {
+			l.probe(t, info, fn)
 			return
 		}
-		l.Sync(t, fn)
+		p.frame = frameHeld
 	default:
-		l.dynamicSection(t, info, fn)
+		switch info.state.Load() {
+		case sectionProbing:
+			if info.reg != nil {
+				l.probe(t, info, fn)
+				return
+			}
+		case sectionWriting:
+			p.frame = frameHeld
+		}
 	}
+	l.read(t, fn, p)
 }
 
-// dynamicSection is the never-attempted classification arm: probe the
-// section speculatively for a window of executions, then settle.
-func (l *Lock) dynamicSection(t *jthread.Thread, info *SectionInfo, fn func()) {
-	switch info.state.Load() {
-	case sectionTrusted:
-		if l.adaptiveSkip() {
-			l.Sync(t, fn)
-			return
-		}
-		l.readOnlyImpl(t, fn, l.cfg.MaxElisionFailures, false)
-		return
-	case sectionWriting:
-		l.Sync(t, fn)
-		return
-	}
-	if info.reg == nil {
-		l.ReadOnly(t, fn)
-		return
-	}
+// probe runs one execution of a section's dynamic classification window —
+// the never-attempted arm of an unproven section, and trust-but-verify for
+// a proof-writing one — and settles the section when the window is full.
+// An unproven section settles read-only if every probe completed as a
+// successful speculation, writing otherwise. A proof-writing section
+// settles on its proof's plan regardless (facts win; the counter is the
+// alarm), but if every probe succeeded the dynamic classifier says
+// read-only, contradicting the fact, and the divergence is latched once.
+// Divergence detection is deliberately one-sided — proof-says-writing,
+// dynamics-say-read-only — because that direction is deterministic
+// single-threaded, while the converse (a proven-elidable section failing
+// probes) is routinely caused by benign contention.
+func (l *Lock) probe(t *jthread.Thread, info *SectionInfo, fn func()) {
 	info.reg.dynClass.Add(1)
-	if !l.readOnlyImpl(t, fn, l.cfg.MaxElisionFailures, false) {
+	if !l.read(t, fn, plan{}) {
 		info.failed.Store(true)
 	}
-	if info.probes.Add(1) >= info.reg.window {
-		if info.failed.Load() {
-			info.state.Store(sectionWriting)
-		} else {
-			info.state.Store(sectionTrusted)
+	if info.probes.Add(1) < info.reg.window {
+		return
+	}
+	failed := info.failed.Load()
+	switch {
+	case info.Proof == ProofWriting:
+		if !failed && info.diverged.CompareAndSwap(false, true) {
+			info.reg.divergences.Add(1)
+			info.reg.m.RecordFactDivergence(t.StripeIndex())
 		}
+		info.state.Store(sectionWriting)
+	case failed:
+		info.state.Store(sectionWriting)
+	default:
+		info.state.Store(sectionTrusted)
 	}
 }
 
@@ -367,7 +362,7 @@ func (l *Lock) verifyGuards(t *jthread.Thread, info *SectionInfo) {
 // established for this binary. The divergence is latched once per
 // section and counted (both locally and in metrics' fact_divergences
 // family); the section still runs its proof's plan — the counter is the
-// alarm, matching verifyProbe.
+// alarm, matching probe.
 func (l *Lock) verifyEscapes(t *jthread.Thread, info *SectionInfo) {
 	if len(info.escapes) == 0 || info.escapeDiv.Load() {
 		return
@@ -378,28 +373,5 @@ func (l *Lock) verifyEscapes(t *jthread.Thread, info *SectionInfo) {
 			info.reg.escapeDivergences.Add(1)
 			info.reg.m.RecordFactDivergence(t.StripeIndex())
 		}
-	}
-}
-
-// verifyProbe is trust-but-verify for a proof-writing section: run the
-// same dynamic classification window the unproven arm uses; if every probe
-// completes as a successful speculation the dynamic classifier says
-// read-only, contradicting the fact — latch the divergence once. The
-// section then settles on its proof's plan regardless (facts win; the
-// counter is the alarm). Divergence detection is deliberately one-sided —
-// proof-says-writing, dynamics-say-read-only — because that direction is
-// deterministic single-threaded, while the converse (a proven-elidable
-// section failing probes) is routinely caused by benign contention.
-func (l *Lock) verifyProbe(t *jthread.Thread, info *SectionInfo, fn func()) {
-	info.reg.dynClass.Add(1)
-	if !l.readOnlyImpl(t, fn, l.cfg.MaxElisionFailures, false) {
-		info.failed.Store(true)
-	}
-	if info.probes.Add(1) >= info.reg.window {
-		if !info.failed.Load() && info.diverged.CompareAndSwap(false, true) {
-			info.reg.divergences.Add(1)
-			info.reg.m.RecordFactDivergence(t.StripeIndex())
-		}
-		info.state.Store(sectionWriting)
 	}
 }

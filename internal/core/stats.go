@@ -226,14 +226,17 @@ func ownedInc(p *atomic.Uint64) {
 	*(*uint64)(unsafe.Pointer(p))++
 }
 
-// bump increments single-writer counter id (< numOwned) for t: a plain
-// increment of t's own slot for the lock's stats id, once t has one.
-func (l *Lock) bump(t *jthread.Thread, id counterID) {
+// bump increments single-writer counter id (< numOwned) for t with a plain
+// increment of t's own slot for the lock's stats id, and reports whether t
+// had one. Until t's first count on the lock it has none, and the caller
+// counts through bumpSlow instead; keeping that call out of bump keeps bump
+// under the inliner's budget, so the success paths pay no call for it.
+func (l *Lock) bump(t *jthread.Thread, id counterID) bool {
 	if s := t.CounterSlot(l.id.Load()); s != nil {
 		ownedInc(&s[id])
-		return
+		return true
 	}
-	l.bumpSlow(t, id)
+	return false
 }
 
 // bumpSlow is bump at t's first count on the lock: it claims the lock's

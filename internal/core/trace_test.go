@@ -59,3 +59,40 @@ func TestTracerOffByDefaultCostsNothingVisible(t *testing.T) {
 	// Just exercising the nil-tracer paths; nothing to assert beyond
 	// "did not panic / did not record".
 }
+
+// TestTracerRecordsReadMostly: a read-mostly section records the same
+// elision events as a read-only one — a clean section one elide-ok, a
+// section whose speculation fails and falls back one elide-fail and one
+// fallback.
+func TestTracerRecordsReadMostly(t *testing.T) {
+	kinds := func(r *trace.Ring) map[trace.Kind]int {
+		n := map[trace.Kind]int{}
+		for _, e := range r.Snapshot() {
+			n[e.Kind]++
+		}
+		return n
+	}
+	ths := newT(t, 2)
+	a, b := ths[0], ths[1]
+
+	cfg := *DefaultConfig
+	cfg.Tracer = trace.New(64)
+	l := New(&cfg)
+	l.ReadMostly(a, func(*Section) {})
+	if got := kinds(cfg.Tracer); got[trace.EvElideSuccess] != 1 || len(got) != 1 {
+		t.Fatalf("clean read-mostly section traced %v, want one elide-ok", got)
+	}
+
+	cfg.Tracer = trace.New(64)
+	l = New(&cfg)
+	runs := 0
+	l.ReadMostly(a, func(*Section) {
+		if runs++; runs == 1 {
+			l.Sync(b, func() {})
+		}
+	})
+	got := kinds(cfg.Tracer)
+	if got[trace.EvElideFailure] != 1 || got[trace.EvFallback] != 1 || got[trace.EvElideSuccess] != 0 {
+		t.Fatalf("failed read-mostly section traced %v, want one elide-fail and one fallback", got)
+	}
+}
