@@ -37,8 +37,9 @@
 #   make fuzz      - native Go fuzzing of the lock-word encoding
 #   make obs-smoke - live observability smoke: lockstats -serve + curl asserts
 #   make json-smoke - solerobench -json writes valid snapshot bundles
-#   make montable-smoke - compact monitor table: short churn torture,
-#                    1M-lock footprint assert, inverted lost-waiter catch
+#   make montable-smoke - compact monitor table under vmlock and core: short
+#                    churn torture, 1M-lock footprint assert per lock,
+#                    inverted lost-waiter catch per lock
 #   make bench-gate - `bench compare` with the BENCHMARK.json bounds over
 #                    the committed bench/testdata fixtures (+ the seeded
 #                    regression MUST fail: anti-vacuity)
@@ -336,18 +337,26 @@ tournament-smoke:
 # the suite catches real deflation bugs, not just that the table works.
 montable-smoke:
 	$(GO) test -short -count 1 \
-		-run 'TestChurnTorture|TestRandomInterleavingsNeverLoseWaiters|TestCompactContention' \
+		-run 'TestChurnTorture|TestRandomInterleavingsNeverLoseWaiters|TestLostWaiterBugIsDetected' \
 		./internal/montable/
 	@out=$$(MONTABLE_FOOTPRINT_LOCKS=1000000 $(GO) test -count 1 -run TestFootprintSteadyState -v ./internal/montable/) \
 		|| { echo "$$out"; echo "FAIL: 1M-lock footprint assert"; exit 1; }; \
+	for k in vmlock core; do \
+		echo "$$out" | grep -q -- "--- PASS: TestFootprintSteadyState/$$k " \
+			|| { echo "$$out"; echo "FAIL: 1M-lock footprint assert did not pass on $$k"; exit 1; }; \
+	done; \
 	echo "$$out" | grep -E 'bytes/lock|^ok'
-	@echo "--- inverted step: the seeded lost-waiter bug below MUST be caught ---"
+	@echo "--- inverted steps: the seeded lost-waiter bug below MUST be caught on each lock ---"
 	@tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
-	if MONTABLE_BUG=lost-waiter $(GO) test -short -count 1 -run TestChurnTorture ./internal/montable/ >$$tmp/montable-bug.log 2>&1; then \
-		echo "FAIL: seeded lost-waiter bug was NOT caught"; cat $$tmp/montable-bug.log; exit 1; \
-	else \
-		echo "OK: seeded lost-waiter bug caught"; \
-	fi
+	for k in vmlock core; do \
+		if MONTABLE_BUG=lost-waiter $(GO) test -short -count 1 -run "^TestChurnTorture\$$/^$$k\$$" ./internal/montable/ >$$tmp/montable-bug-$$k.log 2>&1; then \
+			echo "FAIL: seeded lost-waiter bug was NOT caught on $$k"; cat $$tmp/montable-bug-$$k.log; exit 1; \
+		elif ! grep -q -- "--- FAIL: TestChurnTorture/$$k " $$tmp/montable-bug-$$k.log; then \
+			echo "FAIL: the lost-waiter run on $$k failed without TestChurnTorture/$$k failing"; cat $$tmp/montable-bug-$$k.log; exit 1; \
+		else \
+			echo "OK: seeded lost-waiter bug caught on $$k"; \
+		fi; \
+	done
 
 # The instrumented suite must emit parseable solero-snapshot/v1 bundles.
 json-smoke:

@@ -367,15 +367,10 @@ func (l *Lock) slowReadExit(t *jthread.Thread, v uint64) bool {
 // stale ticket means the fat episode ended; fall back to the flat reading
 // of the current word.
 func (l *Lock) heldFat(t *jthread.Thread, v uint64) bool {
-	h, ok := l.table().PinWord(v, t.ID())
-	if !ok {
-		return lockword.SoleroHeldBy(l.word.Load(), t.ID())
+	if held, ok := l.table().HeldBy(v, t.ID()); ok {
+		return held
 	}
-	held := h.Mon.HeldBy(t.ID())
-	// Reclaim-checked: a non-owner's pin can outlive the owner's
-	// deflating release.
-	h.UnpinReclaim(t.ID())
-	return held
+	return lockword.SoleroHeldBy(l.word.Load(), t.ID())
 }
 
 // fatExit is the fat release (writing and read-only sections share it):

@@ -1,4 +1,4 @@
-package montable
+package montable_test
 
 import (
 	"fmt"
@@ -10,21 +10,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/montable"
 )
 
-// session is the per-user object the ROADMAP's scale story is about: a
-// flyweight lock plus payload. 16 bytes — the footprint the compact
-// monitor table exists to protect.
-type session struct {
-	lock    Compact
-	payload uint64
-}
-
-// TestFootprintSteadyState allocates a session-object population, runs
-// skewed Zipf contention over it with the sweeper live, and asserts the
-// steady-state heap cost stays under 64 bytes/lock — the acceptance bound
-// — because monitor state deflates back to the shared table instead of
-// accreting per lock. MONTABLE_FOOTPRINT_LOCKS overrides the population
+// TestFootprintSteadyState allocates a population of each shipping lock,
+// runs skewed Zipf contention over it with the sweeper live, quiesces, and
+// asserts that the heap the run leaves behind, beyond the population's own
+// allocation, stays under 48 bytes/lock with no monitor bound: monitor
+// state deflates back to the shared table instead of accreting per lock.
+// (The bound is the slack of the old 64-bytes/lock total on 16-byte
+// session objects.) MONTABLE_FOOTPRINT_LOCKS overrides the population
 // (the 1M-lock `make montable-smoke` assert and larger manual runs).
 func TestFootprintSteadyState(t *testing.T) {
 	n := 200_000
@@ -38,80 +34,97 @@ func TestFootprintSteadyState(t *testing.T) {
 		}
 		n = v
 	}
+	forEachLock(t, func(t *testing.T, k lockKind) {
+		tb := montable.New(montable.Config{Shards: 8, IdleEpochs: 2, SweepInterval: time.Millisecond})
+		newLock := k.maker(tb)
 
-	tb := New(Config{Shards: 8, IdleEpochs: 2, SweepInterval: time.Millisecond})
-	sp := NewSpace(tb, SpaceConfig{Tier1: 8, Tier2: 4, Tier3: 2})
+		const threads = 4
+		baseline := heapAlloc()
+		locks := make([]lock, n)
+		for i := range locks {
+			locks[i] = newLock()
+		}
+		payload := make([]uint64, n)
+		ths := attach(threads)
+		allocated := heapAlloc() - baseline
 
-	baseline := heapAlloc()
-	sessions := make([]session, n)
-	allocated := heapAlloc() - baseline
-	t.Logf("allocated %.1f bytes/lock for %d sessions", float64(allocated)/float64(n), n)
-
-	// Skewed churn: hot head inflates and deflates constantly, long tail
-	// stays flat.
-	const threads = 4
-	ops := 40_000
-	if testing.Short() {
-		ops = 10_000
-	}
-	var lat []time.Duration
-	var latMu sync.Mutex
-	tb.Start()
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			tid := uint64(idx + 1)
-			rng := rand.New(rand.NewSource(int64(idx) + 7))
-			zipf := rand.NewZipf(rng, 1.2, 1.0, uint64(n-1))
-			samples := make([]time.Duration, 0, ops/64+1)
-			for op := 0; op < ops; op++ {
-				s := &sessions[zipf.Uint64()]
-				sampled := op%64 == 0
-				var start time.Time
-				if sampled {
-					start = time.Now()
+		// Skewed churn: hot head inflates and deflates constantly, long
+		// tail stays flat.
+		ops := 40_000
+		if testing.Short() {
+			ops = 10_000
+		}
+		var lat []time.Duration
+		var latMu sync.Mutex
+		tb.Start()
+		var wg sync.WaitGroup
+		for i := 0; i < threads; i++ {
+			wg.Add(1)
+			go func(idx int) {
+				defer wg.Done()
+				th := ths[idx]
+				rng := rand.New(rand.NewSource(int64(idx) + 7))
+				zipf := rand.NewZipf(rng, 1.2, 1.0, uint64(n-1))
+				samples := make([]time.Duration, 0, ops/64+1)
+				for op := 0; op < ops; op++ {
+					li := zipf.Uint64()
+					sampled := op%64 == 0
+					var start time.Time
+					if sampled {
+						start = time.Now()
+					}
+					locks[li].Lock(th)
+					payload[li]++
+					if op%8 == 0 {
+						runtime.Gosched()
+					}
+					locks[li].Unlock(th)
+					if sampled {
+						samples = append(samples, time.Since(start))
+					}
 				}
-				sp.Lock(&s.lock, tid)
-				s.payload++
-				if op%8 == 0 {
-					runtime.Gosched()
-				}
-				sp.Unlock(&s.lock, tid)
-				if sampled {
-					samples = append(samples, time.Since(start))
-				}
-			}
-			latMu.Lock()
-			lat = append(lat, samples...)
-			latMu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	tb.Stop()
+				latMu.Lock()
+				lat = append(lat, samples...)
+				latMu.Unlock()
+			}(i)
+		}
+		wg.Wait()
+		tb.Stop()
 
-	// Quiesce and measure the steady state.
-	for i := 0; i < 5; i++ {
-		tb.Sweep(0)
-	}
-	steady := heapAlloc() - baseline
-	perLock := float64(steady) / float64(n)
-	st := tb.Snapshot()
-	t.Logf("steady state: %.1f bytes/lock (bound=%d capacity=%d, churn: inflations=%d sweepDeflations=%d reclaims=%d+%d)",
-		perLock, st.Bound, st.Capacity, sp.Counters()["inflations"], st.SweepDeflations, st.SweepReclaims, st.ReleaseReclaims)
-	t.Logf("acquire latency: %s", percentiles(lat))
+		// Quiesce and measure the steady state.
+		for i := 0; i < 5; i++ {
+			tb.Sweep(0)
+		}
+		steady := heapAlloc() - baseline
+		perLock := func(b int64) float64 { return float64(b) / float64(n) }
+		residue := perLock(int64(steady) - int64(allocated))
+		st := tb.Snapshot()
+		t.Logf("%s, %d locks: allocated %.1f bytes/lock, steady %.1f bytes/lock, residue %.1f bytes/lock, bound at rest %d (capacity %d, churn: binds=%d rebinds=%d sweepDeflations=%d reclaims=%d+%d)",
+			k.name, n, perLock(int64(allocated)), perLock(int64(steady)), residue, st.Bound, st.Capacity,
+			st.Binds, st.Rebinds, st.SweepDeflations, st.SweepReclaims, st.ReleaseReclaims)
+		t.Logf("acquire latency: %s", percentiles(lat))
 
-	if perLock >= 64 {
-		t.Fatalf("steady-state footprint %.1f bytes/lock breaches the 64-byte acceptance bound", perLock)
-	}
-	if st.Bound != 0 {
-		t.Fatalf("%d monitors still bound after quiescence", st.Bound)
-	}
-	if sp.Counters()["inflations"] == 0 {
-		t.Fatal("footprint run never inflated — measured nothing")
-	}
-	runtime.KeepAlive(sessions)
+		var sum uint64
+		for _, p := range payload {
+			sum += p
+		}
+		if sum != threads*uint64(ops) {
+			t.Fatalf("payload sum %d, want %d: a section ran without mutual exclusion", sum, threads*ops)
+		}
+		if residue >= 48 {
+			t.Fatalf("steady-state residue %.1f bytes/lock breaches the 48-byte bound", residue)
+		}
+		if st.Bound != 0 {
+			t.Fatalf("%d monitors still bound after quiescence", st.Bound)
+		}
+		if inflations(st) == 0 {
+			t.Fatal("footprint run never inflated — measured nothing")
+		}
+		if deflationChurn(st) == 0 {
+			t.Fatal("footprint run produced no deflation churn — measured nothing")
+		}
+		runtime.KeepAlive(locks)
+	})
 }
 
 // heapAlloc returns live heap bytes after a forced collection.

@@ -73,8 +73,10 @@ const (
 // Config tunes the table. The zero value is usable: every field has a
 // sensible default applied by New.
 type Config struct {
-	// Shards is the number of shards (rounded up to a power of two,
-	// capped at 256 by the ticket encoding). Default 8.
+	// Shards is the number of shards, rounded up to a power of two.
+	// Default 8. The ticket encoding gives the shard index
+	// lockword.TicketShardBits (8) bits, so New clamps a larger request to
+	// 256 shards; it is not an error.
 	Shards int
 	// ShardCapacity is the initial arena capacity per shard. Default 16.
 	ShardCapacity int
@@ -288,6 +290,21 @@ func (t *Table) FindBound(w *atomic.Uint64, tid uint64) (Handle, bool) {
 	h := Handle{t: t, s: s, e: e, Mon: e.mon, Word: lockword.TicketWord(s.id, e.index, e.gen)}
 	s.mu.Unlock()
 	return h, true
+}
+
+// HeldBy resolves the inflated word v and reports whether tid owns its
+// monitor. resolved is false when the ticket is stale: the fat episode
+// ended, and the caller falls back to its flat reading of the current word.
+// The probe's pin is dropped reclaim-checked, because a non-owner's pin can
+// outlive the owner's deflating release.
+func (t *Table) HeldBy(v, tid uint64) (held, resolved bool) {
+	h, ok := t.PinWord(v, tid)
+	if !ok {
+		return false, false
+	}
+	held = h.Mon.HeldBy(tid)
+	h.UnpinReclaim(tid)
+	return held, true
 }
 
 // Unpin releases a pin with no reclamation attempt.

@@ -1,4 +1,4 @@
-package montable
+package montable_test
 
 import (
 	"fmt"
@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/montable"
 )
 
 // episodeResult is what one churn episode reports.
@@ -28,14 +30,19 @@ func (r episodeResult) String() string {
 }
 
 // runChurnEpisode drives nWaiters threads through ops lock/unlock cycles
-// on nLocks Compact locks while a chaos thread issues random sweeps, with
-// a per-lock CAS owner oracle and a completion watchdog. A lost waiter —
-// a thread parked on a monitor the table reclaimed out from under it —
-// shows up as a wedge: the monitor's serve ticket was reset, so the
-// thread's Enter spins on its now-unservable ticket forever.
-func runChurnEpisode(sp *Space, seed int64, nWaiters, nLocks, ops int, watchdog time.Duration) episodeResult {
+// on nLocks locks from newLock, all renting from tb, while a chaos thread
+// issues random sweeps of tb, with a per-lock CAS owner oracle and a
+// two-minute completion watchdog. A lost waiter — a thread parked on a
+// monitor the table reclaimed out from under it — shows up as a wedge or
+// as a protocol panic: the monitor was reset under its owner and its
+// queued enterers.
+func runChurnEpisode(tb *montable.Table, newLock func() lock, seed int64, nWaiters, nLocks, ops int) episodeResult {
 	rng := rand.New(rand.NewSource(seed))
-	locks := make([]Compact, nLocks)
+	locks := make([]lock, nLocks)
+	for i := range locks {
+		locks[i] = newLock()
+	}
+	ths := attach(nWaiters)
 	owners := make([]atomic.Uint64, nLocks)
 	var res episodeResult
 	var oracleMu sync.Mutex
@@ -66,7 +73,8 @@ func runChurnEpisode(sp *Space, seed int64, nWaiters, nLocks, ops int, watchdog 
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			tid := uint64(idx + 1)
+			th := ths[idx]
+			tid := th.ID()
 			// A reclaimed-under-the-owner monitor surfaces as a protocol
 			// panic (stale owner ticket, exit by non-owner). Recover and
 			// record it as a detected failure instead of crashing the
@@ -80,10 +88,10 @@ func runChurnEpisode(sp *Space, seed int64, nWaiters, nLocks, ops int, watchdog 
 				}
 			}()
 			for _, o := range streams[idx] {
-				c, own := &locks[o.lock], &owners[o.lock]
-				sp.Lock(c, tid)
+				l, own := locks[o.lock], &owners[o.lock]
+				l.Lock(th)
 				for r := 0; r < o.rec; r++ {
-					sp.Lock(c, tid)
+					l.Lock(th)
 				}
 				if !own.CompareAndSwap(0, tid) {
 					oracleMu.Lock()
@@ -100,9 +108,9 @@ func runChurnEpisode(sp *Space, seed int64, nWaiters, nLocks, ops int, watchdog 
 					oracleMu.Unlock()
 				}
 				for r := 0; r < o.rec; r++ {
-					sp.Unlock(c, tid)
+					l.Unlock(th)
 				}
-				sp.Unlock(c, tid)
+				l.Unlock(th)
 				completed.Add(1)
 			}
 			doneFlags[idx].Store(true)
@@ -124,7 +132,7 @@ func runChurnEpisode(sp *Space, seed int64, nWaiters, nLocks, ops int, watchdog 
 			}
 			i++
 			if i%sweepEvery == 0 {
-				sp.Table().Sweep(uint64(1000 + i))
+				tb.Sweep(uint64(1000 + i))
 			}
 			time.Sleep(time.Duration(50+seed%7*10) * time.Microsecond)
 		}
@@ -134,10 +142,10 @@ func runChurnEpisode(sp *Space, seed int64, nWaiters, nLocks, ops int, watchdog 
 	go func() { wg.Wait(); close(finished) }()
 	select {
 	case <-finished:
-	case <-time.After(watchdog):
+	case <-time.After(2 * time.Minute):
 		for i := range doneFlags {
 			if !doneFlags[i].Load() {
-				res.wedged = append(res.wedged, uint64(i+1))
+				res.wedged = append(res.wedged, ths[i].ID())
 			}
 		}
 	}
@@ -147,59 +155,42 @@ func runChurnEpisode(sp *Space, seed int64, nWaiters, nLocks, ops int, watchdog 
 	return res
 }
 
-// TestRandomInterleavingsNeverLoseWaiters is the satellite property test:
-// across seeded random mixes of inflate/deflate/sweep traffic — varying
-// shard counts, idle thresholds, and sweep cadence — no waiter is ever
-// lost and mutual exclusion holds.
+// TestRandomInterleavingsNeverLoseWaiters is the property test: across
+// seeded random mixes of inflate/deflate/sweep traffic — varying shard
+// counts, idle thresholds, and sweep cadence — no waiter is ever lost and
+// mutual exclusion holds, on each shipping lock.
 func TestRandomInterleavingsNeverLoseWaiters(t *testing.T) {
 	seeds := []int64{1, 7, 42, 1337, 99991}
 	if testing.Short() {
 		seeds = seeds[:3]
 	}
 	for _, seed := range seeds {
-		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			tb := New(Config{
-				Shards:     1 << rng.Intn(4),
-				IdleEpochs: uint64(1 + rng.Intn(3)),
+			forEachLock(t, func(t *testing.T, k lockKind) {
+				rng := rand.New(rand.NewSource(seed))
+				tb := montable.New(montable.Config{
+					Shards:     1 << rng.Intn(4),
+					IdleEpochs: uint64(1 + rng.Intn(3)),
+				})
+				res := runChurnEpisode(tb, k.maker(tb), seed, 4+rng.Intn(4), 1+rng.Intn(16), 1500)
+				if res.failed() {
+					t.Fatalf("seed %d: %s", seed, res)
+				}
+				// Quiescence: everything returns to flat + empty table.
+				for i := 0; i < 4; i++ {
+					tb.Sweep(0)
+				}
+				st := tb.Snapshot()
+				if st.Bound != 0 {
+					t.Fatalf("seed %d: %d monitors leaked after quiescence sweeps", seed, st.Bound)
+				}
+				if inflations(st) == 0 {
+					t.Fatalf("seed %d: episode never inflated — the property ran vacuously", seed)
+				}
+				if deflationChurn(st) == 0 {
+					t.Fatalf("seed %d: episode produced no deflation churn — the property ran vacuously", seed)
+				}
 			})
-			sp := NewSpace(tb, SpaceConfig{Tier1: 8, Tier2: 4, Tier3: 2})
-			res := runChurnEpisode(sp, seed, 4+rng.Intn(4), 1+rng.Intn(16), 1500, 2*time.Minute)
-			if res.failed() {
-				t.Fatalf("seed %d: %s", seed, res)
-			}
-			if sp.Counters()["inflations"] == 0 {
-				t.Fatalf("seed %d: episode never inflated — the property ran vacuously", seed)
-			}
-			// Quiescence: everything returns to flat + empty table.
-			tb.Sweep(0)
-			tb.Sweep(0)
-			tb.Sweep(0)
-			tb.Sweep(0)
-			if st := tb.Snapshot(); st.Bound != 0 {
-				t.Fatalf("seed %d: %d monitors leaked after quiescence sweeps", seed, st.Bound)
-			}
 		})
 	}
-}
-
-// TestLostWaiterBugIsDetected proves the episode detector actually
-// detects the seeded lost-waiter defect — the same property the inverted
-// CI step checks through the torture test's env gate. Without this, a
-// broken watchdog would make the property test vacuous.
-func TestLostWaiterBugIsDetected(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bug-injection episode needs its watchdog window")
-	}
-	tb := New(Config{Shards: 2, IdleEpochs: 1, Bug: BugLostWaiter})
-	sp := NewSpace(tb, SpaceConfig{Tier1: 8, Tier2: 4, Tier3: 2})
-	// High contention on one lock + an eager sweeper maximizes the chance
-	// a sweep lands while enterers are queued; the buggy sweeper then
-	// force-resets the monitor and strands them.
-	res := runChurnEpisode(sp, 3, 6, 1, 4000, 10*time.Second)
-	if !res.failed() {
-		t.Fatalf("seeded lost-waiter bug escaped detection: %s", res)
-	}
-	t.Logf("bug detected as designed: %s", res)
 }

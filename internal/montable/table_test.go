@@ -1,10 +1,8 @@
 package montable
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/history"
 	"repro/internal/lockword"
@@ -29,6 +27,9 @@ func TestBindPinReclaimLifecycle(t *testing.T) {
 		t.Fatalf("PinWord failed to resolve a live ticket")
 	}
 	h2.Unpin()
+	if held, ok := tb.HeldBy(word.Load(), 2); !ok || held {
+		t.Fatalf("HeldBy on a live unowned ticket = (%v, %v), want (false, true)", held, ok)
+	}
 
 	// Binding again from the same lock word finds the same entry.
 	h3 := tb.Bind(&word, 3)
@@ -56,6 +57,9 @@ func TestBindPinReclaimLifecycle(t *testing.T) {
 	if tb.Snapshot().StalePins == 0 {
 		t.Fatal("stale pin not counted")
 	}
+	if _, ok := tb.HeldBy(h.Word, 2); ok {
+		t.Fatal("HeldBy resolved a reclaimed ticket")
+	}
 
 	// The next binding recycles the slot at a new generation.
 	h4 := tb.Bind(&word, 1)
@@ -72,6 +76,30 @@ func TestBindPinReclaimLifecycle(t *testing.T) {
 		t.Fatal("rebind not counted")
 	}
 	h4.UnpinReclaim(1)
+
+	// The ticket's shard field is lockword.TicketShardBits wide: New clamps
+	// a larger shard request to 256 shards, and every shard index, the top
+	// bit included, round-trips through PinWord.
+	wide := New(Config{Shards: 1000})
+	if got := wide.Snapshot().Shards; got != 1<<lockword.TicketShardBits {
+		t.Fatalf("Shards: 1000 gave %d shards, want %d", got, 1<<lockword.TicketShardBits)
+	}
+	var words [64]atomic.Uint64
+	var top uint32
+	for i := range words {
+		h := wide.Bind(&words[i], 1)
+		words[i].Store(h.Word)
+		top = max(top, lockword.TicketShard(lockword.MonitorID(h.Word)))
+		h2, ok := wide.PinWord(words[i].Load(), 2)
+		if !ok || h2.Mon != h.Mon {
+			t.Fatalf("binding %d (%#x) did not round-trip on the clamped table", i, h.Word)
+		}
+		h2.Unpin()
+		h.Unpin()
+	}
+	if top < 128 {
+		t.Fatalf("64 bindings all landed below shard 128 (top %d): the high shard bit went untested", top)
+	}
 }
 
 // TestUnpinReclaimGuards pins the three conditions that must each block
@@ -277,124 +305,4 @@ func TestProbeTableChurn(t *testing.T) {
 		}
 		h.Unpin()
 	}
-}
-
-// TestCompactLockBasics covers the flyweight lock's flat fast paths,
-// recursion, and saturation-driven inflation.
-func TestCompactLockBasics(t *testing.T) {
-	sp := NewSpace(nil, SpaceConfig{})
-	var c Compact
-
-	sp.Lock(&c, 1)
-	if !sp.HeldBy(&c, 1) || sp.HeldBy(&c, 2) {
-		t.Fatal("ownership wrong after Lock")
-	}
-	sp.Unlock(&c, 1)
-	if c.Word() != 0 {
-		t.Fatalf("word %#x after full release", c.Word())
-	}
-
-	// Recursion to saturation forces inflation through the table.
-	for i := 0; i <= int(lockword.ConvRecMax)+1; i++ {
-		sp.Lock(&c, 1)
-	}
-	if !c.Inflated() {
-		t.Fatal("recursion saturation did not inflate")
-	}
-	if !sp.HeldBy(&c, 1) {
-		t.Fatal("ownership lost across inflation")
-	}
-	for i := 0; i <= int(lockword.ConvRecMax)+1; i++ {
-		sp.Unlock(&c, 1)
-	}
-	if c.Inflated() {
-		t.Fatal("full fat release did not deflate")
-	}
-	if st := sp.Table().Snapshot(); st.Bound != 0 {
-		t.Fatalf("entry not reclaimed on release: bound=%d", st.Bound)
-	}
-	// And the lock still works flat.
-	sp.Lock(&c, 2)
-	sp.Unlock(&c, 2)
-}
-
-// TestCompactContention hammers one Compact lock from several goroutines
-// with a CAS owner oracle.
-func TestCompactContention(t *testing.T) {
-	sp := NewSpace(New(Config{IdleEpochs: 1}), SpaceConfig{})
-	var c Compact
-	var owner atomic.Uint64
-	var total atomic.Uint64
-	const goroutines, ops = 8, 2000
-
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(tid uint64) {
-			defer wg.Done()
-			for i := 0; i < ops; i++ {
-				sp.Lock(&c, tid)
-				if !owner.CompareAndSwap(0, tid) {
-					t.Errorf("t%d entered while t%d held", tid, owner.Load())
-				}
-				total.Add(1)
-				if !owner.CompareAndSwap(tid, 0) {
-					t.Error("owner oracle corrupted")
-				}
-				sp.Unlock(&c, tid)
-			}
-		}(uint64(g + 1))
-	}
-	wg.Wait()
-	if total.Load() != goroutines*ops {
-		t.Fatalf("ops = %d, want %d", total.Load(), goroutines*ops)
-	}
-	// Quiesce: after final release plus sweeps, the table is empty.
-	sp.Table().Sweep(0)
-	sp.Table().Sweep(0)
-	if st := sp.Table().Snapshot(); st.Bound != 0 {
-		t.Fatalf("monitors leaked after quiescence: bound=%d", st.Bound)
-	}
-	if c.Inflated() {
-		t.Fatal("lock still fat after quiescence sweeps")
-	}
-}
-
-// TestBackgroundSweeper checks Start/Stop and that the background sweeper
-// reclaims an idle fat lock without explicit Sweep calls.
-func TestBackgroundSweeper(t *testing.T) {
-	tb := New(Config{IdleEpochs: 1, SweepInterval: 1e6 /* 1ms */})
-	sp := NewSpace(tb, SpaceConfig{})
-	var c Compact
-
-	// Inflate by saturation, then fully release while fat is impossible
-	// (release deflates) — instead leave it fat by handing the word a
-	// binding directly.
-	h := tb.Bind(&c.word, 1)
-	c.word.Store(h.Word)
-	h.Unpin()
-
-	tb.Start()
-	defer tb.Stop()
-	deadline := make(chan struct{})
-	go func() {
-		for i := 0; i < 400; i++ {
-			if !c.Inflated() && tb.Snapshot().Bound == 0 {
-				close(deadline)
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		close(deadline)
-	}()
-	<-deadline
-	if c.Inflated() || tb.Snapshot().Bound != 0 {
-		t.Fatalf("background sweeper never reclaimed: word=%#x bound=%d", c.Word(), tb.Snapshot().Bound)
-	}
-	// Idempotent lifecycle.
-	tb.Stop()
-	tb.Start()
-	tb.Start()
-	sp.Lock(&c, 3)
-	sp.Unlock(&c, 3)
 }

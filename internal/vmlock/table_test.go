@@ -1,6 +1,7 @@
 package vmlock
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func TestTableModeContention(t *testing.T) {
 				l.Lock(ths[idx])
 				shared++
 				if n%8 == 0 {
-					yieldCPU()
+					runtime.Gosched()
 				}
 				l.Unlock(ths[idx])
 			}

@@ -13,6 +13,7 @@
 package vmlock
 
 import (
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -137,15 +138,10 @@ func (l *Lock) HeldBy(t *jthread.Thread) bool {
 // stale ticket means the fat episode ended; fall back to the flat reading
 // of the current word.
 func (l *Lock) heldFat(t *jthread.Thread, v uint64) bool {
-	h, ok := l.table().PinWord(v, t.ID())
-	if !ok {
-		return lockword.ConvHeldBy(l.word.Load(), t.ID())
+	if held, ok := l.table().HeldBy(v, t.ID()); ok {
+		return held
 	}
-	held := h.Mon.HeldBy(t.ID())
-	// Reclaim-checked: a non-owner's pin can outlive the owner's
-	// deflating release.
-	h.UnpinReclaim(t.ID())
-	return held
+	return lockword.ConvHeldBy(l.word.Load(), t.ID())
 }
 
 // Lock acquires the lock for t, following Figure 2: a CAS fast path when
@@ -248,7 +244,7 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 			}
 			spinBackoff(l.cfg.Tier1)
 		}
-		yieldCPU()
+		runtime.Gosched() // the paper's tier-3 yield()
 	}
 	return false
 }
@@ -439,6 +435,3 @@ func spinBackoff(n int) int {
 	}
 	return x
 }
-
-// yieldCPU yields the processor (the paper's tier-3 yield()).
-func yieldCPU() { runtimeGosched() }
