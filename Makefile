@@ -8,7 +8,8 @@
 #   make bench     - reader-scaling + alloc-free benchmarks
 #   make allocfree - one pass of the alloc-free benchmarks: each fails if
 #                    an elided read entry allocates
-#   make inlinecheck - the owned-slot increment (core's (*Lock).bump) must
+#   make inlinecheck - the owned-slot increment (core's (*Lock).bump) and
+#                    the event-log hook ((*history.Recorder).Record) must
 #                    stay under the inliner's budget
 #   make check     - tier-1 gate: build + vet + test
 #   make fmtcheck  - gofmt -l over the whole tree (bench/ included) must
@@ -67,8 +68,8 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/stats/... \
 		./internal/sched/... ./internal/history/... ./internal/schedcheck/... \
 		./internal/monitor/... ./internal/metrics/... ./internal/export/... \
-		./internal/trace/... ./internal/backend/... ./internal/bravo/... \
-		./internal/rwlock/... ./internal/jthread/... ./solero/...
+		./internal/backend/... ./internal/bravo/... ./internal/rwlock/... \
+		./internal/jthread/... ./solero/...
 	$(GO) test -race -short ./internal/montable/... ./internal/vmlock/... \
 		./internal/lockword/...
 
@@ -80,14 +81,20 @@ allocfree:
 
 # Every elided read and uncontended write ends with (*Lock).bump, the
 # owned-slot increment; kept under the inliner's budget, it costs those
-# success paths no call. The compiler's inlining report must say so
-# (go build replays the report from its cache, so a warm build checks too).
+# success paths no call. The protocol event log's (*Recorder).Record is
+# called on the Lock/Unlock fast paths; inlined, an unwired (nil) log costs
+# them one branch. The compiler's inlining reports must say so (go build
+# replays a report from its cache, so a warm build checks too).
 inlinecheck:
 	@out=$$($(GO) build -gcflags=-m=2 ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
 	if ! echo "$$out" | grep -q 'can inline (\*Lock)\.bump '; then \
 		echo "FAIL: (*Lock).bump is no longer inlinable:"; echo "$$out" | grep 'inline (\*Lock)\.bump:'; exit 1; \
 	fi; \
-	echo "OK: inlinecheck ((*Lock).bump is inlinable)"
+	out=$$($(GO) build -gcflags=-m=2 ./internal/history 2>&1) || { echo "$$out"; exit 1; }; \
+	if ! echo "$$out" | grep -q 'can inline (\*Recorder)\.Record '; then \
+		echo "FAIL: (*history.Recorder).Record is no longer inlinable:"; echo "$$out" | grep 'inline (\*Recorder)\.Record:'; exit 1; \
+	fi; \
+	echo "OK: inlinecheck ((*Lock).bump and (*history.Recorder).Record are inlinable)"
 
 check: build vet test
 

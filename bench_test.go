@@ -884,9 +884,9 @@ func BenchmarkReadOnlyAllocFree(b *testing.B) {
 }
 
 // BenchmarkReadOnlyAllocFreeMetrics repeats the allocation proof with the
-// metrics registry wired in. Period1 forces sampling to every section via
-// the config-level MetricsSamplePeriod (the `lockstats -sample-period 1`
-// route) — the worst case where each read pushes the EndCS defer and
+// metrics registry wired in. Period1 forces sampling to every section by
+// setting the registry's period before the lock is built (the `lockstats
+// -sample-period 1` route) — the worst case where each read pushes the EndCS defer and
 // records into the cs_duration histogram. The default-period cases are the
 // metered hook-free attempt: 63 of 64 sections tick the sampler and
 // speculate as if no registry were wired, ReadOnlyValue (through
@@ -907,9 +907,12 @@ func BenchmarkReadOnlyAllocFreeMetrics(b *testing.B) {
 		{"DefaultPeriod/ReadOnlyValue", 0, func(l *core.Lock) { benchSink.Store(solero.ReadOnly(l, th, valFn)) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			reg := metrics.New(0)
+			if bc.period > 0 {
+				reg.SetSamplePeriod(bc.period)
+			}
 			cfg := *core.DefaultConfig
-			cfg.Metrics = metrics.New(0)
-			cfg.MetricsSamplePeriod = bc.period
+			cfg.Metrics = reg
 			l := core.New(&cfg)
 			bc.op(l)
 			if allocs := testing.AllocsPerRun(1000, func() { bc.op(l) }); allocs != 0 {

@@ -22,7 +22,8 @@
 // sweep-latency histogram.
 //
 // -sites prints the sampled abort call sites. -json writes the solero-snapshot/v1 bundle, -perfetto
-// writes the flight recorder as Chrome trace-event JSON for Perfetto.
+// writes the tail of the protocol event log as Chrome trace-event JSON for
+// Perfetto.
 //
 // -serve :PORT switches to live mode: the workload runs continuously while
 // an HTTP endpoint serves /metrics (Prometheus), /debug/vars (expvar),
@@ -44,10 +45,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/export"
 	"repro/internal/harness"
+	"repro/internal/history"
 	"repro/internal/jbb"
 	"repro/internal/jthread"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -62,7 +63,7 @@ func main() {
 	traceN := flag.Int("trace", 0, "record and print the last N protocol events")
 	sites := flag.Bool("sites", false, "print sampled abort call sites")
 	jsonOut := flag.String("json", "", "write the solero-snapshot/v1 JSON bundle to this file")
-	perfettoOut := flag.String("perfetto", "", "write the flight recorder as Perfetto trace-event JSON to this file")
+	perfettoOut := flag.String("perfetto", "", "write the tail of the protocol event log as Perfetto trace-event JSON to this file")
 	pprofOut := flag.String("pprof", "", "write the sampled contention profile as gzipped pprof protobuf to this file (inspect with `go tool pprof -top`)")
 	samplePeriod := flag.Int("sample-period", 0, "cs_duration sampling period: time 1 in N read-only sections (0 keeps the default 64; 1 times every section)")
 	serve := flag.String("serve", "", "serve live observability HTTP on this address (e.g. :8080) while the workload runs")
@@ -76,21 +77,18 @@ func main() {
 
 	reg := metrics.New(0)
 	if *samplePeriod > 0 {
-		// Set directly too: the config field below only reaches backends
-		// built through core.New.
 		reg.SetSamplePeriod(*samplePeriod)
 	}
 	lockCfg := *core.DefaultConfig
 	lockCfg.Metrics = reg
-	lockCfg.MetricsSamplePeriod = *samplePeriod
-	var ring *trace.Ring
-	ringSize := *traceN
-	if ringSize == 0 && (*serve != "" || *perfettoOut != "") {
-		ringSize = 4096 // the exports need a recorder even without -trace
+	var log *history.Recorder
+	tail := *traceN
+	if tail == 0 && (*serve != "" || *perfettoOut != "") {
+		tail = 4096 // the exports need a log even without -trace
 	}
-	if ringSize > 0 {
-		ring = trace.New(ringSize)
-		lockCfg.Tracer = ring
+	if tail > 0 {
+		log = history.NewTail(tail)
+		lockCfg.History = log
 	}
 
 	vm := jthread.NewVM()
@@ -144,7 +142,7 @@ func main() {
 	}
 	src := export.NewSource(*bench, *threads, reg)
 	src.Backend = *backendName
-	src.Ring = ring
+	src.History = log
 	src.Counters = func() map[string]uint64 {
 		maps := make([]map[string]uint64, 0, 4)
 		for _, g := range guards() {
@@ -174,9 +172,9 @@ func main() {
 	counters, failureRatio := snap()
 
 	if *traceN > 0 {
-		// Dump merges the retained events by sequence number and reports
-		// how many older events the ring has already overwritten.
-		fmt.Printf("last protocol events:\n%s\n", ring.Dump())
+		// The tail in sequence order, after a count of the older events
+		// the log has already dropped.
+		fmt.Printf("last protocol events:\n%s\n", log.Format(0))
 	}
 
 	fmt.Printf("benchmark:      %s (backend=%s threads=%d writes=%d%% shards=%d)\n", *bench, impl, *threads, *writes, *shards)
@@ -207,7 +205,7 @@ func main() {
 		fmt.Printf("wrote snapshot bundle to %s\n", *jsonOut)
 	}
 	if *perfettoOut != "" {
-		data, err := export.PerfettoWith(ring, *backendName, runtime.GOMAXPROCS(0))
+		data, err := export.PerfettoWith(log, *backendName, runtime.GOMAXPROCS(0))
 		if err != nil {
 			fatalf("perfetto: %v", err)
 		}

@@ -33,7 +33,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/montable"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Bug selects a deliberately injected protocol defect, used by the
@@ -54,14 +53,13 @@ const (
 
 // Config tunes the SOLERO protocol. Use DefaultConfig as a starting point;
 // a nil Config given to New means DefaultConfig. Set every field before
-// passing the Config to New: a lock fixes some choices at New — the metrics
-// sample period, whether its read sections sample (Metrics non-nil), and
-// whether they may take the hook-free first attempt, which needs Tracer,
-// Sched and History nil and Adaptive and DisableElision off. Metrics does
-// not disqualify it: an unsampled section of a metered lock takes the same
-// attempt. Fences are not modelled here: Go's atomics are sequentially
-// consistent, and the §3.4 fence costs live in the coherence simulator
-// (internal/simcoherence).
+// passing the Config to New: a lock fixes some choices at New — whether its
+// read sections sample (Metrics non-nil), and whether they may take the
+// hook-free first attempt, which needs Sched and History nil and Adaptive
+// and DisableElision off. Metrics does not disqualify it: an unsampled
+// section of a metered lock takes the same attempt. Fences are not
+// modelled here: Go's atomics are sequentially consistent, and the §3.4
+// fence costs live in the coherence simulator (internal/simcoherence).
 type Config struct {
 	// Tier1/Tier2/Tier3 parameterize the three-tier contention loops
 	// (innermost backoff spins, acquisition attempts per round, yield
@@ -92,30 +90,24 @@ type Config struct {
 	AdaptiveWindow     uint32
 	AdaptiveFailurePct uint32
 	AdaptiveBackoffOps int32
-	// Tracer, when non-nil, records protocol transitions into a ring
-	// buffer (see internal/trace; `lockstats -trace` prints it).
-	Tracer *trace.Ring
 	// Metrics, when non-nil, feeds the observability registry: latency
 	// histograms for the slow paths, the abort-cause taxonomy, and sampled
 	// critical-section durations (see internal/metrics). Nil costs one
 	// predictable branch per hook. Either way the read fast path stays
 	// write-free: a read section ticks a thread-local sampler, and one the
-	// sampler did not select runs exactly as with Metrics nil.
+	// sampler did not select runs exactly as with Metrics nil. The sampling
+	// period belongs to the registry (Registry.SetSamplePeriod).
 	Metrics *metrics.Registry
-	// MetricsSamplePeriod overrides the success-path cs_duration sampling
-	// period (rounded up to a power of two; 0 keeps the registry's current
-	// period, default 1/64). Applied to Metrics by New, so configs can pin
-	// it declaratively; period 1 times every section and stays alloc-free
-	// (BenchmarkReadOnlyAllocFreeMetrics).
-	MetricsSamplePeriod int
 
 	// Sched, when non-nil, yields to a deterministic schedule-injection
 	// controller at named points inside the protocol (internal/sched). In
 	// production it is nil and every point is a single predictable branch.
 	Sched *sched.Hooks
-	// History, when non-nil, records protocol transitions (acquires,
-	// releases, elisions, inflations, waits) for the invariant oracle in
-	// internal/history. Nil in production, same single-branch cost.
+	// History, when non-nil, is the protocol event log: every transition
+	// (acquires, releases, elisions and their failures, inflations, waits)
+	// is recorded into it once, for the invariant oracle and the flight
+	// recorder alike (internal/history; `lockstats -trace` prints its
+	// tail). Nil in production, same single-branch cost.
 	History *history.Recorder
 	// Bug injects a protocol defect for oracle validation (see Bug).
 	Bug Bug
@@ -139,14 +131,13 @@ var DefaultConfig = &Config{
 }
 
 // hookFree reports whether read sections may take the hook-free first
-// attempt: no schedule, history or trace hook is wired, and neither
+// attempt: no schedule hook or event log is wired, and neither
 // adaptive elision nor DisableElision is on. A metrics registry may be
 // wired: the attempt serves the sections its sampler did not select, and
 // hands their failures to the elision loop, which classifies them. New
 // decides it once per lock (see Config).
 func (c *Config) hookFree() bool {
-	return c.Sched == nil && c.History == nil && c.Tracer == nil &&
-		!c.Adaptive && !c.DisableElision
+	return c.Sched == nil && c.History == nil && !c.Adaptive && !c.DisableElision
 }
 
 // Lock is a SOLERO lock. The zero value is not ready; use New.
@@ -193,9 +184,6 @@ type Lock struct {
 func New(cfg *Config) *Lock {
 	if cfg == nil {
 		cfg = DefaultConfig
-	}
-	if cfg.Metrics != nil && cfg.MetricsSamplePeriod > 0 {
-		cfg.Metrics.SetSamplePeriod(cfg.MetricsSamplePeriod)
 	}
 	l := &Lock{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}
 	l.st.init()
@@ -261,7 +249,6 @@ func (l *Lock) Lock(t *jthread.Thread) {
 				if !l.bump(t, cFastAcquires) {
 					l.bumpSlow(t, cFastAcquires)
 				}
-				l.cfg.Tracer.Record(trace.EvAcquireFast, tid, v)
 				l.cfg.History.Record(history.Acquire, tid, v)
 				l.cfg.Sched.Point(tid, sched.PAcquired)
 				return
@@ -304,7 +291,6 @@ func (l *Lock) Unlock(t *jthread.Thread) {
 		// recorded release order consistent with the counter order.
 		l.cfg.History.Record(history.Release, t.ID(), w)
 		l.word.Store(w)
-		l.cfg.Tracer.Record(trace.EvRelease, t.ID(), saved)
 		return
 	}
 	l.slowExit(t, v2)

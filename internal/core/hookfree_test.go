@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // The tests in this file run on locks whose config wires no hook, so
@@ -36,7 +35,6 @@ func TestDefaultConfigIsHookFree(t *testing.T) {
 		{"disableElision", func(c *Config) { c.DisableElision = true }, false, false},
 		{"sched", func(c *Config) { c.Sched = sched.NewScheduler(&phasedStrategy{}, 0).Hooks() }, false, false},
 		{"history", func(c *Config) { c.History = history.New() }, false, false},
-		{"tracer", func(c *Config) { c.Tracer = trace.New(16) }, false, false},
 	} {
 		cfg := *DefaultConfig
 		tc.mut(&cfg)

@@ -69,12 +69,16 @@ func TestLockLineLayout(t *testing.T) {
 	}
 }
 
+// newSink keeps the measured lock escaping: New inlines, and a lock that
+// never leaves its caller's frame would be built on the stack.
+var newSink *Lock
+
 // TestLockFootprint pins what New costs: one allocation of at most one
 // line, whatever GOMAXPROCS is, and each lock on a line of its own.
 func TestLockFootprint(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		if n := testing.AllocsPerRun(100, func() { New(nil) }); n != 1 {
+		if n := testing.AllocsPerRun(100, func() { newSink = New(nil) }); n != 1 {
 			t.Errorf("GOMAXPROCS %d: New(nil) makes %v allocations, want 1", procs, n)
 		}
 		// Background runtime allocations can only add to a trial: keep

@@ -356,9 +356,9 @@ func TestCSDurationSampledOncePerSection(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := metrics.New(2)
+			m.SetSamplePeriod(1)
 			cfg := *DefaultConfig
 			cfg.Metrics = m
-			cfg.MetricsSamplePeriod = 1
 			l := New(&cfg)
 			l.ReadOnlySection(newT(t, 1)[0], tc.info, func() {})
 			if n := m.CSDuration.Snapshot().Count; n != 1 {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/jthread"
 	"repro/internal/lockword"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // errUpgradeRestart is the internal unwind signal raised when an in-place
@@ -62,7 +61,6 @@ func (s *Section) BeforeWrite() {
 		s.holding, s.upgraded = true, true
 		s.retireFrame()
 		l.inc(cUpgrades)
-		l.cfg.Tracer.Record(trace.EvUpgrade, t.ID(), s.v)
 		// An upgrade both acquires the lock and proves the reads so
 		// far: it is an Acquire for the counter-pairing oracle plus
 		// the upgrade marker itself.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/jthread"
 	"repro/internal/lockword"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // ReadOnly executes fn as a read-only critical section, eliding all writes
@@ -173,7 +172,6 @@ func (l *Lock) readLoop(t *jthread.Thread, fn func(), p plan, v uint64, out spec
 				if !l.bump(t, cElisionSuccesses) {
 					l.bumpSlow(t, cElisionSuccesses)
 				}
-				l.cfg.Tracer.Record(trace.EvElideSuccess, t.ID(), v)
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
 				l.adaptiveRecord(false)
 				return true
@@ -182,13 +180,13 @@ func (l *Lock) readLoop(t *jthread.Thread, fn func(), p plan, v uint64, out spec
 			// BeforeWrite acquired the lock after a failed upgrade;
 			// re-execute holding it.
 			l.inc(cFallbacks)
-			l.cfg.Tracer.Record(trace.EvFallback, t.ID(), v)
+			l.cfg.History.Record(history.ReadFallback, t.ID(), v)
 			l.adaptiveRecord(true)
 			l.runHeld(t, fn, p.s)
 			return false
 		}
 		l.inc(cElisionFailures)
-		l.cfg.Tracer.Record(trace.EvElideFailure, t.ID(), v)
+		l.cfg.History.Record(history.ReadFailure, t.ID(), v)
 		l.recordAbort(t, out == specFailedAsync)
 		l.adaptiveRecord(true)
 		if failures >= p.bound(l.cfg) {
@@ -215,7 +213,6 @@ func (p plan) bound(cfg *Config) int {
 // speculation (snapshot v), run the section holding the lock.
 func (l *Lock) readFallback(t *jthread.Thread, fn func(), s *Section, v uint64) {
 	l.inc(cFallbacks)
-	l.cfg.Tracer.Record(trace.EvFallback, t.ID(), v)
 	l.cfg.Sched.Point(t.ID(), sched.PReadFallback)
 	l.cfg.History.Record(history.ReadFallback, t.ID(), v)
 	l.Lock(t)

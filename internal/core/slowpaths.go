@@ -10,7 +10,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/montable"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // sub atomically subtracts delta from w (recursion-depth unwinds below).
@@ -20,7 +19,6 @@ func sub(w *atomic.Uint64, delta uint64) { w.Add(^delta + 1) }
 // management, and fat-mode entry for writing critical sections.
 func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 	l.inc(cSlowAcquires)
-	l.cfg.Tracer.Record(trace.EvAcquireSlow, t.ID(), v)
 	if m := l.cfg.Metrics; m != nil {
 		start := time.Now()
 		defer func() { m.Acquire.Record(t.StripeIndex(), time.Since(start).Nanoseconds()) }()
@@ -145,7 +143,6 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 					m.RawUnlock()
 				})
 				l.inc(cInflations)
-				l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 				l.cfg.Sched.Point(tid, sched.PInflate)
 				l.cfg.History.Record(history.Inflate, tid, h.Word)
 				l.word.Store(h.Word)
@@ -216,7 +213,6 @@ func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
 		m.RawUnlock()
 	})
 	l.inc(cInflations)
-	l.cfg.Tracer.Record(trace.EvInflate, tid, v)
 	l.cfg.Sched.Point(tid, sched.PInflate)
 	l.cfg.History.Record(history.Inflate, tid, h.Word)
 	l.word.Store(h.Word)
@@ -391,7 +387,6 @@ func (l *Lock) fatExit(t *jthread.Thread, v2 uint64, eager bool) {
 	if l.cfg.Deflate {
 		deflate = func() {
 			l.inc(cDeflations)
-			l.cfg.Tracer.Record(trace.EvDeflate, tid, m.SavedCounter)
 			// Runs under the monitor mutex, so no schedule point here;
 			// the Block around the exit covers it.
 			l.cfg.History.Record(history.Deflate, tid, m.SavedCounter)
@@ -411,7 +406,6 @@ func (l *Lock) fatExit(t *jthread.Thread, v2 uint64, eager bool) {
 	// handed the monitor to may deflate before this pin drops, and then
 	// this is the last pin out.
 	h.UnpinReclaim(tid)
-	l.cfg.Tracer.Record(trace.EvRelease, tid, v2)
 }
 
 // flcRelease publishes a flat release word while the FLC bit is set: wake

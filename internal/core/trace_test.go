@@ -5,13 +5,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/history"
 	"repro/internal/jthread"
-	"repro/internal/trace"
 )
 
+// TestTracerRecordsProtocolHistory: the event log behind `lockstats -trace`
+// (a bounded tail, as lockstats wires it) shows every kind of protocol
+// transition a short run goes through.
 func TestTracerRecordsProtocolHistory(t *testing.T) {
 	cfg := *DefaultConfig
-	cfg.Tracer = trace.New(256)
+	cfg.History = history.NewTail(256)
 	vm := jthread.NewVM()
 	l := New(&cfg)
 	a := vm.Attach("a")
@@ -36,54 +39,34 @@ func TestTracerRecordsProtocolHistory(t *testing.T) {
 	// A read-mostly upgrade.
 	l.ReadMostly(a, func(s *Section) { s.BeforeWrite() })
 
-	dump := cfg.Tracer.Dump()
+	dump := cfg.History.Format(0)
 	for _, want := range []string{
-		"acquire-fast", "release", "elide-ok", "elide-fail", "fallback",
+		"acquire", "release", "read-ok", "read-fail", "read-fallback",
 		"inflate", "deflate", "wait", "upgrade",
 	} {
 		if !strings.Contains(dump, want) {
-			t.Fatalf("trace missing %q:\n%s", want, dump)
+			t.Fatalf("log missing %q:\n%s", want, dump)
 		}
 	}
-}
-
-func TestTracerOffByDefaultCostsNothingVisible(t *testing.T) {
-	vm := jthread.NewVM()
-	l := New(nil)
-	th := vm.Attach("t")
-	for i := 0; i < 100; i++ {
-		l.Lock(th)
-		l.Unlock(th)
-		l.ReadOnly(th, func() {})
-	}
-	// Just exercising the nil-tracer paths; nothing to assert beyond
-	// "did not panic / did not record".
 }
 
 // TestTracerRecordsReadMostly: a read-mostly section records the same
-// elision events as a read-only one — a clean section one elide-ok, a
-// section whose speculation fails and falls back one elide-fail and one
-// fallback.
+// elision events as a read-only one — a clean section one read-ok, a
+// section whose speculation fails and falls back one read-fail and one
+// read-fallback (plus the fallback's own acquire and release).
 func TestTracerRecordsReadMostly(t *testing.T) {
-	kinds := func(r *trace.Ring) map[trace.Kind]int {
-		n := map[trace.Kind]int{}
-		for _, e := range r.Snapshot() {
-			n[e.Kind]++
-		}
-		return n
-	}
 	ths := newT(t, 2)
 	a, b := ths[0], ths[1]
 
 	cfg := *DefaultConfig
-	cfg.Tracer = trace.New(64)
+	cfg.History = history.New()
 	l := New(&cfg)
 	l.ReadMostly(a, func(*Section) {})
-	if got := kinds(cfg.Tracer); got[trace.EvElideSuccess] != 1 || len(got) != 1 {
-		t.Fatalf("clean read-mostly section traced %v, want one elide-ok", got)
+	if got := cfg.History.Summary(); got["read-ok"] != 1 || len(got) != 1 {
+		t.Fatalf("clean read-mostly section logged %v, want one read-ok", got)
 	}
 
-	cfg.Tracer = trace.New(64)
+	cfg.History = history.New()
 	l = New(&cfg)
 	runs := 0
 	l.ReadMostly(a, func(*Section) {
@@ -91,8 +74,8 @@ func TestTracerRecordsReadMostly(t *testing.T) {
 			l.Sync(b, func() {})
 		}
 	})
-	got := kinds(cfg.Tracer)
-	if got[trace.EvElideFailure] != 1 || got[trace.EvFallback] != 1 || got[trace.EvElideSuccess] != 0 {
-		t.Fatalf("failed read-mostly section traced %v, want one elide-fail and one fallback", got)
+	got := cfg.History.Summary()
+	if got["read-fail"] != 1 || got["read-fallback"] != 1 || got["read-ok"] != 0 {
+		t.Fatalf("failed read-mostly section logged %v, want one read-fail and one read-fallback", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/jthread"
 	"repro/internal/lockword"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Object.wait/notify support — the remaining piece of "full Java lock
@@ -38,7 +37,6 @@ func (l *Lock) WaitTimeout(t *jthread.Thread, d time.Duration) bool {
 	default:
 		panic("core: Wait without holding the lock (IllegalMonitorStateException)")
 	}
-	l.cfg.Tracer.Record(trace.EvWait, tid, l.word.Load())
 	l.cfg.History.Record(history.Wait, tid, l.word.Load())
 	h, ok := l.table().PinWord(l.word.Load(), tid)
 	if !ok {
@@ -97,7 +95,6 @@ func (l *Lock) restoreRecursion(t *jthread.Thread, rec uint32) {
 func (l *Lock) Notify(t *jthread.Thread) {
 	l.requireHeld(t)
 	l.cfg.Sched.Point(t.ID(), sched.PNotify)
-	l.cfg.Tracer.Record(trace.EvNotify, t.ID(), l.word.Load())
 	l.cfg.History.Record(history.Notify, t.ID(), l.word.Load())
 	l.notify(t, false)
 }

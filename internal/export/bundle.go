@@ -55,8 +55,8 @@ type Bundle struct {
 	// AbortSites ranks the sampled abort call sites, most-hit first.
 	AbortSites       []AbortSite `json:"abort_sites,omitempty"`
 	SiteSamplePeriod uint64      `json:"site_sample_period,omitempty"`
-	// TraceRecorded/TraceDropped describe the flight recorder: events
-	// recorded over the run and how many the ring has already overwritten.
+	// TraceRecorded/TraceDropped describe the protocol event log: events
+	// recorded over the run and how many its bounded tail has dropped.
 	TraceRecorded uint64 `json:"trace_recorded,omitempty"`
 	TraceDropped  uint64 `json:"trace_dropped,omitempty"`
 }
@@ -115,9 +115,9 @@ func (s *Source) Bundle(opsPerSec float64) *Bundle {
 	if len(b.AbortSites) > 0 {
 		b.SiteSamplePeriod = s.Registry.SiteSamplePeriod()
 	}
-	if s.Ring != nil {
-		b.TraceRecorded = s.Ring.Len()
-		b.TraceDropped = s.Ring.Dropped()
+	if s.History != nil {
+		b.TraceRecorded = uint64(s.History.Len())
+		b.TraceDropped = uint64(s.History.Dropped())
 	}
 	return b
 }

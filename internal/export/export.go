@@ -1,6 +1,6 @@
 // Package export turns the observability state of a SOLERO run — the
 // protocol counter block (internal/core), the metrics registry
-// (internal/metrics), and the flight-recorder ring (internal/trace) — into
+// (internal/metrics), and the protocol event log (internal/history) — into
 // three interchange formats:
 //
 //   - Prometheus text exposition (v0.0.4) plus expvar, served live by
@@ -21,8 +21,8 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/history"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // Source bundles everything exportable about one running (or finished)
@@ -43,8 +43,9 @@ type Source struct {
 	Counters func() map[string]uint64
 	// FailureRatio returns the aggregate elision failure ratio in percent.
 	FailureRatio func() float64
-	// Ring is the protocol flight recorder, if one was configured.
-	Ring *trace.Ring
+	// History is the protocol event log wired through core.Config.History
+	// (a history.NewTail recorder for a long run), if one was configured.
+	History *history.Recorder
 
 	start time.Time
 }
@@ -152,10 +153,10 @@ func (s *Source) Prometheus(w io.Writer) error {
 	fmt.Fprintf(w, "# TYPE solero_fact_divergences_total counter\n")
 	fmt.Fprintf(w, "solero_fact_divergences_total %d\n", reg.FactDivergences())
 
-	if s.Ring != nil {
-		fmt.Fprintf(w, "# HELP solero_trace_events_dropped_total Flight-recorder events overwritten by the ring.\n")
+	if s.History != nil {
+		fmt.Fprintf(w, "# HELP solero_trace_events_dropped_total Protocol log events dropped from its bounded tail.\n")
 		fmt.Fprintf(w, "# TYPE solero_trace_events_dropped_total counter\n")
-		fmt.Fprintf(w, "solero_trace_events_dropped_total %d\n", s.Ring.Dropped())
+		fmt.Fprintf(w, "solero_trace_events_dropped_total %d\n", s.History.Dropped())
 	}
 
 	for _, h := range reg.Histograms() {

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/history"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // testSource builds a deterministic source: fixed registry contents and a
@@ -105,11 +105,11 @@ func TestCamelToSnake(t *testing.T) {
 }
 
 // TestPerfettoRoundTrip records protocol events, exports them, and checks
-// the JSON parses back with valid trace-event fields.
+// the JSON parses back with valid trace-event fields named by history kind.
 func TestPerfettoRoundTrip(t *testing.T) {
-	r := trace.New(16)
-	for i := uint64(0); i < 20; i++ { // overflow the ring: 4 dropped
-		r.Record(trace.EvElideSuccess, i%3, i)
+	r := history.NewTail(16)
+	for i := uint64(0); i < 20; i++ { // overflow the tail: 4 dropped
+		r.Record(history.ReadSuccess, i%3, i)
 	}
 	data, err := Perfetto(r)
 	if err != nil {
@@ -123,7 +123,6 @@ func TestPerfettoRoundTrip(t *testing.T) {
 		t.Fatalf("exported %d events, want 16", len(doc.TraceEvents))
 	}
 	var lastTS float64 = -1
-	var lastSeq uint64
 	for i, e := range doc.TraceEvents {
 		if e.Phase != "i" {
 			t.Fatalf("event %d: ph = %q, want \"i\"", i, e.Phase)
@@ -131,27 +130,27 @@ func TestPerfettoRoundTrip(t *testing.T) {
 		if e.PID != 1 {
 			t.Fatalf("event %d: pid = %d", i, e.PID)
 		}
-		if e.Name != "elide-ok" {
+		if e.Name != "read-ok" {
 			t.Fatalf("event %d: name = %q", i, e.Name)
 		}
 		if e.TS < lastTS {
 			t.Fatalf("event %d: ts regressed (%f < %f)", i, e.TS, lastTS)
 		}
-		if i > 0 && e.Args.Seq <= lastSeq {
-			t.Fatalf("event %d: seq not increasing", i)
+		if want := uint64(4 + i); e.Args.Seq != want {
+			t.Fatalf("event %d: seq %d, want %d (the last 16 of 20)", i, e.Args.Seq, want)
 		}
-		lastTS, lastSeq = e.TS, e.Args.Seq
+		lastTS = e.TS
 	}
-	if doc.OtherData["dropped"] != "4" {
-		t.Fatalf("dropped = %q, want 4", doc.OtherData["dropped"])
+	if doc.OtherData["dropped"] != "4" || doc.OtherData["recorded"] != "20" {
+		t.Fatalf("otherData = %v, want dropped 4 of 20 recorded", doc.OtherData)
 	}
-	// A nil ring still yields a valid, empty document.
+	// A nil log still yields a valid, empty document.
 	data, err = Perfetto(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(data, &doc); err != nil || doc.TraceEvents == nil {
-		t.Fatalf("nil-ring export invalid: %v", err)
+		t.Fatalf("nil-log export invalid: %v", err)
 	}
 }
 
@@ -159,11 +158,10 @@ func TestPerfettoRoundTrip(t *testing.T) {
 // fields consumers key on.
 func TestBundleSchema(t *testing.T) {
 	s := testSource()
-	ring := trace.New(16)
+	s.History = history.NewTail(16)
 	for i := uint64(0); i < 20; i++ {
-		ring.Record(trace.EvRelease, 1, i)
+		s.History.Record(history.Release, 1, i)
 	}
-	s.Ring = ring
 
 	data, err := s.Bundle(12345.5).MarshalIndent()
 	if err != nil {
@@ -200,8 +198,8 @@ func TestBundleSchema(t *testing.T) {
 // TestServeEndpoints drives the HTTP mux end to end.
 func TestServeEndpoints(t *testing.T) {
 	s := testSource()
-	s.Ring = trace.New(16)
-	s.Ring.Record(trace.EvInflate, 2, 0xabc)
+	s.History = history.NewTail(16)
+	s.History.Record(history.Inflate, 2, 0xabc)
 	srv := httptest.NewServer(s.Mux())
 	defer srv.Close()
 

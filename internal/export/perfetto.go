@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/trace"
+	"repro/internal/history"
 )
 
 // PerfettoEvent is one Chrome trace-event ("JSON Array Format" object).
@@ -14,7 +14,7 @@ import (
 type PerfettoEvent struct {
 	Name  string `json:"name"`
 	Phase string `json:"ph"`
-	// TS is microseconds from the ring's start (the trace-event clock unit).
+	// TS is microseconds from the log's start (the trace-event clock unit).
 	TS    float64       `json:"ts"`
 	PID   int           `json:"pid"`
 	TID   uint64        `json:"tid"`
@@ -39,10 +39,11 @@ type PerfettoTrace struct {
 	OtherData       map[string]string `json:"otherData,omitempty"`
 }
 
-// Perfetto renders the ring's retained events as trace-event JSON accepted
-// by Perfetto and chrome://tracing. Events come out in sequence order; the
-// number of overwritten (dropped) events rides along in otherData.
-func Perfetto(r *trace.Ring) ([]byte, error) {
+// Perfetto renders the log's kept events as trace-event JSON accepted by
+// Perfetto and chrome://tracing, each named by its history kind. Events come
+// out in sequence order; the number of dropped events rides along in
+// otherData.
+func Perfetto(r *history.Recorder) ([]byte, error) {
 	return PerfettoWith(r, "", 0)
 }
 
@@ -52,7 +53,7 @@ func Perfetto(r *trace.Ring) ([]byte, error) {
 // which lock backend produced it and how parallel the host really was.
 // Empty backend and non-positive gomaxprocs omit their metadata, keeping
 // plain Perfetto() output unchanged.
-func PerfettoWith(r *trace.Ring, backendName string, gomaxprocs int) ([]byte, error) {
+func PerfettoWith(r *history.Recorder, backendName string, gomaxprocs int) ([]byte, error) {
 	doc := PerfettoTrace{
 		TraceEvents:     []PerfettoEvent{},
 		DisplayTimeUnit: "ns",
@@ -82,7 +83,7 @@ func PerfettoWith(r *trace.Ring, backendName string, gomaxprocs int) ([]byte, er
 		})
 	}
 	if r != nil {
-		for _, e := range r.Snapshot() {
+		for _, e := range r.Events() {
 			doc.TraceEvents = append(doc.TraceEvents, PerfettoEvent{
 				Name:  e.Kind.String(),
 				Phase: "i",
@@ -90,7 +91,7 @@ func PerfettoWith(r *trace.Ring, backendName string, gomaxprocs int) ([]byte, er
 				PID:   1,
 				TID:   e.TID,
 				Scope: "t",
-				Args:  &PerfettoArgs{Seq: e.Seq, Word: fmt.Sprintf("%#x", e.Word)},
+				Args:  &PerfettoArgs{Seq: uint64(e.Seq), Word: fmt.Sprintf("%#x", e.Word)},
 			})
 		}
 		if doc.OtherData == nil {

@@ -35,7 +35,7 @@ func (s *Source) publishExpvar() {
 //	/metrics                  Prometheus text exposition
 //	/debug/vars               expvar JSON (includes the "solero" snapshot bundle)
 //	/snapshot.json            the Bundle schema (solero-snapshot/v1)
-//	/trace.json               Perfetto/Chrome trace-event JSON of the flight recorder
+//	/trace.json               Perfetto/Chrome trace-event JSON of the protocol log's tail
 //	/debug/pprof/contention   gzipped pprof protobuf of sampled contention sites
 func (s *Source) Mux() *http.ServeMux {
 	s.publishExpvar()
@@ -55,7 +55,7 @@ func (s *Source) Mux() *http.ServeMux {
 		w.Write(data)
 	})
 	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, _ *http.Request) {
-		data, err := PerfettoWith(s.Ring, s.Backend, runtime.GOMAXPROCS(0))
+		data, err := PerfettoWith(s.History, s.Backend, runtime.GOMAXPROCS(0))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return

@@ -1,15 +1,21 @@
-// Package history is the invariant oracle for the real SOLERO
-// implementation: a lossless, globally-ordered recorder of what the lock
-// actually did during a run, plus a checker that validates the same four
-// safety invariants internal/modelcheck proves on the abstract model —
-// mutual exclusion, reader soundness, upgrade soundness, and counter
-// monotonicity — against the recorded histories.
+// Package history is the SOLERO lock's one protocol event log: a
+// globally-ordered recorder of what the lock actually did during a run,
+// plus a checker that validates the same four safety invariants
+// internal/modelcheck proves on the abstract model — mutual exclusion,
+// reader soundness, upgrade soundness, and counter monotonicity — against
+// the recorded histories.
+//
+// The same log serves the invariant oracle and the flight recorder. New
+// keeps every event, which the oracle needs; NewTail keeps only the most
+// recent ones, for runs without end (`lockstats -trace`, `-perfetto` and
+// `-serve`'s /trace.json read it through internal/export). Check refuses to
+// vouch for a tail that has dropped events.
 //
 // Two layers feed the recorder. internal/core records protocol
 // transitions (acquire/release with the lock words involved, read-only
-// success/fallback, read-mostly upgrades, inflate/deflate, wait/notify)
-// when a lock's Config.History is non-nil; a nil *Recorder is a no-op, so
-// production locks pay one predictable branch. The checking harness
+// success/failure/fallback, read-mostly upgrades, inflate/deflate,
+// wait/notify) when a lock's Config.History is non-nil; a nil *Recorder is
+// a no-op, so production locks pay one predictable branch. The checking harness
 // (internal/schedcheck) records what its critical sections observed:
 // section entry/exit brackets and the data pairs its readers and
 // upgraders saw. The oracle needs both: protocol events carry the counter
@@ -26,6 +32,7 @@ package history
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/lockword"
 )
@@ -46,6 +53,10 @@ const (
 	// ReadSuccess: a speculative read-only section validated. Word is the
 	// snapshot it validated against.
 	ReadSuccess
+	// ReadFailure: a speculative execution of a read section failed to
+	// validate (or faulted on an inconsistent snapshot). Word is the
+	// snapshot it ran on.
+	ReadFailure
 	// ReadFallback: a read section ran non-speculatively (fallback,
 	// reentrant, or fat entry).
 	ReadFallback
@@ -94,8 +105,8 @@ const (
 
 var kindNames = [numKinds]string{
 	Acquire: "acquire", Release: "release", ReadSuccess: "read-ok",
-	ReadFallback: "read-fallback", Upgrade: "upgrade", Inflate: "inflate",
-	Deflate: "deflate", Wait: "wait", Notify: "notify",
+	ReadFailure: "read-fail", ReadFallback: "read-fallback", Upgrade: "upgrade",
+	Inflate: "inflate", Deflate: "deflate", Wait: "wait", Notify: "notify",
 	EnterCS: "enter-cs", ExitCS: "exit-cs", ReadObserved: "read-observed",
 	UpgradeObserved: "upgrade-observed", ViolationEv: "violation",
 	MonBind: "mon-bind", MonEnter: "mon-enter", MonReclaim: "mon-reclaim",
@@ -109,9 +120,12 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one recorded operation.
+// Event is one recorded operation. Seq counts every event the recorder
+// took, dropped ones included; Nano is monotonic nanoseconds since the
+// recorder was created (wall-clock time can step backwards).
 type Event struct {
 	Seq  int
+	Nano int64
 	TID  uint64
 	Kind Kind
 	Word uint64
@@ -121,21 +135,41 @@ type Event struct {
 
 // Recorder accumulates events. A nil *Recorder records nothing.
 type Recorder struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// events is the whole log, or for a tail recorder a ring of the last
+	// tail events: event Seq lives at index Seq % tail.
 	events []Event
+	tail   int // 0: keep everything
+	n      int // events recorded, dropped ones included
+	start  time.Time
 }
 
-// New creates an empty recorder.
-func New() *Recorder { return &Recorder{} }
+// New creates an empty lossless recorder: every event is kept, as the
+// invariant checker requires.
+func New() *Recorder { return &Recorder{start: time.Now()} }
+
+// NewTail creates an empty recorder that keeps only the last n events
+// (at least one), for flight recording over runs without end. Dropped
+// reports how many older events it has let go.
+func NewTail(n int) *Recorder {
+	n = max(n, 1)
+	return &Recorder{events: make([]Event, 0, n), tail: n, start: time.Now()}
+}
 
 func (r *Recorder) append(e Event) {
 	r.mu.Lock()
-	e.Seq = len(r.events)
-	r.events = append(r.events, e)
+	e.Seq, e.Nano = r.n, time.Since(r.start).Nanoseconds()
+	if len(r.events) == r.tail && r.tail > 0 {
+		r.events[r.n%r.tail] = e
+	} else {
+		r.events = append(r.events, e)
+	}
+	r.n++
 	r.mu.Unlock()
 }
 
-// Record logs a protocol event. Nil-safe.
+// Record logs a protocol event. Nil-safe, and small enough to inline, so an
+// unwired log costs its call sites one branch.
 func (r *Recorder) Record(k Kind, tid, word uint64) {
 	if r == nil {
 		return
@@ -159,24 +193,39 @@ func (r *Recorder) RecordViolation(tid uint64, msg string) {
 	r.append(Event{TID: tid, Kind: ViolationEv, Msg: msg})
 }
 
-// Len returns the number of recorded events.
+// Len returns the number of events recorded, dropped ones included.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.events)
+	return r.n
 }
 
-// Events returns a copy of the full history in order.
+// Dropped returns how many of the recorded events a tail recorder no
+// longer keeps (always 0 for a lossless one).
+func (r *Recorder) Dropped() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n - len(r.events)
+}
+
+// Events returns a copy of the kept history in Seq order.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	if r.n == len(r.events) {
+		return append([]Event(nil), r.events...)
+	}
+	i := r.n % r.tail // the oldest kept event
+	return append(append(make([]Event, 0, len(r.events)), r.events[i:]...), r.events[:i]...)
 }
 
 // PerThread splits the history into per-thread sub-histories (still
@@ -191,6 +240,8 @@ func (r *Recorder) PerThread() map[uint64][]Event {
 
 // Check validates the four safety invariants against the recorded history
 // and returns one message per violation (nil when the history is clean).
+// A history that has dropped events is reported as truncated and not
+// checked: the invariants do not hold of a suffix.
 //
 //  1. Mutual exclusion: EnterCS/ExitCS intervals of different threads
 //     never overlap.
@@ -204,6 +255,9 @@ func (r *Recorder) PerThread() map[uint64][]Event {
 //     MonReclaim. A MonEnter on a dead ticket means a thread entered a
 //     reclaimed (or generation-recycled) monitor under a stale ticket.
 func (r *Recorder) Check() []string {
+	if d := r.Dropped(); d > 0 {
+		return []string{fmt.Sprintf("truncated history: %d earlier events were dropped, so the invariants cannot be checked", d)}
+	}
 	var v []string
 	events := r.Events()
 
@@ -335,8 +389,9 @@ func (r *Recorder) Summary() map[string]int {
 	return out
 }
 
-// Format renders the tail of the history (up to max events) for failure
-// reports.
+// Format renders the tail of the history (up to max events; 0 renders all
+// kept) for failure reports and `lockstats -trace`, after a line counting
+// the events a tail recorder has dropped.
 func (r *Recorder) Format(max int) string {
 	events := r.Events()
 	if len(events) > max && max > 0 {
@@ -346,6 +401,9 @@ func (r *Recorder) Format(max int) string {
 		return "(no events)\n"
 	}
 	var b []byte
+	if d := r.Dropped(); d > 0 {
+		b = fmt.Appendf(b, "(%d earlier events dropped)\n", d)
+	}
 	for _, e := range events {
 		switch e.Kind {
 		case ReadObserved, UpgradeObserved:

@@ -388,10 +388,13 @@ func (t *Table) Sweep(tid uint64) {
 			// Word deflation: demote the lock to flat mode by
 			// republishing the counter stashed at inflation. Legal while
 			// condition waiters exist (they reacquire through the flat
-			// path); the CAS only fires on the exact ticket word, so an
-			// FLC bit set by a fresh contender blocks it.
+			// path). An FLC bit on the ticket word is stale: a contender
+			// that sets FLC keeps its Bind pin until it stops parking, and
+			// the entry is unpinned. It must not block the demotion, or a
+			// lock whose releases never deflate stays fat for good. The
+			// CAS still fails if the word moves after the load.
 			tw := lockword.TicketWord(s.id, e.index, e.gen)
-			if e.word.Load() == tw && e.word.CompareAndSwap(tw, m.SavedCounter) {
+			if w := e.word.Load(); w&^lockword.FLCBit == tw && e.word.CompareAndSwap(w, m.SavedCounter) {
 				t.sweepDeflations.Add(1)
 				t.cfg.History.Record(history.Deflate, tid, m.SavedCounter)
 			}

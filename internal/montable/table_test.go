@@ -230,6 +230,33 @@ func TestSweepRestoresSavedCounter(t *testing.T) {
 	}
 }
 
+// TestSweepDemotesStaleFLCTicket: a contender's FLC Or can land on a word
+// inflated after its load, leaving the ticket word with the FLC bit set.
+// Once the entry is unpinned that bit is stale (a contender keeps its pin
+// while it parks), so an idle sweep still demotes the word and reclaims
+// the entry; otherwise a lock whose releases never deflate stays fat, its
+// monitor bound, for good.
+func TestSweepDemotesStaleFLCTicket(t *testing.T) {
+	tb := New(Config{IdleEpochs: 1})
+	var word atomic.Uint64
+	h := tb.Bind(&word, 1)
+	restored := lockword.SoleroFreeWord(7)
+	h.Mon.RawLock()
+	h.Mon.SavedCounter = restored
+	h.Mon.RawUnlock()
+	word.Store(h.Word | lockword.FLCBit)
+	h.Unpin()
+
+	tb.Sweep(9)
+	tb.Sweep(9)
+	if got := word.Load(); got != restored {
+		t.Fatalf("sweeper left %s, want the saved counter %s", lockword.String(got), lockword.String(restored))
+	}
+	if st := tb.Snapshot(); st.SweepDeflations != 1 || st.SweepReclaims != 1 || st.Bound != 0 {
+		t.Fatalf("sweep: deflations=%d reclaims=%d bound=%d", st.SweepDeflations, st.SweepReclaims, st.Bound)
+	}
+}
+
 // TestHistoryRecordsIdentity runs a bind/pin/reclaim/rebind cycle with a
 // recorder attached and hands the history to the monitor-identity oracle.
 func TestHistoryRecordsIdentity(t *testing.T) {

@@ -108,7 +108,7 @@ func NewGuard(impl Impl) *Guard {
 }
 
 // NewGuardConfig is NewGuard with an explicit SOLERO base configuration:
-// the base's observability wiring (Metrics, Tracer, Sched) and tuning ride
+// the base's observability wiring (Metrics, History, Sched) and tuning ride
 // along. A nil base means core.DefaultConfig; non-SOLERO impls use only its
 // metrics registry.
 func NewGuardConfig(impl Impl, base *core.Config) *Guard {
