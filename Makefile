@@ -11,6 +11,9 @@
 #   make inlinecheck - the owned-slot increment (core's (*Lock).bump) and
 #                    the event-log hook ((*history.Recorder).Record) must
 #                    stay under the inliner's budget
+#   make nolockread - amd64: the elided read path ((*Lock).read and
+#                    ReadOnlyValue) executes no locked instruction, and the
+#                    elision loop's only ones are its failure-counter adds
 #   make check     - tier-1 gate: build + vet + test
 #   make fmtcheck  - gofmt -l over the whole tree (bench/ included) must
 #                    list nothing
@@ -53,7 +56,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench allocfree inlinecheck check fmtcheck nofencemodel benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-gate tournament-smoke montable-smoke
+.PHONY: build vet test race bench allocfree inlinecheck nolockread check fmtcheck nofencemodel benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-gate tournament-smoke montable-smoke
 
 build:
 	$(GO) build ./...
@@ -95,6 +98,32 @@ inlinecheck:
 		echo "FAIL: (*history.Recorder).Record is no longer inlinable:"; echo "$$out" | grep 'inline (\*Recorder)\.Record:'; exit 1; \
 	fi; \
 	echo "OK: inlinecheck ((*Lock).bump and (*history.Recorder).Record are inlinable)"
+
+# The paper's read-only section never writes the lock, and BRAVO's readers
+# only load: an elided read executes no LOCK-prefixed or XCHG instruction
+# (an XCHG with a memory operand is locked implicitly). The check reads the
+# machine code of a built test binary: (*Lock).read and every ReadOnlyValue
+# instantiation (with its closures) must hold none, and each one in
+# (*Lock).readLoop must be the failure arm's shared-counter add, which
+# objdump attributes to the line of (*Lock).inc in stats.go. Other GOARCHes
+# print a skip.
+nolockread:
+	@arch=$$($(GO) env GOARCH); \
+	if [ "$$arch" != amd64 ]; then echo "SKIP: nolockread reads amd64 machine code (GOARCH=$$arch)"; exit 0; fi; \
+	tmp=$$(mktemp -d) || exit 1; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) test -c -o $$tmp/core.test ./internal/core || exit 1; \
+	for sym in '^repro/internal/core\.\(\*Lock\)\.read$$' '^repro/internal/core\.ReadOnlyValue\['; do \
+		dis=$$($(GO) tool objdump -s "$$sym" $$tmp/core.test) || exit 1; \
+		[ -n "$$dis" ] || { echo "FAIL: no function in the test binary matches $$sym"; exit 1; }; \
+		if echo "$$dis" | grep -E 'LOCK |XCHG'; then echo "FAIL: locked instruction(s) above in $$sym"; exit 1; fi; \
+	done; \
+	inc=$$(grep -n '^func (l \*Lock) inc(' internal/core/stats.go | cut -d: -f1); \
+	[ -n "$$inc" ] || { echo "FAIL: (*Lock).inc not found in internal/core/stats.go"; exit 1; }; \
+	dis=$$($(GO) tool objdump -s '^repro/internal/core\.\(\*Lock\)\.readLoop$$' $$tmp/core.test) || exit 1; \
+	[ -n "$$dis" ] || { echo "FAIL: (*Lock).readLoop not in the test binary"; exit 1; }; \
+	bad=$$(echo "$$dis" | grep -E 'LOCK |XCHG' | grep -vE "^[[:space:]]*stats\.go:$$inc[[:space:]].*LOCK XADDQ "); \
+	if [ -n "$$bad" ]; then echo "$$bad"; echo "FAIL: (*Lock).readLoop has locked instruction(s) above besides the failure-counter adds (stats.go:$$inc)"; exit 1; fi; \
+	echo "OK: nolockread ((*Lock).read and ReadOnlyValue lock-free; readLoop locks only in (*Lock).inc)"
 
 check: build vet test
 

@@ -403,43 +403,6 @@ func BenchmarkAblationReadMostly(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdaptive compares adaptive elision on/off for a
-// write-heavy phase (where speculation mostly fails and adaptive mode
-// routes readers straight to the lock) followed by a read-only phase
-// (where it must get out of the way).
-func BenchmarkAblationAdaptive(b *testing.B) {
-	for _, adaptive := range []bool{false, true} {
-		name := "off"
-		if adaptive {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := *core.DefaultConfig
-			cfg.Adaptive = adaptive
-			cfg.AdaptiveWindow = 64
-			cfg.AdaptiveBackoffOps = 256
-			lock := core.New(&cfg)
-			var v atomic.Uint64
-			vm := jthread.NewVM()
-			seeds := make([]uint64, 2)
-			benchThreads(b, vm, 2, func(g int, th *jthread.Thread) {
-				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-				// Alternate phases every 512 ops: write-heavy, then
-				// read-only.
-				writeHeavy := seeds[g]>>16%1024 < 512
-				if writeHeavy && seeds[g]%2 == 0 {
-					lock.Sync(th, func() { v.Add(1) })
-					return
-				}
-				lock.ReadOnly(th, func() { benchSink.Add(v.Load()) })
-			})
-			b.ReportMetric(float64(lock.Stats().AdaptiveTrips.Load()), "trips")
-			b.ReportMetric(float64(lock.Stats().AdaptiveSkips.Load()), "skips")
-			b.ReportMetric(lock.Stats().FailureRatio(), "failure_%")
-		})
-	}
-}
-
 // BenchmarkAblationCheckpoint varies the forced checkpoint validation
 // period inside a loop-heavy elided section.
 func BenchmarkAblationCheckpoint(b *testing.B) {

@@ -55,8 +55,8 @@ const (
 // a nil Config given to New means DefaultConfig. Set every field before
 // passing the Config to New: a lock fixes some choices at New — whether its
 // read sections sample (Metrics non-nil), and whether they may take the
-// hook-free first attempt, which needs Sched and History nil and Adaptive
-// and DisableElision off. Metrics does not disqualify it: an unsampled
+// hook-free first attempt, which needs Sched and History nil and
+// DisableElision off. Metrics does not disqualify it: an unsampled
 // section of a metered lock takes the same attempt. Fences are not
 // modelled here: Go's atomics are sequentially consistent, and the §3.4
 // fence costs live in the coherence simulator (internal/simcoherence).
@@ -80,16 +80,6 @@ type Config struct {
 	// DisableElision makes every elided entry take the writing path
 	// (the paper's "Unelided-SOLERO" configuration in Figure 10).
 	DisableElision bool
-	// Adaptive enables per-lock adaptive elision (see adaptive.go): when
-	// a window of AdaptiveWindow speculative executions fails at or above
-	// AdaptiveFailurePct percent, the next AdaptiveBackoffOps elided
-	// sections — read-only and read-mostly alike — take the plain lock
-	// before speculation is re-probed.
-	// Zero-valued knobs use the defaults in adaptive.go.
-	Adaptive           bool
-	AdaptiveWindow     uint32
-	AdaptiveFailurePct uint32
-	AdaptiveBackoffOps int32
 	// Metrics, when non-nil, feeds the observability registry: latency
 	// histograms for the slow paths, the abort-cause taxonomy, and sampled
 	// critical-section durations (see internal/metrics). Nil costs one
@@ -131,13 +121,12 @@ var DefaultConfig = &Config{
 }
 
 // hookFree reports whether read sections may take the hook-free first
-// attempt: no schedule hook or event log is wired, and neither
-// adaptive elision nor DisableElision is on. A metrics registry may be
-// wired: the attempt serves the sections its sampler did not select, and
-// hands their failures to the elision loop, which classifies them. New
-// decides it once per lock (see Config).
+// attempt: no schedule hook or event log is wired, and DisableElision is
+// off. A metrics registry may be wired: the attempt serves the sections its
+// sampler did not select, and hands their failures to the elision loop,
+// which classifies them. New decides it once per lock (see Config).
 func (c *Config) hookFree() bool {
-	return c.Sched == nil && c.History == nil && !c.Adaptive && !c.DisableElision
+	return c.Sched == nil && c.History == nil && !c.DisableElision
 }
 
 // Lock is a SOLERO lock. The zero value is not ready; use New.
@@ -145,7 +134,7 @@ func (c *Config) hookFree() bool {
 // A lock is one 64-B allocation, one cache line: what an elided read or an
 // uncontended write loads — the word, cfg, the owner's saved word and the
 // hookFree/metered flags — plus the stats id, the cold-block pointer and the
-// 21 one-byte Counter views. No thread but the owner writes the line on the
+// 19 one-byte Counter views. No thread but the owner writes the line on the
 // fast paths, and the owner writes saved only right after its CAS has taken
 // the line exclusive; the stats id and the cold pointer are each set once,
 // by CAS. The counts live off the lock (see stats.go): the single-writer
@@ -161,8 +150,8 @@ type Lock struct {
 	// owners' accesses, so a plain field is sound.
 	saved uint64
 
-	// cold is the lock's cold block: the shared counters, the adaptive
-	// gate and the static id, rented on the first event that needs it.
+	// cold is the lock's cold block: the shared counters and the static
+	// id, rented on the first event that needs it.
 	cold atomic.Pointer[coldBlock]
 
 	// id is the lock's stats id: the index of its slots in the threads'

@@ -9,6 +9,7 @@ import (
 	"repro/internal/jthread"
 	"repro/internal/lockword"
 	"repro/internal/monitor"
+	"repro/internal/montable"
 )
 
 func newT(t *testing.T, n int) []*jthread.Thread {
@@ -246,6 +247,186 @@ func TestGenuinePanicPropagatesOnce(t *testing.T) {
 	}
 	if ths[0].SpecDepth() != 0 {
 		t.Fatalf("frames leaked after genuine panic")
+	}
+}
+
+// TestPanicOnHoldingArmsReleasesTheLock panics in the body of a read
+// section on each arm that runs it holding the lock, through ReadOnly and
+// ReadOnlyValue alike: the panic must propagate exactly once, leave no
+// speculative frame behind, and release exactly the hold the section took.
+func TestPanicOnHoldingArmsReleasesTheLock(t *testing.T) {
+	entries := []struct {
+		name string
+		run  func(l *Lock, th *jthread.Thread, body func())
+	}{
+		{"ReadOnly", func(l *Lock, th *jthread.Thread, body func()) { l.ReadOnly(th, body) }},
+		{"ReadOnlyValue", func(l *Lock, th *jthread.Thread, body func()) {
+			ReadOnlyValue(l, th, func() int { body(); return 0 })
+		}},
+	}
+	arms := []struct {
+		name  string
+		runs  int // executions of the body, the panicking one last
+		setup func(t *testing.T, th, other *jthread.Thread) *armState
+		// body runs before the panic in each execution and reports
+		// whether this execution is the one that panics.
+		body  func(a *armState, th, other *jthread.Thread) bool
+		check func(t *testing.T, a *armState, th, other *jthread.Thread)
+	}{
+		{
+			// A writer fails the speculation; the fallback
+			// (readFallback → runHeld) runs the body holding the lock.
+			name: "fallback", runs: 2,
+			setup: func(t *testing.T, th, other *jthread.Thread) *armState {
+				return &armState{l: New(nil)}
+			},
+			body: func(a *armState, th, other *jthread.Thread) bool {
+				if !a.l.HeldBy(th) {
+					a.l.Lock(other)
+					a.l.Unlock(other)
+					return false
+				}
+				a.saved = a.l.saved
+				return true
+			},
+			check: checkFlatReleased,
+		},
+		{
+			// DisableElision sends the section straight to the writing
+			// protocol (readLoop → runHeld).
+			name: "disableElision", runs: 1,
+			setup: func(t *testing.T, th, other *jthread.Thread) *armState {
+				cfg := *DefaultConfig
+				cfg.DisableElision = true
+				return &armState{l: New(&cfg)}
+			},
+			body: func(a *armState, th, other *jthread.Thread) bool {
+				a.saved = a.l.saved
+				return a.l.HeldBy(th)
+			},
+			check: checkFlatReleased,
+		},
+		{
+			// A read inside the caller's own writing section is a
+			// recursion (runHolding).
+			name: "reentrant", runs: 1,
+			setup: func(t *testing.T, th, other *jthread.Thread) *armState {
+				a := &armState{l: New(nil)}
+				a.l.Lock(th)
+				a.l.Lock(th)
+				a.before = a.l.Word()
+				return a
+			},
+			body: func(a *armState, th, other *jthread.Thread) bool {
+				return lockword.SoleroRec(a.l.Word()) == lockword.SoleroRec(a.before)+1
+			},
+			check: func(t *testing.T, a *armState, th, other *jthread.Thread) {
+				if w := a.l.Word(); w != a.before {
+					t.Fatalf("word = %#x after the panic, want the caller's depth-1 hold %#x", w, a.before)
+				}
+				a.l.Unlock(th)
+				a.l.Unlock(th)
+				if !lockword.SoleroFree(a.l.Word()) {
+					t.Fatalf("word = %#x after the caller's unlocks, want free", a.l.Word())
+				}
+			},
+		},
+		{
+			// A read entering an inflated lock runs holding its
+			// monitor (runHolding). Deflate is off, so the word stays
+			// fat until the table's sweeper demotes it.
+			name: "fat", runs: 1,
+			setup: func(t *testing.T, th, other *jthread.Thread) *armState {
+				tb := montable.New(montable.Config{Shards: 1, IdleEpochs: 1})
+				cfg := newTableCfg(tb)
+				cfg.Deflate = false
+				a := &armState{l: New(cfg), tb: tb}
+				for i := 0; i <= int(lockword.SoleroRecMax)+1; i++ {
+					a.l.Lock(th)
+				}
+				for i := 0; i <= int(lockword.SoleroRecMax)+1; i++ {
+					a.l.Unlock(th)
+				}
+				if !a.l.Inflated() {
+					t.Fatalf("setup: word = %#x, want inflated", a.l.Word())
+				}
+				return a
+			},
+			body: func(a *armState, th, other *jthread.Thread) bool {
+				return a.l.HeldBy(th)
+			},
+			check: func(t *testing.T, a *armState, th, other *jthread.Thread) {
+				if a.l.HeldBy(th) {
+					t.Fatal("the panicking reader still holds the monitor")
+				}
+				entered := make(chan struct{})
+				go func() {
+					a.l.Lock(other)
+					a.l.Unlock(other)
+					close(entered)
+				}()
+				select {
+				case <-entered:
+				case <-time.After(10 * time.Second):
+					t.Fatal("another thread cannot enter the monitor after the panic")
+				}
+				for i := 0; i < 3; i++ {
+					a.tb.Sweep(th.ID())
+				}
+				if st := a.tb.Snapshot(); st.Pinned != 0 || st.SweepSkipPinned != 0 {
+					t.Fatalf("monitor entry still pinned after sweeps: %+v", st)
+				}
+				if w := a.l.Word(); !lockword.SoleroFree(w) {
+					t.Fatalf("word = %#x after sweeps, want demoted and free", w)
+				}
+			},
+		},
+	}
+	for _, e := range entries {
+		for _, arm := range arms {
+			t.Run(e.name+"/"+arm.name, func(t *testing.T) {
+				ths := newT(t, 2)
+				th, other := ths[0], ths[1]
+				a := arm.setup(t, th, other)
+				runs, panics := 0, 0
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					e.run(a.l, th, func() {
+						runs++
+						if arm.body(a, th, other) {
+							panics++
+							panic("holding-arm fault")
+						}
+					})
+					return nil
+				}()
+				if got != "holding-arm fault" || panics != 1 || runs != arm.runs {
+					t.Fatalf("recovered %v after %d panics in %d runs, want the fault once in run %d", got, panics, runs, arm.runs)
+				}
+				if d := th.SpecDepth(); d != 0 {
+					t.Fatalf("SpecDepth = %d after the panic, want 0", d)
+				}
+				arm.check(t, a, th, other)
+			})
+		}
+	}
+}
+
+// armState is one holding-arm case's lock and what its body saw.
+type armState struct {
+	l      *Lock
+	tb     *montable.Table // the fat arm's private monitor table
+	before uint64          // the reentrant arm's word before the section
+	saved  uint64          // the pre-acquire word a flat held run saw
+}
+
+// checkFlatReleased checks that a flat arm's panic released the hold its
+// section took: the word is free, one counter unit past the word the hold
+// displaced.
+func checkFlatReleased(t *testing.T, a *armState, th, other *jthread.Thread) {
+	t.Helper()
+	if w, want := a.l.Word(), lockword.SoleroNextFree(a.saved); w != want {
+		t.Fatalf("word = %#x after the panic, want free at %#x (the held run displaced %#x)", w, want, a.saved)
 	}
 }
 

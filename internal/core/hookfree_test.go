@@ -31,7 +31,6 @@ func TestDefaultConfigIsHookFree(t *testing.T) {
 		// A metrics registry keeps the attempt: only sampled sections
 		// leave it.
 		{"metrics", func(c *Config) { c.Metrics = metrics.New(1) }, true, true},
-		{"adaptive", func(c *Config) { c.Adaptive = true }, false, false},
 		{"disableElision", func(c *Config) { c.DisableElision = true }, false, false},
 		{"sched", func(c *Config) { c.Sched = sched.NewScheduler(&phasedStrategy{}, 0).Hooks() }, false, false},
 		{"history", func(c *Config) { c.History = history.New() }, false, false},

@@ -87,10 +87,9 @@ func (l *Lock) read(t *jthread.Thread, fn func(), p plan) bool {
 	if l.hookFree && p.frame != frameHeld {
 		if v := l.word.Load(); lockword.SoleroFree(v) {
 			// Hook-free first attempt: with no hook wired (a registry
-			// aside, which this section did not sample for) and
-			// adaptive elision off, the success path is the paper's
-			// fast path — load, speculate, reload — plus one
-			// owned-slot increment.
+			// aside, which this section did not sample for), the
+			// success path is the paper's fast path — load,
+			// speculate, reload — plus one owned-slot increment.
 			out := specOK
 			if p.frame == frameLean {
 				fn()
@@ -130,9 +129,9 @@ func (l *Lock) readLoop(t *jthread.Thread, fn func(), p plan, v uint64, out spec
 	}
 	holding := false
 	if out == specNone {
-		if p.frame == frameHeld || l.cfg.DisableElision || l.adaptiveSkip() {
-			// A writing section, Unelided-SOLERO (Figure 10) or an
-			// adaptive backoff window: the full writing protocol.
+		if p.frame == frameHeld || l.cfg.DisableElision {
+			// A writing section or Unelided-SOLERO (Figure 10): the
+			// full writing protocol.
 			l.Lock(t)
 			l.runHeld(t, fn, p.s)
 			return false
@@ -163,7 +162,6 @@ func (l *Lock) readLoop(t *jthread.Thread, fn func(), p plan, v uint64, out spec
 		case out == specOK && p.s != nil && p.s.upgraded:
 			// The read-mostly section wrote: release the upgraded
 			// hold, publishing a fresh counter.
-			l.adaptiveRecord(false)
 			l.Unlock(t)
 			return false
 		case out == specOK:
@@ -173,7 +171,6 @@ func (l *Lock) readLoop(t *jthread.Thread, fn func(), p plan, v uint64, out spec
 					l.bumpSlow(t, cElisionSuccesses)
 				}
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
-				l.adaptiveRecord(false)
 				return true
 			}
 		case out == specRestartHolding:
@@ -181,14 +178,12 @@ func (l *Lock) readLoop(t *jthread.Thread, fn func(), p plan, v uint64, out spec
 			// re-execute holding it.
 			l.inc(cFallbacks)
 			l.cfg.History.Record(history.ReadFallback, t.ID(), v)
-			l.adaptiveRecord(true)
 			l.runHeld(t, fn, p.s)
 			return false
 		}
 		l.inc(cElisionFailures)
 		l.cfg.History.Record(history.ReadFailure, t.ID(), v)
 		l.recordAbort(t, out == specFailedAsync)
-		l.adaptiveRecord(true)
 		if failures >= p.bound(l.cfg) {
 			l.readFallback(t, fn, p.s, v)
 			return false

@@ -1,7 +1,7 @@
 package core
 
 // Protocol counters. A lock carries no counter bytes of its own beyond its
-// one cache line: the 21 exported Counter views are one byte each on that
+// one cache line: the 19 exported Counter views are one byte each on that
 // line, and the counts live in two places.
 //
 // The two counters every success bumps — cElisionSuccesses on an elided
@@ -61,8 +61,6 @@ const (
 	cFatEnters
 	cReadFatEnters
 	cReadRecursions
-	cAdaptiveTrips
-	cAdaptiveSkips
 	// cElisionAttempts' cold slot holds only external Add adjustments; the
 	// counter itself is derived from the terminal outcomes.
 	cElisionAttempts
@@ -100,8 +98,6 @@ var counterKeys = [numCounters]string{
 	cAsyncAborts:      "asyncAborts",
 	cUpgrades:         "upgrades",
 	cUpgradeFailures:  "upgradeFailures",
-	cAdaptiveTrips:    "adaptiveTrips",
-	cAdaptiveSkips:    "adaptiveSkips",
 }
 
 // attemptOutcomes are the terminal outcomes of a speculative execution:
@@ -117,13 +113,6 @@ type coldBlock struct {
 	// c[id] is counter id's shared slot.
 	c [numCounters]atomic.Uint64
 
-	// adAttempts/adFailures are the adaptive sampling window, and
-	// backoffLeft the backoff gate (adaptive.go); only Adaptive locks
-	// write them.
-	adAttempts  atomic.Uint32
-	adFailures  atomic.Uint32
-	backoffLeft atomic.Int32
-
 	// noID is set once the lock found the stats-id space exhausted: its
 	// single-writer counters count in c from then on.
 	noID atomic.Bool
@@ -132,7 +121,7 @@ type coldBlock struct {
 	staticID string
 }
 
-// Stats counts SOLERO protocol events: it is the 21 one-byte Counter
+// Stats counts SOLERO protocol events: it is the 19 one-byte Counter
 // views, declared in counterID order, that end the lock's line. Each view
 // aggregates on Load. The elision counters feed the paper's Figure 15
 // failure-ratio experiment.
@@ -155,8 +144,6 @@ type Stats struct {
 	FatEnters        Counter
 	ReadFatEnters    Counter // read sections run under the fat lock
 	ReadRecursions   Counter // read sections entered reentrantly
-	AdaptiveTrips    Counter // adaptive backoffs triggered
-	AdaptiveSkips    Counter // read sections routed to the lock by backoff
 	ElisionAttempts  Counter // speculative executions (derived, see attemptOutcomes)
 }
 

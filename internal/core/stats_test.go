@@ -70,8 +70,6 @@ func TestSnapshotExactSingleThreaded(t *testing.T) {
 		"asyncAborts":      &st.AsyncAborts,
 		"upgrades":         &st.Upgrades,
 		"upgradeFailures":  &st.UpgradeFailures,
-		"adaptiveTrips":    &st.AdaptiveTrips,
-		"adaptiveSkips":    &st.AdaptiveSkips,
 	}
 	if len(checks) != int(numCounters) {
 		t.Fatalf("check table covers %d counters, stripe has %d", len(checks), numCounters)
@@ -148,49 +146,6 @@ func TestSnapshotConcurrentWithReaders(t *testing.T) {
 	}
 	if attempts == 0 {
 		t.Fatalf("no speculation happened")
-	}
-}
-
-// TestAdaptiveShardedTrip drives a failure storm through several threads
-// and checks that their executions fill the lock's one window and trip the
-// shared backoff gate.
-func TestAdaptiveShardedTrip(t *testing.T) {
-	cfg := *DefaultConfig
-	cfg.Adaptive = true
-	cfg.AdaptiveWindow = 4
-	cfg.AdaptiveFailurePct = 50
-	cfg.AdaptiveBackoffOps = 16
-	vm := jthread.NewVM()
-	l := New(&cfg)
-	readers := make([]*jthread.Thread, 4)
-	for i := range readers {
-		readers[i] = vm.Attach("reader")
-	}
-	writer := vm.Attach("writer")
-
-	// Every speculative execution fails; the four readers fill one
-	// window between them.
-	for i := 0; i < 4; i++ {
-		r := readers[i%4]
-		l.ReadOnly(r, func() {
-			if !l.HeldBy(r) {
-				l.Lock(writer)
-				l.Unlock(writer)
-			}
-		})
-	}
-	if l.Stats().AdaptiveTrips.Load() == 0 {
-		t.Fatalf("the lock's window never tripped: %+v", l.Stats().Snapshot())
-	}
-	// Backoff is shared: every thread skips.
-	attemptsBefore := l.Stats().ElisionAttempts.Load()
-	l.ReadOnly(readers[0], func() {})
-	l.ReadOnly(readers[3], func() {})
-	if l.Stats().ElisionAttempts.Load() != attemptsBefore {
-		t.Fatalf("speculation attempted during backoff")
-	}
-	if l.Stats().AdaptiveSkips.Load() < 2 {
-		t.Fatalf("skips = %d", l.Stats().AdaptiveSkips.Load())
 	}
 }
 

@@ -188,19 +188,6 @@ func (ctx *Context) guardAnalysis() *guardInfo {
 	return ctx.guardInfo
 }
 
-// InferredGuards exposes the identity -> guard map in display form
-// ("Type.field" -> "Type.mu") for the facts exporter.
-func (ctx *Context) InferredGuards() map[string]string {
-	g := ctx.guardAnalysis()
-	out := map[string]string{}
-	for id, guard := range g.guards {
-		if guard != "" {
-			out[displayLock(id)] = displayLock(guard)
-		}
-	}
-	return out
-}
-
 // SectionGuards returns the guard maps for the fields a section site
 // reads and writes (display form), for the facts v2 exporter. Only
 // fields with a consistent guard appear.

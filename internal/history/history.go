@@ -228,16 +228,6 @@ func (r *Recorder) Events() []Event {
 	return append(append(make([]Event, 0, len(r.events)), r.events[i:]...), r.events[:i]...)
 }
 
-// PerThread splits the history into per-thread sub-histories (still
-// carrying the global Seq).
-func (r *Recorder) PerThread() map[uint64][]Event {
-	out := make(map[uint64][]Event)
-	for _, e := range r.Events() {
-		out[e.TID] = append(out[e.TID], e)
-	}
-	return out
-}
-
 // Check validates the four safety invariants against the recorded history
 // and returns one message per violation (nil when the history is clean).
 // A history that has dropped events is reported as truncated and not

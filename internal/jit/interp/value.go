@@ -213,9 +213,6 @@ func (o *Object) FieldByName(name string) (Value, bool) {
 // SoleroLock exposes the object's SOLERO lock (benchmarks read its stats).
 func (o *Object) SoleroLock(cfg *core.Config) *core.Lock { return o.locks.soleroLock(cfg) }
 
-// ConvLock exposes the object's conventional lock.
-func (o *Object) ConvLock(cfg *vmlock.Config) *vmlock.Lock { return o.locks.convLock(cfg) }
-
 // RWLock exposes the object's read-write lock.
 func (o *Object) RWLock() *rwlock.RWLock { return o.locks.rwLock() }
 

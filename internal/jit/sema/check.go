@@ -649,9 +649,6 @@ var objectBuiltins = map[string]bool{
 	"notifyAll": true,
 }
 
-// IsObjectBuiltin reports whether name is one of Object's monitor methods.
-func IsObjectBuiltin(name string) bool { return objectBuiltins[name] }
-
 // BuiltinHasSideEffect reports whether builtin name is a side effect.
 func BuiltinHasSideEffect(name string) bool {
 	if objectBuiltins[name] {

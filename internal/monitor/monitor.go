@@ -282,10 +282,6 @@ func (m *Monitor) QuiescentLocked() bool {
 	return m.EnterQuiescentLocked() && len(m.condq) == 0
 }
 
-// CondWaitersLocked returns the condition-queue length; the internal mutex
-// must be held.
-func (m *Monitor) CondWaitersLocked() int { return len(m.condq) }
-
 // ResetLocked returns a fully quiescent monitor to its zero state so a
 // table entry can recycle it for the next binding. It panics if the monitor
 // is not fully quiescent — reclaiming a live monitor is the lost-waiter bug

@@ -129,6 +129,9 @@ func (h *Hooks) Point(tid uint64, p Point) {
 // Block brackets a real blocking operation: the calling thread surrenders
 // the scheduling token, runs fn (which may park on a monitor or condition
 // queue), then re-enters the scheduler. With nil hooks it just runs fn.
+// A wait in fn that only another registered thread can end must be an
+// instrumented one (NotePark, and NoteUnpark by whoever ends it): no
+// decision is taken while a thread stuck in Block is not parked.
 func (h *Hooks) Block(tid uint64, p Point, fn func()) {
 	if h == nil {
 		fn()
@@ -224,21 +227,25 @@ type Scheduler struct {
 
 	// Determinism machinery for Block regions. A thread entering Block
 	// keeps the token while its fn runs; since no other registered thread
-	// can run meanwhile, fn completes quickly iff it can complete without
-	// help. Only a genuinely dependent call trips the block watchdog
-	// (blockTimeout), which surrenders the token — so the fast/stuck
-	// classification is semantic, not a timing accident. While any thread
-	// is stuck, every decision additionally waits until all stuck threads
-	// are parked (parkedWaits): a stuck thread a wake released is either
-	// back in the runnable set or parked again before the next pick. A
-	// stuck thread blocked outside the instrumented waits can never count
-	// as parked, so after the settle window the decision goes ahead
-	// without it.
-	settle        time.Duration
+	// can run meanwhile, fn completes iff it can complete without help. A
+	// dependent call trips the block watchdog (blockTimeout), which
+	// surrenders the token. While any thread is stuck, every decision
+	// waits until all stuck threads are parked (parkedWaits): a stuck
+	// thread a wake released, or one the watchdog caught in a call that
+	// completes on its own (a host stall), is back in the runnable set or
+	// parked again before the next pick, however long it takes. So the
+	// watchdog's timing decides only when the token moves, never which
+	// threads the next decision sees. This needs every blocking call in a
+	// Block region that waits on another registered thread to park in an
+	// instrumented wait: no schedule point is reached holding a mutex a
+	// Block region takes.
 	blockTimeout  time.Duration
 	settlePending bool  // a settle poller is running
-	calm          bool  // set transiently while the settle poller dispatches
 	parkedBase    int64 // parkedWaits at the first grant: waiters outside this run
+
+	// watchdogs counts the block watchdog's firings. A host stall can add
+	// firings a quiet run does not take; the schedule stays the same.
+	watchdogs int
 }
 
 // DefaultMaxSteps bounds a run's decision count; past it the scheduler
@@ -257,11 +264,9 @@ func NewScheduler(strategy Strategy, maxSteps int) *Scheduler {
 		maxSteps: maxSteps,
 		threads:  make(map[uint64]*tctl),
 		// The block watchdog dominates any non-dependent fn by orders of
-		// magnitude (timed parks use Park and never meet it), so
-		// classification stays stable even under the race detector's
-		// slowdown. The settle window only bounds waits for stuck threads
-		// parked outside the instrumented waits.
-		settle:       10 * time.Millisecond,
+		// magnitude (timed parks use Park and never meet it), so a
+		// spurious firing is rare, and the quiescence gate keeps it from
+		// changing the schedule.
 		blockTimeout: 5 * time.Millisecond,
 	}
 }
@@ -349,6 +354,14 @@ func (s *Scheduler) Aborted() bool {
 	return s.aborted
 }
 
+// Watchdogs returns how many times the block watchdog moved the token off
+// a thread still inside a Block region.
+func (s *Scheduler) Watchdogs() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.watchdogs
+}
+
 // Trace returns the recorded schedule-point arrivals.
 func (s *Scheduler) Trace() []Step {
 	s.mu.Lock()
@@ -403,6 +416,7 @@ func (s *Scheduler) block(tid uint64, p Point, fn func()) {
 	watchdog := time.AfterFunc(s.blockTimeout, func() {
 		s.mu.Lock()
 		if t.blockSeq == seq && t.state == tsRunning && !s.stopped {
+			s.watchdogs++
 			t.state = tsBlocked
 			s.tokenHeld = false
 			s.dispatchLocked()
@@ -482,7 +496,7 @@ func (s *Scheduler) dispatchLocked() {
 		// thread will dispatch again when it returns.
 		return
 	}
-	if blocked > 0 && !s.calm && !s.stuckParkedLocked() {
+	if blocked > 0 && !s.stuckParkedLocked() {
 		// Quiescence gate: a stuck thread is not parked — a wake just
 		// released it and it is on its way back into the runnable set or
 		// into its next park. Decide only once it got there, so whether
@@ -521,13 +535,13 @@ func (s *Scheduler) dispatchLocked() {
 	t.gate <- struct{}{}
 }
 
-// settleLoop polls until every stuck thread is parked, then dispatches;
-// past the settle window it dispatches regardless.
+// settleLoop polls until every stuck thread is parked, then dispatches. A
+// thread that parks again calls into no scheduler, so the poll is what
+// notices it; a stuck thread that rejoins dispatches itself.
 func (s *Scheduler) settleLoop() {
-	deadline := time.Now().Add(s.settle)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for !s.stopped && !s.tokenHeld && !s.stuckParkedLocked() && time.Now().Before(deadline) {
+	for !s.stopped && !s.tokenHeld && !s.stuckParkedLocked() {
 		s.mu.Unlock()
 		time.Sleep(50 * time.Microsecond)
 		s.mu.Lock()
@@ -536,9 +550,7 @@ func (s *Scheduler) settleLoop() {
 	if s.stopped || s.tokenHeld {
 		return // another path dispatched meanwhile
 	}
-	s.calm = true
 	s.dispatchLocked()
-	s.calm = false
 }
 
 // stuckParkedLocked reports whether every stuck thread is parked in an

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestNilHooksNoOp pins the production configuration: nil hooks must be
@@ -67,6 +68,8 @@ func TestSerializesThreads(t *testing.T) {
 
 // TestBlockReleasesToken checks that a thread inside a Block region stops
 // holding the token: another thread must be able to run and unblock it.
+// The wait is announced like the locks' waits (NotePark, and NoteUnpark by
+// the waker), as Block requires of a wait on another thread.
 func TestBlockReleasesToken(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan struct{})
@@ -77,17 +80,78 @@ func TestBlockReleasesToken(t *testing.T) {
 	go func() {
 		s.ThreadStart(1)
 		// Highest priority thread blocks on something only t2 can supply.
-		h.Block(1, PWaitPark, func() { <-release })
+		h.Block(1, PWaitPark, func() {
+			NotePark()
+			<-release
+		})
 		s.ThreadDone(1)
 		close(done)
 	}()
 	go func() {
 		s.ThreadStart(2)
 		h.Point(2, PBody)
+		NoteUnpark(1)
 		close(release)
 		s.ThreadDone(2)
 	}()
 	<-done
+}
+
+// TestSlowStuckThreadIsWaitedFor: a thread stuck in a Block region and not
+// parked — released by a wake, or caught by the watchdog in a call that
+// ends on its own — rejoins before the next decision however long the host
+// takes to run it, so that decision offers it. A wall-clock bound on the
+// wait would make the offer depend on the stall's length.
+func TestSlowStuckThreadIsWaitedFor(t *testing.T) {
+	const stall = 40 * time.Millisecond // the host stall, well past the watchdog
+	for _, tc := range []struct {
+		name string
+		// block is thread 1's Block region; wake is what thread 2 does
+		// first when it runs.
+		block, wake func(release chan struct{})
+		// at is the decision, after thread 1's Block, that must offer
+		// both threads.
+		at int
+	}{
+		{"stalled", func(chan struct{}) { time.Sleep(stall) }, func(chan struct{}) {}, 1},
+		{"released", func(release chan struct{}) {
+			NotePark()
+			<-release
+			time.Sleep(stall)
+		}, func(release chan struct{}) {
+			NoteUnpark(1)
+			close(release)
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &offerRecorder{Strategy: Priorities(1, 2)}
+			s := NewScheduler(rec, 0)
+			s.Register(1)
+			s.Register(2)
+			h := s.Hooks()
+			release := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				s.ThreadStart(1)
+				h.Block(1, PWaitPark, func() { tc.block(release) })
+				h.Point(1, PRelease)
+				s.ThreadDone(1)
+			}()
+			go func() {
+				defer wg.Done()
+				s.ThreadStart(2)
+				tc.wake(release)
+				h.Point(2, PBody)
+				s.ThreadDone(2)
+			}()
+			wg.Wait()
+			if len(rec.offers) <= tc.at || !reflect.DeepEqual(rec.offers[tc.at], []uint64{1, 2}) {
+				t.Fatalf("offers %v, want decision %d to offer [1 2]: %s", rec.offers, tc.at+1, FormatTrace(s.Trace()))
+			}
+		})
+	}
 }
 
 // TestSeededDeterminism runs the same contended scenario twice under one

@@ -118,6 +118,10 @@ type Outcome struct {
 	// Events is the recorded history length; HistoryTail renders its end.
 	Events      int
 	HistoryTail string
+	// Watchdogs counts the scheduler's block-watchdog firings
+	// (sched.Scheduler.Watchdogs); a loaded host can add firings without
+	// changing the schedule.
+	Watchdogs int
 	// BackendStats is the backend's counter snapshot at episode end
 	// (pinned-schedule tests assert the intended protocol window — e.g. a
 	// BRAVO revocation — was actually exercised).
@@ -339,6 +343,7 @@ func runWith(opts Options, strat sched.Strategy) Outcome {
 		Decisions:    s.Decisions(),
 		Trace:        s.Trace(),
 		Events:       rec.Len(),
+		Watchdogs:    s.Watchdogs(),
 		BackendStats: be.Stats(),
 	}
 	if out.Aborted {

@@ -1,6 +1,7 @@
 package schedcheck
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -55,21 +56,62 @@ func TestBugCaught(t *testing.T) {
 }
 
 // TestReplayDeterminism: replaying a run's decision sequence reproduces
-// the identical schedule and verdict.
+// the identical schedule and verdict. A failure reports each run's
+// block-watchdog count and where the two schedules part.
 func TestReplayDeterminism(t *testing.T) {
 	opts := Options{Writers: 2, Readers: 2, Upgraders: 1, Ops: 8, Seed: 42}
 	first := Run(opts)
 	again := Run(opts)
 	if sched.FormatDecisions(first.Decisions) != sched.FormatDecisions(again.Decisions) {
-		t.Fatal("same seed produced different schedules")
+		t.Fatalf("same seed produced different schedules\n%s", divergence(&first, &again))
 	}
 	replayed := Replay(opts, first.Decisions)
+	for _, o := range []*Outcome{&first, &again, &replayed} {
+		t.Logf("%d decisions, %d block watchdogs", len(o.Decisions), o.Watchdogs)
+	}
 	if sched.FormatDecisions(replayed.Decisions) != sched.FormatDecisions(first.Decisions) {
-		t.Fatal("replay diverged from the recording")
+		t.Fatalf("replay diverged from the recording\n%s", divergence(&first, &replayed))
 	}
 	if replayed.Failed() != first.Failed() {
 		t.Fatal("replay changed the verdict")
 	}
+}
+
+// divergence describes where two runs' schedules part: each run's
+// block-watchdog count, the first decision index at which they differ with
+// the decisions around it, and the first differing step of their point
+// traces with the steps around it.
+func divergence(a, b *Outcome) string {
+	var sb strings.Builder
+	for i, o := range []*Outcome{a, b} {
+		fmt.Fprintf(&sb, "run %d: %d decisions, %d steps, %d block watchdogs\n",
+			i+1, len(o.Decisions), len(o.Trace), o.Watchdogs)
+	}
+	d := firstDiff(len(a.Decisions), len(b.Decisions), func(i int) bool { return a.Decisions[i] == b.Decisions[i] })
+	fmt.Fprintf(&sb, "first diverging decision: #%d\n", d+1)
+	for i, o := range []*Outcome{a, b} {
+		lo, hi := max(d-4, 0), min(d+5, len(o.Decisions))
+		fmt.Fprintf(&sb, "  run %d decisions #%d..#%d: %s\n", i+1, lo+1, hi, sched.FormatDecisions(o.Decisions[lo:hi]))
+	}
+	k := firstDiff(len(a.Trace), len(b.Trace), func(i int) bool { return a.Trace[i] == b.Trace[i] })
+	fmt.Fprintf(&sb, "first diverging trace step: #%d\n", k+1)
+	for i, o := range []*Outcome{a, b} {
+		lo, hi := max(k-8, 0), min(k+8, len(o.Trace))
+		fmt.Fprintf(&sb, "  run %d steps #%d..#%d: %s\n", i+1, lo+1, hi, sched.FormatTrace(o.Trace[lo:hi]))
+	}
+	return sb.String()
+}
+
+// firstDiff returns the first index below min(na, nb) where same is false,
+// or min(na, nb) when one sequence is a prefix of the other.
+func firstDiff(na, nb int, same func(int) bool) int {
+	n := min(na, nb)
+	for i := 0; i < n; i++ {
+		if !same(i) {
+			return i
+		}
+	}
+	return n
 }
 
 // TestExploreFindsAndMinimizes: exploration stops at the first failing

@@ -242,12 +242,6 @@ func NewEmptyConfig(impl Impl, base *core.Config) *Empty {
 	return &Empty{G: NewGuardConfig(impl, base)}
 }
 
-// NewEmptyWithConfig creates the SOLERO Empty benchmark with an explicit
-// lock configuration (tracing, adaptive mode, custom tiers).
-func NewEmptyWithConfig(cfg *core.Config) *Empty {
-	return &Empty{G: &Guard{impl: ImplSolero, sol: core.New(cfg)}}
-}
-
 // Worker returns the harness worker.
 func (e *Empty) Worker() harness.Worker {
 	return func(i int, th *jthread.Thread, stop *atomic.Bool) uint64 {
