@@ -275,14 +275,16 @@ func BenchmarkFig12to14Simulated(b *testing.B) {
 // --- Figure 15 ---
 
 // BenchmarkFig15FailureRatio runs the SOLERO configurations of Figure 15
-// and reports the speculation failure ratio as a metric.
+// and reports the speculation failure ratio as a metric, on counted locks
+// (the ratio's denominator, ElisionAttempts, is absent on uncounted ones).
 func BenchmarkFig15FailureRatio(b *testing.B) {
+	counted := core.CountedConfig(nil)
 	cases := []struct {
 		name string
 		make func(n int) (op func(g int, th *jthread.Thread), ratio func() float64)
 	}{
 		{"HashMap5", func(n int) (func(int, *jthread.Thread), func() float64) {
-			wl := workload.NewMapBench(workload.Hash, workload.ImplSolero, 5, 1024, 1)
+			wl := workload.NewMapBenchConfig(workload.Hash, workload.ImplSolero, 5, 1024, 1, counted)
 			seeds := make([]uint64, n)
 			return func(g int, th *jthread.Thread) {
 				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
@@ -290,7 +292,7 @@ func BenchmarkFig15FailureRatio(b *testing.B) {
 			}, wl.FailureRatio
 		}},
 		{"TreeMap5", func(n int) (func(int, *jthread.Thread), func() float64) {
-			wl := workload.NewMapBench(workload.Tree, workload.ImplSolero, 5, 1024, 1)
+			wl := workload.NewMapBenchConfig(workload.Tree, workload.ImplSolero, 5, 1024, 1, counted)
 			seeds := make([]uint64, n)
 			return func(g int, th *jthread.Thread) {
 				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
@@ -298,7 +300,7 @@ func BenchmarkFig15FailureRatio(b *testing.B) {
 			}, wl.FailureRatio
 		}},
 		{"SPECjbb", func(n int) (func(int, *jthread.Thread), func() float64) {
-			bench := jbb.New(workload.ImplSolero, n)
+			bench := jbb.NewWithConfig(workload.ImplSolero, n, counted)
 			seeds := make([]uint64, n)
 			return func(g int, th *jthread.Thread) {
 				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
@@ -346,7 +348,7 @@ func BenchmarkAblationFallback(b *testing.B) {
 		b.Run(fmt.Sprintf("retries%d", maxFailures), func(b *testing.B) {
 			cfg := *core.DefaultConfig
 			cfg.MaxElisionFailures = maxFailures
-			lock := core.New(&cfg)
+			lock := core.New(core.CountedConfig(&cfg)) // counted: reports its failure ratio
 			var a, c atomic.Uint64
 			vm := jthread.NewVM()
 			seeds := make([]uint64, 4)
@@ -1056,28 +1058,39 @@ func BenchmarkLockNew(b *testing.B) {
 }
 
 // BenchmarkLockFirstUse measures what a lock costs once it is used: New,
-// then a counted read and a counted write by each of two threads. Beside
-// BenchmarkLockNew it shows the cost that moved from New to the first
-// count — the stats id, its finalizer, and each thread's slot (a counter
-// page only when the id opens a page the thread has not touched).
+// then a read and a write by each of two threads. Beside BenchmarkLockNew
+// it shows what moved from New to the first use. On a counted lock that is
+// the stats id, its finalizer, and each thread's slot (a counter page only
+// when the id opens a page the thread has not touched); an uncounted lock
+// (the default) takes none of them.
 func BenchmarkLockFirstUse(b *testing.B) {
-	cfg := *core.DefaultConfig
-	cfg.Monitors = montable.New(montable.Config{})
-	vm := jthread.NewVM()
-	t1, t2 := vm.Attach("first"), vm.Attach("second")
-	defer t1.Detach()
-	defer t2.Detach()
-	locks := make([]*solero.Lock, 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l := solero.NewLock(&cfg)
-		l.ReadOnly(t1, func() {})
-		l.Sync(t1, func() {})
-		l.ReadOnly(t2, func() {})
-		l.Sync(t2, func() {})
-		locks[i%len(locks)] = l
+	base := *core.DefaultConfig
+	base.Monitors = montable.New(montable.Config{})
+	for _, row := range []struct {
+		name string
+		cfg  *core.Config
+	}{
+		{"counted", core.CountedConfig(&base)},
+		{"uncounted", &base},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			vm := jthread.NewVM()
+			t1, t2 := vm.Attach("first"), vm.Attach("second")
+			defer t1.Detach()
+			defer t2.Detach()
+			locks := make([]*solero.Lock, 4096)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l := solero.NewLock(row.cfg)
+				l.ReadOnly(t1, func() {})
+				l.Sync(t1, func() {})
+				l.ReadOnly(t2, func() {})
+				l.Sync(t2, func() {})
+				locks[i%len(locks)] = l
+			}
+			runtime.KeepAlive(locks)
+		})
 	}
-	runtime.KeepAlive(locks)
 }
 
 // BenchmarkMicroInterp measures the JIT substrate: method dispatch and

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/jit"
 	"repro/internal/jit/codegen"
 	"repro/internal/jit/interp"
@@ -74,7 +75,8 @@ func main() {
 
 func runUnder(prog *ir.Program, proto interp.Protocol) {
 	vm := jthread.NewVM()
-	m := interp.NewMachine(prog, vm, interp.Options{Protocol: proto})
+	// Counted SOLERO locks, so the elision counters printed below are kept.
+	m := interp.NewMachine(prog, vm, interp.Options{Protocol: proto, LockCfg: core.CountedConfig(nil)})
 
 	// Build the ring of accounts.
 	ring := make([]*interp.Object, ringSize)

@@ -15,7 +15,9 @@ import (
 
 func main() {
 	vm := solero.NewVM()
-	lock := solero.NewLock(nil)
+	// A counted lock, so the elision counters printed below are kept: a
+	// default lock's elided read writes nothing, not even a count.
+	lock := solero.NewLock(solero.CountedConfig(nil))
 	table := hashmap.New[string](64)
 
 	var wg sync.WaitGroup

@@ -44,7 +44,7 @@ func (c *cache) lookup(t *solero.Thread, k int64) int64 {
 
 func main() {
 	vm := solero.NewVM()
-	c := &cache{lock: solero.NewLock(nil), data: treemap.New[int64]()}
+	c := &cache{lock: solero.NewLock(solero.CountedConfig(nil)), data: treemap.New[int64]()}
 
 	const workers = 4
 	const keySpace = 64 // small key space: high hit rate after warmup

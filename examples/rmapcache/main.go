@@ -26,7 +26,8 @@ func expensive(k int64) int64 {
 
 func main() {
 	vm := solero.NewVM()
-	cache := rmap.New[int64](16, nil)
+	// Counted shard locks, so the elision counters printed below are kept.
+	cache := rmap.New[int64](16, solero.CountedConfig(nil))
 
 	const (
 		workers  = 4

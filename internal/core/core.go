@@ -23,6 +23,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,8 +54,9 @@ const (
 
 // Config tunes the SOLERO protocol. Use DefaultConfig as a starting point;
 // a nil Config given to New means DefaultConfig. Set every field before
-// passing the Config to New: a lock fixes some choices at New — whether its
-// read sections sample (Metrics non-nil), and whether they may take the
+// passing the Config to New: a lock fixes some choices at New — whether it
+// is counted and its read sections sample (Metrics non-nil; see Stats and
+// CountedConfig), and whether they may take the
 // hook-free first attempt, which needs Sched and History nil and
 // DisableElision off. Metrics does not disqualify it: an unsampled
 // section of a metered lock takes the same attempt. Fences are not
@@ -83,10 +85,13 @@ type Config struct {
 	// Metrics, when non-nil, feeds the observability registry: latency
 	// histograms for the slow paths, the abort-cause taxonomy, and sampled
 	// critical-section durations (see internal/metrics). Nil costs one
-	// predictable branch per hook. Either way the read fast path stays
-	// write-free: a read section ticks a thread-local sampler, and one the
-	// sampler did not select runs exactly as with Metrics nil. The sampling
-	// period belongs to the registry (Registry.SetSamplePeriod).
+	// predictable branch per hook. It also makes the lock counted: only a
+	// lock with a registry keeps FastAcquires and ElisionSuccesses (see
+	// Stats). Either way the read fast path writes no shared line: a read
+	// section of a counted lock ticks a thread-local sampler and bumps a
+	// thread-owned slot, and one the sampler did not select otherwise runs
+	// exactly as with Metrics nil. The sampling period belongs to the
+	// registry (Registry.SetSamplePeriod).
 	Metrics *metrics.Registry
 
 	// Sched, when non-nil, yields to a deterministic schedule-injection
@@ -120,6 +125,28 @@ var DefaultConfig = &Config{
 	MaxElisionFailures: 1,
 }
 
+// CountedConfig returns a copy of base (nil: DefaultConfig) whose locks are
+// counted (Stats.Counted). It wires the process-wide counting registry, a
+// metrics registry that times one read section in 2^31 per thread, so a
+// counted lock's sections take the same paths as an uncounted lock's and
+// add only the owned-slot increments. Wire a registry of your own instead
+// to sample section durations too.
+func CountedConfig(base *Config) *Config {
+	if base == nil {
+		base = DefaultConfig
+	}
+	cfg := *base
+	cfg.Metrics = countingRegistry()
+	return &cfg
+}
+
+// countingRegistry is the registry CountedConfig wires, built at first use.
+var countingRegistry = sync.OnceValue(func() *metrics.Registry {
+	r := metrics.New(0)
+	r.SetSamplePeriod(1 << 31)
+	return r
+})
+
 // hookFree reports whether read sections may take the hook-free first
 // attempt: no schedule hook or event log is wired, and DisableElision is
 // off. A metrics registry may be wired: the attempt serves the sections its
@@ -137,9 +164,11 @@ func (c *Config) hookFree() bool {
 // 19 one-byte Counter views. No thread but the owner writes the line on the
 // fast paths, and the owner writes saved only right after its CAS has taken
 // the line exclusive; the stats id and the cold pointer are each set once,
-// by CAS. The counts live off the lock (see stats.go): the single-writer
-// counters in thread-owned counter pages, everything else in the cold
-// block. A lock must not be copied.
+// by CAS. The counts live off the lock (see stats.go): a counted lock's
+// single-writer counters in thread-owned counter pages, everything else in
+// the cold block. An uncounted lock (Metrics nil, the default) keeps no
+// single-writer counters, so its elided read writes nothing at all and it
+// never takes a stats id. A lock must not be copied.
 type Lock struct {
 	word atomic.Uint64
 	cfg  *Config
@@ -155,14 +184,16 @@ type Lock struct {
 	cold atomic.Pointer[coldBlock]
 
 	// id is the lock's stats id: the index of its slots in the threads'
-	// counter pages (0 until its first count).
+	// counter pages (0 until its first count, and always on an uncounted
+	// lock).
 	id atomic.Uint32
 
 	// hookFree is cfg.hookFree() as of New: an elided read decides on its
 	// hook-free first attempt with one byte of the line it loads anyway.
 	hookFree bool
-	// metered is cfg.Metrics != nil as of New: whether a read section
-	// ticks the CS-duration sampler, decided on the same line.
+	// metered is cfg.Metrics != nil as of New: whether the lock is
+	// counted and a read section ticks the CS-duration sampler, decided
+	// on the same line.
 	metered bool
 
 	// st is the Counter views, one byte each.
@@ -235,7 +266,7 @@ func (l *Lock) Lock(t *jthread.Thread) {
 			l.cfg.Sched.Point(tid, sched.PAcquireCAS)
 			if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
 				l.saved = v
-				if !l.bump(t, cFastAcquires) {
+				if l.metered && !l.bump(t, cFastAcquires) {
 					l.bumpSlow(t, cFastAcquires)
 				}
 				l.cfg.History.Record(history.Acquire, tid, v)

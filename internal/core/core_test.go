@@ -90,7 +90,7 @@ func TestRecursionSaturationInflatesAndReleasesCleanly(t *testing.T) {
 
 func TestReadOnlyElidesWithoutWritingWord(t *testing.T) {
 	ths := newT(t, 1)
-	l := New(nil)
+	l := newCounted()
 	before := l.Word()
 	ran := 0
 	l.ReadOnly(ths[0], func() { ran++ })
@@ -141,7 +141,7 @@ func TestReadOnlyRetryBeforeFallbackConfigurable(t *testing.T) {
 	cfg := *DefaultConfig
 	cfg.MaxElisionFailures = 3
 	ths := newT(t, 2)
-	l := New(&cfg)
+	l := New(CountedConfig(&cfg))
 	runs := 0
 	l.ReadOnly(ths[0], func() {
 		runs++
@@ -483,7 +483,7 @@ func TestAsyncCheckpointAbortsStaleSpeculation(t *testing.T) {
 
 func TestCheckpointOnConsistentSpeculationContinues(t *testing.T) {
 	ths := newT(t, 1)
-	l := New(nil)
+	l := newCounted()
 	l.ReadOnly(ths[0], func() {
 		ths[0].Poke()
 		ths[0].Checkpoint() // consistent: must not abort
@@ -497,7 +497,7 @@ func TestUnelidedConfigTakesWritePath(t *testing.T) {
 	cfg := *DefaultConfig
 	cfg.DisableElision = true
 	ths := newT(t, 1)
-	l := New(&cfg)
+	l := New(CountedConfig(&cfg))
 	before := lockword.SoleroCounter(l.Word())
 	l.ReadOnly(ths[0], func() {})
 	if got := lockword.SoleroCounter(l.Word()); got != before+1 {
@@ -527,7 +527,7 @@ func TestUnlockByNonOwnerPanics(t *testing.T) {
 // must observe a == b, never the torn intermediate.
 func TestReadConsistencyStress(t *testing.T) {
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	// Protected by l. The cells are atomic because speculative readers
 	// race with the writer's stores by design — the JVM setting gives
 	// benign-race semantics to such reads; in Go we get the same defined
@@ -686,7 +686,7 @@ func TestInflationDuringActiveSpeculationFailsReader(t *testing.T) {
 }
 
 func TestStatsSnapshotKeys(t *testing.T) {
-	l := New(nil)
+	l := newCounted()
 	snap := l.Stats().Snapshot()
 	for _, k := range []string{"fastAcquires", "elisionAttempts", "fallbacks", "upgrades"} {
 		if _, okKey := snap[k]; !okKey {
@@ -764,7 +764,7 @@ func TestReaderDeflatesContendedLock(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ths := newT(t, 3)
-			l := New(nil)
+			l := newCounted()
 			l.Lock(ths[0])
 			l.inflateAsOwner(ths[0], l.word.Load(), 0)
 			m := boundMonitor(l)

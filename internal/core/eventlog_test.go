@@ -25,7 +25,7 @@ func TestLogReconcilesWithCounters(t *testing.T) {
 	cfg.Tier1, cfg.Tier2, cfg.Tier3 = 4, 2, 1 // short spins: contention inflates
 	cfg.Monitors = montable.New(montable.Config{})
 	cfg.History = log
-	l := New(&cfg)
+	l := New(CountedConfig(&cfg))
 	ths := newT(t, 6)
 
 	// Contended phase: four writers keep a == b under the lock; two

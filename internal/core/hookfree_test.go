@@ -61,7 +61,7 @@ func checkAttemptsDerived(t *testing.T, st *Stats) {
 // torn pair.
 func TestHookFreeReadersBesideWriters(t *testing.T) {
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	var a, b atomic.Uint64
 	var torn atomic.Int64
 	stop := make(chan struct{})
@@ -210,7 +210,7 @@ func TestHookFreeFirstAttemptFailures(t *testing.T) {
 				t.Run(entry.name, func(t *testing.T) {
 					cfg := *DefaultConfig
 					cfg.MaxElisionFailures = tc.maxFailures
-					l := New(&cfg)
+					l := New(CountedConfig(&cfg))
 					if !l.hookFree {
 						t.Fatal("test config must be hook-free")
 					}
@@ -307,7 +307,7 @@ func TestHookFreeGenuineFaultPropagates(t *testing.T) {
 			continue // no handler: a fault is not classified
 		}
 		t.Run(entry.name, func(t *testing.T) {
-			l := New(nil)
+			l := newCounted()
 			th := newT(t, 1)[0]
 			entry.run(l, th, func() int { return 0 }) // one success beside the fault
 			r := func() (r any) {
@@ -354,7 +354,7 @@ func nestFrames(t *testing.T, depth int) {
 	th, w := ths[0], ths[1]
 	locks := make([]*Lock, depth)
 	for i := range locks {
-		locks[i] = New(nil)
+		locks[i] = newCounted()
 	}
 	innerRuns, maxDepth := 0, 0
 	var enter func(level int) int
@@ -405,14 +405,15 @@ func nestFrames(t *testing.T, depth int) {
 
 // TestFreshThreadFirstReadOnlyAllocFree: the speculative-frame stack is
 // allocated at Attach, so a thread's first elided read allocates nothing.
-// A thread's first count on a lock may allocate its counter slot (at most
-// one 4-KB page and its index, checked below); each thread here takes its
-// slot with a write first, which pushes no speculative frame.
+// A thread's first count on a counted lock, as here, may allocate its
+// counter slot (at most one 4-KB page and its index, checked below); each
+// thread here takes its slot with a write first, which pushes no
+// speculative frame.
 func TestFreshThreadFirstReadOnlyAllocFree(t *testing.T) {
 	const runs = 100
 	vm := jthread.NewVM()
 	ths := make([]*jthread.Thread, runs+1) // AllocsPerRun adds a warm-up call
-	l := New(nil)
+	l := newCounted()
 	for i := range ths {
 		ths[i] = vm.Attach("fresh")
 	}

@@ -9,8 +9,9 @@ package core
 // (read) — is a thread-local counter behind a byte test. A production
 // config (Metrics == nil) pays one predictable branch; a metered lock's
 // read section ticks the counter once, and unless it is selected it takes
-// the same hook-free first attempt as an unmetered lock, so the read fast
-// path stays write-free either way.
+// the same hook-free first attempt as an unmetered lock, plus the
+// owned-slot count a registry turns on (stats.go), so the read fast path
+// writes no shared line either way.
 
 import (
 	"runtime"

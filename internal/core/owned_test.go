@@ -74,7 +74,7 @@ func coldOwned(l *Lock) uint64 {
 func TestOwnedSlotsSnapshotWhileOwnerBumps(t *testing.T) {
 	const reads, writes = 20000, 2000
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	owner := vm.Attach("owner")
 
 	stop := make(chan struct{})
@@ -127,7 +127,7 @@ func TestOwnedSlotsTwoVMsShareStripe(t *testing.T) {
 		t.Fatalf("stripe indexes %d/%d, ids %d/%d: want one stripe of two, two ids",
 			a.StripeIndex(), b.StripeIndex(), a.ID(), b.ID())
 	}
-	l := New(nil)
+	l := newCounted()
 	l.ReadOnly(a, func() {})
 	if sa, sb := a.CounterSlot(l.id.Load()), b.CounterSlot(l.id.Load()); sa == nil || sb != nil {
 		t.Fatalf("after a's first count: a's slot %p, b's %p; want a's alone", sa, sb)
@@ -145,7 +145,7 @@ func TestOwnedSlotsTwoVMsShareStripe(t *testing.T) {
 // (wrongly) keeps counting loses nothing either.
 func TestStatsExactAcrossDetach(t *testing.T) {
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	ths := []*jthread.Thread{vm.Attach("a"), vm.Attach("b"), vm.Attach("c")}
 	var reads, writes uint64
 	for i, th := range ths {
@@ -183,7 +183,7 @@ func TestStatsExactAcrossDetach(t *testing.T) {
 func TestSnapshotMonotoneWhileThreadsDetach(t *testing.T) {
 	const threads, reads, writes = 8, 3000, 300
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
@@ -221,7 +221,7 @@ func TestSnapshotMonotoneWhileThreadsDetach(t *testing.T) {
 func TestExternalAddOnOwnedCounter(t *testing.T) {
 	const reads, writes, adds = 5000, 500, 1000
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	owner := vm.Attach("owner")
 	l.ReadOnly(owner, func() {}) // owner takes its slot
 	st := l.Stats()
@@ -248,7 +248,7 @@ func TestExternalAddOnOwnedCounter(t *testing.T) {
 func TestCountsLandInOwnSlots(t *testing.T) {
 	const threads = 4
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	ths := make([]*jthread.Thread, threads)
 	for i := range ths {
 		ths[i] = vm.Attach("t")
@@ -281,7 +281,7 @@ func TestStatsIDSpaceExhausted(t *testing.T) {
 
 	const reads, writes = 300, 30
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	runOwnedLoad(l, []*jthread.Thread{vm.Attach("a"), vm.Attach("b")}, reads, writes)
 	if id := l.id.Load(); id != 0 {
 		t.Fatalf("lock took stats id %d from an exhausted space", id)
@@ -310,7 +310,7 @@ func TestCountedLocksDoNotLeak(t *testing.T) {
 	fn := func() {}
 	round := func() {
 		for i := 0; i < locks; i++ {
-			l := New(nil)
+			l := newCounted()
 			l.ReadOnly(th, fn)
 			l.Sync(th, fn)
 		}

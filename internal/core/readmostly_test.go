@@ -11,7 +11,7 @@ import (
 
 func TestReadMostlyNoWriteElides(t *testing.T) {
 	ths := newT(t, 1)
-	l := New(nil)
+	l := newCounted()
 	before := l.Word()
 	l.ReadMostly(ths[0], func(s *Section) {
 		if s.Holding() {
@@ -355,7 +355,7 @@ func TestReadMostlyTerminalOutcomesDeriveAttempts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ths := newT(t, 2)
-			l := New(nil)
+			l := newCounted()
 			run := 0
 			r := func() (r any) {
 				defer func() { r = recover() }()

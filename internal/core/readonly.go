@@ -89,7 +89,8 @@ func (l *Lock) read(t *jthread.Thread, fn func(), p plan) bool {
 			// Hook-free first attempt: with no hook wired (a registry
 			// aside, which this section did not sample for), the
 			// success path is the paper's fast path — load,
-			// speculate, reload — plus one owned-slot increment.
+			// speculate, reload — plus, on a counted lock only, one
+			// owned-slot increment.
 			out := specOK
 			if p.frame == frameLean {
 				fn()
@@ -97,7 +98,7 @@ func (l *Lock) read(t *jthread.Thread, fn func(), p plan) bool {
 				out = l.runSpeculative(t, v, fn, p.s)
 			}
 			if out == specOK && l.word.Load() == v {
-				if !l.bump(t, cElisionSuccesses) {
+				if l.metered && !l.bump(t, cElisionSuccesses) {
 					l.bumpSlow(t, cElisionSuccesses)
 				}
 				return true
@@ -167,7 +168,7 @@ func (l *Lock) readLoop(t *jthread.Thread, fn func(), p plan, v uint64, out spec
 		case out == specOK:
 			l.cfg.Sched.Point(t.ID(), sched.PReadValidate)
 			if l.word.Load() == v || l.slowReadExit(t, v) {
-				if !l.bump(t, cElisionSuccesses) {
+				if l.metered && !l.bump(t, cElisionSuccesses) {
 					l.bumpSlow(t, cElisionSuccesses)
 				}
 				l.cfg.History.Record(history.ReadSuccess, t.ID(), v)
@@ -269,7 +270,7 @@ func ReadOnlyValue[T any](l *Lock, t *jthread.Thread, fn func() T) (out T) {
 	ran = true
 	t.PopSpec()
 	if l.word.Load() == v {
-		if !l.bump(t, cElisionSuccesses) {
+		if l.metered && !l.bump(t, cElisionSuccesses) {
 			l.bumpSlow(t, cElisionSuccesses)
 		}
 		return out

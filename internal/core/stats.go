@@ -4,31 +4,40 @@ package core
 // one cache line: the 19 exported Counter views are one byte each on that
 // line, and the counts live in two places.
 //
-// The two counters every success bumps — cElisionSuccesses on an elided
-// read, cFastAcquires on an uncontended acquire — are single-writer slots in
-// thread-owned counter pages (jthread, counters.go), indexed by the lock's
-// stats id. A thread bumps its own slot with a plain load and store
-// (ownedInc), so a hook-free elided read executes no LOCK-prefixed
-// instruction and writes no line another thread writes, which is what
-// BRAVO's distributed reader state is for; and the lock pays for it in no
-// byte of its own. A lock takes its id at its first count, not at New, and
-// registers the finalizer that recycles the id at that moment too, so
-// building a lock costs one 64-B allocation and nothing else.
+// The two counters every success would bump — cElisionSuccesses on an
+// elided read, cFastAcquires on an uncontended acquire — are kept only by a
+// counted lock: one built with Config.Metrics set, which New records in the
+// metered byte. An uncounted lock's success paths write nothing but the
+// word: an elided read writes no byte at all, as in the paper, and the lock
+// never takes a stats id, registers no finalizer and touches no counter
+// page. Its Stats report the two counters, and ElisionAttempts, which sums
+// them with the other outcomes, as absent (Stats.Counted).
+//
+// On a counted lock they are single-writer slots in thread-owned counter
+// pages (jthread, counters.go), indexed by the lock's stats id. A thread
+// bumps its own slot with a plain load and store (ownedInc), so a
+// hook-free elided read executes no LOCK-prefixed instruction and writes
+// no line another thread writes, which is what BRAVO's distributed reader
+// state is for; and the lock pays for it in no byte of its own. A lock
+// takes its id at its first count, not at New, and registers the finalizer
+// that recycles the id at that moment too, so building a lock costs one
+// 64-B allocation and nothing else.
 //
 // Every other counter — the slow-path events, which already CAS the word or
 // a monitor, and a speculation's remaining terminal outcomes (failures,
 // fallbacks, faults, async aborts, upgrades), each of which follows a word
-// change — is a shared atomic in the lock's cold block, rented the first
-// time the lock sees such an event. The cold block also takes the
-// single-writer counters whenever no thread-owned slot can: external Add,
-// a detached thread's counts, and every count of a lock that found the
-// stats-id space (jthread.MaxCounterID ids) exhausted. Totals stay exact in
-// each case.
+// change — is exact on every lock: a shared atomic in the lock's cold
+// block, rented the first time the lock sees such an event. The cold block
+// also takes the single-writer counters whenever no thread-owned slot can:
+// external Add, a detached thread's counts, and every count of a lock that
+// found the stats-id space (jthread.MaxCounterID ids) exhausted. Totals stay
+// exact in each case.
 //
-// A Counter's total is its cold slot plus, for a single-writer counter, the
-// sum jthread.CounterTotals reads over the threads' slots. It is exact once
-// the counting threads are quiescent and never moves backwards under
-// concurrency (see jthread's counters.go for the argument).
+// A Counter's total is its cold slot plus, for a single-writer counter of a
+// counted lock, the sum jthread.CounterTotals reads over the threads'
+// slots. It is exact once the counting threads are quiescent and never
+// moves backwards under concurrency (see jthread's counters.go for the
+// argument).
 
 import (
 	"runtime"
@@ -125,6 +134,11 @@ type coldBlock struct {
 // views, declared in counterID order, that end the lock's line. Each view
 // aggregates on Load. The elision counters feed the paper's Figure 15
 // failure-ratio experiment.
+//
+// FastAcquires, ElisionSuccesses and ElisionAttempts are kept only by a
+// counted lock (Counted: Config.Metrics was set at New). On an uncounted
+// lock they hold only what Add added, Snapshot omits them and FailureRatio
+// is 0; every other counter is exact on every lock.
 type Stats struct {
 	FastAcquires     Counter // uncontended writing acquisitions
 	ElisionSuccesses Counter // validated unchanged at exit
@@ -269,6 +283,15 @@ func (l *Lock) statsID() uint32 {
 // freeStatsID is the finalizer of a lock that took a stats id.
 func (l *Lock) freeStatsID() { jthread.FreeCounterID(l.id.Load()) }
 
+// countedOnly reports whether counter id is kept only by a counted lock:
+// the single-writer counters, and ElisionAttempts, which sums them with the
+// other outcomes.
+func countedOnly(id counterID) bool { return id < numOwned || id == cElisionAttempts }
+
+// Counted reports whether the lock counts FastAcquires, ElisionSuccesses
+// and ElisionAttempts: whether Config.Metrics was set at New.
+func (s *Stats) Counted() bool { return s.lock().metered }
+
 // load returns counter id's total.
 func (l *Lock) load(id counterID) uint64 {
 	var n uint64
@@ -277,10 +300,10 @@ func (l *Lock) load(id counterID) uint64 {
 		n = c.c[id].Load()
 	}
 	switch {
+	case !countedOnly(id) || !l.metered:
+		return n
 	case id < numOwned:
 		return n + jthread.CounterTotals(l.id.Load())[id]
-	case id != cElisionAttempts:
-		return n
 	}
 	n += jthread.CounterTotals(l.id.Load())[cElisionSuccesses]
 	if c != nil {
@@ -292,8 +315,11 @@ func (l *Lock) load(id counterID) uint64 {
 }
 
 // FailureRatio returns ElisionFailures / ElisionAttempts as a percentage
-// (0 when no attempts were made).
+// (0 when no attempts were made, and on an uncounted lock).
 func (s *Stats) FailureRatio() float64 {
+	if !s.Counted() {
+		return 0
+	}
 	// Failures first: attempts include them, so the later load is never
 	// smaller and the ratio stays within 100 under concurrent updates.
 	f := s.ElisionFailures.Load()
@@ -304,13 +330,16 @@ func (s *Stats) FailureRatio() float64 {
 	return 100 * float64(f) / float64(a)
 }
 
-// Snapshot returns a plain-value copy of all counters. Keys are unchanged
-// from the seed implementation.
+// Snapshot returns a plain-value copy of the counters, keyed as in the
+// seed implementation. An uncounted lock's snapshot lacks fastAcquires,
+// elisionSuccesses and elisionAttempts (see Counted).
 func (s *Stats) Snapshot() map[string]uint64 {
 	l := s.lock()
 	out := make(map[string]uint64, int(numCounters))
 	for id := counterID(0); id < numCounters; id++ {
-		out[counterKeys[id]] = l.load(id)
+		if l.metered || !countedOnly(id) {
+			out[counterKeys[id]] = l.load(id)
+		}
 	}
 	return out
 }

@@ -13,7 +13,7 @@ import (
 // agree on every key.
 func TestSnapshotExactSingleThreaded(t *testing.T) {
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	th := vm.Attach("t")
 	w := vm.Attach("w")
 
@@ -87,7 +87,7 @@ func TestSnapshotExactSingleThreaded(t *testing.T) {
 // successive snapshots.
 func TestSnapshotConcurrentWithReaders(t *testing.T) {
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	const readers = 6
 	const iters = 3000
 
@@ -155,7 +155,7 @@ func TestSnapshotConcurrentWithReaders(t *testing.T) {
 // A lock that saw no shared event has no cold block at all.
 func TestSharedCountersReportedOnce(t *testing.T) {
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	for i := 0; i < 4; i++ {
 		th := vm.Attach("t")
 		for j := 0; j < 5; j++ {

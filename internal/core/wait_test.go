@@ -267,7 +267,7 @@ func TestElisionStillWorksAfterWaitEpisode(t *testing.T) {
 	// Wait inflates; after deflation the lock must elide again, and a
 	// reader spanning the wait episode must observe a changed word.
 	vm := jthread.NewVM()
-	l := New(nil)
+	l := newCounted()
 	th := vm.Attach("t")
 	l.Lock(th)
 	l.WaitTimeout(th, time.Millisecond)

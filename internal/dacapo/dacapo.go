@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/collections/hashmap"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/jthread"
 	"repro/internal/workload"
@@ -64,10 +65,15 @@ type Bench struct {
 }
 
 // New builds the benchmark.
-func New(p Profile, impl workload.Impl) *Bench {
+func New(p Profile, impl workload.Impl) *Bench { return NewConfig(p, impl, nil) }
+
+// NewConfig is New with an explicit SOLERO base lock configuration for
+// every shared lock's guard (see workload.NewGuardConfig). LockOps needs
+// counted locks (core.CountedConfig).
+func NewConfig(p Profile, impl workload.Impl, base *core.Config) *Bench {
 	b := &Bench{Profile: p, Impl: impl}
 	for i := 0; i < p.SharedLocks; i++ {
-		b.guards = append(b.guards, workload.NewGuard(impl))
+		b.guards = append(b.guards, workload.NewGuardConfig(impl, base))
 		m := hashmap.New[int64](256)
 		for k := int64(0); k < 128; k++ {
 			m.Put(k, k)
@@ -145,7 +151,9 @@ func (b *Bench) Op(th *jthread.Thread, rnd uint64) {
 	}
 }
 
-// LockOps returns total and read-only lock operations (Table 1).
+// LockOps returns total and read-only lock operations (Table 1). The
+// SOLERO guards must be counted (NewConfig with core.CountedConfig): an
+// uncounted lock's FastAcquires and ElisionAttempts are absent.
 func (b *Bench) LockOps() (total, readOnly uint64) {
 	for _, g := range b.guards {
 		if st := g.SoleroStats(); st != nil {

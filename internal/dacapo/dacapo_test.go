@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/jthread"
 	"repro/internal/workload"
@@ -55,7 +56,7 @@ func TestMeasuredReadOnlyRatioTracksProfile(t *testing.T) {
 	for _, p := range Profiles {
 		t.Run(p.Name, func(t *testing.T) {
 			vm := jthread.NewVM()
-			b := New(p, workload.ImplSolero)
+			b := NewConfig(p, workload.ImplSolero, core.CountedConfig(nil))
 			o := quick
 			o.Duration = 40 * time.Millisecond
 			harness.Measure(vm, o, b.Worker())

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dacapo"
 	"repro/internal/harness"
 	"repro/internal/jbb"
@@ -65,9 +66,12 @@ func measure(o Options, threads int, w harness.Worker) float64 {
 
 // Table1 reproduces the lock-statistics table: lock frequency (Mlocks/s)
 // and read-only percentage per benchmark, measured by instrumented SOLERO
-// runs (every benchmark here maps each operation to a known number of lock
-// operations, so the frequency is ops-derived).
+// runs on counted locks (core.CountedConfig), whose FastAcquires and
+// ElisionAttempts the read-only share is computed from (every benchmark here
+// maps each operation to a known number of lock operations, so the
+// frequency is ops-derived).
 func Table1(o Options) *stats.Table {
+	counted := core.CountedConfig(nil)
 	t := &stats.Table{
 		Title: "Table 1: Lock statistics",
 		Cols:  []string{"Benchmark", "Lock freq (Mlocks/s)", "Read-only locks (%)"},
@@ -79,7 +83,7 @@ func Table1(o Options) *stats.Table {
 	}
 	mapBench := func(kind workload.MapKind, writePct int) func() (float64, uint64, uint64) {
 		return func() (float64, uint64, uint64) {
-			b := workload.NewMapBench(kind, workload.ImplSolero, writePct, o.Entries, 1)
+			b := workload.NewMapBenchConfig(kind, workload.ImplSolero, writePct, o.Entries, 1, counted)
 			ops := measure(o, 1, b.Worker())
 			total, ro := b.LockOps()
 			return ops, total, ro
@@ -87,7 +91,7 @@ func Table1(o Options) *stats.Table {
 	}
 	benches := []bench{
 		{name: "Empty", locksPerOp: 1, run: func() (float64, uint64, uint64) {
-			e := workload.NewEmpty(workload.ImplSolero)
+			e := workload.NewEmptyConfig(workload.ImplSolero, counted)
 			ops := measure(o, 1, e.Worker())
 			st := e.G.SoleroStats()
 			ro := st.ElisionAttempts.Load()
@@ -98,7 +102,7 @@ func Table1(o Options) *stats.Table {
 		{name: "TreeMap (0% writes)", locksPerOp: 1, run: mapBench(workload.Tree, 0)},
 		{name: "TreeMap (5% writes)", locksPerOp: 1, run: mapBench(workload.Tree, 5)},
 		{name: "SPECjbb-sim", locksPerOp: 1, run: func() (float64, uint64, uint64) {
-			b := jbb.New(workload.ImplSolero, 1)
+			b := jbb.NewWithConfig(workload.ImplSolero, 1, counted)
 			ops := measure(o, 1, b.Worker())
 			total, ro := b.LockOps()
 			return ops, total, ro
@@ -108,7 +112,7 @@ func Table1(o Options) *stats.Table {
 		p := p
 		benches = append(benches, bench{name: p.Name, locksPerOp: float64(p.LocksPerOp),
 			run: func() (float64, uint64, uint64) {
-				b := dacapo.New(p, workload.ImplSolero)
+				b := dacapo.NewConfig(p, workload.ImplSolero, counted)
 				ops := measure(o, 1, b.Worker())
 				total, ro := b.LockOps()
 				return ops, total, ro
@@ -450,28 +454,31 @@ func Fig15(o Options) (*stats.Figure, error) {
 		}
 		return fig, nil
 	}
+	// The native curves run on counted locks: the ratio's denominator,
+	// ElisionAttempts, is absent on an uncounted lock.
+	counted := core.CountedConfig(nil)
 	type mk struct {
 		name string
 		run  func(n int) float64
 	}
 	curves := []mk{
 		{"HashMap 5%", func(n int) float64 {
-			b := workload.NewMapBench(workload.Hash, workload.ImplSolero, 5, o.Entries, 1)
+			b := workload.NewMapBenchConfig(workload.Hash, workload.ImplSolero, 5, o.Entries, 1, counted)
 			measure(o, n, b.Worker())
 			return b.FailureRatio()
 		}},
 		{"HashMap 5% fine-grained", func(n int) float64 {
-			b := workload.NewMapBench(workload.Hash, workload.ImplSolero, 5, o.Entries, n)
+			b := workload.NewMapBenchConfig(workload.Hash, workload.ImplSolero, 5, o.Entries, n, counted)
 			measure(o, n, b.Worker())
 			return b.FailureRatio()
 		}},
 		{"TreeMap 5%", func(n int) float64 {
-			b := workload.NewMapBench(workload.Tree, workload.ImplSolero, 5, o.Entries, 1)
+			b := workload.NewMapBenchConfig(workload.Tree, workload.ImplSolero, 5, o.Entries, 1, counted)
 			measure(o, n, b.Worker())
 			return b.FailureRatio()
 		}},
 		{"SPECjbb-sim", func(n int) float64 {
-			b := jbb.New(workload.ImplSolero, n)
+			b := jbb.NewWithConfig(workload.ImplSolero, n, counted)
 			measure(o, n, b.Worker())
 			return b.FailureRatio()
 		}},

@@ -235,6 +235,9 @@ func (b *Bench) Guards() []*workload.Guard {
 }
 
 // FailureRatio aggregates SOLERO speculation failures across warehouses.
+// It and LockOps need counted guards (NewWithConfig with
+// core.CountedConfig): an uncounted lock's attempts are absent, and its
+// FailureRatio reads 0.
 func (b *Bench) FailureRatio() float64 {
 	var attempts, failures uint64
 	for _, w := range b.warehouses {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/jthread"
 	"repro/internal/workload"
@@ -32,7 +33,7 @@ func TestRunsUnderAllImpls(t *testing.T) {
 
 func TestReadOnlyRatioMatchesTable1(t *testing.T) {
 	vm := jthread.NewVM()
-	b := New(workload.ImplSolero, 2)
+	b := NewWithConfig(workload.ImplSolero, 2, core.CountedConfig(nil))
 	harness.Measure(vm, quick, b.Worker())
 	total, ro := b.LockOps()
 	if total == 0 {
@@ -48,7 +49,7 @@ func TestReadOnlyRatioMatchesTable1(t *testing.T) {
 
 func TestPerWarehouseIsolationGivesLowFailures(t *testing.T) {
 	vm := jthread.NewVM()
-	b := New(workload.ImplSolero, 4)
+	b := NewWithConfig(workload.ImplSolero, 4, core.CountedConfig(nil))
 	o := quick
 	o.Threads = 4
 	harness.Measure(vm, o, b.Worker())

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/jit"
 	"repro/internal/jit/codegen"
 	"repro/internal/jit/ir"
@@ -252,7 +253,7 @@ func TestReturnInsideSyncReturnsFromMethod(t *testing.T) {
 }
 
 func TestElidedGetDoesNotTouchLockWord(t *testing.T) {
-	m, th := machineFor(t, counterSrc, Options{Protocol: ProtoSolero})
+	m, th := machineFor(t, counterSrc, Options{Protocol: ProtoSolero, LockCfg: core.CountedConfig(nil)})
 	obj, _ := m.NewInstance("Counter")
 	recv := ObjVal(obj)
 	m.MustCall(th, "Counter", "inc", recv)
@@ -374,7 +375,7 @@ class Box {
 		t.Fatalf("readVal not elidable")
 	}
 	vm := jthread.NewVM()
-	m := NewMachine(prog, vm, Options{Protocol: ProtoSolero})
+	m := NewMachine(prog, vm, Options{Protocol: ProtoSolero, LockCfg: core.CountedConfig(nil)})
 	box, _ := m.NewInstance("Box")
 	node, _ := m.NewInstance("Node")
 	node.SetField(0, IntVal(7))
@@ -470,7 +471,7 @@ class Cache {
 		t.Fatalf("plan = %v", cm.Syncs[0].Plan)
 	}
 	vm := jthread.NewVM()
-	m := NewMachine(prog, vm, Options{Protocol: ProtoSolero})
+	m := NewMachine(prog, vm, Options{Protocol: ProtoSolero, LockCfg: core.CountedConfig(nil)})
 	obj, _ := m.NewInstance("Cache")
 	recv := ObjVal(obj)
 	th := vm.Attach("main")

@@ -3,6 +3,7 @@ package interp
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/jit"
 	"repro/internal/jit/analysis"
 	"repro/internal/jit/codegen"
@@ -20,7 +21,8 @@ func profiledMachine(t *testing.T, src string) (*Machine, *analysis.Result, *jth
 		t.Fatal(err)
 	}
 	vm := jthread.NewVM()
-	m := NewMachine(prog, vm, Options{Protocol: ProtoSolero})
+	// Counted locks: TestProfilePromotesRareWriter counts elisions.
+	m := NewMachine(prog, vm, Options{Protocol: ProtoSolero, LockCfg: core.CountedConfig(nil)})
 	return m, res, vm.Attach("main")
 }
 

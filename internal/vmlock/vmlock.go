@@ -67,8 +67,11 @@ var DefaultConfig = &Config{
 }
 
 // Stats counts protocol events; all fields are maintained atomically.
+// FastAcquires is counted only on a lock whose Config.Metrics is set: an
+// unmetered lock's uncontended acquire is the tasuki fast path, one CAS and
+// no other atomic, and its FastAcquires stays 0.
 type Stats struct {
-	FastAcquires atomic.Uint64 // uncontended CAS acquisitions
+	FastAcquires atomic.Uint64 // uncontended CAS acquisitions (metered locks only)
 	SlowAcquires atomic.Uint64 // acquisitions through the slow path
 	Recursions   atomic.Uint64 // reentrant acquisitions
 	SpinAcquires atomic.Uint64 // acquisitions won inside the spin tiers
@@ -153,7 +156,9 @@ func (l *Lock) Lock(t *jthread.Thread) {
 		v := l.word.Load()
 		if v == 0 {
 			if l.word.CompareAndSwap(0, lockword.ConvOwned(tid, 0)) {
-				l.st.FastAcquires.Add(1)
+				if l.cfg.Metrics != nil {
+					l.st.FastAcquires.Add(1)
+				}
 				return
 			}
 			continue

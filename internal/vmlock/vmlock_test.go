@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/jthread"
 	"repro/internal/lockword"
+	"repro/internal/metrics"
 	"repro/internal/monitor"
 )
 
@@ -31,7 +32,15 @@ func TestLockUnlockBasic(t *testing.T) {
 	if l.HeldBy(ths[0]) || l.Word() != 0 {
 		t.Fatalf("not free after Unlock: word=%#x", l.Word())
 	}
-	if l.Stats().FastAcquires.Load() != 1 {
+	if l.Stats().FastAcquires.Load() != 0 {
+		t.Fatalf("unmetered lock counted a fast acquire")
+	}
+	cfg := *DefaultConfig
+	cfg.Metrics = metrics.New(1)
+	m := New(&cfg)
+	m.Lock(ths[0])
+	m.Unlock(ths[0])
+	if m.Stats().FastAcquires.Load() != 1 {
 		t.Fatalf("fast path not taken")
 	}
 }

@@ -394,7 +394,11 @@ func (b *MapBench) Op(th *jthread.Thread, rnd uint64) {
 }
 
 // FailureRatio aggregates the SOLERO speculation-failure ratio across all
-// shards (Figure 15); it returns 0 for non-SOLERO impls.
+// shards (Figure 15); it returns 0 for non-SOLERO impls and for uncounted
+// locks. It and LockOps need counted guards (NewMapBenchConfig with
+// core.CountedConfig): an uncounted lock's FastAcquires and
+// ElisionAttempts are absent (core.Stats.Counted), and so is an
+// unmetered conventional lock's FastAcquires.
 func (b *MapBench) FailureRatio() float64 {
 	var attempts, failures uint64
 	for _, g := range b.guards {

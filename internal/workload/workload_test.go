@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/jthread"
 )
@@ -36,7 +37,7 @@ func TestMapBenchAllImplsAndKinds(t *testing.T) {
 		for _, impl := range PaperImpls {
 			t.Run(kind.String()+"/"+impl.String(), func(t *testing.T) {
 				vm := jthread.NewVM()
-				b := NewMapBench(kind, impl, 5, 256, 1)
+				b := NewMapBenchConfig(kind, impl, 5, 256, 1, core.CountedConfig(nil))
 				res := harness.Measure(vm, quick, b.Worker())
 				if res.OpsPerSec <= 0 {
 					t.Fatalf("no throughput")
@@ -70,7 +71,7 @@ func TestFineGrainedSharding(t *testing.T) {
 
 func TestFailureRatioBounds(t *testing.T) {
 	vm := jthread.NewVM()
-	b := NewMapBench(Hash, ImplSolero, 50, 64, 1)
+	b := NewMapBenchConfig(Hash, ImplSolero, 50, 64, 1, core.CountedConfig(nil))
 	o := quick
 	o.Threads = 4
 	harness.Measure(vm, o, b.Worker())
@@ -80,7 +81,7 @@ func TestFailureRatioBounds(t *testing.T) {
 	}
 	// Pure reads, single thread: failures should be zero.
 	vm2 := jthread.NewVM()
-	b2 := NewMapBench(Hash, ImplSolero, 0, 64, 1)
+	b2 := NewMapBenchConfig(Hash, ImplSolero, 0, 64, 1, core.CountedConfig(nil))
 	o2 := quick
 	o2.Threads = 1
 	harness.Measure(vm2, o2, b2.Worker())
@@ -141,7 +142,7 @@ func TestGuardDispatch(t *testing.T) {
 func TestUnelidedNeverElides(t *testing.T) {
 	vm := jthread.NewVM()
 	th := vm.Attach("t")
-	g := NewGuard(ImplSoleroUnelided)
+	g := NewGuardConfig(ImplSoleroUnelided, core.CountedConfig(nil))
 	for i := 0; i < 10; i++ {
 		g.Read(th, func() {})
 	}

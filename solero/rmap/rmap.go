@@ -163,8 +163,12 @@ func (m *Map[V]) Range(t *jthread.Thread, fn func(k int64, v V) bool) {
 	}
 }
 
-// Stats aggregates the shard locks' elision counters.
+// Stats aggregates the shard locks' elision counters. ElisionAttempts and
+// ElisionSuccesses are kept only by counted shard locks (Counted: a cfg
+// with Metrics set, such as core.CountedConfig's); on uncounted ones they
+// are absent and read 0.
 type Stats struct {
+	Counted          bool
 	ElisionAttempts  uint64
 	ElisionSuccesses uint64
 	ElisionFailures  uint64
@@ -174,7 +178,7 @@ type Stats struct {
 
 // Stats returns aggregated protocol counters across shards.
 func (m *Map[V]) Stats() Stats {
-	var out Stats
+	out := Stats{Counted: m.shards[0].lock.Stats().Counted()}
 	for i := range m.shards {
 		st := m.shards[i].lock.Stats()
 		out.ElisionAttempts += st.ElisionAttempts.Load()

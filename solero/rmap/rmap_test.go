@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/jthread"
 )
 
@@ -56,13 +57,17 @@ func TestShardRounding(t *testing.T) {
 
 func TestGetIsElided(t *testing.T) {
 	_, th := newT()
-	m := New[int](4, nil)
+	m := New[int](4, core.CountedConfig(nil))
 	m.Put(th, 7, 70)
 	before := m.Stats()
 	for i := 0; i < 100; i++ {
 		m.Get(th, 7)
 	}
 	after := m.Stats()
+	if plain := New[int](4, nil).Stats(); !after.Counted || plain.Counted {
+		t.Fatalf("Counted = %v on counted shard locks, %v on default ones; want true, false",
+			after.Counted, plain.Counted)
+	}
 	if after.ElisionSuccesses-before.ElisionSuccesses != 100 {
 		t.Fatalf("gets not elided: %+v -> %+v", before, after)
 	}
@@ -70,7 +75,7 @@ func TestGetIsElided(t *testing.T) {
 
 func TestGetOrComputeHitStaysElided(t *testing.T) {
 	_, th := newT()
-	m := New[int](4, nil)
+	m := New[int](4, core.CountedConfig(nil))
 	var computes atomic.Int32
 	compute := func() int { computes.Add(1); return 42 }
 	if got := m.GetOrCompute(th, 5, compute); got != 42 {

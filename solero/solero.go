@@ -62,15 +62,25 @@ type Config = core.Config
 // Section is the write-announcement handle of a read-mostly section.
 type Section = core.Section
 
-// Stats is a Lock's event-counter views: 21 one-byte views on the lock's
-// own line, whose counts live in the counting threads' counter pages and
-// the lock's cold block. Read a counter in place,
+// Stats is a Lock's event-counter views: 19 one-byte views on the lock's
+// own line, whose counts live in the lock's cold block and, for a counted
+// lock, the counting threads' counter pages. Read a counter in place,
 // lock.Stats().Inflations.Load(): a Counter view must not be copied. A
 // total is exact once the counting threads are quiescent.
+//
+// Only a counted lock (Stats.Counted: one built with Config.Metrics set,
+// as CountedConfig does) keeps FastAcquires, ElisionSuccesses and
+// ElisionAttempts; on the default, uncounted lock they are absent, so an
+// elided read writes nothing at all. Every other counter is exact on every
+// lock.
 type Stats = core.Stats
 
 // NewLock creates a SOLERO lock (nil cfg for defaults).
 func NewLock(cfg *Config) *Lock { return core.New(cfg) }
+
+// CountedConfig returns a copy of cfg (nil for defaults) whose locks are
+// counted; see core.CountedConfig.
+func CountedConfig(cfg *Config) *Config { return core.CountedConfig(cfg) }
 
 // ReadOnly runs fn as an elided read-only critical section of l and returns
 // its value. fn may run multiple times; only a validated execution's result

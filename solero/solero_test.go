@@ -11,7 +11,7 @@ import (
 func TestFacadeQuickstartFlow(t *testing.T) {
 	vm := solero.NewVM()
 	th := vm.Attach("main")
-	lock := solero.NewLock(nil)
+	lock := solero.NewLock(solero.CountedConfig(nil))
 
 	var counter atomic.Int64
 	lock.Sync(th, func() { counter.Add(1) })
