@@ -8,9 +8,11 @@
 #   make bench     - reader-scaling + alloc-free benchmarks
 #   make allocfree - one pass of the alloc-free benchmarks: each fails if
 #                    an elided read entry allocates
-#   make inlinecheck - the owned-slot increment (core's (*Lock).bump) and
-#                    the event-log hook ((*history.Recorder).Record) must
-#                    stay under the inliner's budget
+#   make inlinecheck - the owned-slot increment (core's (*Lock).bump), the
+#                    event-log hook ((*history.Recorder).Record) and the
+#                    owner-record fast cases ((*jthread.Thread).PushOwner,
+#                    TakeOwnerTop) must stay under the inliner's budget, and
+#                    the latter must inline into Lock and Unlock
 #   make nolockread - amd64: the elided read path ((*Lock).read and
 #                    ReadOnlyValue) executes no locked instruction, and the
 #                    elision loop's only ones are its failure-counter adds
@@ -86,18 +88,32 @@ allocfree:
 # owned-slot increment; kept under the inliner's budget, it costs those
 # success paths no call. The protocol event log's (*Recorder).Record is
 # called on the Lock/Unlock fast paths; inlined, an unwired (nil) log costs
-# them one branch. The compiler's inlining reports must say so (go build
-# replays a report from its cache, so a warm build checks too).
+# them one branch. The flat write path keeps its local lock variable in an
+# owner record on the thread: PushOwner in Lock and TakeOwnerTop in Unlock
+# (both in core.go) must inline there, so the record costs no call. The
+# compiler's inlining reports must say so (go build replays a report from
+# its cache, so a warm build checks too).
 inlinecheck:
 	@out=$$($(GO) build -gcflags=-m=2 ./internal/core 2>&1) || { echo "$$out"; exit 1; }; \
 	if ! echo "$$out" | grep -q 'can inline (\*Lock)\.bump '; then \
 		echo "FAIL: (*Lock).bump is no longer inlinable:"; echo "$$out" | grep 'inline (\*Lock)\.bump:'; exit 1; \
 	fi; \
+	for fn in PushOwner TakeOwnerTop; do \
+		if ! echo "$$out" | grep -qE "core\.go:[0-9]+:[0-9]+: inlining call to jthread\.\(\*Thread\)\.$$fn\$$"; then \
+			echo "FAIL: (*jthread.Thread).$$fn is not inlined into the flat write path (core.go)"; exit 1; \
+		fi; \
+	done; \
+	out=$$($(GO) build -gcflags=-m=2 ./internal/jthread 2>&1) || { echo "$$out"; exit 1; }; \
+	for fn in PushOwner TakeOwnerTop; do \
+		if ! echo "$$out" | grep -q "can inline (\*Thread)\.$$fn "; then \
+			echo "FAIL: (*jthread.Thread).$$fn is no longer inlinable:"; echo "$$out" | grep "inline (\*Thread)\.$$fn:"; exit 1; \
+		fi; \
+	done; \
 	out=$$($(GO) build -gcflags=-m=2 ./internal/history 2>&1) || { echo "$$out"; exit 1; }; \
 	if ! echo "$$out" | grep -q 'can inline (\*Recorder)\.Record '; then \
 		echo "FAIL: (*history.Recorder).Record is no longer inlinable:"; echo "$$out" | grep 'inline (\*Recorder)\.Record:'; exit 1; \
 	fi; \
-	echo "OK: inlinecheck ((*Lock).bump and (*history.Recorder).Record are inlinable)"
+	echo "OK: inlinecheck ((*Lock).bump, (*history.Recorder).Record, and the owner-record fast cases, inlined into Lock/Unlock)"
 
 # The paper's read-only section never writes the lock, and BRAVO's readers
 # only load: an elided read executes no LOCK-prefixed or XCHG instruction

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/backend"
 	"repro/internal/collections/hashmap"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/rwlock"
 	"repro/internal/seqlock"
 	"repro/internal/simcoherence"
+	"repro/internal/stats"
 	"repro/internal/vmlock"
 	"repro/internal/workload"
 	"repro/solero"
@@ -1039,6 +1041,70 @@ func BenchmarkMicroLocks(b *testing.B) {
 			b.Fatalf("counter advanced by reentrant sections")
 		}
 	})
+}
+
+// BenchmarkNeighborLocks measures what a neighbouring lock's writer costs
+// an elided read: one goroutine runs writing sections on lock A while the
+// benchmark's goroutine runs elided reads on lock B (run with -cpu 2). In
+// the same-line row A and B are consecutive New calls on one cache line; in
+// the separate-lines row at least one whole line lies between them (out of
+// reach of an adjacent-line prefetch). ns/op is B's read; write-ns/op is
+// A's writing section over the same window.
+func BenchmarkNeighborLocks(b *testing.B) {
+	for _, row := range []struct {
+		name     string
+		sameLine bool
+	}{{"same-line", true}, {"separate-lines", false}} {
+		b.Run(row.name, func(b *testing.B) {
+			a, r := neighborPair(b, row.sameLine)
+			vm := jthread.NewVM()
+			wt, rt := vm.Attach("writer"), vm.Attach("reader")
+			defer wt.Detach()
+			defer rt.Detach()
+			var stop atomic.Bool
+			writes := make(chan int)
+			go func() {
+				n := 0
+				for !stop.Load() {
+					a.Lock(wt)
+					a.Unlock(wt)
+					n++
+				}
+				writes <- n
+			}()
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				r.ReadOnly(rt, func() {})
+			}
+			elapsed := time.Since(start)
+			b.StopTimer()
+			stop.Store(true)
+			if n := <-writes; n > 0 {
+				b.ReportMetric(float64(elapsed.Nanoseconds())/float64(n), "write-ns/op")
+			}
+		})
+	}
+}
+
+// neighborPair returns two fresh locks, on one cache line or at least two
+// lines apart.
+func neighborPair(b *testing.B, sameLine bool) (*core.Lock, *core.Lock) {
+	line := func(l *core.Lock) int64 { return int64(uintptr(unsafe.Pointer(l)) / stats.CacheLine) }
+	for try := 0; try < 64; try++ {
+		x, y := core.New(nil), core.New(nil)
+		if sameLine && line(x) == line(y) {
+			return x, y
+		}
+		for !sameLine && line(y)-line(x) < 2 && line(x)-line(y) < 2 {
+			y = core.New(nil)
+		}
+		if !sameLine {
+			return x, y
+		}
+	}
+	b.Fatal("no two consecutive locks shared a cache line")
+	return nil, nil
 }
 
 // BenchmarkLockNew measures what building one lock costs, with the

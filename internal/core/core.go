@@ -158,34 +158,31 @@ func (c *Config) hookFree() bool {
 
 // Lock is a SOLERO lock. The zero value is not ready; use New.
 //
-// A lock is one 64-B allocation, one cache line: what an elided read or an
-// uncontended write loads — the word, cfg, the owner's saved word and the
-// hookFree/metered flags — plus the stats id, the cold-block pointer and the
-// 19 one-byte Counter views. No thread but the owner writes the line on the
-// fast paths, and the owner writes saved only right after its CAS has taken
-// the line exclusive; the stats id and the cold pointer are each set once,
-// by CAS. The counts live off the lock (see stats.go): a counted lock's
-// single-writer counters in thread-owned counter pages, everything else in
-// the cold block. An uncounted lock (Metrics nil, the default) keeps no
-// single-writer counters, so its elided read writes nothing at all and it
-// never takes a stats id. A lock must not be copied.
+// A lock is one 32-B allocation, half a cache line: what an elided read or
+// an uncontended write loads — the word, cfg, the hookFree/metered flags —
+// plus the cold-block pointer and a copy of the stats id, each set once.
+// No thread but the owner writes the lock on the fast paths. The owner's
+// local lock variable lives with the owner, in an owner record on its
+// jthread.Thread (PushOwner at every flat acquire, TakeOwner at every flat
+// release or owner inflation), and everything else lives off the lock (see
+// stats.go): a counted lock's single-writer counters in thread-owned
+// counter pages, and the shared counters, the Counter views, the stats id
+// and its finalizer in the cold block. An uncounted lock (Metrics nil, the
+// default) keeps no single-writer counters, so its elided read writes
+// nothing at all and it never takes a stats id. A lock must not be copied.
 type Lock struct {
 	word atomic.Uint64
 	cfg  *Config
 
-	// saved is the owner's "local lock variable": the free word read
-	// immediately before the acquiring CAS. Only the flat owner accesses
-	// it, and the word's atomic acquire/release edges order successive
-	// owners' accesses, so a plain field is sound.
-	saved uint64
-
-	// cold is the lock's cold block: the shared counters and the static
-	// id, rented on the first event that needs it.
+	// cold is the lock's cold block: the shared counters, the Counter
+	// views, the stats id and the static id, rented on the first event
+	// that needs it.
 	cold atomic.Pointer[coldBlock]
 
-	// id is the lock's stats id: the index of its slots in the threads'
-	// counter pages (0 until its first count, and always on an uncounted
-	// lock).
+	// id is a copy of the cold block's stats id, which indexes the lock's
+	// slots in the threads' counter pages (0 until its first count, and
+	// always on an uncounted lock): the owned-slot bump reads it from the
+	// line it loads anyway.
 	id atomic.Uint32
 
 	// hookFree is cfg.hookFree() as of New: an elided read decides on its
@@ -195,9 +192,6 @@ type Lock struct {
 	// counted and a read section ticks the CS-duration sampler, decided
 	// on the same line.
 	metered bool
-
-	// st is the Counter views, one byte each.
-	st Stats
 }
 
 // New creates a free lock (counter zero). nil cfg means DefaultConfig.
@@ -205,9 +199,7 @@ func New(cfg *Config) *Lock {
 	if cfg == nil {
 		cfg = DefaultConfig
 	}
-	l := &Lock{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}
-	l.st.init()
-	return l
+	return &Lock{cfg: cfg, hookFree: cfg.hookFree(), metered: cfg.Metrics != nil}
 }
 
 // table returns the monitor table fat mode rents from (see Config.Monitors).
@@ -237,8 +229,9 @@ func (l *Lock) StaticID() string {
 	return ""
 }
 
-// Stats exposes the lock's event counters.
-func (l *Lock) Stats() *Stats { return &l.st }
+// Stats exposes the lock's event counters. The views live in the cold
+// block, so the first call on a lock that has none rents it.
+func (l *Lock) Stats() *Stats { return &l.coldBlock().st }
 
 // Config returns the lock's configuration.
 func (l *Lock) Config() *Config { return l.cfg }
@@ -257,7 +250,7 @@ func (l *Lock) HeldBy(t *jthread.Thread) bool {
 
 // Lock acquires the lock for a writing critical section (Figure 6): CAS the
 // free word to tid|LockBit, keeping the pre-acquire word as the local lock
-// variable.
+// variable in t's owner record.
 func (l *Lock) Lock(t *jthread.Thread) {
 	tid := t.ID()
 	for {
@@ -265,7 +258,7 @@ func (l *Lock) Lock(t *jthread.Thread) {
 		if lockword.SoleroFree(v) {
 			l.cfg.Sched.Point(tid, sched.PAcquireCAS)
 			if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
-				l.saved = v
+				t.PushOwner(&l.word, v)
 				if l.metered && !l.bump(t, cFastAcquires) {
 					l.bumpSlow(t, cFastAcquires)
 				}
@@ -301,9 +294,12 @@ func (l *Lock) Unlock(t *jthread.Thread) {
 		if lockword.Field(v2) != t.ID() {
 			panic("core: Unlock by non-owner")
 		}
-		// Capture the local lock variable before the releasing store:
-		// the moment the word is free, the next owner may overwrite it.
-		saved := l.saved
+		// The local lock variable: the top inline owner record when
+		// releases nest, a search otherwise.
+		saved, ok := t.TakeOwnerTop(&l.word)
+		if !ok {
+			saved = t.TakeOwner(&l.word)
+		}
 		l.cfg.Sched.Point(t.ID(), sched.PRelease)
 		w := l.releaseWord(saved)
 		// Record before the store: nobody can acquire (and log against)

@@ -286,7 +286,7 @@ func TestPanicOnHoldingArmsReleasesTheLock(t *testing.T) {
 					a.l.Unlock(other)
 					return false
 				}
-				a.saved = a.l.saved
+				a.saved, _ = th.OwnerSaved(&a.l.word)
 				return true
 			},
 			check: checkFlatReleased,
@@ -301,7 +301,7 @@ func TestPanicOnHoldingArmsReleasesTheLock(t *testing.T) {
 				return &armState{l: New(&cfg)}
 			},
 			body: func(a *armState, th, other *jthread.Thread) bool {
-				a.saved = a.l.saved
+				a.saved, _ = th.OwnerSaved(&a.l.word)
 				return a.l.HeldBy(th)
 			},
 			check: checkFlatReleased,

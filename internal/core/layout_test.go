@@ -10,18 +10,21 @@ import (
 	"repro/internal/stats"
 )
 
-// lockLine is the cache line a lock occupies.
+// lockLine is the cache line no lock may straddle.
 const lockLine = stats.CacheLine
 
-// TestLockLineLayout checks the one-line lock: the word, cfg, saved, the
-// cold-block pointer, the stats id, the hookFree/metered flags and the 19
-// Counter views at the offsets the read and write paths were compiled
-// against, the whole Lock within one 64-B line. Each view is one
-// pointer-free byte at its id's place in the view run, which is how a view
-// finds its lock.
+// lockSize is what a lock is: half a line, one allocation of that size
+// class, so a lock's address is lockSize-aligned.
+const lockSize = 32
+
+// TestLockLineLayout checks the 32-B lock: the word, cfg, the cold-block
+// pointer, the stats id copy and the hookFree/metered flags at the offsets
+// the read and write paths were compiled against, and nothing else — the
+// owner's local lock variable lives on its thread, and the Counter views in
+// the cold block. Each view is one pointer-free byte at its id's place in
+// the cold block's view run, which is how a view finds its block.
 func TestLockLineLayout(t *testing.T) {
 	var l Lock
-	st := unsafe.Offsetof(l.st)
 	fields := []struct {
 		name      string
 		off, size uintptr
@@ -29,23 +32,24 @@ func TestLockLineLayout(t *testing.T) {
 	}{
 		{"word", unsafe.Offsetof(l.word), unsafe.Sizeof(l.word), 0},
 		{"cfg", unsafe.Offsetof(l.cfg), unsafe.Sizeof(l.cfg), 8},
-		{"saved", unsafe.Offsetof(l.saved), unsafe.Sizeof(l.saved), 16},
-		{"cold", unsafe.Offsetof(l.cold), unsafe.Sizeof(l.cold), 24},
-		{"id", unsafe.Offsetof(l.id), unsafe.Sizeof(l.id), 32},
-		{"hookFree", unsafe.Offsetof(l.hookFree), unsafe.Sizeof(l.hookFree), 36},
-		{"metered", unsafe.Offsetof(l.metered), unsafe.Sizeof(l.metered), 37},
-		{"st", st, unsafe.Sizeof(l.st), 38},
+		{"cold", unsafe.Offsetof(l.cold), unsafe.Sizeof(l.cold), 16},
+		{"id", unsafe.Offsetof(l.id), unsafe.Sizeof(l.id), 24},
+		{"hookFree", unsafe.Offsetof(l.hookFree), unsafe.Sizeof(l.hookFree), 28},
+		{"metered", unsafe.Offsetof(l.metered), unsafe.Sizeof(l.metered), 29},
 	}
 	for _, f := range fields {
 		if f.off != f.want {
 			t.Errorf("%s at offset %d, want %d", f.name, f.off, f.want)
 		}
-		if f.off+f.size > lockLine {
-			t.Errorf("%s spans [%d,%d), want within %d bytes", f.name, f.off, f.off+f.size, lockLine)
+		if f.off+f.size > lockSize {
+			t.Errorf("%s spans [%d,%d), want within %d bytes", f.name, f.off, f.off+f.size, lockSize)
 		}
 	}
-	if sz := unsafe.Sizeof(l); sz != lockLine {
-		t.Errorf("Lock is %d bytes, want exactly one %d-B line", sz, lockLine)
+	if n := reflect.TypeOf((*Lock)(nil)).Elem().NumField(); n != len(fields) {
+		t.Errorf("Lock has %d fields, want %d", n, len(fields))
+	}
+	if sz := unsafe.Sizeof(l); sz != lockSize {
+		t.Errorf("Lock is %d bytes, want exactly %d", sz, lockSize)
 	}
 	views := 0
 	stt := reflect.TypeOf((*Stats)(nil)).Elem()
@@ -67,14 +71,22 @@ func TestLockLineLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(Counter{}); sz != 1 {
 		t.Errorf("Counter view is %d bytes, want 1 (its id, no pointer)", sz)
 	}
+	lk := New(nil)
+	st := lk.Stats()
+	for _, c := range []*Counter{&st.FastAcquires, &st.Inflations, &st.ElisionAttempts} {
+		if b := c.block(); b != lk.cold.Load() {
+			t.Errorf("view %d steps back to %p, want the lock's cold block %p", c.id, b, lk.cold.Load())
+		}
+	}
 }
 
 // newSink keeps the measured lock escaping: New inlines, and a lock that
 // never leaves its caller's frame would be built on the stack.
 var newSink *Lock
 
-// TestLockFootprint pins what New costs: one allocation of at most one
-// line, whatever GOMAXPROCS is, and each lock on a line of its own.
+// TestLockFootprint pins what New costs: one allocation of at most 32 B,
+// whatever GOMAXPROCS is, each lock 32-B aligned, so no lock straddles a
+// cache line.
 func TestLockFootprint(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
@@ -98,12 +110,16 @@ func TestLockFootprint(t *testing.T) {
 		}
 		runtime.GOMAXPROCS(prev)
 		t.Logf("GOMAXPROCS %d: %d B per lock", procs, per)
-		if per > lockLine {
-			t.Errorf("GOMAXPROCS %d: New costs %d B, want at most %d", procs, per, lockLine)
+		if per > lockSize {
+			t.Errorf("GOMAXPROCS %d: New costs %d B, want at most %d", procs, per, lockSize)
 		}
 		for _, l := range locks {
-			if p := uintptr(unsafe.Pointer(l)); p%lockLine != 0 {
-				t.Fatalf("lock at %#x, not %d-B aligned", p, lockLine)
+			p := uintptr(unsafe.Pointer(l))
+			if p%lockSize != 0 {
+				t.Fatalf("lock at %#x, not %d-B aligned", p, lockSize)
+			}
+			if p/lockLine != (p+lockSize-1)/lockLine {
+				t.Fatalf("lock at %#x straddles a %d-B line", p, lockLine)
 			}
 		}
 	}

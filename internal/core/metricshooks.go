@@ -15,7 +15,6 @@ package core
 
 import (
 	"runtime"
-	"time"
 
 	"repro/internal/jthread"
 	"repro/internal/lockword"
@@ -58,15 +57,15 @@ func (l *Lock) yieldTimed(t *jthread.Thread) {
 		runtime.Gosched()
 		return
 	}
-	start := time.Now()
+	start := metrics.Now()
 	runtime.Gosched()
-	m.Yield.Record(t.StripeIndex(), time.Since(start).Nanoseconds())
+	m.Yield.Record(t.StripeIndex(), metrics.Now()-start)
 }
 
-// spinDwell closes a spin episode opened at start (zero when the registry
-// was nil at episode entry).
-func (l *Lock) spinDwell(t *jthread.Thread, start time.Time) {
-	if m := l.cfg.Metrics; m != nil && !start.IsZero() {
-		m.Spin.Record(t.StripeIndex(), time.Since(start).Nanoseconds())
+// spinDwell closes a spin episode opened at start, a metrics.Now reading
+// taken when the registry is set (which New fixes for the lock's life).
+func (l *Lock) spinDwell(t *jthread.Thread, start int64) {
+	if m := l.cfg.Metrics; m != nil {
+		m.Spin.Record(t.StripeIndex(), metrics.Now()-start)
 	}
 }

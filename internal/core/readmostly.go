@@ -57,7 +57,7 @@ func (s *Section) BeforeWrite() {
 	l, t := s.l, s.t
 	l.cfg.Sched.Point(t.ID(), sched.PUpgrade)
 	if l.word.CompareAndSwap(s.v, lockword.SoleroOwned(t.ID(), 0)) {
-		l.saved = s.v
+		t.PushOwner(&l.word, s.v)
 		s.holding, s.upgraded = true, true
 		s.retireFrame()
 		l.inc(cUpgrades)

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/history"
 	"repro/internal/jthread"
 	"repro/internal/lockword"
+	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
@@ -125,8 +124,8 @@ func (l *Lock) sampled(t *jthread.Thread) bool {
 // the section's duration (a sampled section). It reports what read does.
 func (l *Lock) readLoop(t *jthread.Thread, fn func(), p plan, v uint64, out specOutcome, timed bool) bool {
 	if timed {
-		start := time.Now()
-		defer l.cfg.Metrics.EndCS(t.StripeIndex(), start)
+		// The deferred call's arguments are evaluated here: the start.
+		defer l.cfg.Metrics.EndCS(t.StripeIndex(), metrics.Now())
 	}
 	holding := false
 	if out == specNone {

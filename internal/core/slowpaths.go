@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync/atomic"
-	"time"
 
 	"repro/internal/history"
 	"repro/internal/jthread"
@@ -20,8 +19,8 @@ func sub(w *atomic.Uint64, delta uint64) { w.Add(^delta + 1) }
 func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 	l.inc(cSlowAcquires)
 	if m := l.cfg.Metrics; m != nil {
-		start := time.Now()
-		defer func() { m.Acquire.Record(t.StripeIndex(), time.Since(start).Nanoseconds()) }()
+		start := metrics.Now()
+		defer func() { m.Acquire.Record(t.StripeIndex(), metrics.Now()-start) }()
 	}
 	tid := t.ID()
 	for {
@@ -57,9 +56,9 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 // pre-acquire word is stored as the local lock variable.
 func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 	tid := t.ID()
-	var spinStart time.Time
+	var spinStart int64
 	if l.cfg.Metrics != nil {
-		spinStart = time.Now()
+		spinStart = metrics.Now()
 	}
 	defer l.spinDwell(t, spinStart)
 	for i := 0; i < l.cfg.Tier3; i++ {
@@ -68,7 +67,7 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 			v := l.word.Load()
 			if lockword.SoleroFree(v) {
 				if l.word.CompareAndSwap(v, lockword.SoleroOwned(tid, 0)) {
-					l.saved = v
+					t.PushOwner(&l.word, v)
 					l.inc(cSpinAcquires)
 					l.cfg.History.Record(history.Acquire, tid, v)
 					return true
@@ -115,9 +114,9 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 			// ends the park, so under schedule injection it is a Park:
 			// the token stays with this thread.
 			l.word.Or(lockword.FLCBit)
-			var parkStart time.Time
+			var parkStart int64
 			if l.cfg.Metrics != nil {
-				parkStart = time.Now()
+				parkStart = metrics.Now()
 			}
 			l.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
@@ -128,7 +127,7 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 				m.RawUnlock()
 			})
 			if mr := l.cfg.Metrics; mr != nil {
-				mr.Park.Record(t.StripeIndex(), time.Since(parkStart).Nanoseconds())
+				mr.Park.Record(t.StripeIndex(), metrics.Now()-parkStart)
 			}
 		default:
 			// Free, possibly with a stale FLC bit: grab the flat lock
@@ -179,13 +178,13 @@ func (l *Lock) fatEnter(t *jthread.Thread, v uint64) bool {
 func (l *Lock) fatEnterPinned(t *jthread.Thread, h montable.Handle) bool {
 	tid := t.ID()
 	m := h.Mon
-	var parkStart time.Time
+	var parkStart int64
 	if l.cfg.Metrics != nil {
-		parkStart = time.Now()
+		parkStart = metrics.Now()
 	}
 	l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() { m.Enter(tid) })
 	if mr := l.cfg.Metrics; mr != nil {
-		mr.Park.Record(t.StripeIndex(), time.Since(parkStart).Nanoseconds())
+		mr.Park.Record(t.StripeIndex(), metrics.Now()-parkStart)
 	}
 	if l.word.Load()&^lockword.FLCBit == h.Word {
 		l.inc(cFatEnters)
@@ -208,7 +207,7 @@ func (l *Lock) inflateAsOwner(t *jthread.Thread, v uint64, extra uint32) {
 		m.Enter(tid)
 		m.SetRecursionOwned(tid, uint32(lockword.SoleroRec(v))+extra)
 		m.RawLock()
-		m.SavedCounter = lockword.SoleroNextFree(l.saved)
+		m.SavedCounter = lockword.SoleroNextFree(t.TakeOwner(&l.word))
 		m.BroadcastLocked()
 		m.RawUnlock()
 	})
@@ -232,7 +231,7 @@ func (l *Lock) slowExit(t *jthread.Thread, v2 uint64) {
 		// FLC is set: release under the monitor mutex and wake parked
 		// contenders. The release word clears the FLC bit (its low
 		// byte is zero), so waiters re-examine the lock.
-		w := l.releaseWord(l.saved)
+		w := l.releaseWord(t.TakeOwner(&l.word))
 		l.cfg.Sched.Point(tid, sched.PRelease)
 		l.flcRelease(t, w)
 	default:
@@ -249,7 +248,7 @@ func (l *Lock) slowExit(t *jthread.Thread, v2 uint64) {
 // instead of overloading the counter-0 free word.)
 func (l *Lock) slowReadEnter(t *jthread.Thread) (v uint64, holding bool) {
 	tid := t.ID()
-	var spinStart time.Time
+	var spinStart int64
 	v = l.word.Load()
 	// test_recursion: the thread already holds the flat lock.
 	if lockword.SoleroHeldBy(v, tid) {
@@ -266,7 +265,7 @@ func (l *Lock) slowReadEnter(t *jthread.Thread) (v uint64, holding bool) {
 	}
 	// Three-tier wait for the word to become elidable.
 	if l.cfg.Metrics != nil {
-		spinStart = time.Now()
+		spinStart = metrics.Now()
 	}
 	for i := 0; i < l.cfg.Tier3; i++ {
 		for j := 0; j < l.cfg.Tier2; j++ {
@@ -333,7 +332,7 @@ func (l *Lock) slowReadExit(t *jthread.Thread, v uint64) bool {
 		// Flat ownership at depth zero: release, publishing a new
 		// counter derived from the local lock variable, then handle
 		// any contention flagged meanwhile (the paper's check_flc).
-		rel := l.releaseWord(l.saved)
+		rel := l.releaseWord(t.TakeOwner(&l.word))
 		l.cfg.Sched.Point(tid, sched.PRelease)
 		if lockword.FLC(w) {
 			l.flcRelease(t, rel)

@@ -1,8 +1,8 @@
 package core
 
-// Protocol counters. A lock carries no counter bytes of its own beyond its
-// one cache line: the 19 exported Counter views are one byte each on that
-// line, and the counts live in two places.
+// Protocol counters. A lock carries no counter bytes of its own: the 19
+// exported Counter views are one byte each in its cold block, and the
+// counts live in two places.
 //
 // The two counters every success would bump — cElisionSuccesses on an
 // elided read, cFastAcquires on an uncontended acquire — are kept only by a
@@ -19,19 +19,24 @@ package core
 // hook-free elided read executes no LOCK-prefixed instruction and writes
 // no line another thread writes, which is what BRAVO's distributed reader
 // state is for; and the lock pays for it in no byte of its own. A lock
-// takes its id at its first count, not at New, and registers the finalizer
-// that recycles the id at that moment too, so building a lock costs one
-// 64-B allocation and nothing else.
+// takes its id at its first count, not at New: the id lives in the cold
+// block, which that first count rents, with a 4-B copy on the lock for the
+// bump, and the finalizer that recycles the id sits on the cold block, so
+// an id lives as long as the lock or a *Stats retained from it. Building a
+// lock costs one 32-B allocation and nothing else.
 //
 // Every other counter — the slow-path events, which already CAS the word or
 // a monitor, and a speculation's remaining terminal outcomes (failures,
 // fallbacks, faults, async aborts, upgrades), each of which follows a word
 // change — is exact on every lock: a shared atomic in the lock's cold
-// block, rented the first time the lock sees such an event. The cold block
-// also takes the single-writer counters whenever no thread-owned slot can:
-// external Add, a detached thread's counts, and every count of a lock that
-// found the stats-id space (jthread.MaxCounterID ids) exhausted. Totals stay
-// exact in each case.
+// block, rented the first time the lock sees such an event, takes a stats
+// id, or is asked for its Stats: the views live in the block too, so a
+// caller that sums the counters of many locks rents a block for each (208
+// B, about 13 MB for 65,536 locks). The cold block also takes the
+// single-writer counters whenever no thread-owned slot can: external Add,
+// a detached thread's counts, and every count of a lock that found the
+// stats-id space (jthread.MaxCounterID ids) exhausted. Totals stay exact
+// in each case.
 //
 // A Counter's total is its cold slot plus, for a single-writer counter of a
 // counted lock, the sum jthread.CounterTotals reads over the threads'
@@ -117,23 +122,32 @@ var attemptOutcomes = [...]counterID{
 }
 
 // coldBlock is the part of a lock that only slow paths write, rented on
-// first use (Lock.coldBlock) and freed with the lock.
+// first use (Lock.coldBlock) and freed with the lock, or with the last
+// *Stats retained from it.
 type coldBlock struct {
 	// c[id] is counter id's shared slot.
 	c [numCounters]atomic.Uint64
 
+	// staticID is the lock's solerovet identity (see Lock.SetStaticID).
+	staticID string
+
+	// id is the lock's stats id (0 until its first count); the lock keeps
+	// a copy. Its finalizer frees it.
+	id atomic.Uint32
 	// noID is set once the lock found the stats-id space exhausted: its
 	// single-writer counters count in c from then on.
 	noID atomic.Bool
+	// metered is the lock's metered flag, for the views.
+	metered bool
 
-	// staticID is the lock's solerovet identity (see Lock.SetStaticID).
-	staticID string
+	// st is the Counter views, one byte each.
+	st Stats
 }
 
 // Stats counts SOLERO protocol events: it is the 19 one-byte Counter
-// views, declared in counterID order, that end the lock's line. Each view
-// aggregates on Load. The elision counters feed the paper's Figure 15
-// failure-ratio experiment.
+// views, declared in counterID order, that end the lock's cold block (see
+// Lock.Stats, which rents the block). Each view aggregates on Load. The
+// elision counters feed the paper's Figure 15 failure-ratio experiment.
 //
 // FastAcquires, ElisionSuccesses and ElisionAttempts are kept only by a
 // counted lock (Counted: Config.Metrics was set at New). On an uncounted
@@ -162,8 +176,8 @@ type Stats struct {
 }
 
 // Counter is a read view of one aggregated protocol counter. A view is its
-// one-byte id: it finds its lock from its own address, so it must not be
-// copied (go vet's copylocks check reports a copy, which reads garbage).
+// one-byte id: it finds its cold block from its own address, so it must not
+// be copied (go vet's copylocks check reports a copy, which reads garbage).
 type Counter struct {
 	_  noCopy
 	id counterID
@@ -175,18 +189,18 @@ type noCopy struct{}
 func (*noCopy) Lock()   {}
 func (*noCopy) Unlock() {}
 
-// lock returns the lock c is a view of: view id lies id bytes past the
-// first view, which lies at Lock.st.
-func (c *Counter) lock() *Lock {
-	return (*Lock)(unsafe.Add(unsafe.Pointer(c), -int(unsafe.Offsetof(Lock{}.st))-int(c.id)))
+// block returns the cold block c is a view of: view id lies id bytes past
+// the first view, which lies at coldBlock.st.
+func (c *Counter) block() *coldBlock {
+	return (*coldBlock)(unsafe.Add(unsafe.Pointer(c), -int(unsafe.Offsetof(coldBlock{}.st))-int(c.id)))
 }
 
 // Load returns the counter's total.
-func (c *Counter) Load() uint64 { return c.lock().load(c.id) }
+func (c *Counter) Load() uint64 { return c.block().load(c.id) }
 
 // Add adds n to the counter's cold slot — for external accounting that has
 // no thread at hand.
-func (c *Counter) Add(n uint64) { c.lock().coldBlock().c[c.id].Add(n) }
+func (c *Counter) Add(n uint64) { c.block().c[c.id].Add(n) }
 
 // init numbers s's views.
 func (s *Stats) init() {
@@ -196,15 +210,19 @@ func (s *Stats) init() {
 	}
 }
 
-// lock returns the lock s belongs to.
-func (s *Stats) lock() *Lock { return s.FastAcquires.lock() }
+// block returns the cold block s belongs to.
+func (s *Stats) block() *coldBlock { return s.FastAcquires.block() }
 
 // coldBlock returns the lock's cold block, renting it on first use.
 func (l *Lock) coldBlock() *coldBlock {
 	if c := l.cold.Load(); c != nil {
 		return c
 	}
-	l.cold.CompareAndSwap(nil, new(coldBlock))
+	c := &coldBlock{metered: l.metered}
+	c.st.init()
+	if l.cold.CompareAndSwap(nil, c) {
+		return c
+	}
 	return l.cold.Load()
 }
 
@@ -258,30 +276,36 @@ func (l *Lock) bumpSlow(t *jthread.Thread, id counterID) {
 var newStatsID = jthread.NewCounterID
 
 // statsID returns the lock's stats id, taking one at its first call: the
-// winner of the race to set it registers the finalizer that frees the id
-// with the lock. It returns 0 when the id space is exhausted.
+// winner of the race to set the cold block's id registers the finalizer
+// that frees it with the block, and every caller copies it to the lock. It
+// returns 0 when the id space is exhausted.
 func (l *Lock) statsID() uint32 {
 	if sid := l.id.Load(); sid != 0 {
 		return sid
 	}
-	if c := l.cold.Load(); c != nil && c.noID.Load() {
-		return 0
-	}
-	sid := newStatsID()
+	c := l.coldBlock()
+	sid := c.id.Load()
 	if sid == 0 {
-		l.coldBlock().noID.Store(true)
-		return 0
+		if c.noID.Load() {
+			return 0
+		}
+		if sid = newStatsID(); sid == 0 {
+			c.noID.Store(true)
+			return 0
+		}
+		if c.id.CompareAndSwap(0, sid) {
+			runtime.SetFinalizer(c, (*coldBlock).freeStatsID)
+		} else {
+			jthread.FreeCounterID(sid)
+			sid = c.id.Load()
+		}
 	}
-	if !l.id.CompareAndSwap(0, sid) {
-		jthread.FreeCounterID(sid)
-		return l.id.Load()
-	}
-	runtime.SetFinalizer(l, (*Lock).freeStatsID)
+	l.id.Store(sid)
 	return sid
 }
 
-// freeStatsID is the finalizer of a lock that took a stats id.
-func (l *Lock) freeStatsID() { jthread.FreeCounterID(l.id.Load()) }
+// freeStatsID is the finalizer of a cold block whose lock took a stats id.
+func (c *coldBlock) freeStatsID() { jthread.FreeCounterID(c.id.Load()) }
 
 // countedOnly reports whether counter id is kept only by a counted lock:
 // the single-writer counters, and ElisionAttempts, which sums them with the
@@ -290,26 +314,20 @@ func countedOnly(id counterID) bool { return id < numOwned || id == cElisionAtte
 
 // Counted reports whether the lock counts FastAcquires, ElisionSuccesses
 // and ElisionAttempts: whether Config.Metrics was set at New.
-func (s *Stats) Counted() bool { return s.lock().metered }
+func (s *Stats) Counted() bool { return s.block().metered }
 
 // load returns counter id's total.
-func (l *Lock) load(id counterID) uint64 {
-	var n uint64
-	c := l.cold.Load()
-	if c != nil {
-		n = c.c[id].Load()
-	}
+func (c *coldBlock) load(id counterID) uint64 {
+	n := c.c[id].Load()
 	switch {
-	case !countedOnly(id) || !l.metered:
+	case !countedOnly(id) || !c.metered:
 		return n
 	case id < numOwned:
-		return n + jthread.CounterTotals(l.id.Load())[id]
+		return n + jthread.CounterTotals(c.id.Load())[id]
 	}
-	n += jthread.CounterTotals(l.id.Load())[cElisionSuccesses]
-	if c != nil {
-		for _, o := range attemptOutcomes {
-			n += c.c[o].Load()
-		}
+	n += jthread.CounterTotals(c.id.Load())[cElisionSuccesses]
+	for _, o := range attemptOutcomes {
+		n += c.c[o].Load()
 	}
 	return n
 }
@@ -334,11 +352,11 @@ func (s *Stats) FailureRatio() float64 {
 // seed implementation. An uncounted lock's snapshot lacks fastAcquires,
 // elisionSuccesses and elisionAttempts (see Counted).
 func (s *Stats) Snapshot() map[string]uint64 {
-	l := s.lock()
+	c := s.block()
 	out := make(map[string]uint64, int(numCounters))
 	for id := counterID(0); id < numCounters; id++ {
-		if l.metered || !countedOnly(id) {
-			out[counterKeys[id]] = l.load(id)
+		if c.metered || !countedOnly(id) {
+			out[counterKeys[id]] = c.load(id)
 		}
 	}
 	return out

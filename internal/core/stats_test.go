@@ -152,7 +152,9 @@ func TestSnapshotConcurrentWithReaders(t *testing.T) {
 // TestSharedCountersReportedOnce pins how the shared (slow-path) counters
 // are kept: once per lock, in its cold block, whichever threads count
 // them, beside external adjustments; Snapshot reports each exactly once.
-// A lock that saw no shared event has no cold block at all.
+// A counted lock rents its cold block at its first count, which takes the
+// stats id the block holds, but elided reads count only in the threads'
+// owned slots: they leave every shared slot at zero.
 func TestSharedCountersReportedOnce(t *testing.T) {
 	vm := jthread.NewVM()
 	l := newCounted()
@@ -161,8 +163,16 @@ func TestSharedCountersReportedOnce(t *testing.T) {
 		for j := 0; j < 5; j++ {
 			l.ReadOnly(th, func() {})
 		}
-		if i == 0 && l.cold.Load() != nil {
-			t.Fatal("elided reads rented a cold block")
+		if i == 0 {
+			c := l.cold.Load()
+			if c == nil || c.id.Load() == 0 || c.id.Load() != l.id.Load() {
+				t.Fatalf("first count left cold block %v, want one holding the lock's stats id %d", c, l.id.Load())
+			}
+			for id := range c.c {
+				if n := c.c[id].Load(); n != 0 {
+					t.Fatalf("elided reads counted %d in the shared %q slot", n, counterKeys[id])
+				}
+			}
 		}
 		l.Lock(th)
 		l.Lock(th) // reentrant: a slow acquire and a recursion

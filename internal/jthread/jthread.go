@@ -15,10 +15,13 @@
 // Checkpoint is the compiled-in poll: when an async event is pending it walks
 // the frame stack exactly as the paper walks the call stack, and panics with
 // ErrInconsistentRead if any frame is stale. The SOLERO runner recovers from
-// that panic and retries the section.
+// that panic and retries the section. A Thread also keeps the writer's side
+// of the local lock variable: an owner record per lock it holds flat
+// (owners.go).
 package jthread
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -70,20 +73,36 @@ const frameStackCap = stats.FalseSharingRange / int(unsafe.Sizeof(SpecFrame{}))
 // would thread this through its execution context the same way).
 //
 // A Thread must only ever be used by a single goroutine at a time.
+//
+// The fields the fast paths use open the struct, within its first 64
+// bytes: the id and the first owner record (the write path), and the
+// speculative-frame stack header (the read path). TestThreadHotLine pins
+// the layout.
 type Thread struct {
-	vm   *VM
-	id   uint64
-	name string
+	vm *VM
+	id uint64
+
+	// owners counts the thread's owner records (see owners.go): the first
+	// ownerInline live in owner, the rest in ownerSpill. Plain by the
+	// single-goroutine contract.
+	owners uint32
 
 	// stripe is the precomputed stripe index: sequential ids round-robin
 	// across any power-of-two stripe count (the metrics registry masks it
 	// down to its stripe array).
 	stripe uint32
+
+	frames []SpecFrame
+
+	owner      [ownerInline]ownerRecord
+	ownerSpill []ownerRecord
+
+	name string
+
 	// serial is the thread's process-unique serial (see Serial).
 	serial uint64
 
 	asyncPending atomic.Bool
-	frames       []SpecFrame
 
 	// pages is the thread's counter-page index (see counters.go):
 	// pages[id>>pageShift] holds its slot for stats id. The thread reads it
@@ -247,14 +266,26 @@ func (t *Thread) EventsSeen() uint64 { return t.eventsSeen }
 // Detach unregisters the thread from its VM and folds its counter slots
 // into the retired table, so the counts it made stay in every total. Using
 // a detached thread with any lock operation is a bug.
+//
+// A thread that still holds a lock flat (OwnerDepth > 0: an owner record,
+// see owners.go) cannot detach: nobody else could ever release the lock, so
+// Detach panics with ErrDetachHolding and leaves the thread attached and its
+// records intact; the thread may release its locks and detach again.
 func (t *Thread) Detach() {
 	if t.detached {
 		return
+	}
+	if t.owners != 0 {
+		panic(ErrDetachHolding)
 	}
 	t.detached = true
 	t.vm.detach(t)
 	t.retireCounters()
 }
+
+// ErrDetachHolding is the panic value of Detach on a thread that still
+// holds a lock flat.
+var ErrDetachHolding = errors.New("jthread: Detach while holding a lock flat")
 
 // lastSerial is the most recently issued thread serial.
 var lastSerial atomic.Uint64

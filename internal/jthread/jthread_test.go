@@ -280,3 +280,94 @@ func TestSerialsUniqueAcrossVMs(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestOwnerRecords drives the owner-record stack past its inline entries:
+// pushes, LIFO takes through the inline fast case, out-of-order takes
+// through TakeOwner, and the panic of a take with no record.
+func TestOwnerRecords(t *testing.T) {
+	th := NewVM().Attach("owner")
+	words := make([]atomic.Uint64, ownerInline+3)
+	for i := range words {
+		th.PushOwner(&words[i], uint64(100+i))
+	}
+	if d := th.OwnerDepth(); d != len(words) {
+		t.Fatalf("OwnerDepth = %d after %d pushes", d, len(words))
+	}
+	if _, ok := th.TakeOwnerTop(&words[len(words)-1]); ok {
+		t.Fatal("TakeOwnerTop took a spilled record")
+	}
+	// Take from the middle, then the spilled top, then the rest LIFO.
+	for _, i := range []int{2, 6, 5, 0, 4} {
+		if got := th.TakeOwner(&words[i]); got != uint64(100+i) {
+			t.Fatalf("TakeOwner(word %d) = %d, want %d", i, got, 100+i)
+		}
+		if _, ok := th.OwnerSaved(&words[i]); ok {
+			t.Fatalf("word %d still has a record after its take", i)
+		}
+	}
+	for _, i := range []int{3, 1} {
+		got, ok := th.TakeOwnerTop(&words[i])
+		if !ok || got != uint64(100+i) {
+			t.Fatalf("TakeOwnerTop(word %d) = %d, %v; want %d, true", i, got, ok, 100+i)
+		}
+	}
+	if d := th.OwnerDepth(); d != 0 {
+		t.Fatalf("OwnerDepth = %d after taking every record", d)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TakeOwner with no record did not panic")
+		}
+	}()
+	th.TakeOwner(&words[0])
+}
+
+// TestDetachRefusedWhileOwning checks Detach's defined outcome for a thread
+// with a live owner record: it panics with ErrDetachHolding and leaves the
+// thread attached with its record, and succeeds once the record is taken.
+func TestDetachRefusedWhileOwning(t *testing.T) {
+	vm := NewVM()
+	th := vm.Attach("owner")
+	var w atomic.Uint64
+	th.PushOwner(&w, 7)
+	func() {
+		defer func() {
+			if r := recover(); r != ErrDetachHolding {
+				t.Fatalf("Detach recovered %v, want ErrDetachHolding", r)
+			}
+		}()
+		th.Detach()
+	}()
+	if vm.NumThreads() != 1 || th.OwnerDepth() != 1 {
+		t.Fatalf("refused Detach left %d threads, depth %d; want 1, 1", vm.NumThreads(), th.OwnerDepth())
+	}
+	if got := th.TakeOwner(&w); got != 7 {
+		t.Fatalf("TakeOwner = %d, want 7", got)
+	}
+	th.Detach()
+	if vm.NumThreads() != 0 {
+		t.Fatalf("%d threads after Detach", vm.NumThreads())
+	}
+}
+
+// TestThreadHotLine pins the Thread layout the fast paths rely on: the id,
+// the owner-record count, the speculative-frame stack header and the first
+// owner record lie in the struct's first 64 bytes, so the write path (id,
+// first record) and the read path (frame header) touch the same few words
+// of it.
+func TestThreadHotLine(t *testing.T) {
+	var th Thread
+	for _, f := range []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"id", unsafe.Offsetof(th.id), unsafe.Sizeof(th.id)},
+		{"owners", unsafe.Offsetof(th.owners), unsafe.Sizeof(th.owners)},
+		{"frames", unsafe.Offsetof(th.frames), unsafe.Sizeof(th.frames)},
+		{"owner[0]", unsafe.Offsetof(th.owner), unsafe.Sizeof(th.owner[0])},
+	} {
+		if f.off+f.size > stats.CacheLine {
+			t.Errorf("%s spans [%d,%d), want within the first %d bytes", f.name, f.off, f.off+f.size, stats.CacheLine)
+		}
+	}
+}

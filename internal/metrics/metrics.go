@@ -200,11 +200,21 @@ func (r *Registry) NumStripes() int { return int(r.mask) + 1 }
 // beyond the Thread it already holds to decide whether to sample.
 func (r *Registry) CSSampleMask() uint32 { return r.samplePeriodMask }
 
-// EndCS records a sampled section's duration. Call only on sampled sections
-// (the registry is necessarily non-nil then).
-func (r *Registry) EndCS(stripe uint32, start time.Time) {
-	r.CSDuration.Record(stripe, time.Since(start).Nanoseconds())
+// EndCS records a sampled section's duration from its start, a Now
+// reading. Call only on sampled sections (the registry is necessarily
+// non-nil then).
+func (r *Registry) EndCS(stripe uint32, start int64) {
+	r.CSDuration.Record(stripe, Now()-start)
 }
+
+// epoch is the origin of Now.
+var epoch = time.Now()
+
+// Now returns monotonic nanoseconds since the process's epoch, for dwell
+// and section timings: the difference of two readings is a duration in
+// nanoseconds. It reads the clock once: time.Now also reads the wall
+// clock, which on linux/amd64 is a second vDSO call.
+func Now() int64 { return int64(time.Since(epoch)) }
 
 // RecordAbort accounts one aborted/preempted elision under cause, and — on
 // a sampled subset — attributes it to the calling lock site via

@@ -65,7 +65,7 @@ func TestSamplingPeriod(t *testing.T) {
 		t.Fatalf("mask for period 0 = %d, want 0", got)
 	}
 	for i := 0; i < 10; i++ {
-		r.EndCS(0, time.Now())
+		r.EndCS(0, Now())
 	}
 	if s := r.CSDuration.Snapshot(); s.Count != 10 {
 		t.Fatalf("recorded %d sampled sections", s.Count)
@@ -109,7 +109,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			mask := r.CSSampleMask()
 			for i := 0; i < 2000; i++ {
 				if tick++; tick&mask == 0 {
-					r.EndCS(g, time.Now())
+					r.EndCS(g, Now())
 				}
 				r.RecordAbort(g, AbortCause(i%int(NumAbortCauses)))
 				r.AddOps(g, 1)

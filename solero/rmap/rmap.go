@@ -56,22 +56,32 @@ func (m *Map[V]) shardFor(k int64) *shard[V] {
 	return &m.shards[(h>>32)&m.mask]
 }
 
-// Get returns the value for k, if present. The lookup is an elided
-// read-only critical section.
-func (m *Map[V]) Get(t *jthread.Thread, k int64) (V, bool) {
-	s := m.shardFor(k)
-	var v V
-	var ok bool
-	s.lock.ReadOnly(t, func() {
-		v, ok = s.data.Get(k)
-	})
-	return v, ok
+// lookup is a Get's result as one value, for core.ReadOnlyValue.
+type lookup[V any] struct {
+	v  V
+	ok bool
 }
 
-// Contains reports whether k is present (elided).
+// Get returns the value for k, if present. The lookup is an elided
+// read-only critical section: core.ReadOnlyValue, whose hook-free first
+// attempt is its own speculative frame, so a successful lookup calls the
+// section body directly.
+func (m *Map[V]) Get(t *jthread.Thread, k int64) (V, bool) {
+	s := m.shardFor(k)
+	r := core.ReadOnlyValue(s.lock, t, func() lookup[V] {
+		v, ok := s.data.Get(k)
+		return lookup[V]{v, ok}
+	})
+	return r.v, r.ok
+}
+
+// Contains reports whether k is present (elided, as Get).
 func (m *Map[V]) Contains(t *jthread.Thread, k int64) bool {
-	_, ok := m.Get(t, k)
-	return ok
+	s := m.shardFor(k)
+	return core.ReadOnlyValue(s.lock, t, func() bool {
+		_, ok := s.data.Get(k)
+		return ok
+	})
 }
 
 // Put inserts or replaces the value for k, returning the previous value if

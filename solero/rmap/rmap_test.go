@@ -238,3 +238,22 @@ func TestQuickAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLookupsAllocFree checks that Get and Contains, elided through
+// core.ReadOnlyValue, allocate nothing on a hit or a miss.
+func TestLookupsAllocFree(t *testing.T) {
+	_, th := newT()
+	m := New[int](4, nil)
+	m.Put(th, 1, 10)
+	n := testing.AllocsPerRun(100, func() {
+		if v, ok := m.Get(th, 1); !ok || v != 10 {
+			t.Fatalf("Get(1) = %d, %v", v, ok)
+		}
+		if m.Contains(th, 2) {
+			t.Fatal("Contains(2) on a map without 2")
+		}
+	})
+	if n != 0 {
+		t.Fatalf("Get and Contains make %v allocations, want 0", n)
+	}
+}

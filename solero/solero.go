@@ -62,9 +62,11 @@ type Config = core.Config
 // Section is the write-announcement handle of a read-mostly section.
 type Section = core.Section
 
-// Stats is a Lock's event-counter views: 19 one-byte views on the lock's
-// own line, whose counts live in the lock's cold block and, for a counted
-// lock, the counting threads' counter pages. Read a counter in place,
+// Stats is a Lock's event-counter views: 19 one-byte views in the lock's
+// cold block, whose counts live in that block and, for a counted lock, the
+// counting threads' counter pages. The lock itself is 32 B and holds none
+// of them, so lock.Stats() rents the cold block (about 200 B) on a lock
+// that has none yet. Read a counter in place,
 // lock.Stats().Inflations.Load(): a Counter view must not be copied. A
 // total is exact once the counting threads are quiescent.
 //
