@@ -74,7 +74,7 @@ race:
 		./internal/sched/... ./internal/history/... ./internal/schedcheck/... \
 		./internal/monitor/... ./internal/metrics/... ./internal/export/... \
 		./internal/backend/... ./internal/bravo/... ./internal/rwlock/... \
-		./internal/jthread/... ./solero/...
+		./internal/jthread/... ./internal/collections/... ./solero/...
 	$(GO) test -race -short ./internal/montable/... ./internal/vmlock/... \
 		./internal/lockword/...
 

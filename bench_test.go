@@ -1159,6 +1159,61 @@ func BenchmarkLockFirstUse(b *testing.B) {
 	}
 }
 
+// BenchmarkHashMap measures the map under the HashMap workloads with no lock
+// around it: Build1024 is ro-hashmap's build (1,024 distinct keys from
+// capacity 0, through every resize; allocs/op is about one node per key),
+// GetHit a lookup of a present key, PutReplace a replacement (one
+// allocation, the new value's box).
+func BenchmarkHashMap(b *testing.B) {
+	keys := make([]int64, 1024)
+	seen := make(map[int64]bool, len(keys))
+	x := uint64(1)
+	for i := range keys {
+		for {
+			x = x*6364136223846793005 + 1442695040888963407
+			if k := int64(x >> 24); !seen[k] {
+				seen[k], keys[i] = true, k
+				break
+			}
+		}
+	}
+	build := func() *hashmap.Map[int64] {
+		m := hashmap.New[int64](0)
+		for _, k := range keys {
+			m.Put(k, k)
+		}
+		return m
+	}
+	b.Run("Build1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if build().Len() != len(keys) {
+				b.Fatal("lost a key")
+			}
+		}
+	})
+	b.Run("GetHit", func(b *testing.B) {
+		m := build()
+		var sum int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v, _ := m.Get(keys[i&(len(keys)-1)])
+			sum += v
+		}
+		benchSink.Add(uint64(sum))
+	})
+	b.Run("PutReplace", func(b *testing.B) {
+		m := build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k := keys[i&(len(keys)-1)]
+			m.Put(k, k+int64(i))
+		}
+	})
+}
+
 // BenchmarkMicroInterp measures the JIT substrate: method dispatch and
 // elided synchronized execution through the interpreter.
 func BenchmarkMicroInterp(b *testing.B) {

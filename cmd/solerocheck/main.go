@@ -6,7 +6,7 @@
 //
 //	solerocheck -writers 2 -readers 2
 //	solerocheck -writers 1 -readers 1 -mutate no-counter-bump
-//	solerocheck -inflators 1 -readers 1 -mutate deflate-stale-counter
+//	solerocheck -mutate deflate-stale-counter   # adds the inflator it needs
 //
 // Schedule mode (-sched) points the schedule-injection kernel at the
 // *real* implementation: seeded strategies explore interleavings of
@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -47,33 +48,51 @@ var bugs = map[string]core.Bug{
 	"no-counter-bump": core.BugNoCounterBump,
 }
 
-func main() {
-	schedMode := flag.Bool("sched", false, "schedule-injection mode: explore the real implementation")
-	writers := flag.Int("writers", 0, "writer threads (model default 1, sched default 2)")
-	readers := flag.Int("readers", 2, "speculative reader threads")
-	upgraders := flag.Int("upgraders", 0, "read-mostly upgrader threads")
-	sweepers := flag.Int("sweepers", 0, "sched: monitor-table sweeper threads (vmlock and solero)")
-	noDeflate := flag.Bool("nodeflate", false, "sched: disable on-release deflation (sweeper-only demotion)")
-	inflators := flag.Int("inflators", 0, "inflate/deflate threads (model mode only)")
-	retries := flag.Int("retries", 1, "speculation retries before fallback (paper: 1)")
-	mutate := flag.String("mutate", "none", "model mutation: none|no-counter-bump|no-validate|blind-upgrade|validate-ignores-held|deflate-stale-counter")
+// mutationThreads names the threads each mutation's bug needs beyond the
+// default mix (one writer, two readers): a blind upgrade is unsound only
+// against a writer, a stale deflation counter only across an inflation. A
+// thread-count flag given on the command line wins.
+var mutationThreads = map[string]map[string]int{
+	"blind-upgrade":         {"writers": 1, "upgraders": 1},
+	"deflate-stale-counter": {"inflators": 1},
+}
 
-	seed := flag.Uint64("seed", 1, "sched: base seed (episode i runs under Splitmix(seed+i))")
-	episodes := flag.Int("episodes", 100, "sched: max episodes to explore")
-	duration := flag.Duration("duration", 0, "sched: wall-clock budget (0: episodes only)")
-	strategy := flag.String("strategy", "random", "sched: exploration strategy: random|pct")
-	pctD := flag.Int("pct-d", 3, "sched: PCT priority change points")
-	ops := flag.Int("ops", 20, "sched: critical sections per thread")
-	bugName := flag.String("bug", "none", "sched: inject a protocol bug: none|no-counter-bump")
-	backendName := flag.String("backend", "solero", "sched: lock backend under test (internal/backend name: vmlock|rwlock|solero|bravo)")
-	replay := flag.String("replay", "", "sched: replay a recorded decision sequence (comma list) instead of exploring")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run parses args and runs the chosen mode, returning the exit code: 0 all
+// safe, 1 an invariant violated, 2 a usage error or an inconclusive replay.
+func run(args []string) int {
+	fs := flag.NewFlagSet("solerocheck", flag.ContinueOnError)
+	schedMode := fs.Bool("sched", false, "schedule-injection mode: explore the real implementation")
+	writers := fs.Int("writers", 0, "writer threads (model default 1, sched default 2)")
+	readers := fs.Int("readers", 2, "speculative reader threads")
+	upgraders := fs.Int("upgraders", 0, "read-mostly upgrader threads")
+	sweepers := fs.Int("sweepers", 0, "sched: monitor-table sweeper threads (vmlock and solero)")
+	noDeflate := fs.Bool("nodeflate", false, "sched: disable on-release deflation (sweeper-only demotion)")
+	inflators := fs.Int("inflators", 0, "inflate/deflate threads (model mode only)")
+	retries := fs.Int("retries", 1, "speculation retries before fallback (paper: 1)")
+	mutate := fs.String("mutate", "none", "model mutation: none|no-counter-bump|no-validate|blind-upgrade|validate-ignores-held|deflate-stale-counter (adds the threads it needs)")
+
+	seed := fs.Uint64("seed", 1, "sched: base seed (episode i runs under Splitmix(seed+i))")
+	episodes := fs.Int("episodes", 100, "sched: max episodes to explore")
+	duration := fs.Duration("duration", 0, "sched: wall-clock budget (0: episodes only)")
+	strategy := fs.String("strategy", "random", "sched: exploration strategy: random|pct")
+	pctD := fs.Int("pct-d", 3, "sched: PCT priority change points")
+	ops := fs.Int("ops", 20, "sched: critical sections per thread")
+	bugName := fs.String("bug", "none", "sched: inject a protocol bug: none|no-counter-bump")
+	backendName := fs.String("backend", "solero", "sched: lock backend under test (internal/backend name: vmlock|rwlock|solero|bravo)")
+	replay := fs.String("replay", "", "sched: replay a recorded decision sequence (comma list) instead of exploring")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *schedMode {
 		bug, ok := bugs[*bugName]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "solerocheck: unknown bug %q\n", *bugName)
-			os.Exit(2)
+			return 2
 		}
 		w := *writers
 		if w == 0 && *upgraders == 0 {
@@ -85,9 +104,19 @@ func main() {
 			Sweepers: *sweepers, NoDeflate: *noDeflate,
 			Ops: *ops, Seed: *seed, Strategy: *strategy, PCTDepth: *pctD, Bug: bug,
 		}
-		os.Exit(runSched(opts, *replay, *episodes, *duration))
+		return runSched(opts, *replay, *episodes, *duration)
 	}
-	os.Exit(runModel(*writers, *readers, *upgraders, *inflators, *retries, *mutate))
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	for name, n := range mutationThreads[*mutate] {
+		if given[name] {
+			continue
+		}
+		if err := fs.Set(name, strconv.Itoa(n)); err != nil {
+			panic(err) // a mutationThreads entry names no flag
+		}
+	}
+	return runModel(*writers, *readers, *upgraders, *inflators, *retries, *mutate)
 }
 
 func runModel(writers, readers, upgraders, inflators, retries int, mutate string) int {

@@ -5,13 +5,33 @@
 // The map itself is NOT synchronized — callers guard it with one of the
 // lock implementations, exactly as the benchmark wraps java.util.HashMap in
 // synchronized blocks. What the package does guarantee is *speculation
-// safety*: all mutable cells (bucket heads, chain links, values, the table
-// pointer, the size) are sync/atomic values, so a SOLERO reader racing with
-// a locked writer performs defined single-word reads. Such a reader can
-// still observe a mutually inconsistent picture (e.g. a key in the old and
-// the new table during a resize); the SOLERO validation protocol is what
-// discards those executions. This mirrors the JVM setting, where racy field
-// reads are defined (if unordered) under the Java memory model.
+// safety*: a SOLERO reader racing with a locked writer performs only
+// defined reads and always finishes.
+//
+// A node is java.util.HashMap's: it holds its key and its first value
+// (init) inline, both written before the node is published and never
+// changed after. The mutable cells are sync/atomic values: the bucket
+// heads, each node's next link, each node's val (nil until the key's first
+// replacement, then a box holding the current value), the table pointer
+// and the size. Resize is Java 8's: it splits each bin into an
+// order-preserving lo and hi chain, reusing the nodes.
+//
+// Why a racing reader stays safe:
+//
+//   - key and init never change after publication, and every pointer to a
+//     node a reader can load was stored after the node was initialized, so
+//     reading them is ordered by the atomic load that found the node;
+//   - every next pointer ever stored points from a newer node to an older
+//     one: an insert prepends, an unlink skips a node, and the split keeps
+//     each chain's order;
+//   - so any traversal, however stale, visits nodes in strictly decreasing
+//     insertion order and ends, with no checkpoint and no fault;
+//   - a stale reader can miss a key, or find it in its old bucket, but
+//     every such change happens inside a writing section, so the SOLERO
+//     validation protocol discards that execution.
+//
+// This mirrors the JVM setting, where racy field reads are defined (if
+// unordered) under the Java memory model.
 package hashmap
 
 import "sync/atomic"
@@ -36,11 +56,21 @@ type table[V any] struct {
 	mask    uint64
 }
 
+// entry is one node. key and init are immutable once the node is
+// published; val stays nil until the key's first replacement.
 type entry[V any] struct {
 	key  int64
-	hash uint64
 	val  atomic.Pointer[V]
 	next atomic.Pointer[entry[V]]
+	init V
+}
+
+// value returns the entry's current value.
+func (e *entry[V]) value() V {
+	if p := e.val.Load(); p != nil {
+		return *p
+	}
+	return e.init
 }
 
 // New creates a map with at least the given capacity (rounded up to a power
@@ -75,13 +105,10 @@ func (m *Map[V]) Len() int { return int(m.size.Load()) }
 // Get returns the value for key, if present. It performs only loads, making
 // it legal inside a read-only critical section.
 func (m *Map[V]) Get(key int64) (V, bool) {
-	h := spread(key)
 	tab := m.table.Load()
-	for e := tab.buckets[h&tab.mask].Load(); e != nil; e = e.next.Load() {
-		if e.hash == h && e.key == key {
-			if p := e.val.Load(); p != nil {
-				return *p, true
-			}
+	for e := tab.buckets[spread(key)&tab.mask].Load(); e != nil; e = e.next.Load() {
+		if e.key == key {
+			return e.value(), true
 		}
 	}
 	var zero V
@@ -97,22 +124,21 @@ func (m *Map[V]) ContainsKey(key int64) bool {
 // Put inserts or replaces the value for key, returning the previous value
 // if any. Callers must hold the guarding lock in write mode.
 func (m *Map[V]) Put(key int64, val V) (V, bool) {
-	h := spread(key)
 	tab := m.table.Load()
-	head := &tab.buckets[h&tab.mask]
-	for e := head.Load(); e != nil; e = e.next.Load() {
-		if e.hash == h && e.key == key {
-			old := e.val.Swap(&val)
-			if old != nil {
+	head := &tab.buckets[spread(key)&tab.mask]
+	first := head.Load()
+	for e := first; e != nil; e = e.next.Load() {
+		if e.key == key {
+			box := new(V) // not &val, which would move val to the heap on every Put
+			*box = val
+			if old := e.val.Swap(box); old != nil {
 				return *old, true
 			}
-			var zero V
-			return zero, false
+			return e.init, true
 		}
 	}
-	e := &entry[V]{key: key, hash: h}
-	e.val.Store(&val)
-	e.next.Store(head.Load())
+	e := &entry[V]{key: key, init: val}
+	e.next.Store(first)
 	head.Store(e)
 	if m.size.Add(1)*loadFactorDen > int64(len(tab.buckets))*loadFactorNum {
 		m.resize(tab)
@@ -124,12 +150,11 @@ func (m *Map[V]) Put(key int64, val V) (V, bool) {
 // Remove deletes key, returning the removed value if it was present.
 // Callers must hold the guarding lock in write mode.
 func (m *Map[V]) Remove(key int64) (V, bool) {
-	h := spread(key)
 	tab := m.table.Load()
-	head := &tab.buckets[h&tab.mask]
+	head := &tab.buckets[spread(key)&tab.mask]
 	var prev *entry[V]
 	for e := head.Load(); e != nil; e = e.next.Load() {
-		if e.hash == h && e.key == key {
+		if e.key == key {
 			next := e.next.Load()
 			if prev == nil {
 				head.Store(next)
@@ -137,10 +162,7 @@ func (m *Map[V]) Remove(key int64) (V, bool) {
 				prev.next.Store(next)
 			}
 			m.size.Add(-1)
-			if p := e.val.Load(); p != nil {
-				return *p, true
-			}
-			break
+			return e.value(), true
 		}
 		prev = e
 	}
@@ -148,18 +170,41 @@ func (m *Map[V]) Remove(key int64) (V, bool) {
 	return zero, false
 }
 
-// resize doubles the table, rehashing every chain. New entry nodes are
-// allocated so concurrent speculative readers traversing the old table see
-// intact (if stale) chains — their validation then fails and they retry.
+// resize doubles the table with Java 8's split: bin i's chain becomes a lo
+// chain (bin i) and a hi chain (bin i+n) that keep its order and its nodes.
+// A link is stored only where the split breaks a run, so a node costs at
+// most one atomic store; every stored link still points to an older node
+// (see the package doc), so a reader walking the old table ends.
 func (m *Map[V]) resize(old *table[V]) {
-	next := newTable[V](len(old.buckets) * 2)
+	n := len(old.buckets)
+	next := newTable[V](n * 2)
+	bit := uint64(n)
 	for i := range old.buckets {
+		// Index 0 is the lo chain (bin i), 1 the hi chain (bin i+n).
+		var heads, tails [2]*entry[V]
+		var prev *entry[V]
 		for e := old.buckets[i].Load(); e != nil; e = e.next.Load() {
-			ne := &entry[V]{key: e.key, hash: e.hash}
-			ne.val.Store(e.val.Load())
-			head := &next.buckets[e.hash&next.mask]
-			ne.next.Store(head.Load())
-			head.Store(ne)
+			side := 0
+			if spread(e.key)&bit != 0 {
+				side = 1
+			}
+			if t := tails[side]; t == nil {
+				heads[side] = e
+			} else if t != prev {
+				t.next.Store(e)
+			}
+			tails[side] = e
+			prev = e
+		}
+		// prev is the chain's last node, whose next is already nil.
+		for side, t := range tails {
+			if t == nil {
+				continue
+			}
+			if t != prev {
+				t.next.Store(nil)
+			}
+			next.buckets[i+side*n].Store(heads[side])
 		}
 	}
 	m.table.Store(next)
@@ -171,10 +216,8 @@ func (m *Map[V]) Range(fn func(key int64, val V) bool) {
 	tab := m.table.Load()
 	for i := range tab.buckets {
 		for e := tab.buckets[i].Load(); e != nil; e = e.next.Load() {
-			if p := e.val.Load(); p != nil {
-				if !fn(e.key, *p) {
-					return
-				}
+			if !fn(e.key, e.value()) {
+				return
 			}
 		}
 	}

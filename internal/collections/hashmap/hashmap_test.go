@@ -1,6 +1,7 @@
 package hashmap
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -126,11 +127,14 @@ func TestQuickAgainstReferenceMap(t *testing.T) {
 	f := func(ops []op) bool {
 		m := New[int32](1)
 		ref := make(map[int64]int32)
+		seq := make(map[*entry[int32]]int)
 		for _, o := range ops {
 			k := int64(o.Key)
 			switch o.Kind % 3 {
 			case 0:
-				m.Put(k, o.Val)
+				if _, had := m.Put(k, o.Val); !had {
+					seq[m.node(k)] = len(seq)
+				}
 				ref[k] = o.Val
 			case 1:
 				got, ok := m.Get(k)
@@ -146,6 +150,10 @@ func TestQuickAgainstReferenceMap(t *testing.T) {
 					return false
 				}
 			}
+			if err := linksPointToOlder(seq); err != "" {
+				t.Log(err)
+				return false
+			}
 		}
 		if m.Len() != len(ref) {
 			return false
@@ -160,4 +168,31 @@ func TestQuickAgainstReferenceMap(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// node returns key's entry in the current table (white-box).
+func (m *Map[V]) node(key int64) *entry[V] {
+	tab := m.table.Load()
+	for e := tab.buckets[spread(key)&tab.mask].Load(); e != nil; e = e.next.Load() {
+		if e.key == key {
+			return e
+		}
+	}
+	return nil
+}
+
+// linksPointToOlder checks the invariant behind speculation safety: every
+// node ever inserted, linked or unlinked, links only to an earlier-inserted
+// node. seq numbers the nodes in insertion order.
+func linksPointToOlder[V any](seq map[*entry[V]]int) string {
+	for e, n := range seq {
+		next := e.next.Load()
+		if next == nil {
+			continue
+		}
+		if m, ok := seq[next]; !ok || m >= n {
+			return fmt.Sprintf("node %d (key %d) links to node %d (key %d), not an older one", n, e.key, m, next.key)
+		}
+	}
+	return ""
 }

@@ -9,9 +9,11 @@
 // fraction of the key space.
 //
 // Every method takes the caller's VM thread (one per goroutine, from
-// solero.NewVM().Attach). Values are stored behind atomic cells, so the
-// racing loads performed by speculative readers stay within the Go memory
-// model; value types should be treated as immutable once stored.
+// solero.NewVM().Attach). Each shard is an internal/collections/hashmap,
+// whose node holds a key's first value inline (written before the node is
+// published, never changed after) and a replacement behind an atomic cell,
+// so the racing loads performed by speculative readers stay within the Go
+// memory model; value types should be treated as immutable once stored.
 package rmap
 
 import (
