@@ -49,7 +49,7 @@
 #   make bench-gate - `bench compare` with the BENCHMARK.json bounds over
 #                    the committed bench/testdata fixtures (+ the seeded
 #                    regression MUST fail: anti-vacuity)
-#   make tournament-smoke - every lock backend through the schedule-kernel
+#   make backend-smoke - every lock backend through the schedule-kernel
 #                    oracle, vmlock and solero again with a monitor-table
 #                    sweeper thread
 #
@@ -58,7 +58,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench allocfree inlinecheck nolockread check fmtcheck nofencemodel benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-gate tournament-smoke montable-smoke
+.PHONY: build vet test race bench allocfree inlinecheck nolockread check fmtcheck nofencemodel benchtest lint lintcatch factsmoke lockorder-catch guardedby-catch racecatch escape-catch lint-sarif schedsmoke schedfuzz replaydeterminism fuzz obs-smoke json-smoke bench-gate backend-smoke montable-smoke
 
 build:
 	$(GO) build ./...
@@ -73,13 +73,13 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/stats/... \
 		./internal/sched/... ./internal/history/... ./internal/schedcheck/... \
 		./internal/monitor/... ./internal/metrics/... ./internal/export/... \
-		./internal/backend/... ./internal/bravo/... ./internal/rwlock/... \
+		./internal/backend/... ./internal/rwlock/... \
 		./internal/jthread/... ./internal/collections/... ./solero/...
 	$(GO) test -race -short ./internal/montable/... ./internal/vmlock/... \
 		./internal/lockword/...
 
 bench:
-	$(GO) test -bench 'BenchmarkReaderScaling|BenchmarkReadOnlyAllocFree|BenchmarkBackendTournament' -benchtime 200ms .
+	$(GO) test -bench 'BenchmarkReaderScaling|BenchmarkReadOnlyAllocFree' -benchtime 200ms .
 
 allocfree:
 	$(GO) test -run '^$$' -bench 'BenchmarkReadOnlyAllocFree' -benchtime 1x .
@@ -115,10 +115,10 @@ inlinecheck:
 	fi; \
 	echo "OK: inlinecheck ((*Lock).bump, (*history.Recorder).Record, and the owner-record fast cases, inlined into Lock/Unlock)"
 
-# The paper's read-only section never writes the lock, and BRAVO's readers
-# only load: an elided read executes no LOCK-prefixed or XCHG instruction
-# (an XCHG with a memory operand is locked implicitly). The check reads the
-# machine code of a built test binary: (*Lock).read and every ReadOnlyValue
+# The paper's read-only section never writes the lock: an elided read
+# executes no LOCK-prefixed or XCHG instruction (an XCHG with a memory
+# operand is locked implicitly). The check reads the machine code of a
+# built test binary: (*Lock).read and every ReadOnlyValue
 # instantiation (with its closures) must hold none, and each one in
 # (*Lock).readLoop must be the failure arm's shared-counter add, which
 # objdump attributes to the line of (*Lock).inc in stats.go. Other GOARCHes
@@ -156,7 +156,7 @@ fmtcheck:
 # fence plans (internal/memmodel) are charged only by the coherence
 # simulator, so no lock, the backend SPI, the workloads or the public API
 # may import them.
-NOFENCE_PKGS = ./internal/core ./internal/vmlock ./internal/rwlock ./internal/bravo \
+NOFENCE_PKGS = ./internal/core ./internal/vmlock ./internal/rwlock \
 	./internal/backend ./internal/workload ./solero/...
 nofencemodel:
 	@deps=$$($(GO) list -deps $(NOFENCE_PKGS)) || exit 1; \
@@ -365,14 +365,13 @@ bench-gate:
 	fi; \
 	echo "OK: bench-gate (fixture set clean against itself, seeded regression caught)"
 
-# Every lock backend must survive the same schedule-kernel oracle — the
-# deterministic revocation-window schedule included. This is the CI gate
-# for the backend SPI; the cross-backend race itself is the root
-# BenchmarkBackendTournament (`make bench`).
-tournament-smoke:
-	$(GO) test -run 'TestAllBackendsPassOracle|TestBravoRevocationWindowPinned|TestOracleWorkloadAllBackends' \
+# Every lock backend must survive the same schedule-kernel oracle, and the
+# table-backed ones again with a sweeper thread. This is the CI gate for
+# the backend SPI.
+backend-smoke:
+	$(GO) test -run 'TestAllBackendsPassOracle|TestOracleWorkloadAllBackends' \
 		./internal/schedcheck/ ./internal/backend/
-	@for be in vmlock rwlock solero bravo; do \
+	@for be in vmlock rwlock solero; do \
 		$(GO) run ./cmd/solerocheck -sched -backend $$be -writers 1 -readers 2 -upgraders 1 -ops 4 -episodes 25 \
 			|| { echo "FAIL: backend $$be violated the oracle"; exit 1; }; \
 	done
@@ -380,7 +379,7 @@ tournament-smoke:
 		$(GO) run ./cmd/solerocheck -sched -backend $$be -writers 2 -readers 1 -sweepers 1 -ops 3 -episodes 25 \
 			|| { echo "FAIL: table-backed backend $$be violated the oracle"; exit 1; }; \
 	done
-	@echo "OK: tournament-smoke (4 backends, oracle + pinned revocation window + table sweeper)"
+	@echo "OK: backend-smoke (3 backends, oracle + table sweeper)"
 
 # Compact-monitor-table smoke: the short churn-torture/property pass, a
 # 1M-lock steady-state footprint assert (<64 bytes/lock — the scale

@@ -16,7 +16,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/backend"
 	"repro/internal/collections/hashmap"
 	"repro/internal/collections/treemap"
 	"repro/internal/core"
@@ -638,126 +637,6 @@ func BenchmarkReaderScalingMetricsOverhead(b *testing.B) {
 	if ratio < 0.90 {
 		b.Fatalf("metrics-on read path lost %.1f%% throughput at %d readers (on %.0f ops/s, off %.0f ops/s); budget is 10%%",
 			100*(1-ratio), readers, on, off)
-	}
-}
-
-// --- Backend tournament (reader scaling across the lock SPI) ---
-
-// BenchmarkBackendTournament races every internal/backend contender over
-// the reader sweep on the tournament workload: a tiny guarded read of
-// shared state, the regime where per-acquisition lock overhead dominates
-// (RWLock's centralized RMW pair versus BRAVO's slot publish versus
-// SOLERO's elided entry). It is the repo's one cross-backend race; the
-// end-to-end perf verdicts come from the bench/ module, and `make
-// tournament-smoke` checks every backend against the schedule-kernel
-// oracle.
-func BenchmarkBackendTournament(b *testing.B) {
-	workloads := []struct {
-		name     string
-		writePct int
-	}{{"readOnly", 0}, {"mixed5w", 5}}
-	for _, w := range workloads {
-		for _, name := range backend.Names() {
-			for _, n := range readerCounts() {
-				b.Run(fmt.Sprintf("%s/%s/t%d", w.name, name, n), func(b *testing.B) {
-					be, err := backend.New(name, backend.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					data := make([]atomic.Uint64, 64)
-					vm := jthread.NewVM()
-					seeds := make([]uint64, n)
-					start := time.Now()
-					benchThreads(b, vm, n, func(g int, th *jthread.Thread) {
-						seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-						r := seeds[g]
-						if w.writePct > 0 && int(r>>32%100) < w.writePct {
-							be.WriteSync(th, func() {
-								data[0].Add(1)
-								data[1].Add(1)
-							})
-							return
-						}
-						k := r % 64
-						var v uint64
-						// The body stays write-free and idempotent: the
-						// solero backend runs it speculatively.
-						be.ReadSync(th, func() { v = data[k].Load() })
-						benchSink.Add(v)
-					})
-					if el := time.Since(start).Seconds(); el > 0 {
-						b.ReportMetric(float64(b.N)/el, "ops/s")
-					}
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkBravoReaderSeparation asserts the claim
-// BenchmarkBackendTournament only illustrates: at full reader parallelism
-// on a read-only workload, BRAVO's biased read path (one slot publish, no
-// centralized RMW) must out-run the plain reader-writer lock's fetch-add
-// pair by a real margin. On fewer than 4 CPUs there is no reader-count cache line to ping-pong, the two
-// designs legitimately converge, and the benchmark skips. Each contender's
-// throughput is the best of 3 fixed wall-clock windows (as in
-// BenchmarkReaderScalingMetricsOverhead).
-func BenchmarkBravoReaderSeparation(b *testing.B) {
-	if runtime.NumCPU() < 4 {
-		b.Skipf("need >= 4 CPUs for reader-scaling separation, have %d", runtime.NumCPU())
-	}
-	readers := runtime.GOMAXPROCS(0)
-	const window = 100 * time.Millisecond
-
-	measure := func(name string) float64 {
-		be, err := backend.New(name, backend.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var datum atomic.Uint64
-		best := 0.0
-		for round := 0; round < 3; round++ {
-			var stop atomic.Bool
-			var ops atomic.Uint64
-			vm := jthread.NewVM()
-			var wg sync.WaitGroup
-			for g := 0; g < readers; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					th := vm.Attach("bench")
-					defer th.Detach()
-					n := uint64(0)
-					var v uint64
-					for !stop.Load() {
-						be.ReadSync(th, func() { v = datum.Load() })
-						n++
-					}
-					benchSink.Add(v)
-					ops.Add(n)
-				}()
-			}
-			start := time.Now()
-			time.Sleep(window)
-			stop.Store(true)
-			wg.Wait()
-			if rate := float64(ops.Load()) / time.Since(start).Seconds(); rate > best {
-				best = rate
-			}
-		}
-		return best
-	}
-
-	b.ResetTimer()
-	rw := measure("rwlock")
-	brv := measure("bravo")
-	ratio := brv / rw
-	b.ReportMetric(ratio, "bravo/rwlock")
-	b.ReportMetric(brv, "bravo-ops/s")
-	b.ReportMetric(rw, "rwlock-ops/s")
-	if ratio < 1.1 {
-		b.Fatalf("BRAVO biased reads no longer separate from the RWLock RMW pair at %d readers: %.2fx (bravo %.0f ops/s, rwlock %.0f ops/s)",
-			readers, ratio, brv, rw)
 	}
 }
 

@@ -12,7 +12,7 @@
 //	          [-pprof out.pb.gz] [-serve :PORT]
 //
 // -backend selects the lock implementation under the benchmark (solero by
-// default; lock/vmlock, rwlock, bravo, solero-unelided also work). Every
+// default; lock/vmlock, rwlock, solero-unelided also work). Every
 // backend's protocol counters flow through the same snapshot/export
 // pipeline; the SOLERO-only views (latency histograms, abort taxonomy,
 // -sites, -trace) stay empty for the others.
@@ -54,7 +54,7 @@ import (
 
 func main() {
 	bench := flag.String("bench", "hashmap", "benchmark: empty|hashmap|treemap|jbb")
-	backendName := flag.String("backend", "solero", "lock backend: lock|vmlock|rwlock|solero|solero-unelided|bravo")
+	backendName := flag.String("backend", "solero", "lock backend: lock|vmlock|rwlock|solero|solero-unelided")
 	threads := flag.Int("threads", 4, "software threads")
 	writes := flag.Int("writes", 5, "write percentage (map benchmarks)")
 	entries := flag.Int("entries", 1024, "map entries")
@@ -243,7 +243,7 @@ func quiesceTables(gs []*workload.Guard) {
 
 // printMonitorTables reports compact-monitor-table occupancy, deflation
 // churn, and the table's heap footprint for the table-backed backends.
-// Silent for rwlock and bravo.
+// Silent for rwlock.
 func printMonitorTables(gs []*workload.Guard) {
 	first := true
 	for _, g := range gs {

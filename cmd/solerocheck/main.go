@@ -16,7 +16,7 @@
 //
 //	solerocheck -sched -seed 1 -episodes 50
 //	solerocheck -sched -strategy pct -duration 30s
-//	solerocheck -sched -backend bravo -readers 2     # any internal/backend name
+//	solerocheck -sched -backend rwlock -readers 2    # any internal/backend name
 //	solerocheck -sched -bug no-counter-bump          # must fail (CI inverts it)
 //	solerocheck -sched -seed 123 -replay 1,1,2,3,1   # replay a printed schedule
 package main
@@ -80,7 +80,7 @@ func run(args []string) int {
 	pctD := fs.Int("pct-d", 3, "sched: PCT priority change points")
 	ops := fs.Int("ops", 20, "sched: critical sections per thread")
 	bugName := fs.String("bug", "none", "sched: inject a protocol bug: none|no-counter-bump")
-	backendName := fs.String("backend", "solero", "sched: lock backend under test (internal/backend name: vmlock|rwlock|solero|bravo)")
+	backendName := fs.String("backend", "solero", "sched: lock backend under test (internal/backend name: vmlock|rwlock|solero)")
 	replay := fs.String("replay", "", "sched: replay a recorded decision sequence (comma list) instead of exploring")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"repro/internal/bravo"
 	"repro/internal/core"
 	"repro/internal/jthread"
 	"repro/internal/montable"
@@ -26,9 +25,6 @@ func ForSolero(l *core.Lock, tb *montable.Table) Backend {
 	return &soleroBackend{l: l, tb: tb}
 }
 
-// ForBravo wraps an existing BRAVO lock in the SPI.
-func ForBravo(l *bravo.Lock) Backend { return &bravoBackend{l: l} }
-
 // vmlockBackend adapts the conventional tasuki lock. It has no read mode:
 // read acquisitions are exclusive acquisitions. tb is the lock's own
 // monitor table (nil for a lock on montable.Shared).
@@ -40,8 +36,6 @@ type vmlockBackend struct {
 func (b *vmlockBackend) Name() string                           { return "vmlock" }
 func (b *vmlockBackend) Lock(t *jthread.Thread)                 { b.l.Lock(t) }
 func (b *vmlockBackend) Unlock(t *jthread.Thread)               { b.l.Unlock(t) }
-func (b *vmlockBackend) RLock(t *jthread.Thread)                { b.l.Lock(t) }
-func (b *vmlockBackend) RUnlock(t *jthread.Thread)              { b.l.Unlock(t) }
 func (b *vmlockBackend) ReadSync(t *jthread.Thread, fn func())  { b.l.Sync(t, fn) }
 func (b *vmlockBackend) WriteSync(t *jthread.Thread, fn func()) { b.l.Sync(t, fn) }
 func (b *vmlockBackend) Stats() map[string]uint64 {
@@ -58,28 +52,19 @@ func (b *vmlockBackend) Stats() map[string]uint64 {
 // montable.Shared).
 func (b *vmlockBackend) MonitorTable() *montable.Table { return b.tb }
 
-// Underlying returns the wrapped lock (diagnostics).
-func (b *vmlockBackend) Underlying() *vmlock.Lock { return b.l }
-
 // rwlockBackend adapts the j.u.c.-style reader-writer baseline.
 type rwlockBackend struct{ l *rwlock.RWLock }
 
 func (b *rwlockBackend) Name() string                           { return "rwlock" }
 func (b *rwlockBackend) Lock(t *jthread.Thread)                 { b.l.Lock(t) }
 func (b *rwlockBackend) Unlock(t *jthread.Thread)               { b.l.Unlock(t) }
-func (b *rwlockBackend) RLock(t *jthread.Thread)                { b.l.RLock(t) }
-func (b *rwlockBackend) RUnlock(t *jthread.Thread)              { b.l.RUnlock(t) }
 func (b *rwlockBackend) ReadSync(t *jthread.Thread, fn func())  { b.l.ReadSync(t, fn) }
 func (b *rwlockBackend) WriteSync(t *jthread.Thread, fn func()) { b.l.WriteSync(t, fn) }
 func (b *rwlockBackend) Stats() map[string]uint64               { return b.l.Stats() }
 
-// Underlying returns the wrapped lock (diagnostics).
-func (b *rwlockBackend) Underlying() *rwlock.RWLock { return b.l }
-
 // soleroBackend adapts the SOLERO elision lock. Its read fast path is
 // closure-scoped speculation — the runtime must own the section body to
-// retry it — so ReadSync is the elided path while the pair form RLock
-// falls back to exclusive acquisition.
+// retry it — so ReadSync is the elided path.
 type soleroBackend struct {
 	l  *core.Lock
 	tb *montable.Table
@@ -88,8 +73,6 @@ type soleroBackend struct {
 func (b *soleroBackend) Name() string                           { return "solero" }
 func (b *soleroBackend) Lock(t *jthread.Thread)                 { b.l.Lock(t) }
 func (b *soleroBackend) Unlock(t *jthread.Thread)               { b.l.Unlock(t) }
-func (b *soleroBackend) RLock(t *jthread.Thread)                { b.l.Lock(t) }
-func (b *soleroBackend) RUnlock(t *jthread.Thread)              { b.l.Unlock(t) }
 func (b *soleroBackend) ReadSync(t *jthread.Thread, fn func())  { b.l.ReadOnly(t, fn) }
 func (b *soleroBackend) WriteSync(t *jthread.Thread, fn func()) { b.l.Sync(t, fn) }
 func (b *soleroBackend) Stats() map[string]uint64 {
@@ -109,21 +92,3 @@ func (b *soleroBackend) MonitorTable() *montable.Table { return b.tb }
 func (b *soleroBackend) ReadMostly(t *jthread.Thread, fn func(u Upgrader)) {
 	b.l.ReadMostly(t, func(sec *core.Section) { fn(sec) })
 }
-
-// Underlying returns the wrapped lock (diagnostics).
-func (b *soleroBackend) Underlying() *core.Lock { return b.l }
-
-// bravoBackend adapts the BRAVO biased reader-writer lock.
-type bravoBackend struct{ l *bravo.Lock }
-
-func (b *bravoBackend) Name() string                           { return "bravo" }
-func (b *bravoBackend) Lock(t *jthread.Thread)                 { b.l.Lock(t) }
-func (b *bravoBackend) Unlock(t *jthread.Thread)               { b.l.Unlock(t) }
-func (b *bravoBackend) RLock(t *jthread.Thread)                { b.l.RLock(t) }
-func (b *bravoBackend) RUnlock(t *jthread.Thread)              { b.l.RUnlock(t) }
-func (b *bravoBackend) ReadSync(t *jthread.Thread, fn func())  { b.l.ReadSync(t, fn) }
-func (b *bravoBackend) WriteSync(t *jthread.Thread, fn func()) { b.l.WriteSync(t, fn) }
-func (b *bravoBackend) Stats() map[string]uint64               { return b.l.Stats() }
-
-// Underlying returns the wrapped lock (diagnostics).
-func (b *bravoBackend) Underlying() *bravo.Lock { return b.l }

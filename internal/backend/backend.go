@@ -1,24 +1,21 @@
-// Package backend is the pluggable lock-algorithm SPI: one interface that
-// the paper's conventional lock (internal/vmlock), its RWLock baseline
-// (internal/rwlock), the SOLERO elision lock (internal/core), and the
-// BRAVO biased reader-writer lock (internal/bravo) all implement, so the
-// same harness workloads, invariant oracle, exporters, and tournament
-// benchmarks run against every contender unchanged.
+// Package backend is the lock-algorithm SPI: one interface that the
+// paper's conventional lock (internal/vmlock), its RWLock baseline
+// (internal/rwlock), and the SOLERO elision lock (internal/core) all
+// implement, so the schedule-kernel oracle (schedcheck, `solerocheck
+// -sched -backend`) and the counter CLI (`lockstats -backend`) run every
+// contender unchanged.
 //
-// The surface is the least common denominator of the four algorithms:
-// exclusive Lock/Unlock, read-mode RLock/RUnlock, the closure forms
-// ReadSync/WriteSync, and a flat Stats snapshot. Backends without a real
-// read mode (vmlock) serve read acquisitions from the exclusive path;
-// backends whose read fast path is closure-scoped (SOLERO's elision needs
-// the section body to retry it) serve RLock from the exclusive path too
-// and reserve the elided path for ReadSync. Backends supporting an
+// The surface is the least common denominator of the three algorithms:
+// exclusive Lock/Unlock, the closure forms ReadSync/WriteSync, and a flat
+// Stats snapshot. A backend without a real read mode (vmlock) serves
+// ReadSync from the exclusive path; SOLERO's ReadSync is the elided path
+// (its elision needs the section body to retry it). Backends supporting an
 // in-place read-to-write upgrade additionally implement ReadMostlyBackend.
 package backend
 
 import (
 	"fmt"
 
-	"repro/internal/bravo"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/jthread"
@@ -31,18 +28,11 @@ import (
 
 // Backend is one lock algorithm behind a uniform surface.
 type Backend interface {
-	// Name returns the registry name ("vmlock", "rwlock", "solero",
-	// "bravo").
+	// Name returns the registry name ("vmlock", "rwlock", "solero").
 	Name() string
 	// Lock/Unlock acquire and release in exclusive (write) mode.
 	Lock(t *jthread.Thread)
 	Unlock(t *jthread.Thread)
-	// RLock/RUnlock acquire and release in read mode. Backends without a
-	// standalone read mode serve these from the exclusive path; pairs
-	// must nest strictly (release order is the reverse of acquire order
-	// on each thread).
-	RLock(t *jthread.Thread)
-	RUnlock(t *jthread.Thread)
 	// ReadSync runs fn in read mode. For SOLERO this is the elided path —
 	// fn may be executed speculatively and retried, so it must be
 	// read-only and idempotent.
@@ -105,9 +95,6 @@ type Options struct {
 	// backend (Sched and the backend's own monitor table layered on top of
 	// a copy).
 	VMLock *vmlock.Config
-	// Bravo, when set, tunes the "bravo" backend (Sched layered on
-	// top of a copy).
-	Bravo *bravo.Config
 	// Montable, when set, tunes the compact monitor table each vmlock or
 	// solero backend builds for itself (Sched/History/Metrics layered on
 	// top of a copy).
@@ -129,9 +116,9 @@ func (o Options) table() *montable.Table {
 }
 
 // Names lists the registered backends in the order every harness sweeps
-// them (BenchmarkBackendTournament, `make tournament-smoke`).
+// them (`make backend-smoke`).
 func Names() []string {
-	return []string{"vmlock", "rwlock", "solero", "bravo"}
+	return []string{"vmlock", "rwlock", "solero"}
 }
 
 // New builds the named backend.
@@ -163,14 +150,6 @@ func New(name string, o Options) (Backend, error) {
 		}
 		cfg.Monitors = o.table()
 		return ForSolero(core.New(&cfg), cfg.Monitors), nil
-	case "bravo":
-		var cfg bravo.Config
-		if o.Bravo != nil {
-			cfg = *o.Bravo
-		}
-		cfg.Sched = o.Sched
-		cfg.Metrics = o.Metrics
-		return &bravoBackend{l: bravo.New(&cfg)}, nil
 	}
 	return nil, fmt.Errorf("backend: unknown backend %q (have %v)", name, Names())
 }

@@ -54,7 +54,7 @@ func TestSoleroImplementsReadMostly(t *testing.T) {
 	if _, ok := be.(ReadMostlyBackend); !ok {
 		t.Fatal("solero backend lost its ReadMostly surface")
 	}
-	for _, name := range []string{"vmlock", "rwlock", "bravo"} {
+	for _, name := range []string{"vmlock", "rwlock"} {
 		be, _ := New(name, Options{})
 		if _, ok := be.(ReadMostlyBackend); ok {
 			t.Fatalf("%s claims ReadMostly support it does not have", name)

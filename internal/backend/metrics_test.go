@@ -9,39 +9,6 @@ import (
 	"repro/internal/metrics"
 )
 
-// TestBravoRevocationScanMetrics pins the exactly-once contract for BRAVO
-// revocations: one biased-read episode followed by one write acquisition
-// performs exactly one revocation scan, which lands as one
-// "revocation-scan" taxonomy count and one revoke_scan histogram sample.
-func TestBravoRevocationScanMetrics(t *testing.T) {
-	reg := metrics.New(1)
-	be, err := New("bravo", Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm := jthread.NewVM()
-	th := vm.Attach("t")
-
-	be.RLock(th) // arms the bias (or publishes under it)
-	be.RUnlock(th)
-	be.Lock(th) // biased lock: the writer must revoke
-	be.Unlock(th)
-
-	if n := reg.AbortCount(metrics.AbortRevocationScan); n != 1 {
-		t.Fatalf("revocation-scan count = %d, want 1", n)
-	}
-	if n := reg.Revoke.Snapshot().Count; n != 1 {
-		t.Fatalf("revoke_scan histogram count = %d, want 1", n)
-	}
-
-	// A second, unbiased write must not scan again.
-	be.Lock(th)
-	be.Unlock(th)
-	if n := reg.AbortCount(metrics.AbortRevocationScan); n != 1 {
-		t.Fatalf("unbiased write revoked: count = %d, want 1", n)
-	}
-}
-
 // TestRWLockGateParkMetrics blocks a reader behind a writer and checks the
 // park surfaces as a "gate-park" taxonomy event with dwell in park_dwell,
 // and that the contended acquisition records an acquire_wait sample.
@@ -60,8 +27,7 @@ func TestRWLockGateParkMetrics(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		be.RLock(reader)
-		be.RUnlock(reader)
+		be.ReadSync(reader, func() {})
 	}()
 	// Hold the write lock until the reader has registered at the gate
 	// (readParks bumps before parking; gate-park is recorded after).

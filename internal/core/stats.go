@@ -17,13 +17,13 @@ package core
 // pages (jthread, counters.go), indexed by the lock's stats id. A thread
 // bumps its own slot with a plain load and store (ownedInc), so a
 // hook-free elided read executes no LOCK-prefixed instruction and writes
-// no line another thread writes, which is what BRAVO's distributed reader
-// state is for; and the lock pays for it in no byte of its own. A lock
-// takes its id at its first count, not at New: the id lives in the cold
-// block, which that first count rents, with a 4-B copy on the lock for the
-// bump, and the finalizer that recycles the id sits on the cold block, so
-// an id lives as long as the lock or a *Stats retained from it. Building a
-// lock costs one 32-B allocation and nothing else.
+// no line another thread writes, the property distributed reader-indicator
+// locks spend a per-reader table on; and the lock pays for it in no byte of
+// its own. A lock takes its id at its first count, not at New: the id lives
+// in the cold block, which that first count rents, with a 4-B copy on the
+// lock for the bump, and the finalizer that recycles the id sits on the
+// cold block, so an id lives as long as the lock or a *Stats retained from
+// it. Building a lock costs one 32-B allocation and nothing else.
 //
 // Every other counter — the slow-path events, which already CAS the word or
 // a monitor, and a speculation's remaining terminal outcomes (failures,

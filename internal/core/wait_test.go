@@ -288,6 +288,11 @@ func TestElisionStillWorksAfterWaitEpisode(t *testing.T) {
 // nothing behind when dropped: its fat monitor is rented from the shared
 // monitor table and returned on the deflating release, not filed in a
 // process-wide registry for the rest of the process.
+//
+// The heap is measured over three rounds and the least growth is judged:
+// a real leak grows in every round, while one round's noise (the race
+// detector's shadow bookkeeping, a background allocation landing between
+// the two reads) does not repeat in all three.
 func TestInflatedLocksDoNotLeak(t *testing.T) {
 	const locks = 20000
 	th := jthread.NewVM().Attach("inflater")
@@ -298,19 +303,25 @@ func TestInflatedLocksDoNotLeak(t *testing.T) {
 		l.Unlock(th)
 	}
 	cycle() // let the shared table grow its first entry
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < locks; i++ {
-		cycle()
+	var rounds [3]float64
+	for r := range rounds {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < locks; i++ {
+			cycle()
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		rounds[r] = (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / locks
 	}
-	runtime.GC()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	per := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / locks
-	t.Logf("live heap growth: %.1f B per dropped lock", per)
+	per := min(rounds[0], rounds[1], rounds[2])
+	t.Logf("live heap growth per dropped lock: rounds %.1f / %.1f / %.1f B, least %.1f B",
+		rounds[0], rounds[1], rounds[2], per)
 	if per >= 32 {
-		t.Fatalf("live heap grew %.1f B per dropped lock, want < 32", per)
+		t.Fatalf("live heap grew %.1f B per dropped lock in every round (least of %.1f / %.1f / %.1f), want < 32",
+			per, rounds[0], rounds[1], rounds[2])
 	}
 }

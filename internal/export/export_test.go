@@ -59,7 +59,6 @@ solero_aborts_total{cause="inflated"} 1
 solero_aborts_total{cause="lockbit-set"} 0
 solero_aborts_total{cause="monitor-park"} 0
 solero_aborts_total{cause="recursion-overflow"} 0
-solero_aborts_total{cause="revocation-scan"} 0
 solero_aborts_total{cause="sweep-stall"} 0
 solero_aborts_total{cause="writer-raced"} 2
 # HELP solero_protocol_events_total SOLERO protocol event counters.

@@ -293,10 +293,6 @@ func contendedRun(t *testing.T, name string, reg *metrics.Registry) {
 	}
 	vm := jthread.NewVM()
 
-	// Arm BRAVO's read bias (a no-op event-wise for the other backends) so
-	// the holder's write acquisition below performs a revocation scan.
-	profiledArmingRead(be, vm.Attach("armer"))
-
 	holder := vm.Attach("holder")
 	profiledHoldLock(be, holder)
 
@@ -312,7 +308,7 @@ func contendedRun(t *testing.T, name string, reg *metrics.Registry) {
 	}()
 
 	// Wait until both contenders are observably stalled: parked on a gate
-	// (rwlock/bravo counters) or counted in the abort taxonomy (solero's
+	// (rwlock counters) or counted in the abort taxonomy (solero's
 	// failed elisions are recorded at the abort, before the fallback
 	// blocks). Then stall table sweeps against the bound monitor, release,
 	// and drain.
@@ -342,11 +338,6 @@ func contendedRun(t *testing.T, name string, reg *metrics.Registry) {
 }
 
 //go:noinline
-func profiledArmingRead(be backend.Backend, th *jthread.Thread) {
-	be.ReadSync(th, func() {})
-}
-
-//go:noinline
 func profiledHoldLock(be backend.Backend, th *jthread.Thread) {
 	be.Lock(th)
 }
@@ -370,11 +361,11 @@ func profiledSweep(tb backend.TableBacked, th *jthread.Thread) {
 }
 
 // TestContentionProfileRoundTrip is the in-tree stand-in for `go tool
-// pprof -top`: real bravo and solero runs must yield profiles with at
+// pprof -top`: real rwlock and solero runs must yield profiles with at
 // least two distinct lock-site frames, correctly typed values, and cause
 // labels drawn from the taxonomy.
 func TestContentionProfileRoundTrip(t *testing.T) {
-	for _, name := range []string{"bravo", "solero"} {
+	for _, name := range []string{"rwlock", "solero"} {
 		t.Run(name, func(t *testing.T) {
 			reg := metrics.New(0)
 			reg.SetSitePeriod(1) // attribute every event: determinism over overhead
@@ -396,8 +387,8 @@ func TestContentionProfileRoundTrip(t *testing.T) {
 			for fn := range leaves {
 				for _, machinery := range []string{
 					"repro/internal/metrics.", "repro/internal/core.",
-					"repro/internal/rwlock.", "repro/internal/bravo.",
-					"repro/internal/vmlock.", "repro/internal/montable.",
+					"repro/internal/rwlock.", "repro/internal/vmlock.",
+					"repro/internal/montable.",
 					"repro/internal/backend.", "runtime.",
 				} {
 					if strings.HasPrefix(fn, machinery) {

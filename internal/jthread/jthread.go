@@ -122,15 +122,6 @@ type Thread struct {
 	// contract.
 	sampleTick uint32
 
-	// lockTokens is a LIFO of per-acquisition tokens pushed by lock
-	// backends whose release path depends on *how* the matching acquire
-	// went (BRAVO readers must release the exact visible-reader slot they
-	// published, or the underlying lock if the fast path lost its race —
-	// recomputing the slot hash at release time would mis-pair colliding
-	// acquisitions). Sections are strictly nested, so a stack suffices.
-	// Plain by the Thread's single-goroutine contract.
-	lockTokens []uint64
-
 	// local is opaque per-thread state owned by the lock runtime built on
 	// this package (internal/core keeps its reusable read-mostly Section
 	// records here). Plain by the single-goroutine contract.
@@ -196,26 +187,6 @@ func (t *Thread) PopSpec() {
 
 // SpecDepth returns the number of active speculative frames.
 func (t *Thread) SpecDepth() int { return len(t.frames) }
-
-// PushLockToken records a per-acquisition token for the innermost lock
-// acquisition (see lockTokens). The slice's capacity persists across
-// sections, so steady-state push/pop is allocation-free.
-func (t *Thread) PushLockToken(tok uint64) {
-	t.lockTokens = append(t.lockTokens, tok)
-}
-
-// PopLockToken removes and returns the innermost acquisition token.
-func (t *Thread) PopLockToken() uint64 {
-	if len(t.lockTokens) == 0 {
-		panic("jthread: PopLockToken with no pushed token")
-	}
-	tok := t.lockTokens[len(t.lockTokens)-1]
-	t.lockTokens = t.lockTokens[:len(t.lockTokens)-1]
-	return tok
-}
-
-// LockTokenDepth returns the number of outstanding acquisition tokens.
-func (t *Thread) LockTokenDepth() int { return len(t.lockTokens) }
 
 // Local returns the per-thread state last stored by SetLocal (nil at
 // Attach).

@@ -47,9 +47,6 @@ const (
 	// (RecordContention) so the taxonomy attributes *where lock time goes*
 	// uniformly across backends, not just why elision failed.
 
-	// AbortRevocationScan: a BRAVO writer swept the visible-reader table to
-	// revoke reader bias (internal/bravo.revoke); the dwell is the scan cost.
-	AbortRevocationScan
 	// AbortGatePark: a reader or writer parked on the rwlock gate
 	// (internal/rwlock.park) waiting for the state word to clear.
 	AbortGatePark
@@ -71,7 +68,6 @@ var abortCauseNames = [NumAbortCauses]string{
 	AbortInflated:          "inflated",
 	AbortRecursionOverflow: "recursion-overflow",
 	AbortAsync:             "async-abort",
-	AbortRevocationScan:    "revocation-scan",
 	AbortGatePark:          "gate-park",
 	AbortMonitorPark:       "monitor-park",
 	AbortSweepStall:        "sweep-stall",
@@ -93,7 +89,6 @@ const (
 	HistYield      = "yield_dwell"
 	HistPark       = "park_dwell"
 	HistSweep      = "sweep_latency"
-	HistRevoke     = "revoke_scan"
 )
 
 // DefaultSamplePeriod is the default success-path sampling period: one in
@@ -125,9 +120,6 @@ type Registry struct {
 	// Sweep is the wall-clock latency of one full monitor-table deflation
 	// sweep (internal/montable), all shards.
 	Sweep *Histogram
-	// Revoke is the BRAVO reader-bias revocation scan cost: one full pass
-	// over the visible-reader table by a writer (internal/bravo).
-	Revoke *Histogram
 
 	aborts   [NumAbortCauses]*stats.Striped
 	ops      *stats.Striped
@@ -154,7 +146,6 @@ func New(nstripes int) *Registry {
 		Yield:            newHistogram(HistYield, nstripes),
 		Park:             newHistogram(HistPark, nstripes),
 		Sweep:            newHistogram(HistSweep, nstripes),
-		Revoke:           newHistogram(HistRevoke, nstripes),
 		ops:              stats.NewStriped(nstripes),
 		factDivs:         stats.NewStriped(nstripes),
 		samples:          make([]sampleStripe, nstripes),
@@ -232,10 +223,10 @@ func (r *Registry) RecordAbort(stripe uint32, cause AbortCause) {
 	}
 }
 
-// RecordContention accounts one named contention stall (a revocation scan,
-// gate park, monitor park, or sweep stall) with its wall-clock dwell:
-// exactly one taxonomy count, one dwell sample into the cause's histogram,
-// and — on the sampled subset — call-site attribution carrying the dwell so
+// RecordContention accounts one named contention stall (a gate park,
+// monitor park, or sweep stall) with its wall-clock dwell: exactly one
+// taxonomy count, one dwell sample into the cause's histogram, and — on
+// the sampled subset — call-site attribution carrying the dwell so
 // profiles can weight sites by cumulative wait time. Sweep stalls skip the
 // histogram: RecordSweep already owns sweep_latency and double-recording
 // the same pass would skew it. nil-safe.
@@ -251,8 +242,6 @@ func (r *Registry) RecordContention(stripe uint32, cause AbortCause, d time.Dura
 	}
 	r.aborts[cause].Add(stripe, 1)
 	switch cause {
-	case AbortRevocationScan:
-		r.Revoke.Record(stripe, int64(d))
 	case AbortGatePark, AbortMonitorPark:
 		r.Park.Record(stripe, int64(d))
 	case AbortSweepStall:
@@ -344,7 +333,7 @@ func (r *Registry) Histograms() []*Histogram {
 	if r == nil {
 		return nil
 	}
-	return []*Histogram{r.CSDuration, r.Acquire, r.Spin, r.Yield, r.Park, r.Sweep, r.Revoke}
+	return []*Histogram{r.CSDuration, r.Acquire, r.Spin, r.Yield, r.Park, r.Sweep}
 }
 
 // RecordSweep records one monitor-table sweep's wall-clock duration on the

@@ -65,7 +65,6 @@ func internalFrame(fn string) bool {
 		"repro/internal/metrics.",
 		"repro/internal/core.",
 		"repro/internal/rwlock.",
-		"repro/internal/bravo.",
 		"repro/internal/vmlock.",
 		"repro/internal/montable.",
 		"repro/internal/backend.",

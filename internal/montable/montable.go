@@ -8,8 +8,7 @@
 // steady-state monitor count tracks *contended* locks rather than
 // ever-inflated locks. At the ROADMAP's millions-of-sessions scale this is
 // the difference between one word per lock and hundreds of bytes per lock
-// (see Compact Java Monitors in PAPERS.md; BRAVO, already in-tree, uses
-// the same shared-table-plus-per-lock-word shape for readers).
+// (see Compact Java Monitors in PAPERS.md).
 //
 // # Binding lifecycle
 //

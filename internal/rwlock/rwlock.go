@@ -10,12 +10,11 @@
 // overheads the paper measures against SOLERO, whose read sections touch no
 // shared word at all.
 //
-// The hold table is a lock-free array of cache-line-padded slots keyed like
-// the BRAVO visible-reader table (stats.SlotHash of thread id and lock
-// address): a thread CAS-claims an empty slot in its bounded probe window,
-// bumps the count it now owns, and frees the slot when its count returns to
-// zero. Only the full-window collision case falls back to a mutex-guarded
-// overflow map.
+// The hold table is a lock-free array of cache-line-padded slots keyed by
+// stats.SlotHash of thread id and lock address: a thread CAS-claims an
+// empty slot in its bounded probe window, bumps the count it now owns, and
+// frees the slot when its count returns to zero. Only the full-window
+// collision case falls back to a mutex-guarded overflow map.
 package rwlock
 
 import (
@@ -182,13 +181,6 @@ func (l *RWLock) ReadHoldCount(t *jthread.Thread) int {
 	n += l.ov[tid]
 	l.ovMu.Unlock()
 	return n
-}
-
-// WriteHeldBy reports whether t currently holds the lock in write mode
-// (BRAVO's rebias guard: a downgrading write holder must not re-enable the
-// read bias while its own write hold is still excluding other readers).
-func (l *RWLock) WriteHeldBy(t *jthread.Thread) bool {
-	return l.writerTID.Load() == t.ID()
 }
 
 // gate returns the persistent condition variable, creating it on first park.

@@ -78,8 +78,6 @@ const (
 	PFLCPark            // about to park on the FLC bit (blocking region)
 	PBody               // harness-injected point inside a section body
 	PGatePark           // rwlock: about to park on the state-change gate
-	PReadPublish        // bravo: slot published, bias recheck next
-	PRevokeScan         // bravo: writer waiting on an occupied reader slot
 	PTableBind          // montable: about to bind (or rebind) a table entry
 	PTablePin           // montable: about to resolve an observed ticket word
 	PTableSweep         // montable: sweeper about to scan one shard
@@ -94,7 +92,6 @@ var pointNames = [numPoints]string{
 	PDeflate: "deflate", PUpgrade: "upgrade", PWaitPark: "wait-park",
 	PWaitWake: "wait-wake", PNotify: "notify", PMonitorEnter: "monitor-enter",
 	PFLCPark: "flc-park", PBody: "body", PGatePark: "gate-park",
-	PReadPublish: "read-publish", PRevokeScan: "revoke-scan",
 	PTableBind: "table-bind", PTablePin: "table-pin",
 	PTableSweep: "table-sweep", PTableReclaim: "table-reclaim",
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/sched"
 )
 
 // TestAllBackendsPassOracle runs every SPI backend through the shared
@@ -29,93 +28,5 @@ func TestAllBackendsPassOracle(t *testing.T) {
 				t.Fatal("no episodes executed")
 			}
 		})
-	}
-}
-
-// revocationPin drives the exact BRAVO revocation-vs-reader window: the
-// reader publishes its visible-reader slot and passes the bias recheck
-// into its section body; only then does the writer run, clear the bias,
-// and scan the table — where it must wait on the published slot until the
-// reader leaves.
-//
-// Thread ids follow registration order: tid 1 is the writer, tid 2 the
-// reader.
-type revocationPin struct {
-	phase int
-}
-
-func (p *revocationPin) Pick(_ int, runnable []sched.Runnable) uint64 {
-	const writerTID, readerTID = 1, 2
-	find := func(tid uint64) *sched.Runnable {
-		for i := range runnable {
-			if runnable[i].TID == tid {
-				return &runnable[i]
-			}
-		}
-		return nil
-	}
-	reader, writer := find(readerTID), find(writerTID)
-	switch p.phase {
-	case 0:
-		// Run the reader alone: op 1 arms the bias, op 2 publishes. Once
-		// it parks at the post-publish point, grant it once more so it
-		// passes the bias recheck and parks inside its section body.
-		if reader != nil {
-			if reader.P == sched.PReadPublish {
-				p.phase = 1
-			}
-			return readerTID
-		}
-	case 1:
-		// Reader is inside its biased section. Run the writer: it takes
-		// the underlying write lock, clears the bias, and scans the
-		// table into the occupied slot.
-		if writer != nil {
-			if writer.P == sched.PRevokeScan {
-				p.phase = 2
-				if reader != nil {
-					return readerTID
-				}
-			}
-			return writerTID
-		}
-	case 2:
-		// Revocation is stalled on the published slot: drain the reader
-		// first, then let the writer finish.
-		if reader != nil {
-			return readerTID
-		}
-		if writer != nil {
-			return writerTID
-		}
-	}
-	return runnable[0].TID
-}
-
-// TestBravoRevocationWindowPinned replays the revocation-vs-reader race as
-// a fixed schedule and checks both that the oracle stays silent and that
-// the window was genuinely exercised (a biased read and a revocation both
-// happened in the episode).
-func TestBravoRevocationWindowPinned(t *testing.T) {
-	opts := Options{
-		Backend: "bravo",
-		Writers: 1, Readers: 1,
-		Ops: 2,
-	}
-	out := RunStrategy(opts, &revocationPin{})
-	if out.Aborted {
-		t.Fatalf("pinned episode aborted after %d steps:\n%s",
-			out.Steps, sched.FormatTrace(out.Trace))
-	}
-	if out.Failed() {
-		t.Fatalf("pinned episode violations: %v\n%s", out.Violations, out.HistoryTail)
-	}
-	if got := out.BackendStats["biasedReads"]; got == 0 {
-		t.Errorf("no biased reads: the pinned schedule missed the fast path\n%s",
-			sched.FormatTrace(out.Trace))
-	}
-	if got := out.BackendStats["revocations"]; got == 0 {
-		t.Errorf("no revocations: the pinned schedule missed the revocation window\n%s",
-			sched.FormatTrace(out.Trace))
 	}
 }

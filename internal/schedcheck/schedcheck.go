@@ -4,10 +4,10 @@
 // explores a hand-written abstraction of the protocol, schedcheck explores
 // the shipped code itself: a mix of writer, reader, and read-mostly
 // upgrader threads runs against any backend from the internal/backend SPI
-// (SOLERO by default, or the vmlock/rwlock baselines and the BRAVO biased
-// reader-writer lock) whose schedule points are wired to a deterministic
-// controller, and everything the lock and the threads do is recorded and
-// checked against the same safety invariants the model checker proves.
+// (SOLERO by default, or the vmlock/rwlock baselines) whose schedule
+// points are wired to a deterministic controller, and everything the lock
+// and the threads do is recorded and checked against the same safety
+// invariants the model checker proves.
 // The SOLERO-word-specific counter-monotonicity checks apply only to the
 // solero backend (the others record no core protocol events); mutual
 // exclusion, reader soundness, and the final-state checks apply to all.
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/bravo"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/jthread"
@@ -124,7 +123,8 @@ type Outcome struct {
 	Watchdogs int
 	// BackendStats is the backend's counter snapshot at episode end
 	// (pinned-schedule tests assert the intended protocol window — e.g. a
-	// BRAVO revocation — was actually exercised).
+	// monitor-table sweep skipping a pinned entry — was actually
+	// exercised).
 	BackendStats map[string]uint64
 }
 
@@ -171,9 +171,6 @@ func runWith(opts Options, strat sched.Strategy) Outcome {
 			Deflate:    !opts.NoDeflate,
 			FLCTimeout: 200 * time.Microsecond,
 		},
-		// The rebias inhibit window is wall-clock-based; disabling it
-		// keeps episodes deterministic functions of the schedule alone.
-		Bravo: &bravo.Config{Multiplier: -1},
 		// One shard keeps a sweep pass to a single schedule point, and a
 		// one-epoch idle window makes entries reclaimable after two
 		// sweeps — the tightest schedulable deflation policy.
@@ -236,7 +233,7 @@ func runWith(opts Options, strat sched.Strategy) Outcome {
 				// Deliberate schedule-injection point inside the
 				// section: the whole purpose of this harness is to
 				// preempt readers mid-body (speculative for solero,
-				// biased-published for bravo).
+				// under the read or exclusive hold for the others).
 				//solerovet:ignore
 				h.Point(tid, sched.PBody)
 				rb = b.Load()

@@ -49,10 +49,11 @@ func DefaultStripeCount() int {
 }
 
 // SlotHash mixes a thread id and a lock address into a slot index seed for
-// padded visible-reader/hold tables (BRAVO's `mix(tid, lock)`). The caller
-// masks the result down to its table size (a power of two). A
-// splitmix64-style finalizer spreads both inputs across the word so
-// sequentially assigned tids and heap-adjacent locks do not cluster.
+// padded per-(thread, lock) tables such as rwlock's read-hold table;
+// montable hashes lock keys with it too (tid 0). The caller masks the
+// result down to its table size (a power of two). A splitmix64-style
+// finalizer spreads both inputs across the word so sequentially assigned
+// tids and heap-adjacent locks do not cluster.
 func SlotHash(tid uint64, addr uintptr) uint64 {
 	x := tid ^ (uint64(addr) >> 4) ^ (uint64(addr) << 32)
 	x ^= x >> 30

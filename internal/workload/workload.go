@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/bravo"
 	"repro/internal/collections/hashmap"
 	"repro/internal/collections/treemap"
 	"repro/internal/core"
@@ -41,9 +40,6 @@ const (
 	// ImplSoleroUnelided is SOLERO with elision disabled (Figure 10's
 	// Unelided-SOLERO): read sections pay the full write protocol.
 	ImplSoleroUnelided
-	// ImplBravo is the BRAVO biased reader-writer lock (beyond the paper:
-	// the visible-reader-table contender from the backend tournament).
-	ImplBravo
 )
 
 // String names the implementation as the paper does.
@@ -57,8 +53,6 @@ func (im Impl) String() string {
 		return "SOLERO"
 	case ImplSoleroUnelided:
 		return "Unelided-SOLERO"
-	case ImplBravo:
-		return "BRAVO"
 	default:
 		return "impl(?)"
 	}
@@ -76,8 +70,6 @@ func ParseImpl(name string) (Impl, error) {
 		return ImplSolero, nil
 	case "solero-unelided":
 		return ImplSoleroUnelided, nil
-	case "bravo":
-		return ImplBravo, nil
 	}
 	return 0, fmt.Errorf("workload: unknown implementation %q", name)
 }
@@ -95,7 +87,6 @@ type Guard struct {
 	conv *vmlock.Lock
 	rw   *rwlock.RWLock
 	sol  *core.Lock
-	brv  *bravo.Lock
 	// tb is the compact monitor table the Lock and SOLERO impls rent fat
 	// monitors from (nil for the others); its background sweeper runs
 	// until the guard is collected.
@@ -115,7 +106,7 @@ func NewGuardConfig(impl Impl, base *core.Config) *Guard {
 	g := &Guard{impl: impl}
 	// The base config's registry reaches every impl, not just SOLERO: the
 	// conventional baselines record their own contention causes (gate
-	// parks, monitor parks, revocation scans) into the same taxonomy.
+	// parks, monitor parks) into the same taxonomy.
 	var reg *metrics.Registry
 	if base != nil {
 		reg = base.Metrics
@@ -128,8 +119,6 @@ func NewGuardConfig(impl Impl, base *core.Config) *Guard {
 		g.conv = vmlock.New(&cfg)
 	case ImplRWLock:
 		g.rw = &rwlock.RWLock{Metrics: reg}
-	case ImplBravo:
-		g.brv = bravo.New(&bravo.Config{Metrics: reg})
 	default:
 		cfg := *core.DefaultConfig
 		if base != nil {
@@ -152,8 +141,8 @@ func (g *Guard) newTable(reg *metrics.Registry) *montable.Table {
 	return g.tb
 }
 
-// Table returns the guard's compact monitor table (nil for the RWLock and
-// BRAVO impls).
+// Table returns the guard's compact monitor table (nil for the RWLock
+// impl).
 func (g *Guard) Table() *montable.Table { return g.tb }
 
 // Read runs fn as a read-only critical section under the guard.
@@ -163,8 +152,6 @@ func (g *Guard) Read(t *jthread.Thread, fn func()) {
 		g.conv.Sync(t, fn)
 	case ImplRWLock:
 		g.rw.ReadSync(t, fn)
-	case ImplBravo:
-		g.brv.ReadSync(t, fn)
 	default:
 		g.sol.ReadOnly(t, fn)
 	}
@@ -177,15 +164,13 @@ func (g *Guard) Write(t *jthread.Thread, fn func()) {
 		g.conv.Sync(t, fn)
 	case ImplRWLock:
 		g.rw.WriteSync(t, fn)
-	case ImplBravo:
-		g.brv.WriteSync(t, fn)
 	default:
 		g.sol.Sync(t, fn)
 	}
 }
 
-// Backend returns the guard's lock behind the backend SPI (stats export
-// and tournament plumbing). The section-running paths above stay direct
+// Backend returns the guard's lock behind the backend SPI (lockstats'
+// counter export). The section-running paths above stay direct
 // calls: solerovet's wrapper discovery must keep seeing Guard.Read forward
 // to sol.ReadOnly.
 func (g *Guard) Backend() backend.Backend {
@@ -194,8 +179,6 @@ func (g *Guard) Backend() backend.Backend {
 		return backend.ForVMLock(g.conv, g.tb)
 	case g.rw != nil:
 		return backend.ForRWLock(g.rw)
-	case g.brv != nil:
-		return backend.ForBravo(g.brv)
 	default:
 		return backend.ForSolero(g.sol, g.tb)
 	}
@@ -431,11 +414,6 @@ func (b *MapBench) LockOps() (total, readOnly uint64) {
 			st := g.rw.Stats()
 			total += st["readAcquires"] + st["writeAcquires"]
 			readOnly += st["readAcquires"]
-		case g.brv != nil:
-			st := g.brv.Stats()
-			reads := st["biasedReads"] + st["slowReads"]
-			total += reads + st["writeAcquires"]
-			readOnly += reads
 		}
 	}
 	return
