@@ -28,7 +28,7 @@
 #   make lintcatch - inverted lint: seeded violations MUST be reported
 #   make factsmoke - proof-carrying pipeline: solerovet -facts feeds
 #                    solerojit -facts over the corpus; agreement gate
-#   make lockorder-catch - inverted lockorder: a seeded ABBA cycle MUST fail
+#   make lockorder-catch - inverted lockorder: two seeded ABBA cycles MUST be named
 #   make guardedby-catch - inverted guardedby: seeded unguarded accesses
 #                    MUST fail lint
 #   make racecatch - static/dynamic differential: the seeded-racy package
@@ -213,16 +213,19 @@ factsmoke:
 	done; \
 	echo "OK: factsmoke"
 
-# Inverted lockorder: testdata/src/lockorderseed is nothing but a seeded
-# two-lock ABBA cycle (it lives under testdata, so the module build never
-# sees it); the analyzer MUST flag it. The clean tree producing zero
+# Inverted lockorder: testdata/src/lockorderseed is nothing but two seeded
+# two-lock ABBA cycles, the second closed through solero.ReadOnly (it
+# lives under testdata, so the module build never sees it); the analyzer
+# MUST flag both, each named by its locks. The clean tree producing zero
 # findings is certified by `make lint`; this certifies the other direction.
 lockorder-catch:
-	@$(GO) run ./cmd/solerovet -checks lockorder repro/internal/govet/testdata/src/lockorderseed >/dev/null 2>&1; rc=$$?; \
+	@out=$$($(GO) run ./cmd/solerovet -checks lockorder repro/internal/govet/testdata/src/lockorderseed 2>&1); rc=$$?; \
 	if [ $$rc -ne 1 ]; then \
-		echo "FAIL: lockorder did not flag the seeded ABBA cycle (exit $$rc, want 1)"; exit 1; \
+		echo "FAIL: lockorder did not flag the seeded ABBA cycles (exit $$rc, want 1)"; echo "$$out"; exit 1; \
 	fi; \
-	echo "OK: seeded lock-order cycle caught"
+	echo "$$out" | grep -q 'lock-order cycle: .*auditMu -> .*ledgerMu -> .*auditMu' || { echo "FAIL: ledgerMu/auditMu cycle not reported"; echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q 'lock-order cycle: .*catalogMu -> .*priceMu -> .*catalogMu' || { echo "FAIL: catalogMu/priceMu cycle (through solero.ReadOnly) not reported"; echo "$$out"; exit 1; }; \
+	echo "OK: both seeded lock-order cycles caught"
 
 # Inverted guardedby: testdata/src/guardedbyseed carries an unguarded
 # shared access and a guard-confusion pair; the lockset analyzer MUST

@@ -62,6 +62,20 @@ func benchThreads(b *testing.B, vm *jthread.VM, threads int, op func(g int, th *
 
 var benchSink atomic.Uint64
 
+// benchSeed is one goroutine's LCG state and result sink, alone on its
+// false-sharing range: goroutines stepping their own seeds share no line.
+type benchSeed struct {
+	x    uint64
+	sink uint64
+	_    [stats.FalseSharingRange - 16]byte
+}
+
+// next advances goroutine g's LCG and returns the new state.
+func (s *benchSeed) next(g int) uint64 {
+	s.x = s.x*6364136223846793005 + uint64(g) + 1
+	return s.x
+}
+
 // sweepThreads are the per-figure thread counts; scaled down from the
 // paper's 1..16 because real sweeps on this harness share physical cores.
 var sweepThreads = []int{1, 2, 4}
@@ -174,10 +188,9 @@ func BenchmarkFig12HashMap(b *testing.B) {
 					}
 					wl := workload.NewMapBench(workload.Hash, impl, variant.writePct, 1024, shards)
 					vm := jthread.NewVM()
-					seeds := make([]uint64, n)
+					seeds := make([]benchSeed, n)
 					benchThreads(b, vm, n, func(g int, th *jthread.Thread) {
-						seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-						wl.Op(th, seeds[g])
+						wl.Op(th, seeds[g].next(g))
 					})
 				})
 			}
@@ -193,10 +206,9 @@ func BenchmarkFig13TreeMap(b *testing.B) {
 				b.Run(fmt.Sprintf("writes%d/%s/t%d", writePct, impl, n), func(b *testing.B) {
 					wl := workload.NewMapBench(workload.Tree, impl, writePct, 1024, 1)
 					vm := jthread.NewVM()
-					seeds := make([]uint64, n)
+					seeds := make([]benchSeed, n)
 					benchThreads(b, vm, n, func(g int, th *jthread.Thread) {
-						seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-						wl.Op(th, seeds[g])
+						wl.Op(th, seeds[g].next(g))
 					})
 				})
 			}
@@ -212,10 +224,9 @@ func BenchmarkFig14Jbb(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/t%d", impl, n), func(b *testing.B) {
 				bench := jbb.New(impl, n)
 				vm := jthread.NewVM()
-				seeds := make([]uint64, n)
+				seeds := make([]benchSeed, n)
 				benchThreads(b, vm, n, func(g int, th *jthread.Thread) {
-					seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-					bench.Op(th, g, seeds[g])
+					bench.Op(th, g, seeds[g].next(g))
 				})
 			})
 		}
@@ -286,26 +297,23 @@ func BenchmarkFig15FailureRatio(b *testing.B) {
 	}{
 		{"HashMap5", func(n int) (func(int, *jthread.Thread), func() float64) {
 			wl := workload.NewMapBenchConfig(workload.Hash, workload.ImplSolero, 5, 1024, 1, counted)
-			seeds := make([]uint64, n)
+			seeds := make([]benchSeed, n)
 			return func(g int, th *jthread.Thread) {
-				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-				wl.Op(th, seeds[g])
+				wl.Op(th, seeds[g].next(g))
 			}, wl.FailureRatio
 		}},
 		{"TreeMap5", func(n int) (func(int, *jthread.Thread), func() float64) {
 			wl := workload.NewMapBenchConfig(workload.Tree, workload.ImplSolero, 5, 1024, 1, counted)
-			seeds := make([]uint64, n)
+			seeds := make([]benchSeed, n)
 			return func(g int, th *jthread.Thread) {
-				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-				wl.Op(th, seeds[g])
+				wl.Op(th, seeds[g].next(g))
 			}, wl.FailureRatio
 		}},
 		{"SPECjbb", func(n int) (func(int, *jthread.Thread), func() float64) {
 			bench := jbb.NewWithConfig(workload.ImplSolero, n, counted)
-			seeds := make([]uint64, n)
+			seeds := make([]benchSeed, n)
 			return func(g int, th *jthread.Thread) {
-				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-				bench.Op(th, g, seeds[g])
+				bench.Op(th, g, seeds[g].next(g))
 			}, bench.FailureRatio
 		}},
 	}
@@ -330,10 +338,9 @@ func BenchmarkFig16Dacapo(b *testing.B) {
 			b.Run(p.Name+"/"+impl.String(), func(b *testing.B) {
 				bench := dacapo.New(p, impl)
 				vm := jthread.NewVM()
-				seeds := make([]uint64, 2)
+				seeds := make([]benchSeed, 2)
 				benchThreads(b, vm, 2, func(g int, th *jthread.Thread) {
-					seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-					bench.Op(th, seeds[g])
+					bench.Op(th, seeds[g].next(g))
 				})
 			})
 		}
@@ -352,10 +359,9 @@ func BenchmarkAblationFallback(b *testing.B) {
 			lock := core.New(core.CountedConfig(&cfg)) // counted: reports its failure ratio
 			var a, c atomic.Uint64
 			vm := jthread.NewVM()
-			seeds := make([]uint64, 4)
+			seeds := make([]benchSeed, 4)
 			benchThreads(b, vm, 4, func(g int, th *jthread.Thread) {
-				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-				if seeds[g]%100 < 5 {
+				if seeds[g].next(g)%100 < 5 {
 					lock.Sync(th, func() { a.Add(1); c.Add(1) })
 				} else {
 					lock.ReadOnly(th, func() { benchSink.Add(a.Load() - c.Load()) })
@@ -379,10 +385,9 @@ func BenchmarkAblationReadMostly(b *testing.B) {
 			lock := core.New(nil)
 			var v atomic.Uint64
 			vm := jthread.NewVM()
-			seeds := make([]uint64, 2)
+			seeds := make([]benchSeed, 2)
 			benchThreads(b, vm, 2, func(g int, th *jthread.Thread) {
-				seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-				write := seeds[g]%100 < 5
+				write := seeds[g].next(g)%100 < 5
 				if useExt {
 					lock.ReadMostly(th, func(s *core.Section) {
 						if write {
@@ -502,7 +507,9 @@ func readerCounts() []int {
 // HashMap get, TreeMap get) over reader counts. An elided read writes no
 // shared line — its one counter bump lands in the reading thread's own
 // counter page — so Empty throughput should scale with readers instead of
-// flattening on counter-line ping-pong.
+// flattening on counter-line ping-pong. The harness writes no shared line
+// either: each reader steps its own padded seed and sinks the value it
+// read into its own padded slot, after the section.
 func BenchmarkReaderScaling(b *testing.B) {
 	modes := []struct {
 		name    string
@@ -516,38 +523,39 @@ func BenchmarkReaderScaling(b *testing.B) {
 	}
 	sections := []struct {
 		name string
-		mk   func(cfg *core.Config) func(th *jthread.Thread, rnd uint64)
+		mk   func(cfg *core.Config) func(th *jthread.Thread, rnd uint64) uint64
 	}{
-		{"Empty", func(cfg *core.Config) func(*jthread.Thread, uint64) {
+		{"Empty", func(cfg *core.Config) func(*jthread.Thread, uint64) uint64 {
 			l := core.New(cfg)
-			return func(th *jthread.Thread, _ uint64) { l.ReadOnly(th, func() {}) }
+			return func(th *jthread.Thread, _ uint64) uint64 {
+				l.ReadOnly(th, func() {})
+				return 0
+			}
 		}},
-		{"HashMap", func(cfg *core.Config) func(*jthread.Thread, uint64) {
+		{"HashMap", func(cfg *core.Config) func(*jthread.Thread, uint64) uint64 {
 			l := core.New(cfg)
 			m := hashmap.New[int64](2048)
 			for k := int64(0); k < 1024; k++ {
 				m.Put(k, k)
 			}
-			return func(th *jthread.Thread, rnd uint64) {
+			return func(th *jthread.Thread, rnd uint64) uint64 {
 				k := int64(rnd % 1024)
-				l.ReadOnly(th, func() {
-					v, _ := m.Get(k)
-					benchSink.Add(uint64(v))
-				})
+				var v int64
+				l.ReadOnly(th, func() { v, _ = m.Get(k) })
+				return uint64(v)
 			}
 		}},
-		{"TreeMap", func(cfg *core.Config) func(*jthread.Thread, uint64) {
+		{"TreeMap", func(cfg *core.Config) func(*jthread.Thread, uint64) uint64 {
 			l := core.New(cfg)
 			m := treemap.New[int64]()
 			for k := int64(0); k < 1024; k++ {
 				m.Put(k, k)
 			}
-			return func(th *jthread.Thread, rnd uint64) {
+			return func(th *jthread.Thread, rnd uint64) uint64 {
 				k := int64(rnd % 1024)
-				l.ReadOnly(th, func() {
-					v, _ := m.Get(k)
-					benchSink.Add(uint64(v))
-				})
+				var v int64
+				l.ReadOnly(th, func() { v, _ = m.Get(k) })
+				return uint64(v)
 			}
 		}},
 	}
@@ -561,11 +569,10 @@ func BenchmarkReaderScaling(b *testing.B) {
 					}
 					op := sec.mk(&cfg)
 					vm := jthread.NewVM()
-					seeds := make([]uint64, n)
+					seeds := make([]benchSeed, n)
 					start := time.Now()
 					benchThreads(b, vm, n, func(g int, th *jthread.Thread) {
-						seeds[g] = seeds[g]*6364136223846793005 + uint64(g) + 1
-						op(th, seeds[g])
+						seeds[g].sink += op(th, seeds[g].next(g))
 					})
 					if el := time.Since(start).Seconds(); el > 0 {
 						b.ReportMetric(float64(b.N)/el, "ops/s")

@@ -27,6 +27,11 @@ type Context struct {
 	Effects  *effects.Analysis
 	Sections *sections.Index
 
+	// walk is the whole-program held-lock walk, built lazily by the first
+	// guardedby or lockorder pass; both read it.
+	walkOnce sync.Once
+	walk     *gbBuilder
+
 	// lockGraph is the whole-program lock-order graph, built lazily by the
 	// first lockorder pass and shared by the rest.
 	lockOnce  sync.Once

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 
@@ -16,12 +17,16 @@ import (
 // Guardedby is the lockset race analyzer: the Eraser discipline restated
 // statically over SOLERO locks. For every shared struct field and
 // package-level variable it collects the set of core.Lock identities held
-// at each access site — walking the same held-set interpreter lockorder
-// uses, extended with read-vs-write hold modes (a ReadOnly section holds
-// its lock only for speculative reading) and an interprocedural held-set
-// context (the intersection of the locksets callers hold around each
-// call) — and intersects across sites. A consistent nonempty intersection
-// is the field's inferred guard; inconsistencies become diagnostics:
+// at each access site — walking every function body once with a held-set
+// interpreter that carries read-vs-write hold modes (a ReadOnly section,
+// or a core.ReadOnlyValue/solero.ReadOnly value form, holds its lock only
+// for speculative reading) and an interprocedural held-set context (the
+// intersection of the locksets callers hold around each call) — and
+// intersects across sites. Which call enters which lock comes from the
+// sections package's lock-call table. The same walk records the
+// acquisitions, waits and calls lockorder builds its graph from. A
+// consistent nonempty intersection is the field's inferred guard;
+// inconsistencies become diagnostics:
 //
 //   - "unguarded shared access": a site holds no lock while other sites
 //     guard the same field,
@@ -151,6 +156,29 @@ type gbCall struct {
 	rooted bool
 }
 
+// gbEventKind classifies a lock-order event.
+type gbEventKind uint8
+
+const (
+	gbAcquire gbEventKind = iota // Lock or a section entry acquires lock
+	gbWait                       // Wait/WaitTimeout parks on lock
+	gbCallTo                     // a call to callee, which may acquire more
+)
+
+// gbEvent is one lock-order event of the walk, kept in walk order with
+// the identified locks held at it — even when an unnamed lock makes the
+// guard lockset ⊤. Lockorder builds its graph from these.
+type gbEvent struct {
+	kind     gbEventKind
+	fn       *types.Func
+	lock     string      // acquired or waited-on identity, "" when unnamed
+	callee   *types.Func // gbCallTo only
+	held     []string    // distinct identified held locks, outermost first
+	rooted   bool
+	pos, end token.Pos
+	pkgPath  string
+}
+
 // gbDecl is a shared identity's declaration site (for directives and the
 // -fix insertion point).
 type gbDecl struct {
@@ -198,11 +226,13 @@ func (ctx *Context) SectionGuards(site *sections.Site) (reads, writes map[string
 
 // ---- the held-set walker ----
 
-// gbBuilder accumulates the whole-program access and call-edge tables.
+// gbBuilder accumulates the whole-program access, call-edge and
+// lock-order event tables.
 type gbBuilder struct {
 	ctx      *Context
 	accesses []*gbAccess
 	calls    []*gbCall
+	events   []*gbEvent
 	litSites map[*ast.FuncLit]*sections.Site
 }
 
@@ -267,6 +297,31 @@ func (w *gbWalker) pop(id string) {
 			return
 		}
 	}
+}
+
+// heldIDs returns the distinct identified locks held, outermost first.
+func (w *gbWalker) heldIDs() []string {
+	var out []string
+	for _, h := range w.held {
+		if !slices.Contains(out, h.id) {
+			out = append(out, h.id)
+		}
+	}
+	return out
+}
+
+// event records one lock-order event at call.
+func (w *gbWalker) event(kind gbEventKind, lock string, callee *types.Func, call *ast.CallExpr) {
+	w.b.events = append(w.b.events, &gbEvent{
+		kind: kind, fn: w.fn, lock: lock, callee: callee, held: w.heldIDs(),
+		rooted: w.rooted, pos: call.Pos(), end: call.End(), pkgPath: w.pkg.PkgPath,
+	})
+}
+
+// callTo records a static call edge to fn at call, with the held set.
+func (w *gbWalker) callTo(fn *types.Func, call *ast.CallExpr) {
+	w.b.calls = append(w.b.calls, &gbCall{caller: w.fn, callee: fn, held: w.lockset(), rooted: w.rooted})
+	w.event(gbCallTo, "", fn, call)
 }
 
 // record notes one access to a resolvable shared identity.
@@ -492,8 +547,7 @@ func (w *gbWalker) stmt(s ast.Stmt) {
 		// A deferred Unlock keeps the lock held for the rest of the walk
 		// (deferred semantics). Other deferred calls run with the held
 		// set of function exit; the current set is the best approximation.
-		if id, name, _ := lockCallOf(w.pkg, s.Call); name == "Unlock" {
-			_ = id
+		if lc, ok := sections.LockCallOf(w.pkg, s.Call); ok && lc.Op == sections.OpUnlock {
 			return
 		}
 		w.expr(s.Call)
@@ -614,15 +668,9 @@ func (w *gbWalker) expr(e ast.Expr) {
 }
 
 func (w *gbWalker) call(call *ast.CallExpr) {
-	id, name, _ := lockCallOf(w.pkg, call)
-	var sectionArg ast.Expr
-	if name == "Sync" || name == "ReadOnly" || name == "ReadMostly" || name == "ReadOnlySection" {
-		if n := len(call.Args); n > 0 {
-			sectionArg = call.Args[n-1]
-		}
-	}
+	lc, isLock := sections.LockCallOf(w.pkg, call)
 	for _, a := range call.Args {
-		if a == sectionArg {
+		if isLock && a == lc.Body {
 			continue
 		}
 		w.expr(a)
@@ -630,63 +678,43 @@ func (w *gbWalker) call(call *ast.CallExpr) {
 	if fun, ok := call.Fun.(*ast.SelectorExpr); ok {
 		w.expr(fun.X)
 	}
+	if !isLock {
+		if fn := sections.FuncOf(w.pkg, call.Fun); fn != nil {
+			w.callTo(fn, call)
+		}
+		return
+	}
 
-	switch name {
-	case "Lock":
+	id := lockIdent(w.pkg, lc.Lock)
+	switch lc.Op {
+	case sections.OpLock:
+		w.event(gbAcquire, id, nil, call)
 		w.push(id, true)
-		return
-	case "Unlock":
+	case sections.OpUnlock:
 		w.pop(id)
-		return
-	case "Sync", "ReadOnly", "ReadMostly", "ReadOnlySection":
-		// The section closure runs with the lock held: Sync and the §5
+	case sections.OpSection:
+		// The body runs with the lock held: Sync and the §5
 		// upgrade-capable ReadMostly hold it for writing, the speculative
-		// entries only for reading.
-		writeHold := name == "Sync" || name == "ReadMostly"
-		if lit, ok := ast.Unparen(sectionArg).(*ast.FuncLit); ok {
-			saved := w.save()
-			w.push(id, writeHold)
+		// entries only for reading. The acquisition orders the lock after
+		// everything held, ReadOnly's too: its fallback arm takes it.
+		w.event(gbAcquire, id, nil, call)
+		lit, _ := ast.Unparen(lc.Body).(*ast.FuncLit)
+		fn := sections.FuncOf(w.pkg, lc.Body)
+		if lit == nil && fn == nil {
+			w.expr(lc.Body)
+			return
+		}
+		saved := w.save()
+		w.push(id, lc.Mode != sections.ModeReadOnly)
+		if lit != nil {
 			w.stmts(lit.Body.List)
-			w.restore(saved)
-		} else if sectionArg != nil {
-			if fn := namedFuncOf(w.pkg, sectionArg); fn != nil {
-				saved := w.save()
-				w.push(id, writeHold)
-				w.b.calls = append(w.b.calls, &gbCall{
-					caller: w.fn, callee: fn, held: w.lockset(), rooted: w.rooted,
-				})
-				w.restore(saved)
-			} else {
-				w.expr(sectionArg)
-			}
+		} else {
+			w.callTo(fn, call)
 		}
-		return
-	case "":
-	default:
-		// Other core.Lock methods (Wait, accessors): no held change.
-		return
+		w.restore(saved)
+	case sections.OpWait:
+		w.event(gbWait, id, nil, call)
 	}
-
-	if fn := calleeFunc(w.pkg, call); fn != nil {
-		w.b.calls = append(w.b.calls, &gbCall{
-			caller: w.fn, callee: fn.Origin(), held: w.lockset(), rooted: w.rooted,
-		})
-	}
-}
-
-// namedFuncOf resolves a function-valued argument to its static callee.
-func namedFuncOf(pkg *load.Package, e ast.Expr) *types.Func {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		if fn, ok := pkg.Info.Uses[x].(*types.Func); ok {
-			return fn.Origin()
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := pkg.Info.Uses[x.Sel].(*types.Func); ok {
-			return fn.Origin()
-		}
-	}
-	return nil
 }
 
 func isPkgLevel(v *types.Var) bool {
@@ -695,31 +723,41 @@ func isPkgLevel(v *types.Var) bool {
 
 // ---- whole-program construction ----
 
-func buildGuardInfo(ctx *Context) *guardInfo {
-	b := &gbBuilder{ctx: ctx, litSites: map[*ast.FuncLit]*sections.Site{}}
-	for _, s := range ctx.Sections.Sites {
-		if s.Lit != nil {
-			b.litSites[s.Lit] = s
-		}
-	}
-	// Pass 1: walk every declaration, recording accesses with their local
-	// held sets and the call edges carrying them.
-	for _, pkg := range ctx.Prog.Packages {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				w := &gbWalker{b: b, pkg: pkg, fn: fn, fresh: map[*types.Var]bool{}}
-				w.stmts(fd.Body.List)
+// heldWalk walks (once) every declaration, recording accesses with their
+// local held sets, the call edges carrying them, and the lock-order
+// events lockorder reads.
+func (ctx *Context) heldWalk() *gbBuilder {
+	ctx.walkOnce.Do(func() {
+		b := &gbBuilder{ctx: ctx, litSites: map[*ast.FuncLit]*sections.Site{}}
+		for _, s := range ctx.Sections.Sites {
+			if s.Lit != nil {
+				b.litSites[s.Lit] = s
 			}
 		}
-	}
+		for _, pkg := range ctx.Prog.Packages {
+			for _, file := range pkg.Files {
+				for _, decl := range file.Decls {
+					fd, ok := decl.(*ast.FuncDecl)
+					if !ok || fd.Body == nil {
+						continue
+					}
+					fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+					if fn == nil {
+						continue
+					}
+					w := &gbWalker{b: b, pkg: pkg, fn: fn, fresh: map[*types.Var]bool{}}
+					w.stmts(fd.Body.List)
+				}
+			}
+		}
+		ctx.walk = b
+	})
+	return ctx.walk
+}
+
+func buildGuardInfo(ctx *Context) *guardInfo {
+	// Pass 1: the shared held-lock walk.
+	b := ctx.heldWalk()
 	// Pass 2: descending fixed point on the interprocedural context — the
 	// lockset every caller is guaranteed to hold around a function.
 	ctxOf := callerContexts(b)

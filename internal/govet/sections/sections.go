@@ -99,43 +99,7 @@ const (
 	backendPath = "repro/internal/backend"
 )
 
-// entrySpec describes one base entry point: which argument is the section
-// closure and which mode it runs under.
-type entrySpec struct {
-	arg  int
-	mode Mode
-}
-
-// entryFor recognizes the base SOLERO entry points.
-func entryFor(fn *types.Func) (entrySpec, bool) {
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return entrySpec{}, false
-	}
-	recv := recvName(fn)
-	switch pkg.Path() {
-	case corePath:
-		if recv == "Lock" {
-			switch fn.Name() {
-			case "ReadOnly":
-				return entrySpec{arg: 1, mode: ModeReadOnly}, true
-			case "ReadMostly":
-				return entrySpec{arg: 1, mode: ModeReadMostly}, true
-			case "Sync":
-				return entrySpec{arg: 1, mode: ModeSync}, true
-			}
-		}
-		if recv == "" && fn.Name() == "ReadOnlyValue" {
-			return entrySpec{arg: 2, mode: ModeReadOnly}, true
-		}
-	case soleroPath:
-		if recv == "" && fn.Name() == "ReadOnly" {
-			return entrySpec{arg: 2, mode: ModeReadOnly}, true
-		}
-	}
-	return entrySpec{}, false
-}
-
+// recvName resolves a method's receiver type name, "" for a function.
 func recvName(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
@@ -333,8 +297,8 @@ func (fc *funcContext) call(call *ast.CallExpr) {
 	var spec map[int]Mode
 	direct := false
 	if fn, ok := obj.(*types.Func); ok {
-		if es, ok := entryFor(fn.Origin()); ok {
-			spec = map[int]Mode{es.arg: es.mode}
+		if e, ok := entryOf(fn.Origin()); ok && e.site {
+			spec = map[int]Mode{e.body: e.mode}
 			direct = true
 		}
 	}

@@ -1,13 +1,15 @@
 // Package guardedby is golden testdata for the guardedby lockset
 // analyzer: a consistently guarded counter (silent), an unguarded read
 // and write against a lock-guarded field, a guard-confusion pair, a
-// write performed under a read-only hold, declared-guard enforcement,
+// write performed under a read-only hold, a guard-confusion pair read
+// through the solero.ReadOnly value form, declared-guard enforcement,
 // and the //solerovet:ignore escape hatch.
 package guardedby
 
 import (
 	"repro/internal/core"
 	"repro/internal/jthread"
+	"repro/solero"
 )
 
 // counter is the clean shape: every access to n holds mu — writes under
@@ -102,6 +104,24 @@ func (c *cache) peek(t *jthread.Thread) int64 {
 		c.hits++ // want `cache\.hits is written while its guard cache\.mu is held only for speculative reads`
 	})
 	return out
+}
+
+// depth reads level through the public value form under a, but writes
+// it under b: the elided read holds a for speculative reading, so the
+// locked sites disagree just as twin's do.
+type depth struct {
+	a, b  *solero.Lock
+	level int64
+}
+
+func (d *depth) read(t *jthread.Thread) int64 {
+	return solero.ReadOnly(d.a, t, func() int64 { return d.level })
+}
+
+func (d *depth) raise(t *jthread.Thread) {
+	d.b.Sync(t, func() {
+		d.level++ // want `guard confusion: depth\.level is accessed under depth\.b here but under depth\.a at guardedby\.go:\d+; no common lock guards every access`
+	})
 }
 
 // ledger declares its guard explicitly: the directive is enforced, not

@@ -1,12 +1,15 @@
 // Package lockorder is golden testdata for the lockorder analyzer: two
 // ABBA cycles (direct and interprocedural), a field-lock cycle through
-// Sync closures, a wait performed while another lock is held, and the
+// Sync closures, cycles closed through the value forms
+// core.ReadOnlyValue and solero.ReadOnly and through a named-function
+// Sync body, a wait performed while another lock is held, and the
 // silent cases — consistent orderings, reentrancy, branch-scoped holds.
 package lockorder
 
 import (
 	"repro/internal/core"
 	"repro/internal/jthread"
+	"repro/solero"
 )
 
 var (
@@ -21,6 +24,18 @@ var (
 
 	queueMu = core.New(nil)
 	stateMu = core.New(nil)
+
+	indexMu = core.New(nil)
+	pagesMu = core.New(nil)
+
+	ordersMu = solero.NewLock(nil)
+	stockMu  = solero.NewLock(nil)
+
+	journalMu = core.New(nil)
+	mirrorMu  = core.New(nil)
+
+	// clerk is the thread a named-function section body runs on.
+	clerk *jthread.Thread
 )
 
 // abba1 orders alpha before beta; together with abba2 that closes the
@@ -158,4 +173,52 @@ func deferScoped(t *jthread.Thread) {
 	defer gamma.Unlock(t)
 	delta.Lock(t)
 	delta.Unlock(t)
+}
+
+// valueIndexPages orders indexMu before pagesMu through the elided value
+// form: core.ReadOnlyValue acquires pagesMu on its fallback arm.
+// valuePagesIndex closes the cycle the other way round.
+func valueIndexPages(t *jthread.Thread) int {
+	indexMu.Lock(t)
+	defer indexMu.Unlock(t)
+	return core.ReadOnlyValue(pagesMu, t, func() int { return 1 }) // want `lock-order cycle: .*indexMu -> .*pagesMu -> .*indexMu; witness: .*pagesMu acquired while holding .*indexMu at lockorder\.go:\d+`
+}
+
+func valuePagesIndex(t *jthread.Thread) {
+	pagesMu.Lock(t)
+	indexMu.Lock(t)
+	indexMu.Unlock(t)
+	pagesMu.Unlock(t)
+}
+
+// soleroOrdersStock reads under stockMu through the public value form
+// while holding ordersMu; soleroStockOrders takes them the other way.
+func soleroOrdersStock(t *jthread.Thread) int {
+	ordersMu.Lock(t)
+	defer ordersMu.Unlock(t)
+	return solero.ReadOnly(stockMu, t, func() int { return 2 }) // want `lock-order cycle: .*ordersMu -> .*stockMu -> .*ordersMu; witness: .*stockMu acquired while holding .*ordersMu at lockorder\.go:\d+`
+}
+
+func soleroStockOrders(t *jthread.Thread) {
+	stockMu.Sync(t, func() {
+		ordersMu.Sync(t, func() {})
+	})
+}
+
+// takeMirror is a named section body: journalThenMirror holds journalMu
+// while Sync runs it, so it orders journalMu before mirrorMu.
+func takeMirror() {
+	mirrorMu.Lock(clerk)
+	mirrorMu.Unlock(clerk)
+}
+
+func journalThenMirror(t *jthread.Thread) {
+	journalMu.Sync(t, takeMirror) // want `lock-order cycle: .*journalMu -> .*mirrorMu -> .*journalMu; witness: .*mirrorMu acquired while holding .*journalMu at lockorder\.go:\d+`
+}
+
+func mirrorThenJournal(t *jthread.Thread) {
+	mirrorMu.Lock(t)
+	journalMu.Lock(t)
+	journalMu.Unlock(t)
+	mirrorMu.Unlock(t)
 }

@@ -129,8 +129,6 @@ type Thread struct {
 
 	// Checkpoints observed with a pending event (stats).
 	eventsSeen uint64
-	// Speculations aborted by checkpoint validation (stats).
-	asyncAborts uint64
 
 	detached bool
 }
@@ -221,15 +219,10 @@ func (t *Thread) Checkpoint() {
 func (t *Thread) validateFrames() {
 	for i := len(t.frames) - 1; i >= 0; i-- {
 		if t.frames[i].Stale() {
-			t.asyncAborts++
 			panic(&InconsistentReadError{Word: t.frames[i].Word})
 		}
 	}
 }
-
-// AsyncAborts returns how many speculations this thread aborted at
-// checkpoints (used by the failure-ratio experiments).
-func (t *Thread) AsyncAborts() uint64 { return t.asyncAborts }
 
 // EventsSeen returns how many async events the thread has consumed.
 func (t *Thread) EventsSeen() uint64 { return t.eventsSeen }

@@ -72,9 +72,6 @@ func TestCheckpointValidatesOnEvent(t *testing.T) {
 		if ire.Word != &w {
 			t.Fatalf("stale word pointer wrong")
 		}
-		if th.AsyncAborts() != 1 {
-			t.Fatalf("AsyncAborts = %d, want 1", th.AsyncAborts())
-		}
 	}()
 	th.Checkpoint()
 	t.Fatalf("Checkpoint did not panic on stale frame")
