@@ -12,7 +12,10 @@
 #                    event-log hook ((*history.Recorder).Record) and the
 #                    owner-record fast cases ((*jthread.Thread).PushOwner,
 #                    TakeOwnerTop) must stay under the inliner's budget, and
-#                    the latter must inline into Lock and Unlock
+#                    the latter must inline into Lock and Unlock; the wait
+#                    seam ((*metrics.Registry).StartWait/EndWait) must be
+#                    inlinable with its nil check, and StartWait inlined at
+#                    every core call site
 #   make nolockread - amd64: the elided read path ((*Lock).read and
 #                    ReadOnlyValue) executes no locked instruction, and the
 #                    elision loop's only ones are its failure-counter adds
@@ -90,7 +93,11 @@ allocfree:
 # called on the Lock/Unlock fast paths; inlined, an unwired (nil) log costs
 # them one branch. The flat write path keeps its local lock variable in an
 # owner record on the thread: PushOwner in Lock and TakeOwnerTop in Unlock
-# (both in core.go) must inline there, so the record costs no call. The
+# (both in core.go) must inline there, so the record costs no call. Every
+# timed wait opens with (*metrics.Registry).StartWait and closes with
+# EndWait; both must inline with their nil check in line, and StartWait
+# must inline at each of core's call sites, so an unmetered lock times a
+# wait with one branch and no call or clock read. The
 # compiler's inlining reports must say so (go build replays a report from
 # its cache, so a warm build checks too).
 inlinecheck:
@@ -113,7 +120,18 @@ inlinecheck:
 	if ! echo "$$out" | grep -q 'can inline (\*Recorder)\.Record '; then \
 		echo "FAIL: (*history.Recorder).Record is no longer inlinable:"; echo "$$out" | grep 'inline (\*Recorder)\.Record:'; exit 1; \
 	fi; \
-	echo "OK: inlinecheck ((*Lock).bump, (*history.Recorder).Record, and the owner-record fast cases, inlined into Lock/Unlock)"
+	out=$$($(GO) build -gcflags=-m=2 ./internal/metrics 2>&1) || { echo "$$out"; exit 1; }; \
+	for fn in StartWait EndWait; do \
+		if ! echo "$$out" | grep -qE "can inline \(\*Registry\)\.$$fn with cost [0-9]+ as: method\(\*Registry\) func\([^)]*\) [a-z0-9]* *\{ if r == nil \{"; then \
+			echo "FAIL: (*metrics.Registry).$$fn is not inlinable with its nil check in line:"; echo "$$out" | grep "inline (\*Registry)\.$$fn"; exit 1; \
+		fi; \
+	done; \
+	calls=$$(cat $$(ls internal/core/*.go | grep -v '_test\.go$$') | grep -o '\.StartWait()' | wc -l); \
+	inlined=$$($(GO) build -gcflags=-m=2 ./internal/core 2>&1 | grep -cE '^internal/core/[a-z]+\.go:[0-9]+:[0-9]+: inlining call to metrics\.\(\*Registry\)\.StartWait$$'); \
+	if [ "$$calls" -eq 0 ] || [ "$$calls" -ne "$$inlined" ]; then \
+		echo "FAIL: (*metrics.Registry).StartWait is inlined at $$inlined of core's $$calls call sites"; exit 1; \
+	fi; \
+	echo "OK: inlinecheck ((*Lock).bump, (*history.Recorder).Record, the owner-record fast cases inlined into Lock/Unlock, and the wait seam's nil check inlined at core's $$calls StartWait sites)"
 
 # The paper's read-only section never writes the lock: an elided read
 # executes no LOCK-prefixed or XCHG instruction (an XCHG with a memory

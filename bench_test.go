@@ -88,15 +88,18 @@ var sweepThreads = []int{1, 2, 4}
 func BenchmarkTable1LockStats(b *testing.B) {
 	wl := workload.NewMapBench(workload.Hash, workload.ImplSolero, 5, 1024, 1)
 	vm := jthread.NewVM()
-	r := uint64(12345)
+	r, sink := uint64(12345), uint64(0)
 	benchThreads(b, vm, 1, func(g int, th *jthread.Thread) {
 		r = r*6364136223846793005 + 1
 		k := int64(r % 1024)
 		if r>>32%100 < 5 {
 			wl.Guards()[0].Write(th, func() {})
 		}
-		wl.Guards()[0].Read(th, func() { benchSink.Add(uint64(k)) })
+		var v uint64
+		wl.Guards()[0].Read(th, func() { v = uint64(k) })
+		sink += v
 	})
+	benchSink.Store(sink)
 	total, ro := wl.LockOps()
 	if total > 0 {
 		b.ReportMetric(100*float64(ro)/float64(total), "readonly_%")
@@ -364,7 +367,9 @@ func BenchmarkAblationFallback(b *testing.B) {
 				if seeds[g].next(g)%100 < 5 {
 					lock.Sync(th, func() { a.Add(1); c.Add(1) })
 				} else {
-					lock.ReadOnly(th, func() { benchSink.Add(a.Load() - c.Load()) })
+					var d uint64
+					lock.ReadOnly(th, func() { d = a.Load() - c.Load() })
+					seeds[g].sink += d
 				}
 			})
 			b.ReportMetric(lock.Stats().FailureRatio(), "failure_%")
@@ -388,6 +393,7 @@ func BenchmarkAblationReadMostly(b *testing.B) {
 			seeds := make([]benchSeed, 2)
 			benchThreads(b, vm, 2, func(g int, th *jthread.Thread) {
 				write := seeds[g].next(g)%100 < 5
+				var got uint64
 				if useExt {
 					lock.ReadMostly(th, func(s *core.Section) {
 						if write {
@@ -395,7 +401,7 @@ func BenchmarkAblationReadMostly(b *testing.B) {
 							v.Add(1)
 							return
 						}
-						benchSink.Add(v.Load())
+						got = v.Load()
 					})
 				} else {
 					lock.Sync(th, func() {
@@ -403,9 +409,10 @@ func BenchmarkAblationReadMostly(b *testing.B) {
 							v.Add(1)
 							return
 						}
-						benchSink.Add(v.Load())
+						got = v.Load()
 					})
 				}
+				seeds[g].sink += got
 			})
 		})
 	}
@@ -463,10 +470,12 @@ func BenchmarkRmap(b *testing.B) {
 			m.Put(th, k, k)
 		}
 		b.ResetTimer()
+		sink := uint64(0)
 		for i := 0; i < b.N; i++ {
 			v, _ := m.Get(th, int64(i)%1024)
-			benchSink.Add(uint64(v))
+			sink += uint64(v)
 		}
+		benchSink.Store(sink)
 	})
 	b.Run("Put", func(b *testing.B) {
 		vm := jthread.NewVM()
@@ -484,9 +493,11 @@ func BenchmarkRmap(b *testing.B) {
 		compute := func() int64 { return 7 }
 		m.GetOrCompute(th, 5, compute)
 		b.ResetTimer()
+		sink := uint64(0)
 		for i := 0; i < b.N; i++ {
-			benchSink.Add(uint64(m.GetOrCompute(th, 5, compute)))
+			sink += uint64(m.GetOrCompute(th, 5, compute))
 		}
+		benchSink.Store(sink)
 	})
 }
 

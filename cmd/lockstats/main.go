@@ -65,7 +65,7 @@ func main() {
 	jsonOut := flag.String("json", "", "write the solero-snapshot/v1 JSON bundle to this file")
 	perfettoOut := flag.String("perfetto", "", "write the tail of the protocol event log as Perfetto trace-event JSON to this file")
 	pprofOut := flag.String("pprof", "", "write the sampled contention profile as gzipped pprof protobuf to this file (inspect with `go tool pprof -top`)")
-	samplePeriod := flag.Int("sample-period", 0, "cs_duration sampling period: time 1 in N read-only sections (0 keeps the default 64; 1 times every section)")
+	samplePeriod := flag.Int("sample-period", 0, "cs_duration and call-site sampling period: time 1 in N read-only sections and attribute 1 in N abort and contention events to their site (0 keeps the defaults, 64 and 16; 1 samples every one)")
 	serve := flag.String("serve", "", "serve live observability HTTP on this address (e.g. :8080) while the workload runs")
 	flag.Parse()
 
@@ -78,6 +78,7 @@ func main() {
 	reg := metrics.New(0)
 	if *samplePeriod > 0 {
 		reg.SetSamplePeriod(*samplePeriod)
+		reg.SetSitePeriod(*samplePeriod)
 	}
 	lockCfg := *core.DefaultConfig
 	lockCfg.Metrics = reg

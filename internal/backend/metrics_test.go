@@ -93,38 +93,52 @@ func TestMontableSweepStallMetrics(t *testing.T) {
 	}
 }
 
-// TestVMLockMonitorParkMetrics drives two threads through vmlock's FLC
-// contention path and checks parks surface as "monitor-park" events and
-// that slow acquisitions record acquire_wait dwell.
-func TestVMLockMonitorParkMetrics(t *testing.T) {
-	reg := metrics.New(1)
-	be, err := New("vmlock", Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm := jthread.NewVM()
-	holder := vm.Attach("holder")
-	contender := vm.Attach("contender")
+// TestMonitorParkMetrics drives one contender through each bi-modal lock's
+// contention path behind a held lock and checks that both locks report the
+// wait the same way, through the one wait seam: the slow acquisition, its
+// spin episode and tier-3 yields are each timed, and every FLC park or
+// monitor entry is one "monitor-park" event and one park_dwell sample.
+func TestMonitorParkMetrics(t *testing.T) {
+	for _, name := range []string{"vmlock", "solero"} {
+		t.Run(name, func(t *testing.T) {
+			reg := metrics.New(1)
+			be, err := New(name, Options{Metrics: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			vm := jthread.NewVM()
+			holder := vm.Attach("holder")
+			contender := vm.Attach("contender")
 
-	be.Lock(holder)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		be.Lock(contender)
-		be.Unlock(contender)
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for reg.AbortCount(metrics.AbortMonitorPark) == 0 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	be.Unlock(holder)
-	wg.Wait()
+			be.Lock(holder)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				be.Lock(contender)
+				be.Unlock(contender)
+			}()
+			// FLC parks are timed, so the contender's first park ends
+			// (and records) while the holder still holds.
+			deadline := time.Now().Add(2 * time.Second)
+			for reg.AbortCount(metrics.AbortMonitorPark) == 0 && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
+			}
+			be.Unlock(holder)
+			wg.Wait()
 
-	if n := reg.AbortCount(metrics.AbortMonitorPark); n == 0 {
-		t.Fatal("FLC contention recorded no monitor-park event")
-	}
-	if n := reg.Acquire.Snapshot().Count; n == 0 {
-		t.Fatal("slow acquisition left acquire_wait empty")
+			parks := reg.AbortCount(metrics.AbortMonitorPark)
+			if parks == 0 {
+				t.Fatal("FLC contention recorded no monitor-park event")
+			}
+			if n := reg.Park.Snapshot().Count; n != parks {
+				t.Fatalf("park_dwell count = %d, want one per monitor-park event (%d)", n, parks)
+			}
+			for _, h := range []*metrics.Histogram{reg.Acquire, reg.Spin, reg.Yield} {
+				if h.Snapshot().Count == 0 {
+					t.Errorf("contended acquisition left %s empty", h.Name())
+				}
+			}
+		})
 	}
 }

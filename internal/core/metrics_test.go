@@ -258,10 +258,13 @@ func TestAbortRecursionOverflowAndInflated(t *testing.T) {
 	if !l.Inflated() {
 		t.Fatalf("lock deflated with Deflate disabled")
 	}
+	// The section then enters the fat lock's monitor: one monitor-park
+	// wait, however short.
 	l.ReadOnly(th, func() {})
 	assertAbortCounts(t, reg, map[metrics.AbortCause]uint64{
 		metrics.AbortRecursionOverflow: 1,
 		metrics.AbortInflated:          1,
+		metrics.AbortMonitorPark:       1,
 	})
 }
 

@@ -3,8 +3,9 @@ package core
 // Metrics hooks. The registry (internal/metrics) rides the protocol's slow
 // paths only: abort classification happens where a speculation has already
 // failed (the elision loop's failure arm, which a failed hook-free first
-// attempt hands its outcome to), dwell timers wrap code that is already
-// spinning, yielding, or parking, and the sole fast-path touch — the
+// attempt hands its outcome to), every spin, yield and park is timed
+// through the registry's one wait seam (StartWait/EndWait, which vmlock,
+// rwlock and montable share), and the sole fast-path touch — the
 // critical-section duration sampling gate of the elided-entry skeleton
 // (read) — is a thread-local counter behind a byte test. A production
 // config (Metrics == nil) pays one predictable branch; a metered lock's
@@ -50,22 +51,9 @@ func (l *Lock) recordAbort(t *jthread.Thread, async bool) {
 	m.RecordAbort(t.StripeIndex(), abortCauseFor(l.word.Load()))
 }
 
-// yieldTimed is the tier-3 yield with its dwell recorded.
-func (l *Lock) yieldTimed(t *jthread.Thread) {
-	m := l.cfg.Metrics
-	if m == nil {
-		runtime.Gosched()
-		return
-	}
-	start := metrics.Now()
+// yield is the tier-3 yield, timed through the wait seam.
+func (l *Lock) yield(t *jthread.Thread) {
+	start := l.cfg.Metrics.StartWait()
 	runtime.Gosched()
-	m.Yield.Record(t.StripeIndex(), metrics.Now()-start)
-}
-
-// spinDwell closes a spin episode opened at start, a metrics.Now reading
-// taken when the registry is set (which New fixes for the lock's life).
-func (l *Lock) spinDwell(t *jthread.Thread, start int64) {
-	if m := l.cfg.Metrics; m != nil {
-		m.Spin.Record(t.StripeIndex(), metrics.Now()-start)
-	}
+	l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitYield, start)
 }

@@ -18,10 +18,8 @@ func sub(w *atomic.Uint64, delta uint64) { w.Add(^delta + 1) }
 // management, and fat-mode entry for writing critical sections.
 func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 	l.inc(cSlowAcquires)
-	if m := l.cfg.Metrics; m != nil {
-		start := metrics.Now()
-		defer func() { m.Acquire.Record(t.StripeIndex(), metrics.Now()-start) }()
-	}
+	start := l.cfg.Metrics.StartWait()
+	defer l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitAcquire, start)
 	tid := t.ID()
 	for {
 		switch {
@@ -56,11 +54,8 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 // pre-acquire word is stored as the local lock variable.
 func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 	tid := t.ID()
-	var spinStart int64
-	if l.cfg.Metrics != nil {
-		spinStart = metrics.Now()
-	}
-	defer l.spinDwell(t, spinStart)
+	start := l.cfg.Metrics.StartWait()
+	defer l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitSpin, start)
 	for i := 0; i < l.cfg.Tier3; i++ {
 		for j := 0; j < l.cfg.Tier2; j++ {
 			l.cfg.Sched.Point(tid, sched.PSpin)
@@ -77,7 +72,7 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 			}
 			spinBackoff(l.cfg.Tier1)
 		}
-		l.yieldTimed(t)
+		l.yield(t)
 	}
 	return false
 }
@@ -114,20 +109,18 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 			// ends the park, so under schedule injection it is a Park:
 			// the token stays with this thread.
 			l.word.Or(lockword.FLCBit)
-			var parkStart int64
-			if l.cfg.Metrics != nil {
-				parkStart = metrics.Now()
-			}
+			start, parked := l.cfg.Metrics.StartWait(), false
 			l.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
 				if w := l.word.Load(); lockword.SoleroHeld(w) {
 					l.inc(cFLCWaits)
+					parked = true
 					m.WaitLocked(l.cfg.FLCTimeout)
 				}
 				m.RawUnlock()
 			})
-			if mr := l.cfg.Metrics; mr != nil {
-				mr.Park.Record(t.StripeIndex(), metrics.Now()-parkStart)
+			if parked {
+				l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitMonitorPark, start)
 			}
 		default:
 			// Free, possibly with a stale FLC bit: grab the flat lock
@@ -178,14 +171,9 @@ func (l *Lock) fatEnter(t *jthread.Thread, v uint64) bool {
 func (l *Lock) fatEnterPinned(t *jthread.Thread, h montable.Handle) bool {
 	tid := t.ID()
 	m := h.Mon
-	var parkStart int64
-	if l.cfg.Metrics != nil {
-		parkStart = metrics.Now()
-	}
+	start := l.cfg.Metrics.StartWait()
 	l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() { m.Enter(tid) })
-	if mr := l.cfg.Metrics; mr != nil {
-		mr.Park.Record(t.StripeIndex(), metrics.Now()-parkStart)
-	}
+	l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitMonitorPark, start)
 	if l.word.Load()&^lockword.FLCBit == h.Word {
 		l.inc(cFatEnters)
 		l.cfg.History.Record(history.Acquire, tid, h.Word)
@@ -248,7 +236,6 @@ func (l *Lock) slowExit(t *jthread.Thread, v2 uint64) {
 // instead of overloading the counter-0 free word.)
 func (l *Lock) slowReadEnter(t *jthread.Thread) (v uint64, holding bool) {
 	tid := t.ID()
-	var spinStart int64
 	v = l.word.Load()
 	// test_recursion: the thread already holds the flat lock.
 	if lockword.SoleroHeldBy(v, tid) {
@@ -264,15 +251,13 @@ func (l *Lock) slowReadEnter(t *jthread.Thread) (v uint64, holding bool) {
 		return 0, true
 	}
 	// Three-tier wait for the word to become elidable.
-	if l.cfg.Metrics != nil {
-		spinStart = metrics.Now()
-	}
+	start := l.cfg.Metrics.StartWait()
 	for i := 0; i < l.cfg.Tier3; i++ {
 		for j := 0; j < l.cfg.Tier2; j++ {
 			l.cfg.Sched.Point(tid, sched.PSpin)
 			v = l.word.Load()
 			if lockword.SoleroFree(v) {
-				l.spinDwell(t, spinStart)
+				l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitSpin, start)
 				return v, false
 			}
 			if v&(lockword.InflationBit|lockword.FLCBit) != 0 {
@@ -280,12 +265,12 @@ func (l *Lock) slowReadEnter(t *jthread.Thread) (v uint64, holding bool) {
 			}
 			spinBackoff(l.cfg.Tier1)
 		}
-		l.yieldTimed(t)
+		l.yield(t)
 	}
 inflation:
 	// The lock stayed busy (or is already fat): the elision is preempted —
 	// record why (a fat word vs. a writer holding on) — and acquire for real.
-	l.spinDwell(t, spinStart)
+	l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitSpin, start)
 	if m := l.cfg.Metrics; m != nil {
 		m.RecordAbort(t.StripeIndex(), abortCauseFor(v))
 	}

@@ -12,7 +12,8 @@ import (
 )
 
 // testSource builds a deterministic source: fixed registry contents and a
-// fixed counter block, no wall-clock dependence.
+// fixed counter block. The two waits' dwells are clock readings, so the
+// golden pins their counts, not their buckets.
 func testSource() *Source {
 	reg := metrics.New(1)
 	reg.AddOps(0, 1000)
@@ -21,7 +22,8 @@ func testSource() *Source {
 	reg.RecordAbort(0, metrics.AbortInflated)
 	reg.CSDuration.Record(0, 100)
 	reg.CSDuration.Record(0, 5000)
-	reg.Acquire.Record(0, 900)
+	reg.EndWait(0, metrics.WaitAcquire, reg.StartWait())
+	reg.EndWait(0, metrics.WaitMonitorPark, reg.StartWait())
 	reg.RecordFactDivergence(0)
 	return &Source{
 		Benchmark: "hashmap",
@@ -57,7 +59,7 @@ solero_aborts_total{cause="async-abort"} 0
 solero_aborts_total{cause="gate-park"} 0
 solero_aborts_total{cause="inflated"} 1
 solero_aborts_total{cause="lockbit-set"} 0
-solero_aborts_total{cause="monitor-park"} 0
+solero_aborts_total{cause="monitor-park"} 1
 solero_aborts_total{cause="recursion-overflow"} 0
 solero_aborts_total{cause="sweep-stall"} 0
 solero_aborts_total{cause="writer-raced"} 2
@@ -77,7 +79,8 @@ solero_protocol_events_total{event="fallbacks"} 3
 		`solero_cs_duration_nanoseconds_bucket{le="16383"} 2`,
 		`solero_cs_duration_nanoseconds_bucket{le="+Inf"} 2`,
 		`solero_cs_duration_nanoseconds_count 2`,
-		`solero_acquire_wait_nanoseconds_bucket{le="1023"} 1`,
+		`solero_acquire_wait_nanoseconds_count 1`,
+		`solero_park_dwell_nanoseconds_count 1`,
 		`solero_spin_dwell_nanoseconds_count 0`,
 		`solero_fact_divergences_total 1`,
 	} {

@@ -398,6 +398,7 @@ func TestContentionProfileRoundTrip(t *testing.T) {
 			}
 			var totalContentions, totalDelay int64
 			causes := make(map[string]bool)
+			causeDelay := make(map[string]int64)
 			for _, s := range p.samples {
 				if len(s.values) != 2 {
 					t.Fatalf("sample has %d values, want 2", len(s.values))
@@ -409,6 +410,7 @@ func TestContentionProfileRoundTrip(t *testing.T) {
 					t.Fatal("sample missing cause label")
 				}
 				causes[c] = true
+				causeDelay[c] += s.values[1]
 			}
 			if totalContentions == 0 {
 				t.Fatal("zero total contentions")
@@ -418,6 +420,11 @@ func TestContentionProfileRoundTrip(t *testing.T) {
 			}
 			if len(causes) == 0 {
 				t.Fatal("no cause labels")
+			}
+			// solero's contender parks on the FLC monitor behind the
+			// holder: that wait is a monitor-park site like vmlock's.
+			if name == "solero" && causeDelay["monitor-park"] == 0 {
+				t.Fatalf("no cause=monitor-park sample with delay; causes %v", causeDelay)
 			}
 			t.Logf("%s: %d samples, %d sites, causes %v, contentions=%d delay=%dns",
 				name, len(p.samples), len(leaves), keys(causes), totalContentions, totalDelay)

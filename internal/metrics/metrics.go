@@ -43,15 +43,16 @@ const (
 	AbortAsync
 
 	// The remaining causes are contention events rather than failed
-	// speculations: named stalls recorded by the backend SPI's metrics hooks
-	// (RecordContention) so the taxonomy attributes *where lock time goes*
-	// uniformly across backends, not just why elision failed.
+	// speculations: the park and stall kinds of the wait seam (EndWait),
+	// so the taxonomy attributes *where lock time goes* uniformly across
+	// locks, not just why elision failed.
 
 	// AbortGatePark: a reader or writer parked on the rwlock gate
 	// (internal/rwlock.park) waiting for the state word to clear.
 	AbortGatePark
-	// AbortMonitorPark: a thread parked on a vmlock flat-lock-contention
-	// monitor waiting for the flat owner to exit (internal/vmlock).
+	// AbortMonitorPark: a thread parked on a flat-lock-contention monitor
+	// waiting for the flat owner to exit, or waited to enter a fat lock's
+	// monitor (internal/core, internal/vmlock).
 	AbortMonitorPark
 	// AbortSweepStall: a monitor-table deflation sweep pass skipped busy or
 	// pinned entries (internal/montable.Sweep) — reclaim was stalled by live
@@ -113,7 +114,8 @@ type Registry struct {
 	// entry to ownership).
 	Acquire *Histogram
 	// Spin, Yield, Park are the three contention-management tiers' dwell
-	// times: one spin episode, one yield, one FLC/monitor park.
+	// times: one spin episode, one yield, one FLC, monitor-entry or gate
+	// park. Every wait reaches them through EndWait.
 	Spin  *Histogram
 	Yield *Histogram
 	Park  *Histogram
@@ -223,49 +225,86 @@ func (r *Registry) RecordAbort(stripe uint32, cause AbortCause) {
 	}
 }
 
-// RecordContention accounts one named contention stall (a gate park,
-// monitor park, or sweep stall) with its wall-clock dwell: exactly one
-// taxonomy count, one dwell sample into the cause's histogram, and — on
-// the sampled subset — call-site attribution carrying the dwell so
-// profiles can weight sites by cumulative wait time. Sweep stalls skip the
-// histogram: RecordSweep already owns sweep_latency and double-recording
-// the same pass would skew it. nil-safe.
-func (r *Registry) RecordContention(stripe uint32, cause AbortCause, d time.Duration) {
+// WaitKind names one timed wait for the wait seam (StartWait/EndWait).
+// Each kind records into one histogram; the park and stall kinds are also
+// contention events, counted once in the taxonomy and sampled to their call
+// site weighted by dwell.
+type WaitKind uint8
+
+// Wait kinds.
+const (
+	// WaitAcquire: one contended acquisition, first stall to ownership
+	// (acquire_wait). It may contain several spins, yields and parks.
+	WaitAcquire WaitKind = iota
+	// WaitSpin: one spin episode of the three-tier loop (spin_dwell).
+	WaitSpin
+	// WaitYield: one tier-3 yield (yield_dwell).
+	WaitYield
+	// WaitMonitorPark: one FLC park or monitor entry (park_dwell, cause
+	// monitor-park).
+	WaitMonitorPark
+	// WaitGatePark: one rwlock gate park (park_dwell, cause gate-park).
+	WaitGatePark
+	// WaitSweepStall: one monitor-table sweep pass that live lock traffic
+	// kept from reclaiming (sweep_latency, cause sweep-stall).
+	WaitSweepStall
+)
+
+// StartWait opens a timed wait: a Now reading on a registry, 0 on nil.
+// It stays inlinable, so an unmetered lock pays one branch and reads no
+// clock.
+func (r *Registry) StartWait() int64 {
+	if r == nil {
+		return 0
+	}
+	return Now()
+}
+
+// EndWait closes the wait of the given kind opened at start (a StartWait
+// reading) and records it exactly once. nil-safe, and inlinable down to
+// the nil check.
+func (r *Registry) EndWait(stripe uint32, kind WaitKind, start int64) {
 	if r == nil {
 		return
 	}
-	if cause >= NumAbortCauses {
-		cause = AbortWriterRaced
-	}
+	r.endWait(stripe, kind, start)
+}
+
+// endWait records the wait opened at start into its kind's histogram and,
+// for the park and stall kinds, into the taxonomy and the sampled site
+// table.
+func (r *Registry) endWait(stripe uint32, kind WaitKind, start int64) {
+	d := Now() - start
 	if d < 0 {
 		d = 0
 	}
-	r.aborts[cause].Add(stripe, 1)
-	switch cause {
-	case AbortGatePark, AbortMonitorPark:
-		r.Park.Record(stripe, int64(d))
-	case AbortSweepStall:
-		// dwell already in sweep_latency via RecordSweep
+	var cause AbortCause
+	switch kind {
+	case WaitAcquire:
+		r.Acquire.Record(stripe, d)
+		return
+	case WaitSpin:
+		r.Spin.Record(stripe, d)
+		return
+	case WaitYield:
+		r.Yield.Record(stripe, d)
+		return
+	case WaitMonitorPark:
+		r.Park.Record(stripe, d)
+		cause = AbortMonitorPark
+	case WaitGatePark:
+		r.Park.Record(stripe, d)
+		cause = AbortGatePark
+	case WaitSweepStall:
+		r.Sweep.Record(stripe, d)
+		cause = AbortSweepStall
 	default:
-		r.Acquire.Record(stripe, int64(d))
+		return
 	}
+	r.aborts[cause].Add(stripe, 1)
 	if r.samples[stripe&r.mask].ctr.Inc()&r.sitePeriodMask == 0 {
 		r.sites.record(cause, uint64(d))
 	}
-}
-
-// RecordAcquireWait records the end-to-end wait of one contended
-// acquisition (first stall to ownership) into the acquire_wait histogram.
-// Distinct from RecordContention: an acquisition may park several times
-// (several taxonomy events) but waits as a whole exactly once. nil-safe.
-func (r *Registry) RecordAcquireWait(stripe uint32, d time.Duration) {
-	if r == nil {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	r.Acquire.Record(stripe, int64(d))
 }
 
 // AbortCount returns the merged count for one cause. nil-safe.
@@ -336,9 +375,11 @@ func (r *Registry) Histograms() []*Histogram {
 	return []*Histogram{r.CSDuration, r.Acquire, r.Spin, r.Yield, r.Park, r.Sweep}
 }
 
-// RecordSweep records one monitor-table sweep's wall-clock duration on the
-// given stripe. Sweeps run off the lock paths, so there is no sampling
-// gate. nil-safe.
+// RecordSweep records the wall-clock duration of one monitor-table sweep
+// pass that stalled on nothing; a stalled pass is a WaitSweepStall wait and
+// records through EndWait instead, so each pass lands in sweep_latency
+// once. Sweeps run off the lock paths, so there is no sampling gate.
+// nil-safe.
 func (r *Registry) RecordSweep(stripe uint64, d time.Duration) {
 	if r == nil {
 		return

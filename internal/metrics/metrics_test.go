@@ -28,6 +28,63 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 }
 
+// TestWaitSeam checks that each wait kind records exactly once: into its
+// histogram, and for the park and stall kinds also one taxonomy count and a
+// sampled site carrying the dwell. A nil registry reads no clock.
+func TestWaitSeam(t *testing.T) {
+	var nilReg *Registry
+	if got := nilReg.StartWait(); got != 0 {
+		t.Fatalf("nil registry StartWait = %d, want 0", got)
+	}
+	nilReg.EndWait(0, WaitMonitorPark, 0)
+
+	r := New(1)
+	r.SetSitePeriod(1)
+	cases := []struct {
+		kind  WaitKind
+		hist  *Histogram
+		cause AbortCause
+		event bool
+	}{
+		{WaitAcquire, r.Acquire, 0, false},
+		{WaitSpin, r.Spin, 0, false},
+		{WaitYield, r.Yield, 0, false},
+		{WaitMonitorPark, r.Park, AbortMonitorPark, true},
+		{WaitGatePark, r.Park, AbortGatePark, true},
+		{WaitSweepStall, r.Sweep, AbortSweepStall, true},
+	}
+	for _, c := range cases {
+		before := c.hist.Snapshot().Count
+		start := r.StartWait()
+		time.Sleep(10 * time.Microsecond)
+		r.EndWait(0, c.kind, start)
+		if got := c.hist.Snapshot().Count - before; got != 1 {
+			t.Errorf("kind %d: %s gained %d samples, want 1", c.kind, c.hist.Name(), got)
+		}
+		if c.event && r.AbortCount(c.cause) != 1 {
+			t.Errorf("kind %d: %s = %d, want 1", c.kind, c.cause, r.AbortCount(c.cause))
+		}
+	}
+	var events uint64
+	for c := AbortCause(0); c < NumAbortCauses; c++ {
+		events += r.AbortCount(c)
+	}
+	if events != 3 {
+		t.Fatalf("taxonomy holds %d events, want 3 (the park and stall kinds)", events)
+	}
+	var nanos [NumAbortCauses]uint64
+	for _, s := range r.Sites() {
+		for c, n := range s.ByCauseNanos {
+			nanos[c] += n
+		}
+	}
+	for _, c := range []AbortCause{AbortMonitorPark, AbortGatePark, AbortSweepStall} {
+		if nanos[c] == 0 {
+			t.Errorf("no sampled %s site carries its dwell", c)
+		}
+	}
+}
+
 func TestAbortCauseNames(t *testing.T) {
 	seen := map[string]bool{}
 	for c := AbortCause(0); c < NumAbortCauses; c++ {
@@ -113,7 +170,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 				}
 				r.RecordAbort(g, AbortCause(i%int(NumAbortCauses)))
 				r.AddOps(g, 1)
-				r.Acquire.Record(g, int64(i))
+				r.EndWait(g, WaitAcquire, r.StartWait())
 			}
 		}(uint32(g))
 	}

@@ -24,7 +24,7 @@ const siteDepth = 3
 type siteKey [siteDepth]uintptr
 
 // siteStats accumulates one site's sampled event counts and — for events
-// that carry a dwell (RecordContention) — cumulative stall nanoseconds, the
+// that carry a dwell (the park and stall waits of EndWait) — cumulative stall nanoseconds, the
 // two weights a pprof contention profile needs per stack.
 type siteStats struct {
 	counts [NumAbortCauses]uint64

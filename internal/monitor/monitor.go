@@ -127,10 +127,6 @@ func (m *Monitor) BroadcastLocked() {
 	m.broadcasts.Add(1)
 }
 
-// Waiters returns the number of currently parked threads. The internal
-// mutex must be held.
-func (m *Monitor) Waiters() int { return m.waiters }
-
 // Enter acquires the monitor as tid, reentrantly, blocking while another
 // thread owns it.
 func (m *Monitor) Enter(tid uint64) {
@@ -160,24 +156,6 @@ func (m *Monitor) Enter(tid uint64) {
 	m.mu.Unlock()
 }
 
-// TryEnter acquires the monitor as tid if it is unowned or already owned by
-// tid; it never blocks. Returns whether the monitor is now owned by tid.
-func (m *Monitor) TryEnter(tid uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch m.owner {
-	case 0:
-		m.owner = tid
-		m.rec = 0
-		return true
-	case tid:
-		m.rec++
-		return true
-	default:
-		return false
-	}
-}
-
 // Exit releases one level of ownership held by tid. It returns true when the
 // monitor became fully unowned. Exiting a monitor not owned by tid panics —
 // that is a VM bug, the analogue of an IllegalMonitorStateException raised
@@ -195,19 +173,6 @@ func (m *Monitor) Exit(tid uint64) bool {
 	m.owner = 0
 	m.BroadcastLocked()
 	return true
-}
-
-// EnterLocked makes tid the owner assuming the internal mutex is held and
-// the monitor is unowned. The inflation protocol uses it: a thread that has
-// just acquired the flat lock under RawLock becomes the fat owner atomically
-// with publishing the inflated word.
-func (m *Monitor) EnterLocked(tid uint64) {
-	if m.owner != 0 {
-		panic("monitor: EnterLocked on owned monitor")
-	}
-	m.owner = tid
-	m.rec = 0
-	m.enters.Add(1)
 }
 
 // SetRecursionOwned sets the recursion depth directly; the caller must own
@@ -316,13 +281,6 @@ func (m *Monitor) HeldBy(tid uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.owner == tid
-}
-
-// Recursion returns the current recursion depth (0 when freshly owned).
-func (m *Monitor) Recursion() uint32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rec
 }
 
 // Stats is a snapshot of monitor counters.

@@ -109,28 +109,22 @@ type entry struct {
 	bound   bool
 }
 
-// shard is one cache-line-padded stripe of the table: an open-addressed
-// probe table from lock identity to arena index, the arena itself, and a
-// LIFO free list of reclaimable slots.
+// shard is one cache-line-padded stripe of the table: a map from lock
+// identity to arena index, the arena itself, and a LIFO free list of
+// reclaimable slots.
 type shard struct {
 	id uint32
 	mu sync.Mutex
 
-	// Open-addressed probe table: keys[i] is the bound lock's word
-	// address (0 = empty, tombstone = deleted). Entries never move in the
-	// arena, so the probe table only stores indexes.
-	keys []uintptr
-	idxs []uint32
-	used int // live + tombstones, for the growth trigger
-	live int
+	// byWord maps a bound lock's word address to its arena index. Entries
+	// never move in the arena, so the map only stores indexes.
+	byWord map[uintptr]uint32
 
 	arena []*entry
 	free  []uint32 // LIFO: reclaimed slots, ready to rebind
 
 	_ [stats.FalseSharingRange]byte // keep neighboring shard locks apart
 }
-
-const tombstone = ^uintptr(0)
 
 // Table is the compact monitor table. Create with New; the zero value is
 // not usable.
@@ -187,7 +181,7 @@ func New(cfg Config) *Table {
 	t := &Table{cfg: cfg, shardMask: uint64(cfg.Shards - 1)}
 	t.shards = make([]*shard, cfg.Shards)
 	for i := range t.shards {
-		t.shards[i] = &shard{id: uint32(i)}
+		t.shards[i] = &shard{id: uint32(i), byWord: make(map[uintptr]uint32)}
 	}
 	return t
 }
@@ -221,7 +215,7 @@ func (t *Table) Bind(w *atomic.Uint64, tid uint64) Handle {
 		e = s.alloc(t)
 		e.word = w
 		e.bound = true
-		s.insert(key, e.index)
+		s.byWord[key] = e.index
 		word := lockword.TicketWord(s.id, e.index, e.gen)
 		t.cfg.History.Record(history.MonBind, tid, word)
 	} else {
@@ -341,7 +335,7 @@ func (h Handle) UnpinReclaim(tid uint64) {
 // fully quiescent ones are reclaimed. tid labels the sweep for schedule
 // injection and history.
 func (t *Table) Sweep(tid uint64) {
-	start := time.Now()
+	start := metrics.Now()
 	stalled := false
 	epoch := t.epoch.Add(1)
 	for _, s := range t.shards {
@@ -408,17 +402,14 @@ func (t *Table) Sweep(tid uint64) {
 		s.mu.Unlock()
 	}
 	t.sweeps.Add(1)
-	dur := time.Since(start)
+	dur := metrics.Now() - start
 	t.sweepNanos.Add(uint64(dur))
-	if t.cfg.Metrics != nil {
-		t.cfg.Metrics.RecordSweep(tid, dur)
-		if stalled {
-			// One "sweep-stall" event per pass that live lock traffic
-			// (pinned or non-quiescent entries) kept from reclaiming; the
-			// dwell stays out of the histograms — RecordSweep above already
-			// owns this pass's latency.
-			t.cfg.Metrics.RecordContention(uint32(tid), metrics.AbortSweepStall, dur)
-		}
+	if stalled {
+		// A pass that live lock traffic (pinned or non-quiescent
+		// entries) kept from reclaiming is one "sweep-stall" wait.
+		t.cfg.Metrics.EndWait(uint32(tid), metrics.WaitSweepStall, start)
+	} else {
+		t.cfg.Metrics.RecordSweep(tid, time.Duration(dur))
 	}
 }
 
@@ -480,11 +471,11 @@ func (s *shard) alloc(t *Table) *entry {
 	return e
 }
 
-// unbind retires e's current binding: generation bump, probe-table
-// delete, free-list push. Caller holds s.mu (and has reset the monitor).
+// unbind retires e's current binding: generation bump, map delete,
+// free-list push. Caller holds s.mu (and has reset the monitor).
 func (s *shard) unbind(t *Table, e *entry, tid uint64) {
 	t.cfg.History.Record(history.MonReclaim, tid, lockword.TicketWord(s.id, e.index, e.gen))
-	s.remove(uintptr(unsafe.Pointer(e.word)))
+	delete(s.byWord, uintptr(unsafe.Pointer(e.word)))
 	e.bound = false
 	e.word = nil
 	e.gen = (e.gen + 1) & uint32(lockword.TicketGenMask)
@@ -493,81 +484,10 @@ func (s *shard) unbind(t *Table, e *entry, tid uint64) {
 
 // lookup finds the live entry bound to key, or nil. Caller holds s.mu.
 func (s *shard) lookup(key uintptr) *entry {
-	if len(s.keys) == 0 {
-		return nil
+	if idx, ok := s.byWord[key]; ok {
+		return s.arena[idx]
 	}
-	mask := uintptr(len(s.keys) - 1)
-	for i := uintptr(stats.SlotHash(0, key)) & mask; ; i = (i + 1) & mask {
-		switch s.keys[i] {
-		case key:
-			return s.arena[s.idxs[i]]
-		case 0:
-			return nil
-		}
-	}
-}
-
-// insert adds key -> idx, growing the probe table as needed. Caller holds
-// s.mu; key must not be present.
-func (s *shard) insert(key uintptr, idx uint32) {
-	if len(s.keys) == 0 || (s.used+1)*4 > len(s.keys)*3 {
-		s.rehash()
-	}
-	mask := uintptr(len(s.keys) - 1)
-	for i := uintptr(stats.SlotHash(0, key)) & mask; ; i = (i + 1) & mask {
-		if s.keys[i] == 0 || s.keys[i] == tombstone {
-			if s.keys[i] == 0 {
-				s.used++
-			}
-			s.keys[i] = key
-			s.idxs[i] = idx
-			s.live++
-			return
-		}
-	}
-}
-
-// remove deletes key, leaving a tombstone. Caller holds s.mu.
-func (s *shard) remove(key uintptr) {
-	mask := uintptr(len(s.keys) - 1)
-	for i := uintptr(stats.SlotHash(0, key)) & mask; ; i = (i + 1) & mask {
-		switch s.keys[i] {
-		case key:
-			s.keys[i] = tombstone
-			s.live--
-			return
-		case 0:
-			return // not present (never happens for live bindings)
-		}
-	}
-}
-
-// rehash rebuilds the probe table at a size fitting the live count,
-// dropping tombstones. Caller holds s.mu.
-func (s *shard) rehash() {
-	n := stats.CeilPow2((s.live + 1) * 2)
-	if n < 16 {
-		n = 16
-	}
-	oldKeys, oldIdxs := s.keys, s.idxs
-	s.keys = make([]uintptr, n)
-	s.idxs = make([]uint32, n)
-	s.used, s.live = 0, 0
-	mask := uintptr(n - 1)
-	for j, k := range oldKeys {
-		if k == 0 || k == tombstone {
-			continue
-		}
-		for i := uintptr(stats.SlotHash(0, k)) & mask; ; i = (i + 1) & mask {
-			if s.keys[i] == 0 {
-				s.keys[i] = k
-				s.idxs[i] = oldIdxs[j]
-				s.used++
-				s.live++
-				break
-			}
-		}
-	}
+	return nil
 }
 
 // Stats is a point-in-time snapshot of the table's occupancy and churn.
@@ -628,10 +548,14 @@ func (t *Table) Snapshot() Stats {
 	return st
 }
 
-// FootprintBytes estimates the table's heap footprint: probe buckets,
+// FootprintBytes estimates the table's heap footprint: the binding maps,
 // arena slots, free-list backing, and one monitor per allocated entry.
 // It is the numerator of the bytes-per-lock figure lockstats reports —
-// shared table cost amortized over however many locks rent from it.
+// shared table cost amortized over however many locks rent from it. A map
+// is counted by its live bindings (one key and one index each), not by
+// the buckets it has grown to: Go reports no map capacity, and a map keeps
+// its buckets after deletes, so after a burst of bindings the estimate is
+// low by the emptied buckets.
 func (t *Table) FootprintBytes() uint64 {
 	const (
 		entryBytes   = uint64(unsafe.Sizeof(entry{}))
@@ -641,8 +565,7 @@ func (t *Table) FootprintBytes() uint64 {
 	total := uint64(unsafe.Sizeof(Table{})) + uint64(len(t.shards))*shardBytes
 	for _, s := range t.shards {
 		s.mu.Lock()
-		total += uint64(cap(s.keys))*uint64(unsafe.Sizeof(uintptr(0))) +
-			uint64(cap(s.idxs))*4 +
+		total += uint64(len(s.byWord))*uint64(unsafe.Sizeof(uintptr(0))+4) +
 			uint64(cap(s.free))*4 +
 			uint64(cap(s.arena))*uint64(unsafe.Sizeof((*entry)(nil))) +
 			uint64(len(s.arena))*(entryBytes+monitorBytes)

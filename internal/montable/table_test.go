@@ -284,8 +284,8 @@ func TestHistoryRecordsIdentity(t *testing.T) {
 	}
 }
 
-// TestProbeTableChurn exercises insert/remove/rehash across enough
-// bindings to force growth and tombstone cleanup.
+// TestProbeTableChurn binds, reclaims and rebinds enough locks in one
+// shard to grow its binding map and recycle half its arena slots.
 func TestProbeTableChurn(t *testing.T) {
 	tb := New(Config{Shards: 1, ShardCapacity: 4})
 	const n = 300
@@ -324,11 +324,12 @@ func TestProbeTableChurn(t *testing.T) {
 	if st.Bound != n || st.Capacity != n {
 		t.Fatalf("recycling grew the arena: bound=%d capacity=%d", st.Bound, st.Capacity)
 	}
-	// The even half is still resolvable (rehashes must not lose keys).
+	// The even half is still resolvable (growth and deletes must not lose
+	// keys).
 	for i := 0; i < n; i += 2 {
 		h, ok := tb.PinWord(words[i].Load(), 2)
 		if !ok || h.Mon != handles[i].Mon {
-			t.Fatalf("binding %d lost across rehash/recycle", i)
+			t.Fatalf("binding %d lost across growth/recycle", i)
 		}
 		h.Unpin()
 	}

@@ -20,7 +20,6 @@ package rwlock
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"repro/internal/jthread"
@@ -57,10 +56,10 @@ type RWLock struct {
 	// this backend too. Nil (production) costs one predictable branch.
 	Sched *sched.Hooks
 
-	// Metrics, when set, records each gate park's dwell under the
-	// "gate-park" taxonomy cause and each contended acquisition's
-	// first-stall-to-ownership wait into acquire_wait. Hooks live only on
-	// the already-parking slow path; nil costs one branch per park.
+	// Metrics, when set, times each gate park as a "gate-park" wait and
+	// each contended acquisition, first stall to ownership, as an acquire
+	// wait (metrics.StartWait/EndWait). Hooks live only on the
+	// already-parking slow path; nil costs one branch per park.
 	Metrics *metrics.Registry
 
 	// state holds writerBit plus the active reader count.
@@ -192,10 +191,7 @@ func (l *RWLock) gate() *sync.Cond {
 // park blocks t until ready() holds (checked under the gate mutex, so a
 // wake between the caller's last state probe and the wait is never lost).
 func (l *RWLock) park(t *jthread.Thread, ready func() bool) {
-	var start time.Time
-	if l.Metrics != nil {
-		start = time.Now()
-	}
+	start := l.Metrics.StartWait()
 	l.parked.Add(1)
 	l.Sched.Block(t.ID(), sched.PGatePark, func() {
 		c := l.gate()
@@ -208,9 +204,7 @@ func (l *RWLock) park(t *jthread.Thread, ready func() bool) {
 		c.L.Unlock()
 	})
 	l.parked.Add(-1)
-	if l.Metrics != nil {
-		l.Metrics.RecordContention(t.StripeIndex(), metrics.AbortGatePark, time.Since(start))
-	}
+	l.Metrics.EndWait(t.StripeIndex(), metrics.WaitGatePark, start)
 }
 
 // wake broadcasts a state change to parked threads. The parked check keeps
@@ -241,7 +235,8 @@ func (l *RWLock) RLock(t *jthread.Thread) {
 		l.readAcquires.Add(1)
 		return
 	}
-	var waitStart time.Time
+	var start int64
+	waited := false
 	for {
 		l.Sched.Point(tid, sched.PSpin)
 		s := l.state.Load()
@@ -249,16 +244,16 @@ func (l *RWLock) RLock(t *jthread.Thread) {
 			if l.state.CompareAndSwap(s, s+1) {
 				l.addHold(tid)
 				l.readAcquires.Add(1)
-				if !waitStart.IsZero() {
-					l.Metrics.RecordAcquireWait(t.StripeIndex(), time.Since(waitStart))
+				if waited {
+					l.Metrics.EndWait(t.StripeIndex(), metrics.WaitAcquire, start)
 				}
 				return
 			}
 			continue
 		}
 		// Write-held by someone else: park until the writer leaves.
-		if l.Metrics != nil && waitStart.IsZero() {
-			waitStart = time.Now()
+		if !waited {
+			start, waited = l.Metrics.StartWait(), true
 		}
 		l.readParks.Add(1)
 		l.park(t, func() bool { return l.state.Load()&writerBit == 0 })
@@ -281,19 +276,20 @@ func (l *RWLock) Lock(t *jthread.Thread) {
 		l.wrec++
 		return
 	}
-	var waitStart time.Time
+	var start int64
+	waited := false
 	for {
 		l.Sched.Point(tid, sched.PAcquireCAS)
 		if l.state.Load() == 0 && l.state.CompareAndSwap(0, writerBit) {
 			l.writerTID.Store(tid)
 			l.writeAcquires.Add(1)
-			if !waitStart.IsZero() {
-				l.Metrics.RecordAcquireWait(t.StripeIndex(), time.Since(waitStart))
+			if waited {
+				l.Metrics.EndWait(t.StripeIndex(), metrics.WaitAcquire, start)
 			}
 			return
 		}
-		if l.Metrics != nil && waitStart.IsZero() {
-			waitStart = time.Now()
+		if !waited {
+			start, waited = l.Metrics.StartWait(), true
 		}
 		l.writeParks.Add(1)
 		l.park(t, func() bool { return l.state.Load() == 0 })

@@ -49,11 +49,12 @@ type Config struct {
 	// deflation (on release or by the table's sweeper) returns the entry to
 	// the free list. Nil means montable.Shared, the process-wide table.
 	Monitors *montable.Table
-	// Metrics, when set, records slow-path acquire latency into the
-	// acquire_wait histogram and each FLC park's dwell under the
-	// "monitor-park" taxonomy cause. Hooks live only on the already-slow
-	// paths; the CAS fast path stays untouched. Nil costs one branch per
-	// slow acquisition.
+	// Metrics, when set, times the slow path's waits through the wait
+	// seam (metrics.StartWait/EndWait), as core does: each slow
+	// acquisition, spin episode and tier-3 yield, and each FLC park and
+	// monitor entry as a "monitor-park" wait. Hooks live only on the
+	// already-slow paths; the CAS fast path stays untouched. Nil costs one
+	// branch per wait.
 	Metrics *metrics.Registry
 }
 
@@ -192,12 +193,8 @@ func (l *Lock) Sync(t *jthread.Thread, fn func()) {
 
 func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 	l.st.SlowAcquires.Add(1)
-	if l.cfg.Metrics != nil {
-		start := time.Now()
-		defer func() {
-			l.cfg.Metrics.RecordAcquireWait(t.StripeIndex(), time.Since(start))
-		}()
-	}
+	start := l.cfg.Metrics.StartWait()
+	defer l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitAcquire, start)
 	tid := t.ID()
 	for {
 		switch {
@@ -235,6 +232,8 @@ func (l *Lock) slowEnter(t *jthread.Thread, v uint64) {
 // "(v & 0xff) != 0" test does.
 func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 	tid := t.ID()
+	start := l.cfg.Metrics.StartWait()
+	defer l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitSpin, start)
 	for i := 0; i < l.cfg.Tier3; i++ {
 		for j := 0; j < l.cfg.Tier2; j++ {
 			l.cfg.Sched.Point(tid, sched.PSpin)
@@ -249,7 +248,7 @@ func (l *Lock) spinAcquire(t *jthread.Thread) bool {
 			}
 			spinBackoff(l.cfg.Tier1)
 		}
-		runtime.Gosched() // the paper's tier-3 yield()
+		l.yield(t) // the paper's tier-3 yield()
 	}
 	return false
 }
@@ -300,31 +299,29 @@ func (l *Lock) contendAndInflate(t *jthread.Thread) {
 			// ends the park, so under schedule injection it is a Park:
 			// the token stays with this thread.
 			l.word.Or(lockword.FLCBit)
+			start, parked := l.cfg.Metrics.StartWait(), false
 			l.cfg.Sched.Park(tid, sched.PFLCPark, func() {
 				m.RawLock()
 				v = l.word.Load()
 				if !lockword.Inflated(v) && lockword.Field(v) != 0 {
-					l.flcWait(t, m)
+					l.st.FLCWaits.Add(1)
+					parked = true
+					m.WaitLocked(l.cfg.FLCTimeout)
 				}
 				m.RawUnlock()
 			})
+			if parked {
+				l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitMonitorPark, start)
+			}
 		}
 	}
 }
 
-// flcWait is contendAndInflate's timed FLC park: count the wait, park on
-// m's condition, and record the dwell as one "monitor-park" contention
-// event. Called with m's raw mutex held.
-func (l *Lock) flcWait(t *jthread.Thread, m *monitor.Monitor) {
-	l.st.FLCWaits.Add(1)
-	var start time.Time
-	if l.cfg.Metrics != nil {
-		start = time.Now()
-	}
-	m.WaitLocked(l.cfg.FLCTimeout)
-	if l.cfg.Metrics != nil {
-		l.cfg.Metrics.RecordContention(t.StripeIndex(), metrics.AbortMonitorPark, time.Since(start))
-	}
+// yield is the tier-3 yield, timed through the wait seam.
+func (l *Lock) yield(t *jthread.Thread) {
+	start := l.cfg.Metrics.StartWait()
+	runtime.Gosched()
+	l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitYield, start)
 }
 
 // fatEnter resolves an observed ticket word and enters its monitor. False
@@ -350,9 +347,11 @@ func (l *Lock) fatEnter(t *jthread.Thread, v uint64) bool {
 func (l *Lock) fatEnterPinned(t *jthread.Thread, h montable.Handle) bool {
 	tid := t.ID()
 	m := h.Mon
+	start := l.cfg.Metrics.StartWait()
 	l.cfg.Sched.Block(tid, sched.PMonitorEnter, func() {
 		m.Enter(tid)
 	})
+	l.cfg.Metrics.EndWait(t.StripeIndex(), metrics.WaitMonitorPark, start)
 	if l.word.Load()&^lockword.FLCBit == h.Word {
 		l.st.FatEnters.Add(1)
 		return true
